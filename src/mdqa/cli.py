@@ -57,9 +57,12 @@ from .questiongen import (
 from .retrieval import build_index
 
 try:
-    import tomli
-except ImportError:  # pragma: no cover
-    tomli = None
+    import tomllib
+except ImportError:  # Python < 3.11
+    try:
+        import tomli as tomllib
+    except ImportError:  # pragma: no cover
+        tomllib = None
 
 
 def _fail(message: str) -> None:
@@ -272,10 +275,10 @@ def _read_journal(path: Path) -> dict[tuple[str, str, int], SystemRun]:
 def _config_defaults_from_toml(path: str | None) -> dict:
     if not path:
         return {}
-    if tomli is None:
-        _fail("tomli is required for --config files")
+    if tomllib is None:
+        _fail("tomli is required for --config files on Python < 3.11")
     with open(path, "rb") as fh:
-        data = tomli.load(fh)
+        data = tomllib.load(fh)
     return data.get("run", data)
 
 

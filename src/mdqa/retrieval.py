@@ -5,12 +5,26 @@ pages) approximate search buys nothing and costs determinism. Page vectors
 are stored as little-endian float32 records in the cache directory keyed by
 the sha256 of the embedded text, alongside a manifest pinning the backend
 fingerprint and dimension.
+
+In memory the index holds float64 unit vectors, and each document's pages
+are one contiguous span of rows. A query scores a pool of documents span by
+span: spans of documents adjacent in both the pool and the index merge into
+one run, and each run is one mat-vec over a view of the matrix, so the whole
+collection is a single mat-vec and nothing is copied. One ``np.lexsort`` on
+(-score, position in (doc_id, page_number) order) then ranks the pool; the
+positions are computed once when the index is built.
+
+BLAS may round a row's dot product differently depending on where the row
+falls in a mat-vec, so a score can differ in its last bits between pools
+whose runs differ; pools scored as the same runs get identical scores.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,7 +56,14 @@ class ScoredPage:
 
 class PageIndex:
     """One embedding per page of a collection, plus the text digests that key
-    the cache. Immutable after build; scoring shares it read-only."""
+    the cache. Immutable after build; scoring shares it read-only.
+
+    Each document's pages must be one contiguous span of rows, as
+    ``build_index`` lays them out. A pool document that is one of
+    ``documents`` (the objects the index was built from) is matched to its
+    span by identity of its ``pages`` tuple; any other document by comparing
+    page numbers.
+    """
 
     def __init__(
         self,
@@ -50,6 +71,7 @@ class PageIndex:
         vectors: np.ndarray,
         digests: list[str],
         backend_fingerprint: str,
+        documents: Sequence[Document] = (),
     ):
         if len(refs) != vectors.shape[0] or len(refs) != len(digests):
             raise RetrievalError("index arrays disagree in length")
@@ -64,6 +86,28 @@ class PageIndex:
         safe = np.where(norms > 0, norms, 1.0)
         self._unit = vectors.astype(np.float64) / safe[:, None]
         self._row: dict[tuple[str, int], int] = {ref: i for i, ref in enumerate(refs)}
+        if len(self._row) != len(self.refs):
+            raise RetrievalError("index holds a page ref more than once")
+        # doc_id -> (first row, end row, page numbers in row order)
+        self._spans: dict[str, tuple[int, int, list[int]]] = {}
+        start = 0
+        for doc_id, group in itertools.groupby(self.refs, key=lambda ref: ref[0]):
+            if doc_id in self._spans:
+                raise RetrievalError(f"pages of document {doc_id!r} are not contiguous rows")
+            numbers = [page_number for _, page_number in group]
+            self._spans[doc_id] = (start, start + len(numbers), numbers)
+            start += len(numbers)
+        self._indexed_pages: dict[str, tuple] = {}
+        for doc in documents:
+            span = self._spans.get(doc.doc_id)
+            if span is None or [p.page_number for p in doc.pages] != span[2]:
+                raise RetrievalError(f"document {doc.doc_id!r} does not match the index")
+            self._indexed_pages[doc.doc_id] = doc.pages
+        # Row -> position in (doc_id, page_number) order, the tie-break key.
+        standard = sorted(range(len(self.refs)), key=self.refs.__getitem__)
+        self._standard_refs = [self.refs[i] for i in standard]
+        self._standard_pos = np.empty(len(self.refs), dtype=np.int64)
+        self._standard_pos[standard] = np.arange(len(self.refs))
 
     def __len__(self) -> int:
         return len(self.refs)
@@ -77,17 +121,55 @@ class PageIndex:
     def unit_vector(self, page_ref: tuple[str, int]) -> np.ndarray:
         return self._unit[self.row(page_ref)]
 
-    def scores_for(self, query_vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def row_runs(self, docs: Sequence[Document]) -> list[list[int]]:
+        """The pool's rows as ``[start, stop)`` runs in pool order; spans of
+        documents adjacent in both the pool and the index share one run.
+
+        Raises ``UnindexedPageError`` unless each pool document holds exactly
+        the pages indexed under its doc_id.
+        """
+        runs: list[list[int]] = []
+        for doc in docs:
+            if not doc.pages:
+                continue
+            span = self._spans.get(doc.doc_id)
+            if doc.pages is not self._indexed_pages.get(doc.doc_id):
+                numbers = [p.page_number for p in doc.pages]
+                if span is None or numbers != span[2]:
+                    for number in numbers:
+                        self.row((doc.doc_id, number))
+                    raise UnindexedPageError(
+                        f"document {doc.doc_id!r} has pages {numbers}, "
+                        f"the index holds {span[2]}"
+                    )
+            start, stop, _ = span
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+        return runs
+
+    def rank(self, query_vec: np.ndarray, runs: list[list[int]], k: int) -> list[ScoredPage]:
+        """Top-k of the rows in ``runs`` by cosine to ``query_vec``."""
         q = query_vec.astype(np.float64)
-        norm = np.linalg.norm(q)
+        norm = math.sqrt(q.dot(q))  # np.linalg.norm(q), without its overhead
         if norm > 0:
             q = q / norm
-        return self._unit[rows] @ q
-
-
-def page_embed_text(doc: Document, page_number: int, max_chars: int = EMBED_INPUT_MAX_CHARS) -> str:
-    page = next(p for p in doc.pages if p.page_number == page_number)
-    return f"{page.title}\n{page.content}"[:max_chars]
+        if len(runs) == 1:
+            (start, stop), = runs
+            scores = self._unit[start:stop] @ q
+            positions = self._standard_pos[start:stop]
+        else:
+            scores = np.concatenate([self._unit[a:b] @ q for a, b in runs])
+            positions = np.concatenate([self._standard_pos[a:b] for a, b in runs])
+        np.minimum(scores, 1.0, out=scores)  # clip to [-1, 1] in place
+        np.maximum(scores, -1.0, out=scores)
+        top = np.lexsort((positions, -scores))[:k]
+        refs = self._standard_refs
+        return [
+            ScoredPage(page_ref=refs[p], score=s)
+            for p, s in zip(positions[top].tolist(), scores[top].tolist())
+        ]
 
 
 def _digest(text: str) -> str:
@@ -182,7 +264,9 @@ def build_index(
                 ),
                 encoding="utf-8",
             )
-    return PageIndex(refs, matrix, digests, embed_backend.fingerprint)
+    return PageIndex(
+        refs, matrix, digests, embed_backend.fingerprint, documents=collection.documents
+    )
 
 
 def retrieve_relevant_pages(
@@ -196,24 +280,16 @@ def retrieve_relevant_pages(
 
     Sorted by (score desc, doc_id asc, page_number asc); returns the whole
     pool when it holds fewer than k pages. An empty docs list yields an empty
-    result.
+    result. Raises ``UnindexedPageError`` when a document's pages are not
+    exactly those indexed under its doc_id.
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    if not docs:
+    runs = index.row_runs(docs)
+    if not runs:
         return []
-    rows = []
-    refs = []
-    for doc in docs:
-        for page in doc.pages:
-            ref = (doc.doc_id, page.page_number)
-            rows.append(index.row(ref))
-            refs.append(ref)
     query_vec = np.asarray(embed_backend.embed([query])[0])
-    scores = index.scores_for(query_vec, np.asarray(rows))
-    scores = np.clip(scores, -1.0, 1.0)
-    order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i][0], refs[i][1]))
-    return [ScoredPage(page_ref=refs[i], score=float(scores[i])) for i in order[:k]]
+    return index.rank(query_vec, runs, k)
 
 
 def expand_queries(question: str, chat_backend, n: int, prompt_pack=None) -> list[str]:

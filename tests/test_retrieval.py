@@ -3,14 +3,18 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdqa.backends import BackendError, HashedBowEmbedder, tokenize, token_slot
-from mdqa.corpus import DocumentCollection, Page
+from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
     CacheMismatchError,
+    PageIndex,
     RetrievalError,
     ScoredPage,
     UnindexedPageError,
@@ -48,6 +52,19 @@ def _brute_force_cosine(query: str, text: str, dim: int = 512) -> float:
     if nq == 0 or np_ == 0:
         return 0.0
     return dot / (nq * np_)
+
+
+def _reference_retrieve(query, docs, k, index, embed_backend):
+    """The per-page Python loop that retrieval used before span scoring."""
+    refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
+    matrix = np.stack([index.unit_vector(ref) for ref in refs])
+    q = np.asarray(embed_backend.embed([query])[0]).astype(np.float64)
+    norm = np.linalg.norm(q)
+    if norm > 0:
+        q = q / norm
+    scores = np.clip(matrix @ q, -1.0, 1.0)
+    order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i][0], refs[i][1]))
+    return [ScoredPage(page_ref=refs[i], score=float(scores[i])) for i in order[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +193,47 @@ def test_unindexed_page_rejected():
         retrieve_relevant_pages("q", other.documents, 1, index, embedder)
 
 
+@pytest.mark.parametrize("page_numbers", [(1, 2, 3, 4), (1, 2), (1, 2, 4)])
+def test_indexed_doc_id_with_other_pages_rejected(page_numbers):
+    collection = _collection({"d1": ["alpha", "beta", "gamma"]})
+    embedder = HashedBowEmbedder()
+    index = build_index(collection, embedder)
+    pages = tuple(Page(n, "", "alpha") for n in page_numbers)
+    changed = replace(collection.documents[0], pages=pages)
+    with pytest.raises(UnindexedPageError):
+        retrieve_relevant_pages("alpha", [changed], 4, index, embedder)
+
+
+def test_equal_document_outside_the_index_ranks_the_same():
+    collection = _collection({"d1": ["alpha", "beta"], "d2": ["alpha beta", "gamma"]})
+    embedder = HashedBowEmbedder()
+    index = build_index(collection, embedder)
+    copies = [replace(doc, pages=tuple(list(doc.pages))) for doc in collection.documents]
+    assert copies[0].pages is not collection.documents[0].pages
+    assert retrieve_relevant_pages("alpha", copies, 3, index, embedder) == retrieve_relevant_pages(
+        "alpha", collection.documents, 3, index, embedder
+    )
+
+
+@pytest.mark.parametrize(
+    "refs, documents, message",
+    [
+        ([("d1", 1), ("d2", 1), ("d1", 2)], (), "not contiguous"),
+        ([("d1", 1), ("d1", 1), ("d2", 1)], (), "more than once"),
+        (
+            [("d1", 1), ("d1", 2), ("d2", 1)],
+            (make_doc("d1", pages=(Page(1, "", "a"),)),),
+            "does not match",
+        ),
+    ],
+    ids=["interleaved", "duplicate", "documents-mismatch"],
+)
+def test_index_rejects_rows_it_cannot_span(refs, documents, message):
+    vectors = np.eye(3, dtype=np.float32)
+    with pytest.raises(RetrievalError, match=message):
+        PageIndex(refs, vectors, ["a", "b", "c"], "test", documents=documents)
+
+
 def test_scores_in_range_and_self_similarity():
     collection = _collection({"d1": ["alpha beta gamma delta"]})
     embedder = HashedBowEmbedder()
@@ -217,6 +275,60 @@ def test_topk_prefix_property_random_queries():
         for k in (1, 3, 7, 15):
             prefix = retrieve_relevant_pages(query, collection.documents, k, index, embedder)
             assert [s.page_ref for s in prefix] == [s.page_ref for s in full[:k]]
+
+
+# Scores are sums of 512 products of unit-vector entries; a changed summation
+# order moves them by at most a few float64 ulps.
+_SCORE_TOL = 1e-12
+_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+_texts = st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join)
+
+
+@st.composite
+def _collections(draw):
+    # Pages draw their text from a small palette, so duplicate pages (and
+    # with them exact score ties) are common. Documents come in any order,
+    # so index rows need not follow (doc_id, page_number) order.
+    palette = draw(st.lists(_texts, min_size=1, max_size=5))
+    n_docs = draw(st.integers(1, 6))
+    sorted_docs = _collection(
+        {f"d{i}": draw(st.lists(st.sampled_from(palette), min_size=1, max_size=9))
+         for i in range(n_docs)}
+    ).documents
+    return DocumentCollection(draw(st.permutations(sorted_docs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(collection=_collections(), query=_texts, data=st.data())
+def test_matches_python_loop_reference(collection, query, data):
+    embedder = HashedBowEmbedder()
+    index = build_index(collection, embedder)
+    docs = list(collection.documents)
+    symbols = data.draw(st.sets(st.sampled_from([d.stock_symbol for d in docs]), min_size=1))
+    pool = select_documents(collection, DocumentFilter(stock_symbols=tuple(symbols)))
+    if data.draw(st.booleans(), label="reversed"):
+        pool = pool[::-1]
+    n = sum(len(doc.pages) for doc in pool)
+    k = data.draw(st.sampled_from([max(n - 1, 1), n, n + 3]), label="k")
+
+    got = retrieve_relevant_pages(query, pool, k, index, embedder)
+    want = _reference_retrieve(query, pool, k, index, embedder)
+    positions = [docs.index(doc) for doc in pool]
+    if positions == list(range(positions[0], positions[0] + len(pool))):
+        # One run of rows in index order: the same mat-vec, so exact.
+        assert [(s.page_ref, s.score) for s in got] == [(s.page_ref, s.score) for s in want]
+        return
+    # Otherwise BLAS groups the rows differently, and a score can move in
+    # its last bits; ranks may then differ only among near-ties.
+    assert len(got) == len(want) == min(k, n)
+    reference = {s.page_ref: s.score for s in _reference_retrieve(query, pool, n, index, embedder)}
+    for scored in got:
+        assert scored.score == pytest.approx(reference[scored.page_ref], abs=_SCORE_TOL)
+    assert sorted((reference[s.page_ref] for s in got), reverse=True) == pytest.approx(
+        [s.score for s in want], abs=_SCORE_TOL
+    )
+    keys = [(-s.score, s.page_ref) for s in got]
+    assert keys == sorted(keys)
 
 
 # ---------------------------------------------------------------------------
