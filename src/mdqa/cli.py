@@ -272,14 +272,32 @@ def _read_journal(path: Path) -> dict[tuple[str, str, int], SystemRun]:
     return done
 
 
-def _config_defaults_from_toml(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | None):
+    """Make the ``[run]`` table of a TOML file (or its top level) the defaults
+    of ``run``'s other options: a flag beats the file, the file beats the
+    built-in default. Keys are option names with underscores (``k_grid``)."""
+    if path is None:
+        return None
     if tomllib is None:
-        _fail("tomli is required for --config files on Python < 3.11")
-    with open(path, "rb") as fh:
-        data = tomllib.load(fh)
-    return data.get("run", data)
+        raise click.BadParameter("tomli is required for --config files on Python < 3.11")
+    try:
+        with open(path, "rb") as fh:
+            data = tomllib.load(fh)
+    except (OSError, tomllib.TOMLDecodeError) as exc:
+        raise click.BadParameter(f"cannot read {path}: {exc}")
+    table = data.get("run", data)
+    if not isinstance(table, dict):
+        raise click.BadParameter(f"{path}: [run] must be a table")
+    names = {
+        opt.opts[0].lstrip("-").replace("-", "_"): opt.name
+        for opt in ctx.command.params
+        if isinstance(opt, click.Option) and opt is not param
+    }
+    unknown = sorted(set(table) - set(names))
+    if unknown:
+        raise click.BadParameter(f"{path}: no run option named {', '.join(unknown)}")
+    ctx.default_map = {names[key]: value for key, value in table.items()}
+    return path
 
 
 # Full sweep grid; override with a single k for quick sessions.
@@ -287,7 +305,11 @@ DEFAULT_K_GRID = "4,8,16,32,48,64,128"
 
 
 @main.command(name="run")
-@click.option("--config", "config_path", default=None, type=click.Path(dir_okay=False))
+@click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_load_run_config,
+    help="TOML file with defaults for the other options",
+)
 @click.option("--corpus", "corpus_dir", default=None, type=click.Path(file_okay=False))
 @click.option("--questions", "questions_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--session", "session_dir", default=None, type=click.Path(file_okay=False))
@@ -303,7 +325,6 @@ DEFAULT_K_GRID = "4,8,16,32,48,64,128"
 @click.option("--model", default="", help="http backend model name")
 @click.option("--auth-env", default="MDQA_API_KEY", show_default=True)
 def run_cmd(
-    config_path,
     corpus_dir,
     questions_path,
     session_dir,
@@ -320,15 +341,6 @@ def run_cmd(
     auth_env,
 ) -> None:
     """Run systems over a question set and persist a session."""
-    defaults = _config_defaults_from_toml(config_path)
-    corpus_dir = corpus_dir or defaults.get("corpus")
-    questions_path = questions_path or defaults.get("questions")
-    session_dir = session_dir or defaults.get("session")
-    systems = systems if systems != ",".join(SYSTEM_IDS) else defaults.get("systems", systems)
-    k_grid = k_grid if k_grid != DEFAULT_K_GRID else str(defaults.get("k_grid", k_grid))
-    backend = defaults.get("backend", backend) if backend == "oracle" else backend
-    oracle_mode = defaults.get("oracle_mode", oracle_mode) if oracle_mode == "perfect" else oracle_mode
-    dataset_year = dataset_year if dataset_year is not None else defaults.get("dataset_year")
     if not corpus_dir or not questions_path or not session_dir:
         _fail("run requires --corpus, --questions, and --session (flags or config)")
     try:
@@ -342,11 +354,11 @@ def run_cmd(
         _fail(f"questions file is empty: {questions_path}")
     if dataset_year is None:
         dataset_year = questions[0].dataset_year
-    system_ids = tuple(s for s in str(systems).split(",") if s)
+    system_ids = tuple(s for s in systems.split(",") if s)
     for system_id in system_ids:
         if system_id not in SYSTEM_IDS:
             _fail(f"unknown system {system_id!r}")
-    ks = _parse_int_list(str(k_grid))
+    ks = _parse_int_list(k_grid)
     if not ks or any(k < 1 for k in ks):
         _fail("k grid must be non-empty with all values >= 1")
 

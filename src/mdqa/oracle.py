@@ -20,6 +20,7 @@ from .corpus import FactRecord, FactTable, parse_formula
 from .questiongen import (
     MissingFactError,
     Question,
+    compound_lookup,
     evaluate_rule,
 )
 
@@ -264,10 +265,17 @@ class OracleChatBackend:
         ):
             # Some required figure is simply not in the provided pages.
             return "0"
+
+        def substitute(symbol: str, metric_id: str, year: int) -> float:
+            key = (symbol, metric_id, year)
+            if key not in substitutes:
+                raise MissingFactError(f"no substitute for {key}")
+            return substitutes[key]
+
         answer = evaluate_rule(
             rule,
             dict(question.bindings),
-            _substitute_lookup(self.fact_table, substitutes),
+            compound_lookup(self.fact_table, substitute),
             question.dataset_year,
             metric_display=lambda mid: self.fact_table.metric(mid).display_name,
         )
@@ -306,31 +314,6 @@ _RULE_BY_TEMPLATE = {
     "yn1": "yes_if_positive",
     "mo1": "multi_value",
 }
-
-
-def _substitute_lookup(fact_table: FactTable, values: dict[tuple[str, str, int], float]):
-    def lookup(symbol: str, metric_id: str, year: int, _stack: tuple = ()):
-        metric = fact_table.metric(metric_id)
-        if metric.kind == "compound":
-            node = parse_formula(metric.formula)
-
-            def refs(n):
-                if n[0] == "ref":
-                    yield n[1]
-                elif n[0] == "bin":
-                    yield from refs(n[2])
-                    yield from refs(n[3])
-
-            from .corpus import eval_formula
-
-            sub = {r: lookup(symbol, r, year) for r in sorted(set(refs(node)))}
-            return eval_formula(node, sub)
-        key = (symbol, metric_id, year)
-        if key not in values:
-            raise MissingFactError(f"no substitute for {key}")
-        return values[key]
-
-    return lookup
 
 
 # ---------------------------------------------------------------------------

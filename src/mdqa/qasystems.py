@@ -2,8 +2,10 @@
 
 Each pipeline takes only the question id and text (gold answers never reach a
 system) and produces a SystemRun: the parsed answer, the retrieval record,
-and call accounting. Failures are recorded on the run rather than raised, so
-a failed pipeline stage still counts against accuracy.
+and call accounting. A run's chat and embed call counts come from a meter
+over its backends, read once when the pipeline finishes, so a call that
+raised is counted too. Failures are recorded on the run rather than raised,
+so a failed pipeline stage still counts against accuracy.
 """
 
 from __future__ import annotations
@@ -184,40 +186,45 @@ def render_pages(pages: Sequence[PageHandle], max_chars: int = PAGE_PROMPT_MAX_C
     return "\n\n".join(blocks)
 
 
-def _extract(query: str, pages: Sequence[PageHandle], chat_backend, pack: PromptPack):
+_EXTRACT_REPROMPT = "Reply with only the value and its multiplier word, or Yes or No."
+
+
+def _ask_twice(chat_backend, messages: list[dict], parse, reprompt):
+    """Ask and parse the reply. On a parse error, show the reply back with
+    ``reprompt(error)`` and ask exactly once more; a second parse error is
+    raised to the caller."""
+    reply = chat_backend.chat(messages)
+    try:
+        return parse(reply)
+    except (AnswerParseError, PlanParseError) as exc:
+        follow_up = reprompt(exc)
+    retry_messages = messages + [
+        {"role": "assistant", "content": reply},
+        {"role": "user", "content": follow_up},
+    ]
+    return parse(chat_backend.chat(retry_messages))
+
+
+def _parse_extraction(reply: str) -> ParsedAnswer:
+    if reply.strip().lower() == "not found":
+        # A definitive miss, not a formatting problem; reprompting cannot help.
+        raise ExtractionError("value not found in the given pages")
+    return parse_answer_text(reply)
+
+
+def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_pack=None) -> ParsedAnswer:
+    """One chat call (plus at most one reprompt) extracting a value from pages."""
+    pack = prompt_pack or load_pack("extract")
     if not pages:
         raise ExtractionError("extract_value requires at least one page")
     messages = [
         {"role": "system", "content": pack.render("system")},
         {"role": "user", "content": pack.render("user", query=query, pages=render_pages(pages))},
     ]
-    reply = chat_backend.chat(messages)
-    if reply.strip().lower() == "not found":
-        # A definitive miss, not a formatting problem; reprompting cannot help.
-        raise ExtractionError("value not found in the given pages", chat_calls_used=1)
     try:
-        return parse_answer_text(reply), 1
-    except AnswerParseError:
-        pass
-    retry_messages = messages + [
-        {"role": "assistant", "content": reply},
-        {
-            "role": "user",
-            "content": "Reply with only the value and its multiplier word, or Yes or No.",
-        },
-    ]
-    reply2 = chat_backend.chat(retry_messages)
-    try:
-        return parse_answer_text(reply2), 2
+        return _ask_twice(chat_backend, messages, _parse_extraction, lambda _: _EXTRACT_REPROMPT)
     except AnswerParseError as exc:
-        raise ExtractionError(f"unparseable extraction reply: {exc}", chat_calls_used=2)
-
-
-def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_pack=None) -> ParsedAnswer:
-    """One chat call (plus at most one reprompt) extracting a value from pages."""
-    pack = prompt_pack or load_pack("extract")
-    answer, _ = _extract(query, pages, chat_backend, pack)
-    return answer
+        raise ExtractionError(f"unparseable extraction reply: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +318,90 @@ def _page_handles(
     return out
 
 
+class _Meter:
+    """Counting view of one chat or embed backend. A call counts before it is
+    made, so a call that raises still counts."""
+
+    def __init__(self, backend) -> None:
+        self._backend = backend
+        self.calls = 0
+
+    def chat(self, messages: list[dict], **params) -> str:
+        self.calls += 1
+        return self._backend.chat(messages, **params)
+
+    def embed(self, texts: list[str]):
+        self.calls += 1
+        return self._backend.embed(texts)
+
+
+@contextlib.contextmanager
+def _metered_run(system_id: str, question_id: str, k: int, backends: Backends):
+    """Yield a fresh SystemRun, the system's prompt pack, and metered
+    ``backends``. However the pipeline leaves the block, the run's call
+    counts are read from the meters."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    pack = load_pack(system_id)
+    chat, embed = _Meter(backends.chat), _Meter(backends.embed)
+    run = SystemRun(
+        system_id=system_id,
+        question_id=question_id,
+        k=k,
+        predicted=None,
+        retrieved_pages=[],
+        retrieved_docs=[],
+        chat_calls=0,
+        embed_calls=0,
+        prompt_version=pack.version,
+    )
+    try:
+        yield run, pack, Backends(chat, embed, backends.ledger)
+    finally:
+        run.chat_calls = chat.calls
+        run.embed_calls = embed.calls
+
+
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
+
+
+def _answer_from_pages(
+    run: SystemRun,
+    pack: PromptPack,
+    chat_backend,
+    question_text: str,
+    collection: DocumentCollection,
+    dataset_year: int,
+    retrieve,
+) -> None:
+    """The RAG answer stage: retrieve, record the pages and their documents,
+    ask once, then parse the answer or tag the failure."""
+    try:
+        scored = retrieve()
+    except BackendError as exc:
+        run.failure = f"retrieval_error: {exc}"
+        return
+    run.retrieved_pages = [s.page_ref for s in scored]
+    run.retrieved_docs = _signatures(run.retrieved_pages, collection)
+    pages = _page_handles(scored, collection)
+    messages = [
+        {"role": "system", "content": pack.render("system", current_year=dataset_year)},
+        {
+            "role": "user",
+            "content": pack.render("user", question=question_text, pages=render_pages(pages)),
+        },
+    ]
+    try:
+        reply = chat_backend.chat(messages)
+    except BackendError as exc:
+        run.failure = f"backend_error: {exc}"
+        return
+    try:
+        run.predicted = parse_answer_text(reply)
+    except AnswerParseError as exc:
+        run.failure = f"answer_parse_error: {exc}"
 
 
 def answer_vanilla(
@@ -326,42 +414,13 @@ def answer_vanilla(
     dataset_year: int,
 ) -> SystemRun:
     """One retrieval over the whole collection, one answer chat call."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pack = load_pack("vanilla_rag")
-    scored = retrieve_relevant_pages(
-        question_text, collection.documents, k, index, backends.embed
-    )
-    pages = _page_handles(scored, collection)
-    run = SystemRun(
-        system_id="vanilla_rag",
-        question_id=question_id,
-        k=k,
-        predicted=None,
-        retrieved_pages=[s.page_ref for s in scored],
-        retrieved_docs=_signatures([s.page_ref for s in scored], collection),
-        chat_calls=0,
-        embed_calls=1,
-        prompt_version=pack.version,
-    )
-    messages = [
-        {"role": "system", "content": pack.render("system", current_year=dataset_year)},
-        {
-            "role": "user",
-            "content": pack.render("user", question=question_text, pages=render_pages(pages)),
-        },
-    ]
-    try:
-        reply = backends.chat.chat(messages)
-        run.chat_calls = 1
-    except BackendError as exc:
-        run.chat_calls = 1
-        run.failure = f"backend_error: {exc}"
-        return run
-    try:
-        run.predicted = parse_answer_text(reply)
-    except AnswerParseError as exc:
-        run.failure = f"answer_parse_error: {exc}"
+    with _metered_run("vanilla_rag", question_id, k, backends) as (run, pack, backends):
+        _answer_from_pages(
+            run, pack, backends.chat, question_text, collection, dataset_year,
+            lambda: retrieve_relevant_pages(
+                question_text, collection.documents, k, index, backends.embed
+            ),
+        )
     return run
 
 
@@ -376,57 +435,25 @@ def answer_multiquery(
     n_queries: int = 3,
 ) -> SystemRun:
     """Query expansion, per-query retrieval, max-merge, one answer call."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n_queries < 1:
-        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    pack = load_pack("multi_query_rag")
-    run = SystemRun(
-        system_id="multi_query_rag",
-        question_id=question_id,
-        k=k,
-        predicted=None,
-        retrieved_pages=[],
-        retrieved_docs=[],
-        chat_calls=0,
-        embed_calls=0,
-        prompt_version=pack.version,
-    )
-    try:
-        queries = expand_queries(question_text, backends.chat, n_queries, prompt_pack=pack)
-        run.chat_calls = 1
-    except BackendError as exc:
-        run.chat_calls = 1
-        run.failure = f"retrieval_error: query expansion failed: {exc}"
-        return run
-    rankings = []
-    for query in queries:
-        rankings.append(
-            retrieve_relevant_pages(query, collection.documents, k, index, backends.embed)
+    with _metered_run("multi_query_rag", question_id, k, backends) as (run, pack, backends):
+        if n_queries < 1:
+            raise ValueError(f"n_queries must be >= 1, got {n_queries}")
+        try:
+            queries = expand_queries(question_text, backends.chat, n_queries, prompt_pack=pack)
+        except BackendError as exc:
+            run.failure = f"retrieval_error: query expansion failed: {exc}"
+            return run
+
+        def retrieve():
+            rankings = [
+                retrieve_relevant_pages(query, collection.documents, k, index, backends.embed)
+                for query in queries
+            ]
+            return merge_multiquery(rankings, k)
+
+        _answer_from_pages(
+            run, pack, backends.chat, question_text, collection, dataset_year, retrieve
         )
-        run.embed_calls += 1
-    merged = merge_multiquery(rankings, k)
-    pages = _page_handles(merged, collection)
-    run.retrieved_pages = [s.page_ref for s in merged]
-    run.retrieved_docs = _signatures(run.retrieved_pages, collection)
-    messages = [
-        {"role": "system", "content": pack.render("system", current_year=dataset_year)},
-        {
-            "role": "user",
-            "content": pack.render("user", question=question_text, pages=render_pages(pages)),
-        },
-    ]
-    try:
-        reply = backends.chat.chat(messages)
-        run.chat_calls += 1
-    except BackendError as exc:
-        run.chat_calls += 1
-        run.failure = f"backend_error: {exc}"
-        return run
-    try:
-        run.predicted = parse_answer_text(reply)
-    except AnswerParseError as exc:
-        run.failure = f"answer_parse_error: {exc}"
     return run
 
 
@@ -438,7 +465,6 @@ def make_exec_env(
     with_doc_select: bool,
     step_budget: int = DEFAULT_STEP_BUDGET,
     builtin_budget: int = DEFAULT_BUILTIN_BUDGET,
-    embed_counter: Optional[list] = None,
 ) -> ExecEnv:
     """Wire the plan-language builtins to the corpus, index, and backends."""
     extract_pack = load_pack("extract")
@@ -476,17 +502,21 @@ def make_exec_env(
     def retrieve_fn(question, documents):
         docs = collection.documents if documents is None else documents
         scored = retrieve_relevant_pages(question, docs, k, index, backends.embed)
-        if embed_counter is not None and docs:
-            embed_counter.append(1)
         return _page_handles(scored, collection)
 
     def extract_fn(question, pages):
-        answer, calls = _extract(question, pages, backends.chat, extract_pack)
+        # A meter nested in the run's own, so the trace counts the same calls
+        # as the run, a failed call included.
+        chat = _Meter(backends.chat)
+        try:
+            answer = extract_value(question, pages, chat, extract_pack)
+        except (ExtractionError, BackendError) as exc:
+            raise ExtractionError(str(exc), chat_calls_used=chat.calls) from exc
         if answer.kind == "number":
-            return answer.number, calls
+            return answer.number, chat.calls
         if answer.kind == "yesno":
-            return answer.label, calls
-        return {label: value for label, value in answer.parts}, calls
+            return answer.label, chat.calls
+        return {label: value for label, value in answer.parts}, chat.calls
 
     return ExecEnv(
         select_fn=select_fn,
@@ -516,93 +546,58 @@ def answer_codegen(
     A plan that fails to parse gets exactly one regeneration; execution
     failures keep the partial trace on the run.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     system_id = "codegen_docs_pager" if with_doc_select else "codegen_pager"
-    pack = load_pack(system_id)
-    run = SystemRun(
-        system_id=system_id,
-        question_id=question_id,
-        k=k,
-        predicted=None,
-        retrieved_pages=[],
-        retrieved_docs=[],
-        chat_calls=0,
-        embed_calls=0,
-        prompt_version=pack.version,
-    )
-    user_content = (
-        pack.render("fewshots", current_year=dataset_year)
-        + "\n---\n"
-        + pack.render("user", question=question_text)
-    )
-    messages = [
-        {"role": "system", "content": pack.render("system", current_year=dataset_year)},
-        {"role": "user", "content": user_content},
-    ]
-    try:
-        source = backends.chat.chat(messages)
-        run.chat_calls = 1
-    except BackendError as exc:
-        run.chat_calls = 1
-        run.failure = f"backend_error: {exc}"
-        return run
-    program = None
-    try:
-        program = parse_plan(source)
-    except PlanParseError as first_error:
-        retry_messages = messages + [
-            {"role": "assistant", "content": source},
-            {
-                "role": "user",
-                "content": f"That plan failed to parse ({first_error}). "
-                "Write a corrected plan program.",
-            },
+    with _metered_run(system_id, question_id, k, backends) as (run, pack, backends):
+        user_content = (
+            pack.render("fewshots", current_year=dataset_year)
+            + "\n---\n"
+            + pack.render("user", question=question_text)
+        )
+        messages = [
+            {"role": "system", "content": pack.render("system", current_year=dataset_year)},
+            {"role": "user", "content": user_content},
         ]
+
+        def parse(source):
+            run.plan_source = source
+            return parse_plan(source)
+
         try:
-            source = backends.chat.chat(retry_messages)
-            run.chat_calls += 1
+            program = _ask_twice(
+                backends.chat,
+                messages,
+                parse,
+                lambda error: f"That plan failed to parse ({error}). "
+                "Write a corrected plan program.",
+            )
         except BackendError as exc:
-            run.chat_calls += 1
             run.failure = f"backend_error: {exc}"
             return run
-        try:
-            program = parse_plan(source)
-        except PlanParseError as second_error:
-            run.plan_source = source
-            run.failure = f"plan_parse_error: {second_error}"
+        except PlanParseError as exc:
+            run.failure = f"plan_parse_error: {exc}"
             return run
-    run.plan_source = source
-    embed_counter: list = []
-    env = make_exec_env(
-        collection,
-        index,
-        backends,
-        k,
-        with_doc_select,
-        step_budget=step_budget,
-        builtin_budget=builtin_budget,
-        embed_counter=embed_counter,
-    )
-    try:
-        trace = execute_plan(program, env)
-    except PlanRuntimeError as exc:
-        run.trace = exc.trace.to_json_dict()
-        run.chat_calls += exc.trace.chat_calls
-        run.embed_calls = len(embed_counter)
-        run.retrieved_pages = list(exc.trace.retrieved_pages)
+        env = make_exec_env(
+            collection,
+            index,
+            backends,
+            k,
+            with_doc_select,
+            step_budget=step_budget,
+            builtin_budget=builtin_budget,
+        )
+        try:
+            trace = execute_plan(program, env)
+        except PlanRuntimeError as exc:
+            trace = exc.trace
+            run.failure = f"plan_runtime_error:{exc.kind}: {exc}"
+        run.trace = trace.to_json_dict()
+        run.retrieved_pages = list(trace.retrieved_pages)
         run.retrieved_docs = _signatures(run.retrieved_pages, collection)
-        run.failure = f"plan_runtime_error:{exc.kind}: {exc}"
-        return run
-    run.trace = trace.to_json_dict()
-    run.chat_calls += trace.chat_calls
-    run.embed_calls = len(embed_counter)
-    run.retrieved_pages = list(trace.retrieved_pages)
-    run.retrieved_docs = _signatures(run.retrieved_pages, collection)
-    try:
-        run.predicted = parse_emitted(trace.emitted)
-    except AnswerParseError as exc:
-        run.failure = f"answer_parse_error: {exc}"
+        if run.failure is None:
+            try:
+                run.predicted = parse_emitted(trace.emitted)
+            except AnswerParseError as exc:
+                run.failure = f"answer_parse_error: {exc}"
     return run
 
 

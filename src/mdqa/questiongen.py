@@ -20,8 +20,8 @@ from .corpus import (
     DocumentCollection,
     FactRecord,
     FactTable,
-    MULTIPLIER_SCALE,
     eval_formula,
+    formula_refs,
     parse_formula,
     value_findable_in_doc,
 )
@@ -37,13 +37,6 @@ class MissingFactError(QuestionGenError):
 
 class InfeasibleConfigError(QuestionGenError):
     """No slot assignment yields a computable gold within the attempt budget."""
-
-
-def normalize_value(value: float, multiplier: str) -> float:
-    """Scale a reported value to base units (US dollars / plain count)."""
-    if multiplier not in MULTIPLIER_SCALE:
-        raise QuestionGenError(f"bad multiplier {multiplier!r}")
-    return value * MULTIPLIER_SCALE[multiplier]
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +234,36 @@ TEMPLATES: dict[str, QuestionTemplate] = {
 Lookup = Callable[[str, str, int], float]
 
 
-def table_lookup(fact_table: FactTable, record_sink: Optional[list[FactRecord]] = None) -> Lookup:
-    """Lookup over the fact table, expanding compound metrics recursively."""
+def compound_lookup(fact_table: FactTable, leaf: Lookup) -> Lookup:
+    """Lookup that expands compound metrics through their formulas and asks
+    ``leaf`` for every reported metric. A cyclic definition raises
+    QuestionGenError; a zero divisor raises MissingFactError."""
 
     def lookup(symbol: str, metric_id: str, year: int, _stack: tuple = ()) -> float:
         metric = fact_table.metric(metric_id)
-        if metric.kind == "compound":
-            if metric_id in _stack:
-                raise QuestionGenError(f"cyclic compound metric {metric_id!r}")
-            node = parse_formula(metric.formula)
-            values = {}
-            for ref in sorted(set(_iter_refs(node))):
-                values[ref] = lookup(symbol, ref, year, _stack + (metric_id,))
-            try:
-                return eval_formula(node, values)
-            except ZeroDivisionError:
-                raise MissingFactError(
-                    f"division by zero evaluating {metric_id!r} for {symbol} {year}"
-                ) from None
+        if metric.kind != "compound":
+            return leaf(symbol, metric_id, year)
+        if metric_id in _stack:
+            raise QuestionGenError(f"cyclic compound metric {metric_id!r}")
+        node = parse_formula(metric.formula)
+        values = {
+            ref: lookup(symbol, ref, year, _stack + (metric_id,))
+            for ref in sorted(formula_refs(node))
+        }
+        try:
+            return eval_formula(node, values)
+        except ZeroDivisionError:
+            raise MissingFactError(
+                f"division by zero evaluating {metric_id!r} for {symbol} {year}"
+            ) from None
+
+    return lookup
+
+
+def table_lookup(fact_table: FactTable, record_sink: Optional[list[FactRecord]] = None) -> Lookup:
+    """Lookup over the fact table, expanding compound metrics recursively."""
+
+    def leaf(symbol: str, metric_id: str, year: int) -> float:
         rec = fact_table.get(symbol, year, metric_id)
         if rec is None:
             raise MissingFactError(f"no fact for ({symbol}, {year}, {metric_id})")
@@ -266,14 +271,7 @@ def table_lookup(fact_table: FactTable, record_sink: Optional[list[FactRecord]] 
             record_sink.append(rec)
         return rec.normalized
 
-    def _iter_refs(node):
-        if node[0] == "ref":
-            yield node[1]
-        elif node[0] == "bin":
-            yield from _iter_refs(node[2])
-            yield from _iter_refs(node[3])
-
-    return lookup
+    return compound_lookup(fact_table, leaf)
 
 
 def evaluate_rule(

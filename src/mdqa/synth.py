@@ -137,45 +137,51 @@ def _tokens_clean(text: str) -> bool:
     return all(token_slot(t) not in _SIGNAL_SLOTS for t in tokenize(text))
 
 
-def _money_series(rng: random.Random, lo: float, hi: float, g_lo: float, g_hi: float, n: int):
-    """Yearly 1-decimal values in [100, 999.9]; consecutive years grow by at
-    least a couple of percent so wrong-year answers always miss the 1% answer
-    tolerance. Values whose digit tokens land on signal slots are resampled."""
-    value = rng.uniform(lo, hi)
-    while not _tokens_clean(_fmt_money(round(value, 1))):
-        value = rng.uniform(lo, hi)
-    out = [round(value, 1)]
-    for _ in range(n - 1):
-        nxt = value * rng.uniform(g_lo, g_hi)
-        while not _tokens_clean(_fmt_money(round(nxt, 1))):
-            nxt = value * rng.uniform(g_lo, g_hi)
-        value = nxt
-        out.append(round(value, 1))
-    return out
+# Draws allowed per value before a window is taken to hold no clean value.
+_MAX_DRAWS = 1000
 
 
-def _count_series(
-    rng: random.Random, lo: float, hi: float, g_lo: float, g_hi: float, n: int, fmt
+def _series(
+    rng: random.Random, lo: float, hi: float, g_lo: float, g_hi: float, n: int, quantize, fmt
 ):
-    value = rng.uniform(lo, hi)
-    while not _tokens_clean(fmt(float(int(value)))):
-        value = rng.uniform(lo, hi)
-    out = [float(int(value))]
+    """Yearly values: the first drawn from [lo, hi), each later one grown by a
+    factor from [g_lo, g_hi), so wrong-year answers always miss the 1% answer
+    tolerance. A draw whose formatted digit tokens land on signal slots is
+    redrawn; a window with no clean value raises ValueError."""
+
+    def draw(sample):
+        for _ in range(_MAX_DRAWS):
+            value = sample()
+            if _tokens_clean(fmt(quantize(value))):
+                return value
+        raise ValueError(
+            f"no value with clean digit tokens in {_MAX_DRAWS} draws; "
+            "this seed cannot build a bundle"
+        )
+
+    value = draw(lambda: rng.uniform(lo, hi))
+    out = [quantize(value)]
     for _ in range(n - 1):
-        nxt = value * rng.uniform(g_lo, g_hi)
-        while not _tokens_clean(fmt(float(int(nxt)))):
-            nxt = value * rng.uniform(g_lo, g_hi)
-        value = nxt
-        out.append(float(int(value)))
+        value = draw(lambda: value * rng.uniform(g_lo, g_hi))
+        out.append(quantize(value))
     return out
+
+
+def _money_series(rng: random.Random, lo: float, hi: float, g_lo: float, g_hi: float, n: int):
+    """1-decimal values in [100, 999.9] (millions)."""
+    return _series(rng, lo, hi, g_lo, g_hi, n, lambda v: round(v, 1), _fmt_money)
 
 
 def _employee_series(rng: random.Random, n: int):
-    return _count_series(rng, 10_000, 200_000, 1.02, 1.08, n, _fmt_count)
+    return _series(rng, 10_000, 200_000, 1.02, 1.08, n, _whole, _fmt_count)
 
 
 def _dividend_series(rng: random.Random, n: int):
-    return _count_series(rng, 100, 500, 1.03, 1.10, n, _fmt_dividend)
+    return _series(rng, 100, 500, 1.03, 1.10, n, _whole, _fmt_dividend)
+
+
+def _whole(value: float) -> float:
+    return float(int(value))
 
 
 def _fmt_money(value: float) -> str:

@@ -190,6 +190,58 @@ def test_run_from_toml_config(runner, workspace, tmp_path):
     assert (session / "system_runs.jsonl").exists()
 
 
+def _toml_run(runner, workspace, config, extra_lines, *flags):
+    config.write_text(
+        "\n".join(
+            [
+                "[run]",
+                f'corpus = "{workspace / "corpus"}"',
+                f'questions = "{workspace / "questions.jsonl"}"',
+                f'session = "{config.parent / "session"}"',
+                'systems = "vanilla_rag"',
+                'k_grid = "4"',
+                *extra_lines,
+            ]
+        )
+    )
+    return runner.invoke(main, ["run", "--config", str(config), *flags])
+
+
+def test_run_config_precedence_flag_then_toml_then_default(runner, workspace, tmp_path):
+    config = tmp_path / "run.toml"
+    result = _toml_run(
+        runner, workspace, config,
+        ['oracle_mode = "textual"', "jobs = 2", "n_queries = 2"],
+        "--oracle-mode", "perfect",  # explicit, and equal to the default
+    )
+    assert result.exit_code == 0, result.output
+    effective = json.loads((tmp_path / "session" / "config.json").read_text())
+    assert effective["oracle_mode"] == "perfect"  # flag beats TOML
+    assert (effective["jobs"], effective["n_queries"]) == (2, 2)  # TOML beats default
+    assert effective["backend"] == "oracle"  # default when neither sets it
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        (None, "does not exist"),
+        (["[run"], "cannot read"),
+        (["k_gird = '4'"], "no run option named k_gird"),
+        (["jobs = 'many'"], "'many' is not a valid integer"),
+    ],
+    ids=["missing", "unparseable", "unknown_key", "bad_value"],
+)
+def test_run_bad_config_exits_2(runner, workspace, tmp_path, lines, message):
+    config = tmp_path / "run.toml"
+    if lines is None:
+        result = runner.invoke(main, ["run", "--config", str(config)])
+    else:
+        result = _toml_run(runner, workspace, config, lines)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "session").exists()
+
+
 def test_run_requires_paths(runner):
     result = runner.invoke(main, ["run"])
     assert result.exit_code == 2

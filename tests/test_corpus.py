@@ -321,6 +321,18 @@ def test_fact_table_rejects_duplicate_key(tmp_path):
         load_fact_table(tmp_path, collection)
 
 
+def test_fact_table_rejects_bad_multiplier(tmp_path):
+    collection, table = make_bundle("clean", n_companies=1)
+    save_collection(collection, tmp_path)
+    save_fact_table(table, tmp_path)
+    facts = (tmp_path / "facts.jsonl").read_text().splitlines()
+    bad = json.loads(facts[0])
+    bad["multiplier"] = "bazillions"
+    (tmp_path / "facts.jsonl").write_text("\n".join([json.dumps(bad)] + facts[1:]))
+    with pytest.raises(CorpusError, match="bad multiplier 'bazillions'"):
+        load_fact_table(tmp_path, collection)
+
+
 # ---------------------------------------------------------------------------
 # Compound metric formulas
 # ---------------------------------------------------------------------------

@@ -146,6 +146,13 @@ def test_extract_value_fails_after_reprompt():
     assert chat.calls == 2
 
 
+def test_extract_value_not_found_after_reprompt_is_a_miss():
+    chat = _ScriptedChat(["hmm", "Not found"])
+    with pytest.raises(ExtractionError, match="value not found"):
+        extract_value("query", _pages(), chat)
+    assert chat.calls == 2
+
+
 def test_extract_value_requires_pages():
     with pytest.raises(ExtractionError):
         extract_value("query", [], _ScriptedChat(["1"]))
@@ -257,6 +264,48 @@ def test_multiquery_expansion_failure_recorded(clean_world):
     assert run.failure is not None
     assert run.failure.startswith("retrieval_error")
     assert run.predicted is None
+
+
+class _EmbedOutage:
+    def embed(self, texts):
+        raise BackendError("embed endpoint down")
+
+
+@pytest.mark.parametrize(
+    "system_id,chat_calls", [("vanilla_rag", 0), ("multi_query_rag", 1)]
+)
+def test_rag_embed_failure_recorded(clean_world, system_id, chat_calls):
+    collection, _, index, questions, backends = clean_world
+    question = questions[0]
+    broken = Backends(chat=backends.chat, embed=_EmbedOutage(), ledger=backends.ledger)
+    run = run_system(
+        system_id, question.question_id, question.text, collection, index, broken, 4, 2023
+    )
+    assert run.failure == "retrieval_error: embed endpoint down"
+    assert run.predicted is None
+    assert run.retrieved_pages == []
+    assert (run.chat_calls, run.embed_calls) == (chat_calls, 1)
+
+
+def test_codegen_failed_extract_call_is_counted(clean_bundle, clean_index):
+    collection, _ = clean_bundle
+    ledger = CallLedger()
+
+    class ExtractOutage:
+        def chat(self, messages, **params):
+            ledger.record_chat()
+            if any("Value query:" in m["content"] for m in messages):
+                raise BackendError("extract endpoint down")
+            return 'pages = retrieve_relevant_pages("total revenue")\n' \
+                'emit(extract_value("total revenue", pages))'
+
+    backends = Backends(ExtractOutage(), HashedBowEmbedder(), ledger)
+    run = run_system("codegen_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023)
+    assert run.failure.startswith("plan_runtime_error:extraction_failed")
+    assert ledger.chat_by_scope()[("codegen_pager", "q")] == 2
+    assert run.chat_calls == 2
+    assert run.trace["chat_calls"] == 1
+    assert run.embed_calls == 1
 
 
 def test_codegen_md4_costs_seven_chat_calls(clean_bundle, clean_index):

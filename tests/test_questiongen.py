@@ -14,11 +14,11 @@ from mdqa.questiongen import (
     Question,
     QuestionGenError,
     TEMPLATES,
+    compound_lookup,
     compute_gold,
     compute_gold_with_provenance,
     fill_template,
     generate_questions,
-    normalize_value,
     read_questions,
     write_questions,
 )
@@ -28,7 +28,7 @@ from conftest import make_doc
 
 
 # ---------------------------------------------------------------------------
-# normalize_value
+# Normalized fact values
 # ---------------------------------------------------------------------------
 
 
@@ -42,12 +42,8 @@ from conftest import make_doc
     ],
 )
 def test_normalize_value(value, multiplier, expected):
-    assert normalize_value(value, multiplier) == expected
-
-
-def test_normalize_value_bad_multiplier():
-    with pytest.raises(QuestionGenError):
-        normalize_value(1.0, "bazillions")
+    record = FactRecord("AAPL", 2022, "total_revenue", value, multiplier, "aapl-2022", (1,))
+    assert record.normalized == expected
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +246,37 @@ def test_gold_compound_rpe():
     table2 = FactTable(records, defs, [("Xx", "XX")])
     gold2 = compute_gold("compound_value", {"symbol": "XX", "metric": "rpe", "year": 2023}, table2, 2023)
     assert gold2.number == 1.0e6
+
+
+def test_compound_lookup_over_any_leaf():
+    # The oracle replays gold rules over substituted values through the same
+    # evaluator: a leaf other than the fact table gets the same guards.
+    defs = [
+        MetricDef("rev", "Revenue", "reported"),
+        MetricDef("emp", "Employees", "reported"),
+        MetricDef("rpe", "RPE", "compound", formula="rev / emp"),
+        MetricDef("a", "A", "compound", formula="b + rev"),
+        MetricDef("b", "B", "compound", formula="a * 2"),
+    ]
+    table = FactTable([], defs, [("Xx", "XX")])
+    leaf_values = {("XX", "rev", 2023): 6.0, ("XX", "emp", 2023): 3.0}
+    lookup = compound_lookup(table, lambda s, m, y: leaf_values[(s, m, y)])
+    assert lookup("XX", "rpe", 2023) == 2.0
+    with pytest.raises(QuestionGenError, match="cyclic compound metric 'a'"):
+        lookup("XX", "a", 2023)
+    leaf_values[("XX", "emp", 2023)] = 0.0
+    with pytest.raises(MissingFactError, match="division by zero"):
+        lookup("XX", "rpe", 2023)
+
+
+def test_gold_cyclic_compound_definition():
+    defs = [
+        MetricDef("a", "A", "compound", formula="b + 1"),
+        MetricDef("b", "B", "compound", formula="a * 2"),
+    ]
+    table = FactTable([], defs, [("Xx", "XX")])
+    with pytest.raises(QuestionGenError, match="cyclic"):
+        compute_gold("compound_value", {"symbol": "XX", "metric": "a", "year": 2023}, table, 2023)
 
 
 def test_gold_sum_over_years_brute_force():

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import mdqa
 
 from mdqa.backends import HashedBowEmbedder, token_slot, tokenize
 from mdqa.corpus import value_findable_in_doc
@@ -111,6 +118,43 @@ def test_write_bundle_round_trip(tmp_path):
 def test_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_bundle("weird")
+
+
+@pytest.mark.parametrize(
+    "kind,collection_sha,facts_sha",
+    [
+        ("clean", "a22bbe8350a6e9b6", "eb4ac99f66d779e2"),
+        ("adversarial", "41397c2d0889d1ce", "e5325e0a537ba032"),
+    ],
+    ids=["clean", "adversarial"],
+)
+def test_default_seed_bundle_bytes_pinned(tmp_path, kind, collection_sha, facts_sha):
+    # Sessions and the session benchmark are built on the seed-11 bundle; a
+    # change to value drawing must leave its bytes alone.
+    write_bundle(tmp_path, kind=kind)
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+
+    assert (digest("collection.jsonl"), digest("facts.jsonl")) == (collection_sha, facts_sha)
+
+
+def test_synth_seed_without_clean_values_exits_2(tmp_path):
+    # Seed 4 draws an employee-count growth window in which every value has a
+    # digit token on a signal slot. Run in a child process, so a sampler that
+    # redraws forever fails the test instead of hanging the suite.
+    result = subprocess.run(
+        [
+            sys.executable, "-c", "from mdqa.cli import main; main()",
+            "synth", str(tmp_path / "bundle"), "--seed", "4",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(mdqa.__file__).resolve().parents[1])},
+    )
+    assert result.returncode == 2, result.stderr
+    assert "error: no value with clean digit tokens" in result.stderr
 
 
 # ---------------------------------------------------------------------------
