@@ -22,6 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .files import read_json, write_json
+
 
 class BackendError(Exception):
     """A backend call failed after exhausting retries."""
@@ -66,6 +68,17 @@ class CallLedger:
         self._chat: dict[tuple[str, str], int] = {}
         self._embed: dict[tuple[str, str], int] = {}
         self._network_chat = 0
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict) -> "CallLedger":
+        """A ledger that goes on counting from an earlier ``snapshot()``."""
+        ledger = cls()
+        for name, counts in (("chat_by_scope", ledger._chat), ("embed_by_scope", ledger._embed)):
+            for key, n in snapshot[name].items():
+                system_id, _, question_id = key.partition("/")
+                counts[(system_id, question_id)] = int(n)
+        ledger._network_chat = int(snapshot["network_chat_total"])
+        return ledger
 
     @contextlib.contextmanager
     def scope(self, system_id: str, question_id: str):
@@ -130,7 +143,7 @@ class CallLedger:
 
 
 # ---------------------------------------------------------------------------
-# Disk cache (atomic writes: temp file then rename)
+# Disk cache
 # ---------------------------------------------------------------------------
 
 
@@ -143,13 +156,10 @@ class _DiskCache:
         path = self.root / f"{key}.json"
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["body"]
+        return read_json(path, lambda raw: raw["body"])
 
     def put(self, key: str, body: str) -> None:
-        path = self.root / f"{key}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"body": body}), encoding="utf-8")
-        tmp.rename(path)
+        write_json(self.root / f"{key}.json", {"body": body}, indent=None, end="")
 
 
 def _hash_request(payload: dict) -> str:
@@ -222,9 +232,7 @@ class _HttpBackendBase:
             "status": status,
             "response": payload,
         }
-        (self._wire_dir / f"{seq:05d}.json").write_text(
-            json.dumps(record, sort_keys=True, indent=2), encoding="utf-8"
-        )
+        write_json(self._wire_dir / f"{seq:05d}.json", record, end="")
 
     def _post(self, path: str, body: dict) -> dict:
         headers = {"Content-Type": "application/json", **self._auth_header()}

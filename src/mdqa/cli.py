@@ -13,7 +13,6 @@ Exit codes: 0 success; 1 evaluation completed but found pipeline failures;
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +23,7 @@ import click
 from . import synth as synth_mod
 from .backends import (
     BackendConfig,
+    BackendConfigError,
     CallLedger,
     HashedBowEmbedder,
     HttpChatBackend,
@@ -44,6 +44,7 @@ from .evaluation import (
     stability_report,
     write_report,
 )
+from .files import FileFormatError, jsonl_line, read_json, read_jsonl, write_json, write_jsonl
 from .oracle import OracleChatBackend
 from .qasystems import SYSTEM_IDS, Backends, SystemRun, run_system
 from .questiongen import (
@@ -54,7 +55,7 @@ from .questiongen import (
     read_questions,
     write_questions,
 )
-from .retrieval import build_index
+from .retrieval import RetrievalError, build_index
 
 try:
     import tomllib
@@ -70,15 +71,15 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
-def _parse_year_span(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+def _parse_int_list(text: str, option: str, span: bool = False) -> tuple[int, ...]:
+    """``4,8,16``, or with ``span`` an inclusive ``2019:2023``; a bad list exits 2."""
+    try:
+        if span and ":" in text:
+            lo, hi = text.split(":", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        _fail(f"{option} expects comma-separated integers, got {text!r}")
 
 
 def _load_corpus(corpus_dir: str) -> tuple[DocumentCollection, FactTable]:
@@ -87,7 +88,21 @@ def _load_corpus(corpus_dir: str) -> tuple[DocumentCollection, FactTable]:
     return collection, table
 
 
-@click.group()
+class _Main(click.Group):
+    # Errors that mean the input (corpus, questions, session, options) is bad.
+    INPUT_ERRORS = (
+        BackendConfigError, CorpusError, EvaluationError, FileFormatError,
+        QuestionGenError, RetrievalError,
+    )
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except self.INPUT_ERRORS as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Multi-document QA benchmark harness."""
 
@@ -101,10 +116,7 @@ def main() -> None:
 @click.argument("corpus_dir", type=click.Path(file_okay=False))
 def ingest(corpus_dir: str) -> None:
     """Validate a corpus directory and print its summary."""
-    try:
-        collection, table = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, table = _load_corpus(corpus_dir)
     click.echo(
         f"docs={len(collection)} pages={collection.page_count} facts={len(table.records)}"
     )
@@ -121,7 +133,7 @@ def synth(out_dir: str, kind: str, companies: int, years: str, seed: int) -> Non
     try:
         collection, table = synth_mod.write_bundle(
             out_dir, kind=kind, n_companies=companies,
-            years=_parse_year_span(years), seed=seed,
+            years=_parse_int_list(years, "--years", span=True), seed=seed,
         )
     except ValueError as exc:
         _fail(str(exc))
@@ -170,13 +182,14 @@ def gen(
     variant_years: str | None,
 ) -> None:
     """Generate a question set (or one per year variant)."""
-    try:
-        collection, table = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, table = _load_corpus(corpus_dir)
     template_ids = tuple(t for t in templates.split(",") if t)
     metrics_map = _metrics_option_to_map(metrics)
-    variants = _parse_year_span(variant_years) if variant_years else (dataset_year,)
+    variants = (
+        _parse_int_list(variant_years, "--variant-years", span=True)
+        if variant_years
+        else (dataset_year,)
+    )
     out_path = Path(out_path)
     for year in variants:
         config = GenConfig(
@@ -185,14 +198,11 @@ def gen(
             dataset_year=year,
             rng_seed=seed,
             metrics_by_template=metrics_map,
-            years=_parse_year_span(years) if years else None,
-            num_years=_parse_int_list(num_years),
+            years=_parse_int_list(years, "--years", span=True) if years else None,
+            num_years=_parse_int_list(num_years, "--num-years"),
             company_list_size=company_list_size,
         )
-        try:
-            questions = generate_questions(table, collection, config)
-        except QuestionGenError as exc:
-            _fail(str(exc))
+        questions = generate_questions(table, collection, config)
         target = (
             out_path
             if len(variants) == 1
@@ -208,10 +218,7 @@ def gen(
 @click.option("--embed-dim", type=int, default=512, show_default=True)
 def index(corpus_dir: str, cache_dir: str, embed_dim: int) -> None:
     """Build (or refresh) the page embedding cache with the mock embedder."""
-    try:
-        collection, _ = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, _ = _load_corpus(corpus_dir)
     embedder = HashedBowEmbedder(dim=embed_dim)
     page_index = build_index(collection, embedder, cache_dir=cache_dir)
     click.echo(f"indexed {len(page_index)} pages (dim={page_index.embedding_dim})")
@@ -260,16 +267,11 @@ def _build_backends(
 
 
 def _read_journal(path: Path) -> dict[tuple[str, str, int], SystemRun]:
-    done = {}
-    if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                run = SystemRun.from_json_dict(json.loads(line))
-                done[(run.system_id, run.question_id, run.k)] = run
-    return done
+    """Completed runs by key. A torn last line is cut off; its run is redone."""
+    if not path.exists():
+        return {}
+    runs = read_jsonl(path, SystemRun.from_json_dict, torn_tail=True)
+    return {(run.system_id, run.question_id, run.k): run for run in runs}
 
 
 def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | None):
@@ -296,7 +298,11 @@ def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | Non
     unknown = sorted(set(table) - set(names))
     if unknown:
         raise click.BadParameter(f"{path}: no run option named {', '.join(unknown)}")
-    ctx.default_map = {names[key]: value for key, value in table.items()}
+    # A TOML array stands for a comma-separated list (k_grid = [4, 8]).
+    ctx.default_map = {
+        names[key]: ",".join(map(str, value)) if isinstance(value, list) else value
+        for key, value in table.items()
+    }
     return path
 
 
@@ -343,10 +349,7 @@ def run_cmd(
     """Run systems over a question set and persist a session."""
     if not corpus_dir or not questions_path or not session_dir:
         _fail("run requires --corpus, --questions, and --session (flags or config)")
-    try:
-        collection, table = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, table = _load_corpus(corpus_dir)
     if not Path(questions_path).exists():
         _fail(f"questions file not found: {questions_path}")
     questions = read_questions(questions_path)
@@ -358,7 +361,7 @@ def run_cmd(
     for system_id in system_ids:
         if system_id not in SYSTEM_IDS:
             _fail(f"unknown system {system_id!r}")
-    ks = _parse_int_list(k_grid)
+    ks = _parse_int_list(k_grid, "--k-grid")
     if not ks or any(k < 1 for k in ks):
         _fail("k grid must be non-empty with all values >= 1")
 
@@ -377,11 +380,12 @@ def run_cmd(
         "jobs": jobs,
         "log_wire": log_wire,
     }
-    (session / "config.json").write_text(
-        json.dumps(effective, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(session / "config.json", effective)
 
+    ledger_path = session / "ledger.json"  # a resumed session counts on from it
     ledger = CallLedger()
+    if ledger_path.exists():
+        ledger = read_json(ledger_path, CallLedger.from_snapshot)
     backends = _build_backends(
         backend, oracle_mode, table, questions, dataset_year, ledger,
         session, log_wire, endpoint, model, auth_env,
@@ -414,7 +418,7 @@ def run_cmd(
         )
         with journal_lock:
             with open(journal_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(run.to_json_dict(), sort_keys=True) + "\n")
+                fh.write(jsonl_line(run.to_json_dict()))
         return run
 
     if jobs > 1:
@@ -425,12 +429,8 @@ def run_cmd(
 
     all_runs = list(done.values()) + new_runs
     all_runs.sort(key=lambda r: (r.system_id, r.k, r.question_id))
-    with open(session / "system_runs.jsonl", "w", encoding="utf-8") as fh:
-        for run in all_runs:
-            fh.write(json.dumps(run.to_json_dict(), sort_keys=True) + "\n")
-    (session / "ledger.json").write_text(
-        json.dumps(ledger.snapshot(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_jsonl(session / "system_runs.jsonl", (run.to_json_dict() for run in all_runs))
+    write_json(ledger_path, ledger.snapshot())
     click.echo(
         f"session {session}: {len(all_runs)} runs "
         f"({len(new_runs)} new, {len(done)} resumed), "
@@ -450,16 +450,11 @@ def _load_session(session_dir: str):
     config_path = session / "config.json"
     if not runs_path.exists() or not questions_path.exists():
         _fail(f"{session} is not a completed session directory")
-    runs = []
-    with open(runs_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                runs.append(SystemRun.from_json_dict(json.loads(line)))
+    runs = read_jsonl(runs_path, SystemRun.from_json_dict)
     if not runs:
         _fail(f"{runs_path} holds no runs")
     questions = read_questions(questions_path)
-    config = json.loads(config_path.read_text(encoding="utf-8")) if config_path.exists() else {}
+    config = read_json(config_path, dict) if config_path.exists() else {}
     return session, runs, questions, config
 
 
@@ -472,18 +467,10 @@ def eval_cmd(session_dir: str, corpus_dir: str | None) -> None:
     corpus_dir = corpus_dir or config.get("corpus")
     if not corpus_dir:
         _fail("corpus path unknown; pass --corpus")
-    try:
-        collection, _ = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, _ = _load_corpus(corpus_dir)
     ledger_path = session / "ledger.json"
-    ledger_snapshot = (
-        json.loads(ledger_path.read_text(encoding="utf-8")) if ledger_path.exists() else None
-    )
-    try:
-        report = build_report(runs, questions, collection, ledger_snapshot=ledger_snapshot)
-    except EvaluationError as exc:
-        _fail(str(exc))
+    ledger_snapshot = read_json(ledger_path) if ledger_path.exists() else None
+    report = build_report(runs, questions, collection, ledger_snapshot=ledger_snapshot)
     json_path, csv_path = write_report(report, session)
     for cell in report["cells"]:
         click.echo(
@@ -523,16 +510,13 @@ def stability(
 ) -> None:
     """Generate and run one benchmark variant per dataset year, then report
     the accuracy spread (templates and companies held constant)."""
-    try:
-        collection, table = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, table = _load_corpus(corpus_dir)
     session = Path(session_dir)
     session.mkdir(parents=True, exist_ok=True)
     template_ids = tuple(t for t in templates.split(",") if t)
     metrics_map = _metrics_option_to_map(metrics)
     variant_results = {}
-    for year in _parse_year_span(variant_years):
+    for year in _parse_int_list(variant_years, "--variant-years", span=True):
         config = GenConfig(
             template_ids=template_ids,
             count_per_template=count,
@@ -560,9 +544,7 @@ def stability(
         _, runs, qs, _ = _load_session(str(variant_dir))
         variant_results[str(year)] = (runs, qs)
     report = stability_report(variant_results)
-    (session / "stability.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(session / "stability.json", report)
     for variant, accuracy in report["per_variant"].items():
         click.echo(f"variant {variant}: accuracy={accuracy:.4f}")
     click.echo(f"mean={report['mean']:.4f} stddev={report['stddev']:.4f}")
@@ -574,9 +556,7 @@ def cost(session_dir: str) -> None:
     """Mean chat calls per system with ratios against vanilla."""
     session, runs, _, _ = _load_session(session_dir)
     report = cost_report(runs)
-    (session / "cost.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(session / "cost.json", report)
     for system_id, mean in report["mean_chat_calls"].items():
         line = f"{system_id}: mean_chat_calls={mean:.2f}"
         ratio = report.get("ratio_vs_vanilla", {}).get(system_id)
@@ -598,10 +578,7 @@ def trace(session_dir: str, question_id: str, system_id: str, k: int, corpus_dir
     corpus_dir = corpus_dir or config.get("corpus")
     if not corpus_dir:
         _fail("corpus path unknown; pass --corpus")
-    try:
-        collection, _ = _load_corpus(corpus_dir)
-    except CorpusError as exc:
-        _fail(str(exc))
+    collection, _ = _load_corpus(corpus_dir)
     question = next((q for q in questions if q.question_id == question_id), None)
     if question is None:
         _fail(f"unknown question_id {question_id!r}")

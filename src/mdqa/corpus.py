@@ -14,12 +14,13 @@ across threads.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Optional
+
+from .files import read_json, read_jsonl, write_json, write_jsonl
 
 FORM_TYPES = ("10-K", "10-Q", "8-K")
 
@@ -412,7 +413,7 @@ def eval_formula(node, values: dict[str, float]) -> float:
 
 
 def _require(obj: dict, key: str, ctx: str):
-    if key not in obj:
+    if not isinstance(obj, dict) or key not in obj:
         raise CorpusError(f"{ctx}: missing field {key!r}")
     return obj[key]
 
@@ -510,29 +511,16 @@ def load_collection(path: str | Path) -> DocumentCollection:
     file_path = path / "collection.jsonl" if path.is_dir() else path
     if not file_path.exists():
         raise CorpusError(f"collection file not found: {file_path}")
-    documents = []
-    with open(file_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{file_path}:{line_no}: invalid JSON: {exc}") from None
-            documents.append(_document_from_dict(raw))
-    return DocumentCollection(documents)
+    return DocumentCollection(read_jsonl(file_path, _document_from_dict))
 
 
 def save_collection(collection: DocumentCollection, path: str | Path) -> Path:
     """Write ``collection.jsonl`` under directory ``path``; returns the file path."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    file_path = path / "collection.jsonl"
-    with open(file_path, "w", encoding="utf-8") as fh:
-        for doc in collection.documents:
-            fh.write(json.dumps(_document_to_dict(doc), sort_keys=True) + "\n")
-    return file_path
+    return write_jsonl(
+        path / "collection.jsonl", (_document_to_dict(doc) for doc in collection.documents)
+    )
 
 
 def _fact_from_dict(raw: dict, ctx: str) -> FactRecord:
@@ -566,8 +554,7 @@ def load_fact_table(path: str | Path, collection: DocumentCollection) -> FactTab
         raise CorpusError(f"facts file not found: {facts_path}")
     if not metrics_path.exists():
         raise CorpusError(f"metrics file not found: {metrics_path}")
-    with open(metrics_path, encoding="utf-8") as fh:
-        metrics_raw = json.load(fh)
+    metrics_raw = read_json(metrics_path, list)
     metric_defs = [
         MetricDef(
             metric_id=str(_require(m, "metric_id", "metrics.json")),
@@ -579,26 +566,22 @@ def load_fact_table(path: str | Path, collection: DocumentCollection) -> FactTab
         for m in metrics_raw
     ]
     records = []
-    with open(facts_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = _fact_from_dict(json.loads(line), f"{facts_path}:{line_no}")
-            if not collection.has_document(rec.source_doc_id):
+    for n, raw in enumerate(read_jsonl(facts_path, lambda raw: raw), start=1):
+        ctx = f"{facts_path} record {n}"
+        try:
+            rec = _fact_from_dict(raw, ctx)
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"{ctx}: {exc}") from None
+        if not collection.has_document(rec.source_doc_id):
+            raise CorpusError(f"{ctx}: source_doc_id {rec.source_doc_id!r} not in collection")
+        doc = collection.get_document(rec.source_doc_id)
+        page_numbers = {p.page_number for p in doc.pages}
+        for page in rec.source_pages:
+            if page not in page_numbers:
                 raise CorpusError(
-                    f"{facts_path}:{line_no}: source_doc_id {rec.source_doc_id!r} "
-                    "not in collection"
+                    f"{ctx}: source page {page} not in doc {rec.source_doc_id!r}"
                 )
-            doc = collection.get_document(rec.source_doc_id)
-            page_numbers = {p.page_number for p in doc.pages}
-            for page in rec.source_pages:
-                if page not in page_numbers:
-                    raise CorpusError(
-                        f"{facts_path}:{line_no}: source page {page} not in "
-                        f"doc {rec.source_doc_id!r}"
-                    )
-            records.append(rec)
+        records.append(rec)
     companies = sorted({(d.company_name, d.stock_symbol) for d in collection.documents})
     return FactTable(records=records, metric_defs=metric_defs, companies=companies)
 
@@ -607,39 +590,9 @@ def save_fact_table(table: FactTable, path: str | Path) -> None:
     """Write facts.jsonl and metrics.json under directory ``path``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "facts.jsonl", "w", encoding="utf-8") as fh:
-        for rec in table.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "stock_symbol": rec.stock_symbol,
-                        "fiscal_year": rec.fiscal_year,
-                        "metric_id": rec.metric_id,
-                        "value": rec.value,
-                        "multiplier": rec.multiplier,
-                        "source_doc_id": rec.source_doc_id,
-                        "source_pages": list(rec.source_pages),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(path / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            [
-                {
-                    "metric_id": m.metric_id,
-                    "display_name": m.display_name,
-                    "kind": m.kind,
-                    "formula": m.formula,
-                    "description": m.description,
-                }
-                for m in table.metric_defs
-            ],
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
+    write_jsonl(path / "facts.jsonl", map(asdict, table.records))
+    # metrics.json has no trailing newline; the pinned bundle bytes include it.
+    write_json(path / "metrics.json", [asdict(m) for m in table.metric_defs], end="")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ and cost. All reports are pure folds over persisted runs and questions.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .corpus import DocumentCollection, doc_signature
+from .files import atomic_open, write_json
 from .qasystems import ParsedAnswer, SystemRun
 from .questiongen import GoldAnswer, Question
 
@@ -367,12 +367,9 @@ def build_report(
 def write_report(report: dict, out_dir: str | Path) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "report.json"
-    json_path.write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    json_path = write_json(out_dir / "report.json", report)
     csv_path = out_dir / "report.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["system_id", "k", "metric", "value"])
         for cell in report["cells"]:

@@ -18,9 +18,11 @@ from typing import Iterable, Optional
 from .backends import BackendError, CallLedger, tokenize
 from .corpus import FactRecord, FactTable, parse_formula
 from .questiongen import (
+    TEMPLATES,
     MissingFactError,
     Question,
     compound_lookup,
+    compute_gold_with_provenance,
     evaluate_rule,
 )
 
@@ -189,7 +191,8 @@ class OracleChatBackend:
         if question is None:
             return ""
         b = question.bindings
-        rule = _RULE_BY_TEMPLATE.get(question.template_id)
+        template = TEMPLATES.get(question.template_id)
+        rule = template.gold_rule if template else None
         lines: list[str] = []
 
         def alt(symbol: str, metric_id: str, year: int) -> str:
@@ -243,9 +246,7 @@ class OracleChatBackend:
             if ref not in ranked_refs:
                 ranked_refs.append(ref)
         ref_set = set(ranked_refs)
-        rule = _RULE_BY_TEMPLATE[question.template_id]
-        from .questiongen import compute_gold_with_provenance
-
+        rule = TEMPLATES[question.template_id].gold_rule
         _, needed = compute_gold_with_provenance(
             rule, dict(question.bindings), self.fact_table, question.dataset_year
         )
@@ -299,21 +300,6 @@ class OracleChatBackend:
             if ref in candidates:
                 return candidates[ref].normalized
         return None
-
-
-_RULE_BY_TEMPLATE = {
-    "ve1": "single_value",
-    "ve2": "single_value",
-    "cve1": "compound_value",
-    "cve2": "compound_value",
-    "md1": "sum_over_years",
-    "md2": "pct_difference",
-    "md3": "overall_growth",
-    "md4": "extreme_lookup",
-    "md4_lowest": "extreme_lookup",
-    "yn1": "yes_if_positive",
-    "mo1": "multi_value",
-}
 
 
 # ---------------------------------------------------------------------------

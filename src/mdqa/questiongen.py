@@ -25,6 +25,7 @@ from .corpus import (
     parse_formula,
     value_findable_in_doc,
 )
+from .files import read_jsonl, write_jsonl
 
 
 class QuestionGenError(Exception):
@@ -631,17 +632,8 @@ def generate_questions(
 def write_questions(questions: list[Question], path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in questions:
-            fh.write(json.dumps(q.to_json_dict(), sort_keys=True) + "\n")
-    return path
+    return write_jsonl(path, (q.to_json_dict() for q in questions))
 
 
 def read_questions(path: str | Path) -> list[Question]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Question.from_json_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, Question.from_json_dict)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import Document, DocumentCollection
+from .files import atomic_open, read_json, write_json
 
 EMBED_INPUT_MAX_CHARS = 6000
 
@@ -188,13 +188,6 @@ def _read_cached_vector(cache_dir: Path, digest: str, dim: int) -> Optional[np.n
     return raw.astype(np.float32)
 
 
-def _write_cached_vector(cache_dir: Path, digest: str, vec: np.ndarray) -> None:
-    path = cache_dir / f"{digest}.vec"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(vec.astype("<f4").tobytes())
-    tmp.rename(path)
-
-
 def build_index(
     collection: DocumentCollection,
     embed_backend,
@@ -222,13 +215,14 @@ def build_index(
         cache.mkdir(parents=True, exist_ok=True)
         manifest_path = cache / "manifest.json"
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            if manifest.get("backend_fingerprint") != embed_backend.fingerprint:
+            fingerprint, manifest_dim = read_json(
+                manifest_path, lambda m: (m["backend_fingerprint"], int(m["dim"]))
+            )
+            if fingerprint != embed_backend.fingerprint:
                 raise CacheMismatchError(
-                    f"cache built with {manifest.get('backend_fingerprint')!r}, "
+                    f"{manifest_path}: cache built with {fingerprint!r}, "
                     f"backend is {embed_backend.fingerprint!r}"
                 )
-            manifest_dim = int(manifest["dim"])
 
     vectors: list[Optional[np.ndarray]] = [None] * len(texts)
     if cache and manifest_dim is not None:
@@ -254,16 +248,12 @@ def build_index(
         raise CacheMismatchError(f"backend dim {dim} != cached dim {manifest_dim}")
     if cache:
         for digest, slots in pending.items():
-            _write_cached_vector(cache, digest, vectors[slots[0]])
+            with atomic_open(cache / f"{digest}.vec", "wb") as fh:
+                fh.write(vectors[slots[0]].astype("<f4").tobytes())
         manifest_path = cache / "manifest.json"
         if not manifest_path.exists():
-            manifest_path.write_text(
-                json.dumps(
-                    {"backend_fingerprint": embed_backend.fingerprint, "dim": dim},
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
+            manifest = {"backend_fingerprint": embed_backend.fingerprint, "dim": dim}
+            write_json(manifest_path, manifest, indent=None, end="")
     return PageIndex(
         refs, matrix, digests, embed_backend.fingerprint, documents=collection.documents
     )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mdqa.backends import (
     HashedBowEmbedder,
     HttpChatBackend,
     HttpEmbedBackend,
+    _DiskCache,
     token_slot,
 )
 from mdqa.synth import SIGNAL_TOKENS
@@ -257,3 +260,23 @@ def test_embed_dimension_drift_rejected(tmp_path, monkeypatch):
     backend.embed(["a"])
     with pytest.raises(BackendError, match="dimension"):
         backend.embed(["b"])
+
+
+def test_disk_cache_same_key_from_many_threads(tmp_path):
+    cache = _DiskCache(tmp_path / "cache")
+
+    def put_many(thread: int) -> None:
+        for i in range(100):
+            cache.put("same-key", f"body {thread} {i}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(put_many, t) for t in range(8)]
+            for future in futures:
+                future.result(timeout=60)  # re-raises the thread's error
+    finally:
+        sys.setswitchinterval(interval)
+    assert cache.get("same-key").startswith("body ")
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["same-key.json"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -393,3 +395,211 @@ def test_stability_command_sigma_zero(runner, tmp_path):
     stability = json.loads((session / "stability.json").read_text())
     assert stability["stddev"] == 0.0
     assert set(stability["per_variant"]) == {"2021", "2022", "2023"}
+
+
+# ---------------------------------------------------------------------------
+# Crash safety and bad input
+# ---------------------------------------------------------------------------
+
+
+def _run_args(workspace, session, *extra):
+    return [
+        "run",
+        "--corpus", str(workspace / "corpus"),
+        "--questions", str(workspace / "questions.jsonl"),
+        "--session", str(session),
+        "--systems", "vanilla_rag,codegen_docs_pager",
+        "--k-grid", "4,8",
+        *extra,
+    ]
+
+
+@pytest.fixture(scope="module")
+def finished_session(workspace, tmp_path_factory):
+    session = tmp_path_factory.mktemp("finished") / "session"
+    result = CliRunner().invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0, result.output
+    return session
+
+
+def _copy_session(finished_session, tmp_path):
+    session = tmp_path / "session"
+    shutil.copytree(finished_session, session)
+    return session
+
+
+def _journal_cuts(size: int, first_line: int) -> dict[str, int]:
+    rng = random.Random(4)
+    cuts = {
+        "empty": 0,
+        "mid_first_line": first_line // 2,
+        "line_boundary": first_line,
+        "one_byte_short": size - 1,
+    }
+    cuts.update({f"random{i}": rng.randrange(1, size) for i in range(4)})
+    return cuts
+
+
+@pytest.mark.parametrize(
+    "cut",
+    ["empty", "mid_first_line", "line_boundary", "one_byte_short"]
+    + [f"random{i}" for i in range(4)],
+)
+def test_resume_after_journal_cut_is_byte_identical(
+    runner, workspace, finished_session, tmp_path, cut
+):
+    """A crash leaves the journal cut at any byte; the resumed session
+    redoes the torn run and ends with the same files."""
+    session = _copy_session(finished_session, tmp_path)
+    for name in ("system_runs.jsonl", "ledger.json"):
+        (session / name).unlink()
+    journal = (finished_session / "journal.jsonl").read_bytes()
+    offset = _journal_cuts(len(journal), journal.index(b"\n") + 1)[cut]
+    (session / "journal.jsonl").write_bytes(journal[:offset])
+
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0, result.output
+    assert (session / "system_runs.jsonl").read_bytes() == (
+        finished_session / "system_runs.jsonl"
+    ).read_bytes()
+    assert (session / "journal.jsonl").read_bytes() == journal
+
+
+def test_resume_then_eval_keeps_the_call_ledger(runner, workspace, tmp_path):
+    reports = []
+    for resumed in (False, True):
+        session = tmp_path / f"resumed-{resumed}"
+        args = _run_args(workspace, session)
+        assert runner.invoke(main, args).exit_code == 0
+        if resumed:
+            again = runner.invoke(main, args)
+            assert again.exit_code == 0 and "0 new" in again.output, again.output
+        evaluated = runner.invoke(main, ["eval", str(session)])
+        assert evaluated.exit_code in (0, 1), evaluated.output
+        reports.append((session / "report.json").read_bytes())
+    assert json.loads(reports[0])["ledger"]["chat_total"] > 0
+    assert reports[0] == reports[1]
+
+
+def _replace_line(path, line_no, text):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = text + "\n"
+    path.write_text("".join(lines))
+
+
+def test_bad_journal_line_exits_2(runner, workspace, finished_session, tmp_path):
+    session = _copy_session(finished_session, tmp_path)
+    _replace_line(session / "journal.jsonl", 2, '{"system_id": "vanilla')
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 2, result.output
+    assert f"{session / 'journal.jsonl'}:2: not JSON" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_bad_questions_line_exits_2(runner, workspace, tmp_path):
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text((workspace / "questions.jsonl").read_text() + "{oops\n")
+    n_lines = len(questions.read_text().splitlines())
+    args = _run_args(workspace, tmp_path / "session")
+    args[args.index("--questions") + 1] = str(questions)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"{questions}:{n_lines}: not JSON" in result.output
+
+
+def test_bad_facts_line_exits_2(runner, workspace, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    _replace_line(corpus / "facts.jsonl", 3, '{"stock_symbol": ')
+    result = runner.invoke(main, ["ingest", str(corpus)])
+    assert result.exit_code == 2, result.output
+    assert f"{corpus / 'facts.jsonl'}:3: not JSON" in result.output
+
+
+def test_run_record_without_system_id_exits_2(runner, finished_session, tmp_path):
+    session = _copy_session(finished_session, tmp_path)
+    runs = session / "system_runs.jsonl"
+    record = json.loads(runs.read_text().splitlines()[4])
+    del record["system_id"]
+    _replace_line(runs, 5, json.dumps(record))
+    result = runner.invoke(main, ["eval", str(session)])
+    assert result.exit_code == 2, result.output
+    assert f"{runs}:5: missing field 'system_id'" in result.output
+
+
+def test_index_cache_from_other_backend_exits_2(runner, workspace, finished_session, tmp_path):
+    session = _copy_session(finished_session, tmp_path)
+    manifest = session / "index_cache" / "manifest.json"
+    manifest.write_text(json.dumps({"backend_fingerprint": "http:other", "dim": 512}))
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 2, result.output
+    assert f"{manifest}: cache built with 'http:other'" in result.output
+
+
+def test_http_backend_without_endpoint_exits_2(runner, workspace, tmp_path):
+    result = runner.invoke(main, _run_args(workspace, tmp_path / "session", "--backend", "http"))
+    assert result.exit_code == 2, result.output
+    assert "http backend requires endpoint and model" in result.output
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--k-grid", "4,x"], "--k-grid expects comma-separated integers, got '4,x'"),
+        (["--k-grid", "4", "--systems", "vanilla_rag,nope"], "unknown system 'nope'"),
+    ],
+    ids=["k_grid", "systems"],
+)
+def test_run_bad_list_exits_2(runner, workspace, tmp_path, args, message):
+    result = runner.invoke(main, _run_args(workspace, tmp_path / "session") + args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_gen_bad_num_years_exits_2(runner, workspace, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "gen",
+            "--corpus", str(workspace / "corpus"),
+            "--out", str(tmp_path / "q.jsonl"),
+            "--templates", "md1",
+            "--dataset-year", "2023",
+            "--num-years", "2,x",
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--num-years expects comma-separated integers, got '2,x'" in result.output
+
+
+def _toml_list_run(runner, workspace, tmp_path, systems, k_grid):
+    config = tmp_path / "run.toml"
+    config.write_text(
+        "\n".join(
+            [
+                "[run]",
+                f'corpus = "{workspace / "corpus"}"',
+                f'questions = "{workspace / "questions.jsonl"}"',
+                f'session = "{tmp_path / "session"}"',
+                f"systems = {systems}",
+                f"k_grid = {k_grid}",
+            ]
+        )
+    )
+    return runner.invoke(main, ["run", "--config", str(config)])
+
+
+def test_run_toml_lists(runner, workspace, tmp_path):
+    result = _toml_list_run(
+        runner, workspace, tmp_path, '["vanilla_rag", "codegen_pager"]', "[4, 8]"
+    )
+    assert result.exit_code == 0, result.output
+    effective = json.loads((tmp_path / "session" / "config.json").read_text())
+    assert effective["systems"] == ["vanilla_rag", "codegen_pager"]
+    assert effective["k_grid"] == [4, 8]
+
+
+def test_run_toml_bad_list_exits_2(runner, workspace, tmp_path):
+    result = _toml_list_run(runner, workspace, tmp_path, '["vanilla_rag"]', '[4, "x"]')
+    assert result.exit_code == 2, result.output
+    assert "--k-grid expects comma-separated integers, got '4,x'" in result.output

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdqa.planlang import (
     ExecEnv,
@@ -10,7 +14,7 @@ from mdqa.planlang import (
     execute_plan,
     parse_plan,
 )
-from mdqa.planlang.parser import Assign, Call, ExprStmt, For, If, MapLit
+from mdqa.planlang.parser import BUILTIN_NAMES, Assign, Call, ExprStmt, For, If, MapLit
 
 
 def run(source: str, **env_kwargs):
@@ -456,3 +460,112 @@ def test_trace_accounts_for_every_backend_call():
     assert recorded.count("extract_value") == world.extract_calls
     assert recorded.count("select_documents") == 3
     assert recorded.count("retrieve_relevant_pages") == 3
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: the sandbox raises nothing but its two error types
+# ---------------------------------------------------------------------------
+
+_FUZZ_NAMES = ["x", "y", "docs", "pages", "v"]
+# Near-miss plan text: the language's own tokens in random order.
+_FUZZ_TOKENS = sorted(BUILTIN_NAMES) + _FUZZ_NAMES + [
+    "for", "in", "if", "elif", "else", "True", "False", "None", "1", "2.5e3", "-",
+    '"a{x}"', "'{{'", '"\\', "#", " ", "  ", "\t", "\n", "\n  ",
+    *"+-*/=<>()[]{},:", "==", "!=", "<=", ">=",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map("".join)))
+def test_parse_random_text_raises_only_parse_errors(source):
+    try:
+        parse_plan(source)
+    except PlanParseError:
+        pass
+
+
+def _expressions():
+    leaves = st.one_of(
+        st.integers(-3, 3).map(str),
+        st.sampled_from(["0.5", "1e3", "True", "False", "None", '""', '"a{x}b"', '"{nope}"']),
+        st.sampled_from(_FUZZ_NAMES),
+    )
+
+    def extend(inner):
+        args = st.lists(inner, max_size=3).map(", ".join)
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "==", "<", ">="]), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            inner.map(lambda e: f"-{e}"),
+            st.tuples(inner, inner).map(lambda t: f"{t[0]}[{t[1]}]"),
+            args.map(lambda a: f"[{a}]"),
+            st.lists(st.tuples(inner, inner), max_size=2).map(
+                lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"
+            ),
+            st.tuples(st.sampled_from(sorted(BUILTIN_NAMES - {"emit"})), args).map(
+                lambda t: f"{t[0]}({t[1]})"
+            ),
+            st.tuples(inner, inner).map(
+                lambda t: f"select_documents(companies={t[0]}, fiscal_years={t[1]})"
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _statements(depth: int = 0):
+    expr = _expressions()
+    simple = st.one_of(
+        st.tuples(st.sampled_from(_FUZZ_NAMES), expr).map(lambda t: [f"{t[0]} = {t[1]}"]),
+        st.tuples(st.sampled_from(_FUZZ_NAMES), expr, expr).map(
+            lambda t: [f"{t[0]}[{t[1]}] = {t[2]}"]
+        ),
+        expr.map(lambda e: [e]),
+        expr.map(lambda e: [f"emit({e})"]),
+    )
+    if depth >= 2:
+        return simple
+    block = st.lists(_statements(depth + 1), min_size=1, max_size=3).map(
+        lambda stmts: ["  " + line for stmt in stmts for line in stmt]
+    )
+    return st.one_of(
+        simple,
+        st.tuples(st.sampled_from(_FUZZ_NAMES), expr, block).map(
+            lambda t: [f"for {t[0]} in {t[1]}:", *t[2]]
+        ),
+        st.tuples(expr, block, block).map(lambda t: [f"if {t[0]}:", *t[1], "else:", *t[2]]),
+    )
+
+
+# Binds every name the statements use, so most programs run past line one.
+_FUZZ_PRELUDE = (
+    'x = 2\ny = "a"\nv = [1, 2]\n'
+    "docs = select_documents(stock_symbols=[\"A\"], fiscal_years=[2023])\n"
+    "pages = retrieve_relevant_pages(\"q\", docs)\n"
+)
+_STUB_PAGES = [PageHandle(doc_id="d1", page_number=1, title="t", content="c 2023")]
+
+
+def _stub_env() -> ExecEnv:
+    return ExecEnv(
+        select_fn=lambda **kwargs: [SimpleNamespace(doc_id="d1")],
+        retrieve_fn=lambda question, documents: list(_STUB_PAGES),
+        extract_fn=lambda question, pages: (1.0, 1),
+        step_budget=500,
+        builtin_budget=16,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_statements(), min_size=1, max_size=5))
+def test_execute_parsed_programs_raises_only_runtime_errors(statements):
+    source = _FUZZ_PRELUDE + "".join(line + "\n" for stmt in statements for line in stmt)
+    try:
+        program = parse_plan(source)
+    except PlanParseError:
+        return
+    try:
+        execute_plan(program, _stub_env())
+    except PlanRuntimeError:
+        pass
