@@ -16,6 +16,7 @@ import os
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -148,18 +149,43 @@ class CallLedger:
 
 
 class _DiskCache:
+    """One JSON file per key, read through a small in-memory LRU of bodies.
+
+    Every ``put`` still writes its file; the memo only spares re-reading
+    the files of recent keys.
+    """
+
+    MEMO_ENTRIES = 64
+
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._memo: OrderedDict[str, str] = OrderedDict()
+        self._memo_lock = threading.Lock()
+
+    def _remember(self, key: str, body: str) -> None:
+        with self._memo_lock:
+            self._memo[key] = body
+            self._memo.move_to_end(key)
+            if len(self._memo) > self.MEMO_ENTRIES:
+                self._memo.popitem(last=False)
 
     def get(self, key: str) -> Optional[str]:
+        with self._memo_lock:
+            body = self._memo.get(key)
+            if body is not None:
+                self._memo.move_to_end(key)
+                return body
         path = self.root / f"{key}.json"
         if not path.exists():
             return None
-        return read_json(path, lambda raw: raw["body"])
+        body = read_json(path, lambda raw: raw["body"])
+        self._remember(key, body)
+        return body
 
     def put(self, key: str, body: str) -> None:
         write_json(self.root / f"{key}.json", {"body": body}, indent=None, end="")
+        self._remember(key, body)
 
 
 def _hash_request(payload: dict) -> str:

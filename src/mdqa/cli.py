@@ -394,11 +394,13 @@ def run_cmd(
 
     journal_path = session / "journal.jsonl"
     done = _read_journal(journal_path)
+    # Question-major: a question's k runs are adjacent, so the plan parse
+    # memo and the HTTP cache's memory memo catch their repeats.
     todo = [
         (system_id, q, k)
         for system_id in system_ids
-        for k in ks
         for q in questions
+        for k in ks
         if (system_id, q.question_id, k) not in done
     ]
     journal_lock = threading.Lock()
@@ -417,15 +419,17 @@ def run_cmd(
             n_queries=n_queries,
         )
         with journal_lock:
-            with open(journal_path, "a", encoding="utf-8") as fh:
-                fh.write(jsonl_line(run.to_json_dict()))
+            journal.write(jsonl_line(run.to_json_dict()))
+            journal.flush()
         return run
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            new_runs = list(pool.map(execute, todo))
-    else:
-        new_runs = [execute(item) for item in todo]
+    # Opened after _read_journal has cut any torn tail off.
+    with open(journal_path, "a", encoding="utf-8") as journal:
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                new_runs = list(pool.map(execute, todo))
+        else:
+            new_runs = [execute(item) for item in todo]
 
     all_runs = list(done.values()) + new_runs
     all_runs.sort(key=lambda r: (r.system_id, r.k, r.question_id))

@@ -14,6 +14,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import asdict, dataclass
 from datetime import date
@@ -600,21 +601,14 @@ def save_fact_table(table: FactTable, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_company_name(name: str) -> str:
-    tokens = name.lower().split()
+@functools.lru_cache(maxsize=256)
+def _company_keys(name: str) -> tuple[str, str]:
+    """``name`` lowered, and lowered without trailing corporate suffixes."""
+    lowered = name.lower()
+    tokens = lowered.split()
     while tokens and tokens[-1] in _CORPORATE_SUFFIXES:
         tokens.pop()
-    return " ".join(tokens)
-
-
-def _company_matches(doc: Document, names: tuple[str, ...]) -> bool:
-    doc_name = doc.company_name.lower()
-    doc_short = _normalize_company_name(doc.company_name)
-    for name in names:
-        wanted = name.lower()
-        if wanted == doc_name or _normalize_company_name(name) == doc_short:
-            return True
-    return False
+    return lowered, " ".join(tokens)
 
 
 def select_documents(
@@ -626,13 +620,17 @@ def select_documents(
     ordered by (stock_symbol, fiscal_year, form_type, period_end_date); an
     empty list is a valid outcome.
     """
-    names = tuple(doc_filter.companies or ())
+    wanted = [_company_keys(name) for name in doc_filter.companies or ()]
+    full_names = {full for full, _ in wanted}
+    short_names = {short for _, short in wanted}
     symbols = tuple(s.upper() for s in (doc_filter.stock_symbols or ()))
     out = []
     for doc in collection.documents:
-        if names or symbols:
-            if not (doc.stock_symbol in symbols or _company_matches(doc, names)):
-                continue
+        if wanted or symbols:
+            if doc.stock_symbol not in symbols:
+                full, short = _company_keys(doc.company_name)
+                if full not in full_names and short not in short_names:
+                    continue
         if doc_filter.form_types and doc.form_type not in doc_filter.form_types:
             continue
         if doc_filter.fiscal_years and doc.fiscal_year not in doc_filter.fiscal_years:

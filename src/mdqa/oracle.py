@@ -91,10 +91,6 @@ class OracleChatBackend:
         # Longer alias phrases win; ties break on metric_id for determinism.
         self._aliases.sort(key=lambda a: (-a[2], a[0]))
 
-    def register(self, questions: Iterable[Question]) -> None:
-        self._questions.extend(questions)
-        self._questions.sort(key=lambda q: -len(q.text))
-
     # -- entry point --------------------------------------------------------
 
     def chat(self, messages: list[dict], **params) -> str:

@@ -395,11 +395,13 @@ class _Interpreter:
         container = self.eval(node.target)
         index = self.eval(node.index)
         if isinstance(container, dict):
+            if not isinstance(index, (str, float, bool)):
+                raise self.fail("type_error", "map keys must be strings or numbers")
             if index not in container:
                 raise self.fail("value_error", f"map has no key {digest_value(index)}")
             return container[index]
         if isinstance(container, (list, tuple)):
-            return container[self._list_index(list(container), index)]
+            return container[self._list_index(container, index)]
         raise self.fail("type_error", "subscript needs a list or map")
 
     # -- builtins -------------------------------------------------------------

@@ -13,6 +13,7 @@ to runtime.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -553,11 +554,16 @@ class _Parser:
         )
 
 
+@functools.lru_cache(maxsize=32)
 def parse_plan(source: str) -> PlanProgram:
     """Parse plan source into a PlanProgram.
 
     Raises PlanParseError with line/column on syntax errors and on any call
     to a function outside the builtin whitelist.
+
+    Results are memoised by source text (a few dozen recent sources): the
+    program and its AST nodes are frozen, and the interpreter never mutates
+    them. Errors are not memoised, so a bad source raises on every call.
     """
     if not source or not source.strip():
         raise PlanParseError("empty plan source", 1, 1)

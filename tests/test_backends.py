@@ -280,3 +280,54 @@ def test_disk_cache_same_key_from_many_threads(tmp_path):
         sys.setswitchinterval(interval)
     assert cache.get("same-key").startswith("body ")
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["same-key.json"]
+
+
+def test_disk_cache_serves_recent_bodies_from_memory(tmp_path):
+    cache = _DiskCache(tmp_path / "cache")
+    cache.put("k", "body")
+    (tmp_path / "cache" / "k.json").unlink()
+    assert cache.get("k") == "body"  # the file is gone: served from the memo
+    assert cache.get("other") is None
+
+    # A disk hit fills the memo too.
+    _DiskCache(tmp_path / "cache").put("on-disk", "stored")
+    assert cache.get("on-disk") == "stored"
+    (tmp_path / "cache" / "on-disk.json").unlink()
+    assert cache.get("on-disk") == "stored"
+
+
+def test_disk_cache_memo_is_bounded_lru(tmp_path):
+    cache = _DiskCache(tmp_path / "cache")
+    bound = _DiskCache.MEMO_ENTRIES
+    for i in range(3 * bound):
+        cache.put(f"k{i}", f"body {i}")
+        cache.get("k0")  # recently used, so never evicted
+        assert len(cache._memo) <= bound
+    assert "k0" in cache._memo and "k1" not in cache._memo
+    # Evicted keys are still read from their files.
+    assert cache.get("k1") == "body 1"
+    assert len(list((tmp_path / "cache").iterdir())) == 3 * bound
+
+
+def test_disk_cache_memo_from_many_threads(tmp_path):
+    cache = _DiskCache(tmp_path / "cache")
+
+    def work(thread: int) -> None:
+        for i in range(60):
+            key = f"t{thread}-{i % 20}"
+            cache.put(key, f"body {key}")
+            for other in range(8):
+                body = cache.get(f"t{other}-{i % 20}")
+                assert body in (None, f"body t{other}-{i % 20}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, t) for t in range(8)]
+            for future in futures:
+                future.result(timeout=60)  # re-raises the thread's error
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(cache._memo) <= _DiskCache.MEMO_ENTRIES
+    assert all(body == f"body {key}" for key, body in cache._memo.items())

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mdqa import backends, cli
+from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main
+from mdqa.oracle import OracleChatBackend
 
 
 @pytest.fixture()
@@ -270,6 +273,62 @@ def test_run_parallel_jobs_byte_identical(runner, workspace, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_run_journals_each_questions_ks_back_to_back(workspace, finished_session):
+    questions = [
+        json.loads(line)["question_id"]
+        for line in (workspace / "questions.jsonl").read_text().splitlines()
+    ]
+    journal = (finished_session / "journal.jsonl").read_text().splitlines()
+    assert [(r["system_id"], r["question_id"], r["k"]) for r in map(json.loads, journal)] == [
+        (system_id, q, k)
+        for system_id in ("vanilla_rag", "codegen_docs_pager")
+        for q in questions
+        for k in (4, 8)
+    ]
+
+
+def _oracle_transport(workspace):
+    """A ``Transport`` answering like the oracle backends, in process."""
+    from mdqa.corpus import load_collection, load_fact_table
+    from mdqa.questiongen import read_questions
+    from mdqa.synth import ORACLE_METRIC_ALIASES
+
+    collection = load_collection(workspace / "corpus")
+    table = load_fact_table(workspace / "corpus", collection)
+    questions = read_questions(workspace / "questions.jsonl")
+    chat = OracleChatBackend(
+        table, 2023, questions=questions, metric_aliases=ORACLE_METRIC_ALIASES
+    )
+    embedder = HashedBowEmbedder()
+
+    def transport(url, body, headers, timeout):
+        if url.endswith("/chat/completions"):
+            reply = chat.chat(body["messages"])
+            return 200, {"choices": [{"message": {"content": reply}}]}
+        vectors = embedder.embed(body["input"])
+        return 200, {"data": [{"embedding": v.tolist()} for v in vectors]}
+
+    return transport
+
+
+def test_http_session_parallel_jobs_byte_identical(
+    runner, workspace, finished_session, tmp_path, monkeypatch
+):
+    """Threads share the HTTP cache's memory memo; the runs must not notice."""
+    monkeypatch.setenv("MDQA_API_KEY", "k")
+    monkeypatch.setattr(backends, "_requests_transport", _oracle_transport(workspace))
+    outputs = []
+    for jobs in ("1", "4"):
+        session = tmp_path / f"jobs-{jobs}"
+        result = runner.invoke(main, _run_args(
+            workspace, session, "--backend", "http", "--endpoint", "http://localhost:9/v1",
+            "--model", "m", "--jobs", jobs,
+        ))
+        assert result.exit_code == 0, result.output
+        outputs.append((session / "system_runs.jsonl").read_bytes())
+    assert outputs[0] == outputs[1] == (finished_session / "system_runs.jsonl").read_bytes()
+
+
 def test_index_command_builds_cache(runner, workspace, tmp_path):
     result = runner.invoke(
         main,
@@ -463,6 +522,28 @@ def test_resume_after_journal_cut_is_byte_identical(
         finished_session / "system_runs.jsonl"
     ).read_bytes()
     assert (session / "journal.jsonl").read_bytes() == journal
+
+
+def test_crash_at_run_n_leaves_n_minus_1_journal_lines(runner, workspace, tmp_path, monkeypatch):
+    """Each run's journal line is on disk before the next run starts."""
+    session = tmp_path / "session"
+    crash_at = 5
+    seen_at_crash = []
+
+    class CrashingOracle(OracleChatBackend):
+        def chat(self, messages, **params):
+            if self.call_count + 1 == crash_at:  # vanilla_rag: one chat per run
+                seen_at_crash.append((session / "journal.jsonl").read_bytes())
+                raise RuntimeError("backend crashed")
+            return super().chat(messages, **params)
+
+    monkeypatch.setattr(cli, "OracleChatBackend", CrashingOracle)
+    result = runner.invoke(main, _run_args(workspace, session, "--systems", "vanilla_rag"))
+    assert isinstance(result.exception, RuntimeError), result.output
+    journal = (session / "journal.jsonl").read_bytes()
+    assert seen_at_crash == [journal]
+    assert journal.endswith(b"\n") and journal.count(b"\n") == crash_at - 1
+    assert all(json.loads(line) for line in journal.splitlines())
 
 
 def test_resume_then_eval_keeps_the_call_ledger(runner, workspace, tmp_path):

@@ -6,6 +6,7 @@ from datetime import date
 import pytest
 
 from mdqa.corpus import (
+    _CORPORATE_SUFFIXES,
     CorpusError,
     Document,
     DocumentCollection,
@@ -130,6 +131,63 @@ def test_select_company_suffix_stripping():
     collection = _toy_collection()
     picked = select_documents(collection, DocumentFilter(companies=("coca-cola",)))
     assert {d.stock_symbol for d in picked} == {"KO"}
+
+
+def _reference_company_select(collection, names):
+    """Compares every requested name with every document name, one pair at a time."""
+
+    def short(name):
+        tokens = name.lower().split()
+        while tokens and tokens[-1] in _CORPORATE_SUFFIXES:
+            tokens.pop()
+        return " ".join(tokens)
+
+    picked = [
+        doc
+        for doc in collection.documents
+        if any(
+            n.lower() == doc.company_name.lower() or short(n) == short(doc.company_name)
+            for n in names
+        )
+    ]
+    picked.sort(key=lambda d: (d.stock_symbol, d.fiscal_year, d.form_type, d.period_end_date))
+    return [d.doc_id for d in picked]
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("Netflix",),
+        ("netflix inc.",),
+        ("NETFLIX INC",),
+        ("Netflix Corp",),
+        ("Coca-Cola Company", "adobe incorporated"),
+        ("Adobe Ltd.", "ADOBE PLC"),
+        ("Acme Corporation",),
+        ("acme corp.", "Netflix"),
+        ("Inc.",),
+        ("Adobe Systems",),
+        ("",),
+    ],
+)
+def test_select_company_suffix_variants(names):
+    collection = DocumentCollection(
+        list(_toy_collection().documents)
+        + [make_doc("acme-10k-2021", "ACME", "Acme Corp.", "10-K", 2021, date(2021, 12, 31))]
+    )
+    picked = select_documents(collection, DocumentFilter(companies=names))
+    assert [d.doc_id for d in picked] == _reference_company_select(collection, names)
+
+
+def test_select_company_suffix_variant_matches():
+    collection = _toy_collection()
+    for names, symbols in [
+        (("NETFLIX CORP",), {"NFLX"}),
+        (("coca-cola company", "Adobe"), {"KO", "ADBE"}),
+        (("Inc.",), set()),
+    ]:
+        picked = select_documents(collection, DocumentFilter(companies=names))
+        assert {d.stock_symbol for d in picked} == symbols
 
 
 def test_select_monotone_adding_conditions_never_enlarges():

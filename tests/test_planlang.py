@@ -3,7 +3,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdqa.planlang import (
@@ -55,6 +55,24 @@ def test_parse_empty_source():
         parse_plan("")
     with pytest.raises(PlanParseError):
         parse_plan("   \n# just a comment\n")
+
+
+def test_parse_memoises_programs_by_source():
+    source = "x = 2\nemit(x * 21)\n"
+    first = parse_plan(source)
+    assert parse_plan(source) is first
+    assert parse_plan(source + "\n") is not first
+    assert run(source).emitted == 42.0
+    assert 0 < parse_plan.cache_info().maxsize <= 64
+
+
+def test_parse_error_raised_on_every_call():
+    misses = parse_plan.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(PlanParseError, match="line 2"):
+            parse_plan("x = 1\ny = ((2\n")
+    # Each call parsed again: errors are never served from the memo.
+    assert parse_plan.cache_info().misses == misses + 3
 
 
 def test_parse_comments_and_blank_lines():
@@ -559,6 +577,7 @@ def _stub_env() -> ExecEnv:
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_statements(), min_size=1, max_size=5))
+@example([["-{}[[]]"]])  # a list as a map index: was a TypeError
 def test_execute_parsed_programs_raises_only_runtime_errors(statements):
     source = _FUZZ_PRELUDE + "".join(line + "\n" for stmt in statements for line in stmt)
     try:
