@@ -2,6 +2,10 @@
 accounting, and the deterministic hashed bag-of-words embedder used by tests
 and oracle sessions.
 
+An HTTP backend caches in one append-only log under ``config.cache_dir``
+(``chat.jsonl`` by request hash, or a ``VectorStore`` by text); a hit reads
+one record back. Both backends may share one wire log, a line per request.
+
 Cost accounting counts chat completions as "LLM calls"; embedding work is
 reported separately and counted per text embedded, not per HTTP request.
 """
@@ -16,14 +20,14 @@ import os
 import re
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .files import read_json, write_json
+from .files import AppendLog, Closable, jsonl_line
+from .retrieval import VectorStore, text_key
 
 
 class BackendError(Exception):
@@ -143,51 +147,6 @@ class CallLedger:
         }
 
 
-# ---------------------------------------------------------------------------
-# Disk cache
-# ---------------------------------------------------------------------------
-
-
-class _DiskCache:
-    """One JSON file per key, read through a small in-memory LRU of bodies.
-
-    Every ``put`` still writes its file; the memo only spares re-reading
-    the files of recent keys.
-    """
-
-    MEMO_ENTRIES = 64
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._memo: OrderedDict[str, str] = OrderedDict()
-        self._memo_lock = threading.Lock()
-
-    def _remember(self, key: str, body: str) -> None:
-        with self._memo_lock:
-            self._memo[key] = body
-            self._memo.move_to_end(key)
-            if len(self._memo) > self.MEMO_ENTRIES:
-                self._memo.popitem(last=False)
-
-    def get(self, key: str) -> Optional[str]:
-        with self._memo_lock:
-            body = self._memo.get(key)
-            if body is not None:
-                self._memo.move_to_end(key)
-                return body
-        path = self.root / f"{key}.json"
-        if not path.exists():
-            return None
-        body = read_json(path, lambda raw: raw["body"])
-        self._remember(key, body)
-        return body
-
-    def put(self, key: str, body: str) -> None:
-        write_json(self.root / f"{key}.json", {"body": body}, indent=None, end="")
-        self._remember(key, body)
-
-
 def _hash_request(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -215,14 +174,14 @@ def _requests_transport(url: str, body: dict, headers: dict, timeout: float):
     return resp.status_code, payload
 
 
-class _HttpBackendBase:
+class _HttpBackendBase(Closable):
     def __init__(
         self,
         config: BackendConfig,
         ledger: Optional[CallLedger] = None,
         transport: Optional[Transport] = None,
         sleeper: Callable[[float], None] = time.sleep,
-        wire_log_dir: Optional[Path] = None,
+        wire_log: Optional[AppendLog] = None,
     ):
         if not config.endpoint or not config.model:
             raise BackendConfigError("http backend requires endpoint and model")
@@ -231,12 +190,13 @@ class _HttpBackendBase:
         self._transport = transport or _requests_transport
         self._sleep = sleeper
         self._semaphore = threading.Semaphore(config.in_flight_limit)
-        self._cache = _DiskCache(config.cache_dir) if config.cache_dir else None
-        self._wire_dir = Path(wire_log_dir) if wire_log_dir else None
-        if self._wire_dir:
-            self._wire_dir.mkdir(parents=True, exist_ok=True)
-        self._wire_seq = 0
-        self._wire_lock = threading.Lock()
+        self._wire = wire_log
+        self.cache = self._open_cache(Path(config.cache_dir)) if config.cache_dir else None
+
+    def close(self) -> None:
+        """Close the cache; the wire log is the caller's to close."""
+        if self.cache:
+            self.cache.close()
 
     def _auth_header(self) -> dict:
         key = os.environ.get(self.config.auth_env)
@@ -247,18 +207,9 @@ class _HttpBackendBase:
         return {"Authorization": f"Bearer {key}"}
 
     def _log_wire(self, url: str, body: dict, status: int, payload: dict) -> None:
-        if not self._wire_dir:
-            return
-        with self._wire_lock:
-            self._wire_seq += 1
-            seq = self._wire_seq
-        record = {
-            "url": url,
-            "request": body,
-            "status": status,
-            "response": payload,
-        }
-        write_json(self._wire_dir / f"{seq:05d}.json", record, end="")
+        if self._wire:
+            record = {"url": url, "request": body, "status": status, "response": payload}
+            self._wire.append(jsonl_line(record).encode("utf-8"))
 
     def _post(self, path: str, body: dict) -> dict:
         headers = {"Content-Type": "application/json", **self._auth_header()}
@@ -292,6 +243,10 @@ class HttpChatBackend(_HttpBackendBase):
     call count.
     """
 
+    def _open_cache(self, root: Path) -> AppendLog:
+        root.mkdir(parents=True, exist_ok=True)
+        return AppendLog(root / "chat.jsonl", key=lambda line: json.loads(line)["key"])
+
     def chat(self, messages: list[dict], **params) -> str:
         if self.ledger:
             self.ledger.record_chat()
@@ -302,10 +257,9 @@ class HttpChatBackend(_HttpBackendBase):
             **params,
         }
         key = _hash_request(body)
-        if self._cache:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self.cache.read(key) if self.cache else None
+        if cached is not None:
+            return json.loads(cached)["body"]
         payload = self._post(self.config.chat_path, body)
         try:
             text = payload["choices"][0]["message"]["content"]
@@ -313,69 +267,60 @@ class HttpChatBackend(_HttpBackendBase):
             raise BackendError(f"malformed chat response: {payload}") from None
         if self.ledger:
             self.ledger.record_network_chat()
-        if self._cache:
-            self._cache.put(key, text)
+        if self.cache:
+            self.cache.append(jsonl_line({"body": text, "key": key}).encode("utf-8"), key)
         return text
 
 
-class HttpEmbedBackend(_HttpBackendBase):
-    """Embeddings over an OpenAI-compatible endpoint, cached per text."""
+def _embedding_rows(payload: dict, n: int) -> np.ndarray:
+    """The vectors of an embeddings response as float32 rows. Raises
+    ``BackendError`` unless it holds ``n`` vectors of finite numbers, of one dim."""
+    try:
+        rows = [np.asarray(item["embedding"]) for item in payload["data"]]
+    except (KeyError, TypeError):
+        raise BackendError(f"malformed embeddings response: {payload}") from None
+    if len(rows) != n:
+        raise BackendError(f"embeddings response holds {len(rows)} vectors for {n} texts")
+    if any(r.ndim != 1 or not r.size or r.dtype.kind not in "iuf" or not np.isfinite(r).all()
+           for r in rows):
+        raise BackendError("embeddings response holds a vector that is not finite numbers")
+    dims = sorted({row.shape[0] for row in rows})
+    if len(dims) != 1:
+        raise BackendError(f"embedding dimension drift: {dims}")
+    return np.stack(rows).astype(np.float32)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._dim: Optional[int] = None
+
+class HttpEmbedBackend(_HttpBackendBase):
+    """Embeddings over an OpenAI-compatible endpoint, cached per text in a
+    ``VectorStore``. A response is checked whole before any of it is cached."""
+
+    _dim: Optional[int] = None  # of the first response
 
     @property
     def fingerprint(self) -> str:
         return f"http:{self.config.model}"
 
+    def _open_cache(self, root: Path) -> VectorStore:
+        return VectorStore(root, self.fingerprint)
+
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise BackendError("embed requires at least one text")
-        vectors: list[Optional[np.ndarray]] = [None] * len(texts)
-        missing: list[int] = []
-        for i, text in enumerate(texts):
-            key = None
-            if self._cache:
-                key = "emb-" + hashlib.sha256(
-                    f"{self.config.model}\x00{text}".encode("utf-8")
-                ).hexdigest()
-                cached = self._cache.get(key)
-                if cached is not None:
-                    vectors[i] = np.asarray(json.loads(cached), dtype=np.float32)
-                    continue
-            missing.append(i)
+        keys = [text_key(text) for text in texts]
+        vectors = [self.cache.get(key) if self.cache else None for key in keys]
+        missing = [i for i, vec in enumerate(vectors) if vec is None]
         if missing:
-            body = {
-                "model": self.config.model,
-                "input": [texts[i] for i in missing],
-            }
-            payload = self._post(self.config.embed_path, body)
-            try:
-                data = payload["data"]
-                for slot, item in zip(missing, data):
-                    vec = np.asarray(item["embedding"], dtype=np.float32)
-                    vectors[slot] = vec
-            except (KeyError, TypeError):
-                raise BackendError(f"malformed embeddings response: {payload}") from None
+            body = {"model": self.config.model, "input": [texts[i] for i in missing]}
+            rows = _embedding_rows(self._post(self.config.embed_path, body), len(missing))
+            self._dim = self._dim or rows.shape[1]
+            if rows.shape[1] != self._dim:
+                raise BackendError(f"embedding dimension changed: {self._dim} -> {rows.shape[1]}")
             if self.ledger:
                 self.ledger.record_embed(len(missing))
-            if self._cache:
-                for slot in missing:
-                    key = "emb-" + hashlib.sha256(
-                        f"{self.config.model}\x00{texts[slot]}".encode("utf-8")
-                    ).hexdigest()
-                    self._cache.put(key, json.dumps(vectors[slot].tolist()))
-        if any(v is None for v in vectors):
-            raise BackendError("embeddings response shorter than request batch")
-        dims = {v.shape[0] for v in vectors}
-        if len(dims) != 1:
-            raise BackendError(f"embedding dimension drift: {sorted(dims)}")
-        dim = dims.pop()
-        if self._dim is None:
-            self._dim = dim
-        elif self._dim != dim:
-            raise BackendError(f"embedding dimension changed: {self._dim} -> {dim}")
+            for i, row in zip(missing, rows):
+                vectors[i] = row
+                if self.cache:
+                    self.cache.put(keys[i], row)
         return np.stack(vectors)
 
 

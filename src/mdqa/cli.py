@@ -3,7 +3,7 @@ stability, cost, trace.
 
 Sessions live under an output directory: the effective config, the question
 set, an append-only journal of completed runs (so interrupted sessions
-resume), the sorted run records, call ledger, and reports. Everything a
+resume), the sorted run records, call ledger, caches, and reports. Everything a
 report needs is recorded in the session, and identical inputs with oracle
 backends reproduce identical outputs byte for byte.
 
@@ -13,8 +13,9 @@ Exit codes: 0 success; 1 evaluation completed but found pipeline failures;
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .evaluation import (
     stability_report,
     write_report,
 )
-from .files import FileFormatError, jsonl_line, read_json, read_jsonl, write_json, write_jsonl
+from .files import AppendLog, FileFormatError, jsonl_line, read_json, read_jsonl, write_json, write_jsonl
 from .oracle import OracleChatBackend
 from .qasystems import SYSTEM_IDS, Backends, SystemRun, run_system
 from .questiongen import (
@@ -55,7 +56,7 @@ from .questiongen import (
     read_questions,
     write_questions,
 )
-from .retrieval import RetrievalError, build_index
+from .retrieval import RetrievalError, VectorStore, build_index
 
 try:
     import tomllib
@@ -220,7 +221,8 @@ def index(corpus_dir: str, cache_dir: str, embed_dim: int) -> None:
     """Build (or refresh) the page embedding cache with the mock embedder."""
     collection, _ = _load_corpus(corpus_dir)
     embedder = HashedBowEmbedder(dim=embed_dim)
-    page_index = build_index(collection, embedder, cache_dir=cache_dir)
+    with VectorStore(cache_dir, embedder.fingerprint) as store:
+        page_index = build_index(collection, embedder, store)
     click.echo(f"indexed {len(page_index)} pages (dim={page_index.embedding_dim})")
 
 
@@ -230,18 +232,12 @@ def index(corpus_dir: str, cache_dir: str, embed_dim: int) -> None:
 
 
 def _build_backends(
-    backend: str,
-    oracle_mode: str,
-    table: FactTable,
-    questions: list[Question],
-    dataset_year: int,
-    ledger: CallLedger,
-    session_dir: Path,
-    log_wire: bool,
-    endpoint: str,
-    model: str,
-    auth_env: str,
-) -> Backends:
+    backend: str, oracle_mode: str, table: FactTable, questions: list[Question],
+    dataset_year: int, ledger: CallLedger, session_dir: Path, log_wire: bool,
+    endpoint: str, model: str, auth_env: str, files: contextlib.ExitStack,
+) -> tuple[Backends, VectorStore]:
+    """The session's backends and vector store; ``files`` closes their logs."""
+    index_cache = session_dir / "index_cache"
     if backend == "oracle":
         chat = OracleChatBackend(
             table,
@@ -252,8 +248,8 @@ def _build_backends(
             ledger=ledger,
         )
         embed = HashedBowEmbedder(ledger=ledger)
-        return Backends(chat=chat, embed=embed, ledger=ledger)
-    wire_dir = session_dir / "wire" if log_wire else None
+        vectors = files.enter_context(VectorStore(index_cache, embed.fingerprint))
+        return Backends(chat=chat, embed=embed, ledger=ledger), vectors
     config = BackendConfig(
         kind="http_openai_compatible",
         endpoint=endpoint,
@@ -261,17 +257,13 @@ def _build_backends(
         auth_env=auth_env,
         cache_dir=session_dir / "http_cache",
     )
-    chat = HttpChatBackend(config, ledger=ledger, wire_log_dir=wire_dir)
-    embed = HttpEmbedBackend(config, ledger=ledger, wire_log_dir=wire_dir)
-    return Backends(chat=chat, embed=embed, ledger=ledger)
-
-
-def _read_journal(path: Path) -> dict[tuple[str, str, int], SystemRun]:
-    """Completed runs by key. A torn last line is cut off; its run is redone."""
-    if not path.exists():
-        return {}
-    runs = read_jsonl(path, SystemRun.from_json_dict, torn_tail=True)
-    return {(run.system_id, run.question_id, run.k): run for run in runs}
+    wire = files.enter_context(AppendLog(session_dir / "wire.jsonl")) if log_wire else None
+    chat = files.enter_context(HttpChatBackend(config, ledger=ledger, wire_log=wire))
+    # The embedding backend caches in the index's store: one copy per vector.
+    embed = files.enter_context(HttpEmbedBackend(
+        dataclasses.replace(config, cache_dir=index_cache), ledger=ledger, wire_log=wire
+    ))
+    return Backends(chat=chat, embed=embed, ledger=ledger), embed.cache
 
 
 def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | None):
@@ -386,45 +378,38 @@ def run_cmd(
     ledger = CallLedger()
     if ledger_path.exists():
         ledger = read_json(ledger_path, CallLedger.from_snapshot)
-    backends = _build_backends(
-        backend, oracle_mode, table, questions, dataset_year, ledger,
-        session, log_wire, endpoint, model, auth_env,
-    )
-    page_index = build_index(collection, backends.embed, cache_dir=session / "index_cache")
-
-    journal_path = session / "journal.jsonl"
-    done = _read_journal(journal_path)
-    # Question-major: a question's k runs are adjacent, so the plan parse
-    # memo and the HTTP cache's memory memo catch their repeats.
-    todo = [
-        (system_id, q, k)
-        for system_id in system_ids
-        for q in questions
-        for k in ks
-        if (system_id, q.question_id, k) not in done
-    ]
-    journal_lock = threading.Lock()
-
-    def execute(item):
-        system_id, question, k = item
-        run = run_system(
-            system_id,
-            question.question_id,
-            question.text,
-            collection,
-            page_index,
-            backends,
-            k,
-            dataset_year,
-            n_queries=n_queries,
+    with contextlib.ExitStack() as files:
+        backends, vectors = _build_backends(
+            backend, oracle_mode, table, questions, dataset_year, ledger,
+            session, log_wire, endpoint, model, auth_env, files,
         )
-        with journal_lock:
-            journal.write(jsonl_line(run.to_json_dict()))
-            journal.flush()
-        return run
+        page_index = build_index(collection, backends.embed, vectors)
+        # Completed runs by key. Opening the journal cut off a torn last
+        # line; its run is redone.
+        journal = files.enter_context(AppendLog(session / "journal.jsonl"))
+        done = {
+            (run.system_id, run.question_id, run.k): run
+            for run in read_jsonl(journal.path, SystemRun.from_json_dict)
+        }
+        # Question-major: a question's k runs are adjacent, so the plan
+        # parse memo catches their repeats.
+        todo = [
+            (system_id, q, k)
+            for system_id in system_ids
+            for q in questions
+            for k in ks
+            if (system_id, q.question_id, k) not in done
+        ]
 
-    # Opened after _read_journal has cut any torn tail off.
-    with open(journal_path, "a", encoding="utf-8") as journal:
+        def execute(item):
+            system_id, question, k = item
+            run = run_system(
+                system_id, question.question_id, question.text, collection, page_index,
+                backends, k, dataset_year, n_queries=n_queries,
+            )
+            journal.append(jsonl_line(run.to_json_dict()).encode("utf-8"))
+            return run
+
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 new_runs = list(pool.map(execute, todo))

@@ -1,20 +1,22 @@
-"""JSON and JSON-lines files: the one place corpora, question sets and
-sessions are read and written.
+"""JSON and JSON-lines files and append-only logs: the one place corpora,
+question sets and sessions are read and written.
 
 Writers replace a file whole (a temporary file beside it, then a rename), so
-a crash leaves the old file or the new one, never part of one. Readers raise
-FileFormatError naming ``path:line`` for a line that is not JSON or a record
-its parser rejects.
+a crash leaves the old file or the new one, never part of one. An
+``AppendLog`` grows instead, and opening it cuts off a record a crash cut
+short. Readers raise FileFormatError naming ``path:line`` for a line that is
+not JSON or a record its parser rejects.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -27,13 +29,13 @@ class FileFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def atomic_open(path: str | Path, mode: str = "w", newline: Optional[str] = None):
-    """Write to a temporary file beside ``path``, renamed over it on success.
-    The temporary name is unique per process and thread."""
+def atomic_open(path: str | Path, newline: Optional[str] = None):
+    """Write text to a temporary file beside ``path``, renamed over it on
+    success. The temporary name is unique per process and thread."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -75,19 +77,76 @@ def read_json(path: str | Path, parse: Optional[Callable[[Any], T]] = None) -> T
         raise _located(str(path), exc) from None
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], T], torn_tail: bool = False) -> list[T]:
-    """``parse`` of each non-blank line. With ``torn_tail``, a last line that
-    has no newline (an append cut short by a crash) is cut off the file."""
-    out, offset = [], 0
+def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` of each non-blank line."""
+    out = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if torn_tail and not line.endswith(b"\n"):
-                os.truncate(path, offset)
-                break
-            offset += len(line)
             if line.strip():
                 try:
                     out.append(parse(json.loads(line)))
                 except _REJECTED as exc:
                     raise _located(f"{path}:{line_no}", exc) from None
     return out
+
+
+class Closable:
+    """A context manager that calls ``close()`` on exit."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class AppendLog(Closable):
+    """A file that only grows by whole records: lines, or with
+    ``record_size`` records of that many bytes. Opening cuts off a torn tail
+    (a record a crash cut short). With ``key``, opening maps each record's
+    ``key(record)`` to its offset: ``read`` is one ``os.pread`` and
+    ``append`` skips a key already held. Appends are written and flushed
+    under a lock, so threads may share a log."""
+
+    def __init__(
+        self,
+        path: str | Path,
+        key: Optional[Callable[[bytes], Hashable]] = None,
+        record_size: Optional[int] = None,
+    ):
+        self.path = Path(path)
+        self._index: dict[Hashable, tuple[int, int]] = {}
+        self._end = 0
+        with open(self.path, "a+b") as fh:
+            fh.seek(0)
+            records = iter(functools.partial(fh.read, record_size), b"") if record_size else fh
+            for number, record in enumerate(records, start=1):
+                if len(record) != record_size if record_size else not record.endswith(b"\n"):
+                    break
+                if key:
+                    try:
+                        self._index.setdefault(key(record), (self._end, len(record)))
+                    except _REJECTED as exc:
+                        raise _located(f"{self.path}:{number}", exc) from None
+                self._end += len(record)
+            fh.truncate(self._end)
+        self._lock = threading.Lock()
+        self._fh = open(self.path, "a+b")
+
+    def read(self, key: Hashable) -> Optional[bytes]:
+        """The record appended under ``key``, or None."""
+        where = self._index.get(key)
+        return None if where is None else os.pread(self._fh.fileno(), where[1], where[0])
+
+    def append(self, record: bytes, key: Optional[Hashable] = None) -> None:
+        with self._lock:
+            if key is not None and key in self._index:
+                return
+            self._fh.write(record)
+            self._fh.flush()
+            if key is not None:
+                self._index[key] = (self._end, len(record))
+            self._end += len(record)
+
+    def close(self) -> None:
+        self._fh.close()

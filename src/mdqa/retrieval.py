@@ -1,10 +1,11 @@
 """Page-level vector index and top-k cosine retrieval.
 
 Scoring is an exact cosine full scan; at benchmark scale (a few thousand
-pages) approximate search buys nothing and costs determinism. Page vectors
-are stored as little-endian float32 records in the cache directory keyed by
-the sha256 of the embedded text, alongside a manifest pinning the backend
-fingerprint and dimension.
+pages) approximate search buys nothing and costs determinism. Vectors are
+cached in a ``VectorStore``: a manifest pinning the backend fingerprint and
+dimension, and one append-only file of fixed-size records keyed by the
+sha256 of the embedded text. An HTTP session's embedding backend shares the
+index's store, so each vector is stored once.
 
 In memory the index holds float64 unit vectors, and each document's pages
 are one contiguous span of rows. A query scores a pool of documents span by
@@ -24,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import Document, DocumentCollection
-from .files import atomic_open, read_json, write_json
+from .files import AppendLog, Closable, read_json, write_json
 
 EMBED_INPUT_MAX_CHARS = 6000
 
@@ -55,8 +57,8 @@ class ScoredPage:
 
 
 class PageIndex:
-    """One embedding per page of a collection, plus the text digests that key
-    the cache. Immutable after build; scoring shares it read-only.
+    """One embedding per page of a collection. Immutable after build;
+    scoring shares it read-only.
 
     Each document's pages must be one contiguous span of rows, as
     ``build_index`` lays them out. A pool document that is one of
@@ -69,16 +71,14 @@ class PageIndex:
         self,
         refs: list[tuple[str, int]],
         vectors: np.ndarray,
-        digests: list[str],
         backend_fingerprint: str,
         documents: Sequence[Document] = (),
     ):
-        if len(refs) != vectors.shape[0] or len(refs) != len(digests):
+        if len(refs) != vectors.shape[0]:
             raise RetrievalError("index arrays disagree in length")
         if not np.all(np.isfinite(vectors)):
             raise RetrievalError("index contains non-finite vectors")
         self.refs = list(refs)
-        self.digests = list(digests)
         self.backend_fingerprint = backend_fingerprint
         self.embedding_dim = int(vectors.shape[1])
         # Normalized float64 copies; cosine becomes a dot product.
@@ -172,34 +172,74 @@ class PageIndex:
         ]
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def text_key(text: str) -> bytes:
+    """The key of a text's vector: the 32-byte sha256 of its UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
-def _read_cached_vector(cache_dir: Path, digest: str, dim: int) -> Optional[np.ndarray]:
-    path = cache_dir / f"{digest}.vec"
-    if not path.exists():
-        return None
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-    if raw.shape[0] != dim:
-        raise CacheMismatchError(
-            f"cached vector {digest} has dim {raw.shape[0]}, expected {dim}"
+class VectorStore(Closable):
+    """Vectors by ``text_key`` for one embedding backend, in a directory:
+    ``manifest.json`` (backend fingerprint and dim, written before the first
+    vector) and ``vectors.f4``, an ``AppendLog`` of ``32 + 4 * dim``-byte
+    records, each the key and then the vector as little-endian float32.
+    Another backend's store, or a vector of another dim, raises
+    ``CacheMismatchError``."""
+
+    def __init__(self, root: str | Path, fingerprint: str):
+        self.root = Path(root)
+        self.fingerprint = fingerprint
+        self.dim: Optional[int] = None
+        self._log: Optional[AppendLog] = None
+        self._lock = threading.Lock()
+        self.root.mkdir(parents=True, exist_ok=True)
+        manifest = self.root / "manifest.json"
+        if manifest.exists():
+            found, dim = read_json(manifest, lambda m: (m["backend_fingerprint"], int(m["dim"])))
+            if found != fingerprint:
+                raise CacheMismatchError(
+                    f"{manifest}: cache built with {found!r}, backend is {fingerprint!r}"
+                )
+            self._open(dim)
+
+    def _open(self, dim: int) -> None:
+        self._log = AppendLog(
+            self.root / "vectors.f4", key=lambda record: record[:32], record_size=32 + 4 * dim
         )
-    return raw.astype(np.float32)
+        self.dim = dim
+
+    def get(self, key: bytes) -> Optional[np.ndarray]:
+        record = self._log.read(key) if self._log else None
+        return None if record is None else np.frombuffer(record, dtype="<f4", offset=32)
+
+    def put(self, key: bytes, vector: np.ndarray) -> None:
+        """Append ``vector`` under ``key`` unless the key is already held."""
+        row = np.asarray(vector, dtype="<f4")
+        with self._lock:
+            if self._log is None:
+                manifest = {"backend_fingerprint": self.fingerprint, "dim": row.shape[0]}
+                write_json(self.root / "manifest.json", manifest, indent=None, end="")
+                self._open(row.shape[0])
+        if row.shape != (self.dim,):
+            raise CacheMismatchError(f"backend dim {row.shape[0]} != cached dim {self.dim}")
+        self._log.append(key + row.tobytes(), key)
+
+    def close(self) -> None:
+        if self._log:
+            self._log.close()
 
 
 def build_index(
     collection: DocumentCollection,
     embed_backend,
-    cache_dir: Optional[str | Path] = None,
+    store: Optional[VectorStore] = None,
     max_chars: int = EMBED_INPUT_MAX_CHARS,
 ) -> PageIndex:
     """Embed every page (title + newline + content, truncated) into an index.
 
-    With a cache directory, vectors are persisted per text digest and rebuilds
-    only embed pages whose text changed. The manifest pins the backend
-    fingerprint; reusing a cache with a different backend is an error rather
-    than a silent mix of vector spaces.
+    With a ``store``, vectors are read from it and appended to it, so a
+    rebuild only embeds pages whose text changed. The store pins the backend
+    fingerprint; reusing it with a different backend is an error rather than
+    a silent mix of vector spaces.
     """
     texts: list[str] = []
     refs: list[tuple[str, int]] = []
@@ -207,55 +247,24 @@ def build_index(
         for page in doc.pages:
             refs.append((doc.doc_id, page.page_number))
             texts.append(f"{page.title}\n{page.content}"[:max_chars])
-    digests = [_digest(t) for t in texts]
+    keys = [text_key(t) for t in texts]
 
-    cache = Path(cache_dir) if cache_dir else None
-    manifest_dim: Optional[int] = None
-    if cache:
-        cache.mkdir(parents=True, exist_ok=True)
-        manifest_path = cache / "manifest.json"
-        if manifest_path.exists():
-            fingerprint, manifest_dim = read_json(
-                manifest_path, lambda m: (m["backend_fingerprint"], int(m["dim"]))
-            )
-            if fingerprint != embed_backend.fingerprint:
-                raise CacheMismatchError(
-                    f"{manifest_path}: cache built with {fingerprint!r}, "
-                    f"backend is {embed_backend.fingerprint!r}"
-                )
-
-    vectors: list[Optional[np.ndarray]] = [None] * len(texts)
-    if cache and manifest_dim is not None:
-        for i, digest in enumerate(digests):
-            vectors[i] = _read_cached_vector(cache, digest, manifest_dim)
-
-    # Distinct uncached texts, embedded once each.
-    pending: dict[str, list[int]] = {}
-    for i, digest in enumerate(digests):
+    vectors = [store.get(key) if store else None for key in keys]
+    # Distinct uncached texts, embedded once each, in key order.
+    pending: dict[bytes, list[int]] = {}
+    for i, key in enumerate(keys):
         if vectors[i] is None:
-            pending.setdefault(digest, []).append(i)
+            pending.setdefault(key, []).append(i)
     if pending:
-        ordered_digests = sorted(pending)
-        by_digest = {d: texts[pending[d][0]] for d in ordered_digests}
-        embedded = embed_backend.embed([by_digest[d] for d in ordered_digests])
-        for d, vec in zip(ordered_digests, embedded):
-            for slot in pending[d]:
-                vectors[slot] = np.asarray(vec, dtype=np.float32)
-
-    matrix = np.stack([v for v in vectors])
-    dim = int(matrix.shape[1])
-    if manifest_dim is not None and manifest_dim != dim:
-        raise CacheMismatchError(f"backend dim {dim} != cached dim {manifest_dim}")
-    if cache:
-        for digest, slots in pending.items():
-            with atomic_open(cache / f"{digest}.vec", "wb") as fh:
-                fh.write(vectors[slots[0]].astype("<f4").tobytes())
-        manifest_path = cache / "manifest.json"
-        if not manifest_path.exists():
-            manifest = {"backend_fingerprint": embed_backend.fingerprint, "dim": dim}
-            write_json(manifest_path, manifest, indent=None, end="")
+        ordered = sorted(pending)
+        embedded = embed_backend.embed([texts[pending[key][0]] for key in ordered])
+        for key, vec in zip(ordered, embedded):
+            if store:
+                store.put(key, vec)
+            for slot in pending[key]:
+                vectors[slot] = vec
     return PageIndex(
-        refs, matrix, digests, embed_backend.fingerprint, documents=collection.documents
+        refs, np.stack(vectors), embed_backend.fingerprint, documents=collection.documents
     )
 
 

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +13,9 @@ from mdqa.backends import (
     HashedBowEmbedder,
     HttpChatBackend,
     HttpEmbedBackend,
-    _DiskCache,
     token_slot,
 )
+from mdqa.files import AppendLog
 from mdqa.synth import SIGNAL_TOKENS
 
 
@@ -145,23 +143,28 @@ def test_chat_cache_avoids_second_network_call(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
     transport = _Transport([(200, _chat_payload("hello"))])
     ledger = CallLedger()
-    backend = HttpChatBackend(_http_config(tmp_path), ledger=ledger, transport=transport)
     messages = [{"role": "user", "content": "hi"}]
-    assert backend.chat(messages) == "hello"
-    assert backend.chat(messages) == "hello"
+    with HttpChatBackend(_http_config(tmp_path), ledger=ledger, transport=transport) as backend:
+        assert backend.chat(messages) == "hello"
+        assert backend.chat(messages) == "hello"
     assert len(transport.requests) == 1
     assert ledger.chat_total == 2  # logical calls
     assert ledger.network_chat_total == 1
+    # The log outlives the backend: a new one answers from it.
+    with HttpChatBackend(_http_config(tmp_path), transport=transport) as again:
+        assert again.chat(messages) == "hello"
+    assert len(transport.requests) == 1
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["chat.jsonl"]
 
 
 def test_chat_retries_on_rate_limit(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
     transport = _Transport([(429, {"error": "slow down"}), (200, _chat_payload("ok"))])
     sleeps = []
-    backend = HttpChatBackend(
+    with HttpChatBackend(
         _http_config(tmp_path), transport=transport, sleeper=sleeps.append
-    )
-    assert backend.chat([{"role": "user", "content": "x"}]) == "ok"
+    ) as backend:
+        assert backend.chat([{"role": "user", "content": "x"}]) == "ok"
     assert len(transport.requests) == 2
     assert len(sleeps) == 1
 
@@ -169,20 +172,18 @@ def test_chat_retries_on_rate_limit(tmp_path, monkeypatch):
 def test_chat_exhausted_retries(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
     transport = _Transport([(503, {}), (503, {}), (503, {})])
-    backend = HttpChatBackend(
+    with HttpChatBackend(
         _http_config(tmp_path, max_retries=3), transport=transport, sleeper=lambda s: None
-    )
-    with pytest.raises(BackendError, match="failed after 3 attempts"):
+    ) as backend, pytest.raises(BackendError, match="failed after 3 attempts"):
         backend.chat([{"role": "user", "content": "x"}])
 
 
 def test_chat_non_retryable_stops_immediately(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
     transport = _Transport([(401, {"error": "bad key"})])
-    backend = HttpChatBackend(
+    with HttpChatBackend(
         _http_config(tmp_path), transport=transport, sleeper=lambda s: None
-    )
-    with pytest.raises(BackendError, match="401"):
+    ) as backend, pytest.raises(BackendError, match="401"):
         backend.chat([{"role": "user", "content": "x"}])
     assert len(transport.requests) == 1
 
@@ -190,10 +191,9 @@ def test_chat_non_retryable_stops_immediately(tmp_path, monkeypatch):
 def test_missing_auth_fails_before_any_network(tmp_path, monkeypatch):
     monkeypatch.delenv("MDQA_NO_SUCH_KEY", raising=False)
     transport = _Transport([])
-    backend = HttpChatBackend(
+    with HttpChatBackend(
         _http_config(tmp_path, auth_env="MDQA_NO_SUCH_KEY"), transport=transport
-    )
-    with pytest.raises(BackendConfigError, match="MDQA_NO_SUCH_KEY"):
+    ) as backend, pytest.raises(BackendConfigError, match="MDQA_NO_SUCH_KEY"):
         backend.chat([{"role": "user", "content": "x"}])
     assert transport.requests == []
 
@@ -206,15 +206,16 @@ def test_http_config_requires_endpoint_and_model(tmp_path):
 def test_wire_log_written_and_auth_not_logged(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "super-secret")
     transport = _Transport([(200, _chat_payload("hello"))])
-    wire_dir = tmp_path / "wire"
-    backend = HttpChatBackend(
-        _http_config(tmp_path), transport=transport, wire_log_dir=wire_dir
-    )
-    backend.chat([{"role": "user", "content": "hi"}])
-    logs = sorted(wire_dir.glob("*.json"))
-    assert len(logs) == 1
-    body = logs[0].read_text()
-    assert "hello" in body
+    wire_path = tmp_path / "wire.jsonl"
+    with AppendLog(wire_path) as wire, HttpChatBackend(
+        _http_config(tmp_path), transport=transport, wire_log=wire
+    ) as backend:
+        backend.chat([{"role": "user", "content": "hi"}])
+    body = wire_path.read_text()
+    assert body.endswith("\n") and body.count("\n") == 1
+    record = json.loads(body)
+    assert sorted(record) == ["request", "response", "status", "url"]
+    assert record["response"] == _chat_payload("hello") and record["status"] == 200
     assert "super-secret" not in body
 
 
@@ -236,12 +237,12 @@ def test_embed_batch_uses_cache(tmp_path, monkeypatch):
         ]
     )
     ledger = CallLedger()
-    backend = HttpEmbedBackend(_http_config(tmp_path), ledger=ledger, transport=transport)
-    first = backend.embed(["a"])
-    assert first.shape == (1, 2)
-    # Batch of three with one already cached: exactly two uncached
-    # computations go out.
-    second = backend.embed(["a", "b", "c"])
+    with HttpEmbedBackend(_http_config(tmp_path), ledger=ledger, transport=transport) as backend:
+        first = backend.embed(["a"])
+        assert first.shape == (1, 2)
+        # Batch of three with one already cached: exactly two uncached
+        # computations go out.
+        second = backend.embed(["a", "b", "c"])
     assert second.shape == (3, 2)
     sent = transport.requests[1][1]["input"]
     assert sent == ["b", "c"]
@@ -256,78 +257,46 @@ def test_embed_dimension_drift_rejected(tmp_path, monkeypatch):
             (200, _embed_payload([[1.0, 0.0, 0.0]])),
         ]
     )
-    backend = HttpEmbedBackend(_http_config(tmp_path), transport=transport)
-    backend.embed(["a"])
-    with pytest.raises(BackendError, match="dimension"):
-        backend.embed(["b"])
+    with HttpEmbedBackend(_http_config(tmp_path), transport=transport) as backend:
+        backend.embed(["a"])
+        with pytest.raises(BackendError, match="dimension"):
+            backend.embed(["b"])
 
 
-def test_disk_cache_same_key_from_many_threads(tmp_path):
-    cache = _DiskCache(tmp_path / "cache")
-
-    def put_many(thread: int) -> None:
-        for i in range(100):
-            cache.put("same-key", f"body {thread} {i}")
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(put_many, t) for t in range(8)]
-            for future in futures:
-                future.result(timeout=60)  # re-raises the thread's error
-    finally:
-        sys.setswitchinterval(interval)
-    assert cache.get("same-key").startswith("body ")
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["same-key.json"]
+def test_embed_hit_is_read_back_from_the_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("MDQA_TEST_KEY", "k")
+    transport = _Transport([(200, _embed_payload([[0.25, -1.5, 3.0]]))])
+    with HttpEmbedBackend(_http_config(tmp_path), transport=transport) as backend:
+        first = backend.embed(["a"])
+    with HttpEmbedBackend(_http_config(tmp_path), transport=transport) as backend:
+        assert np.array_equal(backend.embed(["a"]), first)
+    assert len(transport.requests) == 1
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "manifest.json", "vectors.f4",
+    ]
 
 
-def test_disk_cache_serves_recent_bodies_from_memory(tmp_path):
-    cache = _DiskCache(tmp_path / "cache")
-    cache.put("k", "body")
-    (tmp_path / "cache" / "k.json").unlink()
-    assert cache.get("k") == "body"  # the file is gone: served from the memo
-    assert cache.get("other") is None
-
-    # A disk hit fills the memo too.
-    _DiskCache(tmp_path / "cache").put("on-disk", "stored")
-    assert cache.get("on-disk") == "stored"
-    (tmp_path / "cache" / "on-disk.json").unlink()
-    assert cache.get("on-disk") == "stored"
-
-
-def test_disk_cache_memo_is_bounded_lru(tmp_path):
-    cache = _DiskCache(tmp_path / "cache")
-    bound = _DiskCache.MEMO_ENTRIES
-    for i in range(3 * bound):
-        cache.put(f"k{i}", f"body {i}")
-        cache.get("k0")  # recently used, so never evicted
-        assert len(cache._memo) <= bound
-    assert "k0" in cache._memo and "k1" not in cache._memo
-    # Evicted keys are still read from their files.
-    assert cache.get("k1") == "body 1"
-    assert len(list((tmp_path / "cache").iterdir())) == 3 * bound
-
-
-def test_disk_cache_memo_from_many_threads(tmp_path):
-    cache = _DiskCache(tmp_path / "cache")
-
-    def work(thread: int) -> None:
-        for i in range(60):
-            key = f"t{thread}-{i % 20}"
-            cache.put(key, f"body {key}")
-            for other in range(8):
-                body = cache.get(f"t{other}-{i % 20}")
-                assert body in (None, f"body t{other}-{i % 20}")
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(work, t) for t in range(8)]
-            for future in futures:
-                future.result(timeout=60)  # re-raises the thread's error
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(cache._memo) <= _DiskCache.MEMO_ENTRIES
-    assert all(body == f"body {key}" for key, body in cache._memo.items())
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([[1.0, 0.0]], "holds 1 vectors for 2 texts"),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "holds 3 vectors for 2 texts"),
+        ([[1.0, 0.0], ["x", 1.0]], "not finite numbers"),
+        ([[1.0, 0.0], None], "not finite numbers"),
+        ([[1.0, 0.0], [[1.0], [0.0]]], "not finite numbers"),
+        ([[], []], "not finite numbers"),
+        ([[1.0, 0.0], [1.0, 0.0, 0.0]], "dimension drift"),
+        ([[1.0, 0.0], [float("nan"), 0.0]], "not finite numbers"),
+    ],
+    ids=["short", "long", "string", "null", "nested", "empty", "drift", "nan"],
+)
+def test_bad_embeddings_response_raises_and_caches_nothing(tmp_path, monkeypatch, data, message):
+    monkeypatch.setenv("MDQA_TEST_KEY", "k")
+    transport = _Transport([(200, _embed_payload(data)), (200, _embed_payload([[1.0, 0.0]] * 2))])
+    with HttpEmbedBackend(_http_config(tmp_path), transport=transport) as backend:
+        with pytest.raises(BackendError, match=message):
+            backend.embed(["a", "b"])
+        assert not (tmp_path / "cache" / "manifest.json").exists()
+        # Nothing was cached: the same texts go out again.
+        assert backend.embed(["a", "b"]).shape == (2, 2)
+    assert [r[1]["input"] for r in transport.requests] == [["a", "b"], ["a", "b"]]

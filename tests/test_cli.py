@@ -5,13 +5,16 @@ import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from mdqa import backends, cli
 from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main
+from mdqa.corpus import load_collection
 from mdqa.oracle import OracleChatBackend
+from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, text_key
 
 
 @pytest.fixture()
@@ -314,7 +317,7 @@ def _oracle_transport(workspace):
 def test_http_session_parallel_jobs_byte_identical(
     runner, workspace, finished_session, tmp_path, monkeypatch
 ):
-    """Threads share the HTTP cache's memory memo; the runs must not notice."""
+    """Threads share the HTTP caches' logs; the runs must not notice."""
     monkeypatch.setenv("MDQA_API_KEY", "k")
     monkeypatch.setattr(backends, "_requests_transport", _oracle_transport(workspace))
     outputs = []
@@ -336,8 +339,23 @@ def test_index_command_builds_cache(runner, workspace, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "indexed" in result.output
-    assert (tmp_path / "cache" / "manifest.json").exists()
-    assert list((tmp_path / "cache").glob("*.vec"))
+    cache = tmp_path / "cache"
+    assert sorted(p.name for p in cache.iterdir()) == ["manifest.json", "vectors.f4"]
+    dim = json.loads((cache / "manifest.json").read_text())["dim"]
+    data = (cache / "vectors.f4").read_bytes()
+    record = 32 + 4 * dim
+    texts = {
+        f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS]
+        for doc in load_collection(workspace / "corpus").documents
+        for page in doc.pages
+    }
+    assert len(data) == len(texts) * record
+    embedded = HashedBowEmbedder(dim=dim)
+    by_key = {text_key(text): text for text in texts}
+    for offset in range(0, len(data), record):
+        key, row = data[offset:offset + 32], data[offset + 32:offset + record]
+        expected = embedded.embed([by_key[key]])[0]
+        assert np.array_equal(np.frombuffer(row, dtype="<f4"), expected)
 
 
 def test_eval_missing_session_exits_2(runner, tmp_path):
@@ -522,6 +540,99 @@ def test_resume_after_journal_cut_is_byte_identical(
         finished_session / "system_runs.jsonl"
     ).read_bytes()
     assert (session / "journal.jsonl").read_bytes() == journal
+
+
+def _http_run(workspace, session, transport, *extra):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MDQA_API_KEY", "secret-key-value")
+        mp.setattr(backends, "_requests_transport", transport)
+        result = CliRunner().invoke(main, _run_args(
+            workspace, session, "--backend", "http", "--endpoint", "http://localhost:9/v1",
+            "--model", "m", *extra,
+        ))
+    assert result.exit_code == 0, result.output
+
+
+def _recording(transport, requests: list):
+    def record(url, body, headers, timeout):
+        requests.append((url, body))
+        return transport(url, body, headers, timeout)
+
+    return record
+
+
+@pytest.fixture(scope="module")
+def http_session(workspace, tmp_path_factory):
+    session = tmp_path_factory.mktemp("http") / "session"
+    _http_run(workspace, session, _oracle_transport(workspace))
+    return session
+
+
+def test_http_session_keeps_one_file_per_cache(http_session):
+    assert sorted(p.name for p in (http_session / "http_cache").iterdir()) == ["chat.jsonl"]
+    assert sorted(p.name for p in (http_session / "index_cache").iterdir()) == [
+        "manifest.json", "vectors.f4",
+    ]
+
+
+def test_log_wire_keeps_one_record_per_request(workspace, tmp_path):
+    requests = []
+    session = tmp_path / "session"
+    transport = _recording(_oracle_transport(workspace), requests)
+    _http_run(workspace, session, transport, "--log-wire", "--jobs", "4")
+    wire = (session / "wire.jsonl").read_text()
+    records = [json.loads(line) for line in wire.splitlines()]
+    assert {url.rsplit("/", 1)[1] for url, _ in requests} == {"completions", "embeddings"}
+    as_text = lambda url, body: json.dumps([url, body], sort_keys=True)  # noqa: E731
+    assert sorted(as_text(r["url"], r["request"]) for r in records) == sorted(
+        as_text(url, body) for url, body in requests
+    )
+    assert all(r["status"] == 200 for r in records)
+    assert "secret-key-value" not in wire
+    assert not (session / "wire").exists()
+
+
+@pytest.mark.parametrize("cache", ["http_cache/chat.jsonl", "index_cache/vectors.f4"])
+def test_resume_after_cache_cut_fetches_only_the_cut_entry(
+    workspace, http_session, tmp_path, cache
+):
+    """A crash cuts a cache's last record short. The resumed session redoes
+    its runs from the caches, fetches only the cut entry again, re-appends it
+    as it was, and ends with the same runs."""
+    data = (http_session / cache).read_bytes()
+    if cache.endswith(".jsonl"):
+        last = len(data) - data.rstrip(b"\n").rindex(b"\n") - 1
+    else:
+        last = 32 + 4 * json.loads((http_session / "index_cache/manifest.json").read_text())["dim"]
+    ledgers, sent = {}, {}
+    for cut in (False, True):
+        session = tmp_path / f"cut-{cut}"
+        shutil.copytree(http_session, session)
+        for name in ("system_runs.jsonl", "ledger.json", "journal.jsonl"):
+            (session / name).unlink()  # every run is redone
+        if cut:
+            (session / cache).write_bytes(data[:len(data) - last // 2])
+        sent[cut] = []
+        _http_run(workspace, session, _recording(_oracle_transport(workspace), sent[cut]))
+        assert (session / "system_runs.jsonl").read_bytes() == (
+            http_session / "system_runs.jsonl"
+        ).read_bytes()
+        assert (session / cache).read_bytes() == data
+        ledgers[cut] = json.loads((session / "ledger.json").read_text())
+    assert sent[False] == []
+    (url, body), = sent[True]
+    torn, expected = data[-last:], ledgers[False]
+    if cache.endswith(".jsonl"):
+        assert json.loads(torn)["key"] == backends._hash_request(body)
+        expected["network_chat_total"] += 1
+    else:
+        assert [text_key(text) for text in body["input"]] == [torn[:32]]
+        (scope, n), = ledgers[True]["embed_by_scope"].items()
+        assert n == 1 and expected["embed_by_scope"] == {}
+        expected["embed_by_scope"] = {scope: 1}
+        expected["embed_total"] += 1
+    # The ledger counts that one fetch and nothing else.
+    assert ledgers[True] == expected
 
 
 def test_crash_at_run_n_leaves_n_minus_1_journal_lines(runner, workspace, tmp_path, monkeypatch):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from mdqa.backends import BackendError, HashedBowEmbedder, tokenize, token_slot
 from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
+    VectorStore,
+    text_key,
     CacheMismatchError,
     PageIndex,
     RetrievalError,
@@ -78,40 +80,53 @@ def test_index_has_one_entry_per_page():
     assert len(index) == 10
 
 
+def _build_cached(collection, embedder, root):
+    with VectorStore(root, embedder.fingerprint) as store:
+        return build_index(collection, embedder, store)
+
+
 def test_rebuild_with_cache_costs_nothing(tmp_path):
     collection = _collection({"d1": ["alpha one", "beta two"], "d2": ["gamma three"]})
     first = HashedBowEmbedder()
-    build_index(collection, first, cache_dir=tmp_path)
+    _build_cached(collection, first, tmp_path)
     assert first.compute_count == 3
     second = HashedBowEmbedder()
-    index = build_index(collection, second, cache_dir=tmp_path)
+    index = _build_cached(collection, second, tmp_path)
     assert second.compute_count == 0
     assert len(index) == 3
 
 
 def test_one_edited_page_costs_one_computation(tmp_path):
     texts = {"d1": ["alpha one", "beta two"], "d2": ["gamma three"]}
-    build_index(_collection(texts), HashedBowEmbedder(), cache_dir=tmp_path)
+    _build_cached(_collection(texts), HashedBowEmbedder(), tmp_path)
     texts["d1"][1] = "beta two EDITED"
     embedder = HashedBowEmbedder()
-    build_index(_collection(texts), embedder, cache_dir=tmp_path)
+    _build_cached(_collection(texts), embedder, tmp_path)
     assert embedder.compute_count == 1
 
 
 def test_cache_fingerprint_mismatch(tmp_path):
     collection = _collection({"d1": ["alpha"]})
-    build_index(collection, HashedBowEmbedder(dim=512), cache_dir=tmp_path)
+    _build_cached(collection, HashedBowEmbedder(dim=512), tmp_path)
     with pytest.raises(CacheMismatchError):
-        build_index(collection, HashedBowEmbedder(dim=64), cache_dir=tmp_path)
+        _build_cached(collection, HashedBowEmbedder(dim=64), tmp_path)
 
 
 def test_cache_files_are_float32_records(tmp_path):
-    collection = _collection({"d1": ["alpha"]})
-    index = build_index(collection, HashedBowEmbedder(), cache_dir=tmp_path)
-    vec_files = list(tmp_path.glob("*.vec"))
-    assert len(vec_files) == 1
-    raw = np.frombuffer(vec_files[0].read_bytes(), dtype="<f4")
-    assert raw.shape[0] == index.embedding_dim
+    collection = _collection({"d1": ["alpha", "beta two"], "d2": ["alpha"]})
+    index = _build_cached(collection, HashedBowEmbedder(), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "vectors.f4"]
+    # One record per distinct page text (title, newline, content), in the
+    # order they were embedded: by key.
+    texts = sorted({"\nalpha", "\nbeta two"}, key=text_key)
+    record = 32 + 4 * index.embedding_dim
+    data = (tmp_path / "vectors.f4").read_bytes()
+    assert len(data) == len(texts) * record
+    expected = HashedBowEmbedder().embed(texts)
+    for i, text in enumerate(texts):
+        key, row = data[i * record:i * record + 32], data[i * record + 32:(i + 1) * record]
+        assert key == text_key(text)
+        assert np.array_equal(np.frombuffer(row, dtype="<f4"), expected[i])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +246,7 @@ def test_equal_document_outside_the_index_ranks_the_same():
 def test_index_rejects_rows_it_cannot_span(refs, documents, message):
     vectors = np.eye(3, dtype=np.float32)
     with pytest.raises(RetrievalError, match=message):
-        PageIndex(refs, vectors, ["a", "b", "c"], "test", documents=documents)
+        PageIndex(refs, vectors, "test", documents=documents)
 
 
 def test_scores_in_range_and_self_similarity():
