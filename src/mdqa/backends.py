@@ -215,9 +215,11 @@ class _HttpBackendBase(Closable):
         headers = {"Content-Type": "application/json", **self._auth_header()}
         url = self.config.endpoint.rstrip("/") + path
         last_error = None
-        for attempt in range(self.config.max_retries):
-            if attempt:
-                self._sleep(self.config.backoff_base * (2 ** (attempt - 1)))
+        attempts = 0
+        while attempts < self.config.max_retries:
+            if attempts:
+                self._sleep(self.config.backoff_base * (2 ** (attempts - 1)))
+            attempts += 1
             with self._semaphore:
                 try:
                     status, payload = self._transport(url, body, headers, 60.0)
@@ -231,7 +233,8 @@ class _HttpBackendBase(Closable):
             if status not in _RETRYABLE_STATUS:
                 break
         raise BackendError(
-            f"request to {url} failed after {self.config.max_retries} attempts: {last_error}"
+            f"request to {url} failed after {attempts} "
+            f"attempt{'s' if attempts != 1 else ''}: {last_error}"
         )
 
 

@@ -25,6 +25,7 @@ from . import synth as synth_mod
 from .backends import (
     BackendConfig,
     BackendConfigError,
+    BackendError,
     CallLedger,
     HashedBowEmbedder,
     HttpChatBackend,
@@ -383,7 +384,10 @@ def run_cmd(
             backend, oracle_mode, table, questions, dataset_year, ledger,
             session, log_wire, endpoint, model, auth_env, files,
         )
-        page_index = build_index(collection, backends.embed, vectors)
+        try:
+            page_index = build_index(collection, backends.embed, vectors)
+        except BackendError as exc:
+            _fail(f"the page index could not be built: {exc}")
         # Completed runs by key. Opening the journal cut off a torn last
         # line; its run is redone.
         journal = files.enter_context(AppendLog(session / "journal.jsonl"))

@@ -8,16 +8,20 @@ sha256 of the embedded text. An HTTP session's embedding backend shares the
 index's store, so each vector is stored once.
 
 In memory the index holds float64 unit vectors, and each document's pages
-are one contiguous span of rows. A query scores a pool of documents span by
-span: spans of documents adjacent in both the pool and the index merge into
-one run, and each run is one mat-vec over a view of the matrix, so the whole
-collection is a single mat-vec and nothing is copied. One ``np.lexsort`` on
+are one contiguous span of rows. A pool of documents becomes runs of rows:
+spans of documents adjacent in both the pool and the index merge into one
+run, and the whole collection the index was built from is one run computed
+at build time. Each run is scored with ``np.einsum("ij,j->i")`` over a view
+of the matrix, which reduces every row on its own, so a page's score depends
+only on the query vector and its row: not on the pool, its order or how it
+splits into runs, and no BLAS thread is involved. One ``np.lexsort`` on
 (-score, position in (doc_id, page_number) order) then ranks the pool; the
 positions are computed once when the index is built.
 
-BLAS may round a row's dot product differently depending on where the row
-falls in a mat-vec, so a score can differ in its last bits between pools
-whose runs differ; pools scored as the same runs get identical scores.
+A ranking is a function of (query vector, runs), so the index keeps the
+whole sorted ranking of its last ``RANKING_MEMO_SIZE`` (query vector, runs)
+pairs and serves any k as a prefix of it: a question's k sweep embeds its
+query once per run but ranks it once.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import hashlib
 import itertools
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,6 +41,10 @@ from .corpus import Document, DocumentCollection
 from .files import AppendLog, Closable, read_json, write_json
 
 EMBED_INPUT_MAX_CHARS = 6000
+# Whole rankings a PageIndex keeps, least recently used out first. `mdqa run`
+# runs each question's k sweep back to back, so a ranking is reused within a
+# few calls of being computed.
+RANKING_MEMO_SIZE = 32
 
 
 class RetrievalError(Exception):
@@ -57,14 +66,16 @@ class ScoredPage:
 
 
 class PageIndex:
-    """One embedding per page of a collection. Immutable after build;
-    scoring shares it read-only.
+    """One embedding per page of a collection. The vectors are immutable
+    after build and scoring only reads them; the one thing that changes is a
+    memo of the last ``RANKING_MEMO_SIZE`` whole rankings, keyed by (query
+    vector, runs) and guarded by a lock, so threads may share an index.
 
     Each document's pages must be one contiguous span of rows, as
     ``build_index`` lays them out. A pool document that is one of
     ``documents`` (the objects the index was built from) is matched to its
     span by identity of its ``pages`` tuple; any other document by comparing
-    page numbers.
+    page numbers. A pool that is ``documents`` itself reuses its runs.
     """
 
     def __init__(
@@ -108,6 +119,14 @@ class PageIndex:
         self._standard_refs = [self.refs[i] for i in standard]
         self._standard_pos = np.empty(len(self.refs), dtype=np.int64)
         self._standard_pos[standard] = np.arange(len(self.refs))
+        # The pool of all the documents the index was built from, and its runs.
+        pool = tuple(documents)
+        self._documents = None  # no shortcut while its runs are computed
+        self._documents_runs = self.row_runs(pool)
+        self._documents = pool
+        # (query vector bytes, runs) -> (positions, scores), best first.
+        self._rankings: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.refs)
@@ -121,14 +140,16 @@ class PageIndex:
     def unit_vector(self, page_ref: tuple[str, int]) -> np.ndarray:
         return self._unit[self.row(page_ref)]
 
-    def row_runs(self, docs: Sequence[Document]) -> list[list[int]]:
-        """The pool's rows as ``[start, stop)`` runs in pool order; spans of
+    def row_runs(self, docs: Sequence[Document]) -> tuple[tuple[int, int], ...]:
+        """The pool's rows as ``(start, stop)`` runs in pool order; spans of
         documents adjacent in both the pool and the index share one run.
 
         Raises ``UnindexedPageError`` unless each pool document holds exactly
         the pages indexed under its doc_id.
         """
-        runs: list[list[int]] = []
+        if docs is self._documents:
+            return self._documents_runs
+        runs: list[tuple[int, int]] = []
         for doc in docs:
             if not doc.pages:
                 continue
@@ -144,32 +165,54 @@ class PageIndex:
                     )
             start, stop, _ = span
             if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
+                runs[-1] = (runs[-1][0], stop)
             else:
-                runs.append([start, stop])
-        return runs
+                runs.append((start, stop))
+        return tuple(runs)
 
-    def rank(self, query_vec: np.ndarray, runs: list[list[int]], k: int) -> list[ScoredPage]:
-        """Top-k of the rows in ``runs`` by cosine to ``query_vec``."""
-        q = query_vec.astype(np.float64)
+    def rank(
+        self, query_vec: np.ndarray, runs: tuple[tuple[int, int], ...], k: int
+    ) -> list[ScoredPage]:
+        """Top-k of the rows in ``runs`` by cosine to ``query_vec``: the first
+        k of the pool's whole ranking, which is computed once per (query
+        vector, runs) while it stays in the memo."""
+        q = np.asarray(query_vec, dtype=np.float64)
+        key = (q.tobytes(), runs)
+        with self._lock:
+            ranked = self._rankings.get(key)
+            if ranked is not None:
+                self._rankings.move_to_end(key)
+        if ranked is None:
+            ranked = self._rank_all(q, runs)
+            with self._lock:
+                self._rankings[key] = ranked
+                if len(self._rankings) > RANKING_MEMO_SIZE:
+                    self._rankings.popitem(last=False)
+        positions, scores = ranked
+        refs = self._standard_refs
+        return [
+            ScoredPage(page_ref=refs[p], score=s)
+            for p, s in zip(positions[:k].tolist(), scores[:k].tolist())
+        ]
+
+    def _rank_all(
+        self, q: np.ndarray, runs: tuple[tuple[int, int], ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and scores of every row in ``runs``, best first."""
         norm = math.sqrt(q.dot(q))  # np.linalg.norm(q), without its overhead
         if norm > 0:
             q = q / norm
         if len(runs) == 1:
             (start, stop), = runs
-            scores = self._unit[start:stop] @ q
+            scores = np.einsum("ij,j->i", self._unit[start:stop], q)
             positions = self._standard_pos[start:stop]
         else:
-            scores = np.concatenate([self._unit[a:b] @ q for a, b in runs])
+            scores = np.concatenate([np.einsum("ij,j->i", self._unit[a:b], q) for a, b in runs])
             positions = np.concatenate([self._standard_pos[a:b] for a, b in runs])
         np.minimum(scores, 1.0, out=scores)  # clip to [-1, 1] in place
         np.maximum(scores, -1.0, out=scores)
-        top = np.lexsort((positions, -scores))[:k]
-        refs = self._standard_refs
-        return [
-            ScoredPage(page_ref=refs[p], score=s)
-            for p, s in zip(positions[top].tolist(), scores[top].tolist())
-        ]
+        order = np.lexsort((positions, -scores))
+        return positions[order], scores[order]
 
 
 def text_key(text: str) -> bytes:

@@ -183,9 +183,19 @@ def test_chat_non_retryable_stops_immediately(tmp_path, monkeypatch):
     transport = _Transport([(401, {"error": "bad key"})])
     with HttpChatBackend(
         _http_config(tmp_path), transport=transport, sleeper=lambda s: None
-    ) as backend, pytest.raises(BackendError, match="401"):
+    ) as backend, pytest.raises(BackendError, match="failed after 1 attempt: HTTP 401"):
         backend.chat([{"role": "user", "content": "x"}])
     assert len(transport.requests) == 1
+
+
+def test_chat_reports_the_attempts_it_made(tmp_path, monkeypatch):
+    monkeypatch.setenv("MDQA_TEST_KEY", "k")
+    transport = _Transport([(503, {}), (429, {}), (400, {"error": "bad request"})])
+    with HttpChatBackend(
+        _http_config(tmp_path, max_retries=5), transport=transport, sleeper=lambda s: None
+    ) as backend, pytest.raises(BackendError, match="failed after 3 attempts: HTTP 400"):
+        backend.chat([{"role": "user", "content": "x"}])
+    assert len(transport.requests) == 3
 
 
 def test_missing_auth_fails_before_any_network(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main
 from mdqa.corpus import load_collection
 from mdqa.oracle import OracleChatBackend
+from mdqa.qasystems import SYSTEM_IDS
 from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, text_key
 
 
@@ -273,6 +274,26 @@ def test_run_parallel_jobs_byte_identical(runner, workspace, tmp_path):
         )
         assert result.exit_code == 0, result.output
         outputs.append((session / "system_runs.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_run_parallel_jobs_byte_identical_across_a_k_sweep(runner, workspace, tmp_path):
+    """Every system over a k sweep, so threads share memoised rankings."""
+    outputs = []
+    for jobs in ("1", "4"):
+        session = tmp_path / f"jobs-{jobs}"
+        result = runner.invoke(main, [
+            "run",
+            "--corpus", str(workspace / "corpus"),
+            "--questions", str(workspace / "questions.jsonl"),
+            "--session", str(session),
+            "--systems", ",".join(SYSTEM_IDS),
+            "--k-grid", "4,8,16",
+            "--jobs", jobs,
+        ])
+        assert result.exit_code == 0, result.output
+        outputs.append((session / "system_runs.jsonl").read_bytes())
+    assert len(outputs[0].splitlines()) == 4 * 3 * 9
     assert outputs[0] == outputs[1]
 
 
@@ -551,6 +572,28 @@ def _http_run(workspace, session, transport, *extra):
             "--model", "m", *extra,
         ))
     assert result.exit_code == 0, result.output
+
+
+def test_http_index_build_failure_exits_2(workspace, tmp_path):
+    """A backend error while the page index is built is reported, not raised."""
+    requests = []
+
+    def unauthorized(url, body, headers, timeout):
+        requests.append(url)
+        return 401, {"error": "invalid api key"}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MDQA_API_KEY", "secret-key-value")
+        mp.setattr(backends, "_requests_transport", unauthorized)
+        result = CliRunner().invoke(main, _run_args(
+            workspace, tmp_path / "session", "--backend", "http",
+            "--endpoint", "http://localhost:9/v1", "--model", "m",
+        ))
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: the page index could not be built: ")
+    assert "failed after 1 attempt: HTTP 401" in result.output
+    assert "Traceback" not in result.output
+    assert requests and all(url.endswith("/embeddings") for url in requests)
 
 
 def _recording(transport, requests: list):

@@ -475,6 +475,31 @@ def test_run_system_scopes_ledger(clean_world):
     assert by_scope[("vanilla_rag", question.question_id)] == run.chat_calls
 
 
+def test_k_sweep_meters_every_embed_while_ranking_once(clean_world):
+    """Across a question's k sweep the index ranks each query once, yet every
+    run still meters its own embed calls and the ledger counts them all."""
+    collection, _, _, questions, backends = clean_world
+    index = build_index(collection, HashedBowEmbedder())
+    question = questions[0]
+    runs = [
+        run_system(
+            system_id, question.question_id, question.text, collection, index, backends, k, 2023
+        )
+        for system_id in ("vanilla_rag", "multi_query_rag")
+        for k in (4, 8, 16)
+    ]
+    assert all(run.failure is None for run in runs)
+    n_queries = runs[-1].embed_calls
+    assert n_queries > 1
+    assert [run.embed_calls for run in runs] == [1] * 3 + [n_queries] * 3
+    by_scope = backends.ledger.embed_by_scope()
+    assert by_scope[("vanilla_rag", question.question_id)] == 3
+    assert by_scope[("multi_query_rag", question.question_id)] == 3 * n_queries
+    # The question itself is multi_query_rag's first query: its ranking is
+    # shared with vanilla_rag's.
+    assert len(index._rankings) == n_queries
+
+
 def test_system_run_round_trip(clean_world):
     collection, _, index, questions, backends = clean_world
     question = questions[0]

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdqa.backends import BackendError, HashedBowEmbedder, tokenize, token_slot
+from mdqa.backends import BackendError, CallLedger, HashedBowEmbedder, tokenize, token_slot
 from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
+    RANKING_MEMO_SIZE,
     VectorStore,
     text_key,
     CacheMismatchError,
@@ -64,7 +67,8 @@ def _reference_retrieve(query, docs, k, index, embed_backend):
     norm = np.linalg.norm(q)
     if norm > 0:
         q = q / norm
-    scores = np.clip(matrix @ q, -1.0, 1.0)
+    # Each row reduced on its own, as the index scores it.
+    scores = np.clip(np.einsum("ij,j->i", matrix, q), -1.0, 1.0)
     order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i][0], refs[i][1]))
     return [ScoredPage(page_ref=refs[i], score=float(scores[i])) for i in order[:k]]
 
@@ -292,9 +296,6 @@ def test_topk_prefix_property_random_queries():
             assert [s.page_ref for s in prefix] == [s.page_ref for s in full[:k]]
 
 
-# Scores are sums of 512 products of unit-vector entries; a changed summation
-# order moves them by at most a few float64 ulps.
-_SCORE_TOL = 1e-12
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 _texts = st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join)
 
@@ -328,22 +329,131 @@ def test_matches_python_loop_reference(collection, query, data):
 
     got = retrieve_relevant_pages(query, pool, k, index, embedder)
     want = _reference_retrieve(query, pool, k, index, embedder)
-    positions = [docs.index(doc) for doc in pool]
-    if positions == list(range(positions[0], positions[0] + len(pool))):
-        # One run of rows in index order: the same mat-vec, so exact.
-        assert [(s.page_ref, s.score) for s in got] == [(s.page_ref, s.score) for s in want]
-        return
-    # Otherwise BLAS groups the rows differently, and a score can move in
-    # its last bits; ranks may then differ only among near-ties.
-    assert len(got) == len(want) == min(k, n)
-    reference = {s.page_ref: s.score for s in _reference_retrieve(query, pool, n, index, embedder)}
-    for scored in got:
-        assert scored.score == pytest.approx(reference[scored.page_ref], abs=_SCORE_TOL)
-    assert sorted((reference[s.page_ref] for s in got), reverse=True) == pytest.approx(
-        [s.score for s in want], abs=_SCORE_TOL
-    )
-    keys = [(-s.score, s.page_ref) for s in got]
+    assert [(s.page_ref, s.score) for s in got] == [(s.page_ref, s.score) for s in want]
+
+
+class _FixedEmbedder:
+    """Embeds every text as one fixed vector."""
+
+    def __init__(self, vector):
+        self.vector = vector
+
+    def embed(self, texts):
+        return np.stack([self.vector] * len(texts))
+
+
+@st.composite
+def _dense_indexes(draw):
+    """A ``PageIndex`` of dense random rows, some of them repeated so that
+    exact ties occur, with documents laid out in any order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = rng.standard_normal((draw(st.integers(1, 12)), 512)).astype(np.float32)
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    docs = [
+        make_doc(f"d{i}", pages=tuple(Page(n + 1, "", "") for n in range(size)))
+        for i, size in enumerate(sizes)
+    ]
+    docs = draw(st.permutations(docs))
+    refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
+    vectors = palette[rng.integers(0, len(palette), len(refs))]
+    index = PageIndex(refs, vectors, "dense", documents=tuple(docs))
+    return index, docs, rng.standard_normal(512).astype(np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=_dense_indexes(), data=st.data())
+def test_scores_do_not_depend_on_pool_order_or_split(world, data):
+    """A page's score is a function of (query, page): permuting the pool, so
+    that its rows fall into other runs, or ranking a sub-pool gives the same
+    (page_ref, score) list as filtering the whole collection's ranking."""
+    index, docs, query_vec = world
+    embedder = _FixedEmbedder(query_vec)
+    whole = retrieve_relevant_pages("q", tuple(docs), len(index), index, embedder)
+    pool = data.draw(st.lists(st.sampled_from(docs), min_size=1, unique_by=lambda d: d.doc_id))
+    members = {doc.doc_id for doc in pool}
+    want = [(s.page_ref, s.score) for s in whole if s.page_ref[0] in members]
+    for shuffled in (pool, data.draw(st.permutations(pool)), pool[::-1]):
+        got = retrieve_relevant_pages("q", shuffled, len(index), index, embedder)
+        assert [(s.page_ref, s.score) for s in got] == want
+    keys = [(-score, ref) for ref, score in want]
     assert keys == sorted(keys)
+
+
+def _counting_rank_all(index, monkeypatch):
+    ranked = []
+    real = index._rank_all
+
+    def rank_all(q, runs):
+        ranked.append(runs)
+        return real(q, runs)
+
+    monkeypatch.setattr(index, "_rank_all", rank_all)
+    return ranked
+
+
+def test_smaller_k_is_the_prefix_served_from_the_memo(monkeypatch):
+    rng = random.Random(3)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon"]
+    collection = _collection(
+        {f"d{i}": [" ".join(rng.choices(words, k=5)) for _ in range(6)] for i in range(4)}
+    )
+    ledger = CallLedger()
+    embedder = HashedBowEmbedder(ledger=ledger)
+    index = build_index(collection, embedder)
+    ranked = _counting_rank_all(index, monkeypatch)
+    built = embedder.compute_count
+    pool = collection.documents[2:0:-1]  # two runs
+    for docs in (collection.documents, pool):
+        full = retrieve_relevant_pages("alpha beta", docs, 100, index, embedder)
+        for k in (1, 4, 7, 16):
+            got = retrieve_relevant_pages("alpha beta", docs, k, index, embedder)
+            assert got == full[:k]
+    assert ranked == [((0, 24),), ((12, 18), (6, 12))]
+    # Each call embedded its query, and the ledger counted it.
+    assert embedder.compute_count - built == 10
+    assert ledger.embed_total == embedder.compute_count
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    collection = _collection({"d1": ["alpha beta", "gamma"], "d2": ["delta alpha"]})
+    index = build_index(collection, HashedBowEmbedder())
+    ranked = _counting_rank_all(index, monkeypatch)
+    queries = [_FixedEmbedder(np.eye(512)[i]) for i in range(RANKING_MEMO_SIZE + 5)]
+    for query in queries:
+        retrieve_relevant_pages("q", collection.documents, 2, index, query)
+    assert len(index._rankings) == RANKING_MEMO_SIZE
+    assert len(ranked) == len(queries)
+    retrieve_relevant_pages("q", collection.documents, 3, index, queries[-1])
+    assert len(ranked) == len(queries)  # the newest is still held
+    retrieve_relevant_pages("q", collection.documents, 3, index, queries[0])
+    assert len(ranked) == len(queries) + 1  # the oldest was evicted
+    assert len(index._rankings) == RANKING_MEMO_SIZE
+
+
+def test_memo_from_many_threads():
+    """Eight threads share one index's memo: every ranking equals the
+    reference loop and the memo stays within its bound."""
+    rng = random.Random(8)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    collection = _collection(
+        {f"d{i}": [" ".join(rng.choices(words, k=4)) for _ in range(5)] for i in range(6)}
+    )
+    queries = [" ".join(rng.choices(words, k=2)) for _ in range(3 * RANKING_MEMO_SIZE)]
+    pools = [collection.documents, collection.documents[::-2], collection.documents[1:4]]
+    work = [(q, pool, k) for q in queries for pool in pools for k in (1, 5, 30)]
+    index = build_index(collection, HashedBowEmbedder())
+    embedder = HashedBowEmbedder()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(
+                lambda item: retrieve_relevant_pages(*item, index, embedder), work, timeout=120
+            ))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [_reference_retrieve(*item, index, embedder) for item in work]
+    assert len(index._rankings) <= RANKING_MEMO_SIZE
 
 
 # ---------------------------------------------------------------------------
