@@ -2,8 +2,10 @@
 stability, cost, trace.
 
 Sessions live under an output directory: the effective config, the question
-set, an append-only journal of completed runs (so interrupted sessions
-resume), the sorted run records, call ledger, caches, and reports. Everything a
+set, the run records, call ledger, caches, and reports. ``mdqa run`` keeps no
+run in memory: each completed run is appended to ``journal.jsonl`` (so an
+interrupted session resumes), and at the end the journal's lines are copied,
+sorted, into ``system_runs.jsonl`` and the journal is emptied. Everything a
 report needs is recorded in the session, and identical inputs with oracle
 backends reproduce identical outputs byte for byte.
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -35,7 +38,6 @@ from .corpus import (
     CorpusError,
     DocumentCollection,
     FactTable,
-    doc_signature,
     load_collection,
     load_fact_table,
 )
@@ -46,7 +48,7 @@ from .evaluation import (
     stability_report,
     write_report,
 )
-from .files import AppendLog, FileFormatError, jsonl_line, read_json, read_jsonl, write_json, write_jsonl
+from .files import AppendLog, FileFormatError, atomic_open, jsonl_line, read_json, read_jsonl, write_json
 from .oracle import OracleChatBackend
 from .qasystems import SYSTEM_IDS, Backends, SystemRun, run_system
 from .questiongen import (
@@ -388,13 +390,14 @@ def run_cmd(
             page_index = build_index(collection, backends.embed, vectors)
         except BackendError as exc:
             _fail(f"the page index could not be built: {exc}")
-        # Completed runs by key. Opening the journal cut off a torn last
-        # line; its run is redone.
-        journal = files.enter_context(AppendLog(session / "journal.jsonl"))
-        done = {
-            (run.system_id, run.question_id, run.k): run
-            for run in read_jsonl(journal.path, SystemRun.from_json_dict)
-        }
+        # The journal holds each completed run once, by key: opening it cut
+        # off a torn last line (that run is redone), and the runs of a
+        # finished session that it lacks are appended to it.
+        journal = files.enter_context(AppendLog(session / "journal.jsonl", key=_run_key))
+        runs_path = session / "system_runs.jsonl"
+        if runs_path.exists():
+            journal.extend(runs_path)
+        done = set(journal.keys())
         # Question-major: a question's k runs are adjacent, so the plan
         # parse memo catches their repeats.
         todo = [
@@ -405,30 +408,49 @@ def run_cmd(
             if (system_id, q.question_id, k) not in done
         ]
 
-        def execute(item):
+        def execute(item) -> None:
             system_id, question, k = item
             run = run_system(
                 system_id, question.question_id, question.text, collection, page_index,
                 backends, k, dataset_year, n_queries=n_queries,
             )
-            journal.append(jsonl_line(run.to_json_dict()).encode("utf-8"))
-            return run
+            journal.append(
+                jsonl_line(run.to_json_dict()).encode("utf-8"),
+                (system_id, question.question_id, k),
+            )
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                new_runs = list(pool.map(execute, todo))
+                for _ in pool.map(execute, todo):
+                    pass
         else:
-            new_runs = [execute(item) for item in todo]
+            for item in todo:
+                execute(item)
+        n_runs = _write_runs(journal, runs_path)
 
-    all_runs = list(done.values()) + new_runs
-    all_runs.sort(key=lambda r: (r.system_id, r.k, r.question_id))
-    write_jsonl(session / "system_runs.jsonl", (run.to_json_dict() for run in all_runs))
     write_json(ledger_path, ledger.snapshot())
     click.echo(
-        f"session {session}: {len(all_runs)} runs "
-        f"({len(new_runs)} new, {len(done)} resumed), "
+        f"session {session}: {n_runs} runs "
+        f"({len(todo)} new, {len(done)} resumed), "
         f"chat_calls={ledger.chat_total}"
     )
+
+
+def _run_key(line: bytes) -> tuple[str, str, int]:
+    """(system, question, k) of a run's JSON line."""
+    record = json.loads(line)
+    return record["system_id"], record["question_id"], int(record["k"])
+
+
+def _write_runs(journal: AppendLog, path: Path) -> int:
+    """Copy the journal's runs into ``path``, sorted by (system, k,
+    question), then empty the journal. A crash in between leaves both files
+    holding the same runs; a resume reads their union. Returns the count."""
+    keys = sorted(journal.keys(), key=lambda key: (key[0], key[2], key[1]))
+    with atomic_open(path, "wb") as fh:
+        fh.writelines(map(journal.read, keys))
+    journal.clear()
+    return len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +612,11 @@ def trace(session_dir: str, question_id: str, system_id: str, k: int, corpus_dir
     click.echo(f"Gold: {gold_answer['value']}  docs={', '.join(question.gold_docs)}")
     predicted = run.predicted.to_json_dict()["value"] if run.predicted else None
     click.echo(f"Predicted: {predicted}  failure={run.failure}")
-    gold_signatures = set()
-    for doc_id in question.gold_docs:
-        doc = collection.get_document(doc_id)
-        gold_signatures.add(doc.signature())
+    gold_signatures = set(map(collection.signature_of, question.gold_docs))
     gold_pages = set(question.gold_pages)
     click.echo("Retrieved pages:")
     for ref in run.retrieved_pages:
-        sym, form, year, period_end = doc_signature(ref, collection)
+        sym, form, year, period_end = collection.page_signature(ref)
         wrong = []
         if not any(sym == g[0] for g in gold_signatures):
             wrong.append("company")
@@ -609,7 +628,7 @@ def trace(session_dir: str, question_id: str, system_id: str, k: int, corpus_dir
         flag = f" wrong:{','.join(wrong)}" if wrong else ""
         click.echo(
             f"  page {ref[0]}#{ref[1]}  form={form} company={sym} "
-            f"fiscal_year={year} period_end={period_end.isoformat()} "
+            f"fiscal_year={year} period_end={period_end} "
             f"matched={matched}{flag}"
         )
     if run.plan_source:

@@ -157,6 +157,7 @@ class DocumentCollection:
             raise CorpusError("collection is empty")
         self._by_id: dict[str, Document] = {}
         self._pages: dict[tuple[str, int], Page] = {}
+        self._signatures: dict[str, tuple[str, str, int, str]] = {}
         self._index: dict[tuple[str, str, int], list[Document]] = {}
         seen_identity: set[tuple[str, str, int, date]] = set()
         for doc in self.documents:
@@ -171,6 +172,7 @@ class DocumentCollection:
                 )
             seen_identity.add(identity)
             self._by_id[doc.doc_id] = doc
+            self._signatures[doc.doc_id] = (*identity[:3], identity[3].isoformat())
             self._index.setdefault(
                 (doc.stock_symbol, doc.form_type, doc.fiscal_year), []
             ).append(doc)
@@ -193,13 +195,28 @@ class DocumentCollection:
         return doc_id in self._by_id
 
     def get_page(self, doc_id: str, page_number: int) -> Page:
-        doc = self.get_document(doc_id)
         try:
-            return self._pages[(doc.doc_id, page_number)]
+            return self._pages[(doc_id, page_number)]
         except KeyError:
+            self.get_document(doc_id)
             raise UnknownDocumentError(
                 f"doc {doc_id!r} has no page {page_number}"
             ) from None
+
+    def signature_of(self, doc_id: str) -> tuple[str, str, int, str]:
+        """A document's (symbol, form type, fiscal year, ISO period end),
+        computed once per document."""
+        try:
+            return self._signatures[doc_id]
+        except KeyError:
+            raise UnknownDocumentError(f"unknown doc_id {doc_id!r}") from None
+
+    def page_signature(self, page_ref: tuple[str, int]) -> tuple[str, str, int, str]:
+        """``signature_of`` the document owning a page, which must exist."""
+        doc_id, page_number = page_ref
+        if (doc_id, page_number) not in self._pages:
+            self.get_page(doc_id, page_number)  # raises UnknownDocumentError
+        return self._signatures[doc_id]
 
     def lookup(self, stock_symbol: str, form_type: str, fiscal_year: int) -> list[Document]:
         return list(self._index.get((stock_symbol.upper(), form_type, fiscal_year), ()))

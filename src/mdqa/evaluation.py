@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import DocumentCollection, doc_signature
+from .corpus import DocumentCollection
 from .files import atomic_open, write_json
 from .qasystems import ParsedAnswer, SystemRun
 from .questiongen import GoldAnswer, Question
@@ -101,16 +101,8 @@ def doc_level_sets(
     run: SystemRun, question: Question, collection: DocumentCollection
 ) -> tuple[set, set]:
     """Map retrieved pages and gold docs through document signatures."""
-    retrieved = set()
-    for ref in run.retrieved_pages:
-        sym, form, year, period_end = doc_signature(ref, collection)
-        retrieved.add((sym, form, year, period_end.isoformat()))
-    gold = set()
-    for doc_id in question.gold_docs:
-        doc = collection.get_document(doc_id)
-        gold.add(
-            (doc.stock_symbol, doc.form_type, doc.fiscal_year, doc.period_end_date.isoformat())
-        )
+    retrieved = set(map(collection.page_signature, run.retrieved_pages))
+    gold = set(map(collection.signature_of, question.gold_docs))
     return retrieved, gold
 
 
@@ -238,7 +230,11 @@ def bottleneck_report(
     collection: DocumentCollection,
 ) -> dict[str, float]:
     """R-squared between per-cell accuracy and each mean retrieval metric."""
-    cells = aggregate_cells(runs, questions, collection)
+    return cells_r_squared(aggregate_cells(runs, questions, collection))
+
+
+def cells_r_squared(cells: Sequence[CellStats]) -> dict[str, float]:
+    """``bottleneck_report`` of cells already aggregated."""
     if len(cells) < 3:
         raise DegenerateDataError(
             f"bottleneck analysis needs at least 3 (system, k) cells, got {len(cells)}"
@@ -336,7 +332,7 @@ def build_report(
             best_k[cell.system_id] = {"k": cell.k, "accuracy": cell.accuracy}
     report["best_k"] = best_k
     if len(cells) >= 3:
-        report["bottleneck_r_squared"] = bottleneck_report(runs, questions, collection)
+        report["bottleneck_r_squared"] = cells_r_squared(cells)
     by_id = {q.question_id: q for q in questions}
     multi_hits = 0
     multi_total = 0

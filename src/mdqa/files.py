@@ -29,13 +29,15 @@ class FileFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def atomic_open(path: str | Path, newline: Optional[str] = None):
-    """Write text to a temporary file beside ``path``, renamed over it on
-    success. The temporary name is unique per process and thread."""
+def atomic_open(path: str | Path, mode: str = "w", newline: Optional[str] = None):
+    """Write to a temporary file beside ``path`` (UTF-8 text, or bytes with
+    ``mode="wb"``), renamed over it on success. The temporary name is unique
+    per process and thread."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, mode, encoding=encoding, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -105,8 +107,9 @@ class AppendLog(Closable):
     ``record_size`` records of that many bytes. Opening cuts off a torn tail
     (a record a crash cut short). With ``key``, opening maps each record's
     ``key(record)`` to its offset: ``read`` is one ``os.pread`` and
-    ``append`` skips a key already held. Appends are written and flushed
-    under a lock, so threads may share a log."""
+    ``append`` skips a key already held, ``extend`` appends another file's
+    lines by their keys, and ``clear`` empties the log. Appends are written
+    and flushed under a lock, so threads may share a log."""
 
     def __init__(
         self,
@@ -115,6 +118,7 @@ class AppendLog(Closable):
         record_size: Optional[int] = None,
     ):
         self.path = Path(path)
+        self._key = key
         self._index: dict[Hashable, tuple[int, int]] = {}
         self._end = 0
         with open(self.path, "a+b") as fh:
@@ -147,6 +151,29 @@ class AppendLog(Closable):
             if key is not None:
                 self._index[key] = (self._end, len(record))
             self._end += len(record)
+
+    def keys(self) -> list[Hashable]:
+        """The keys held, in the order their records were appended."""
+        with self._lock:
+            return list(self._index)
+
+    def extend(self, path: str | Path) -> None:
+        """Append each line of ``path`` (a keyed log's lines) whose key is
+        not held yet."""
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                try:
+                    key = self._key(line)
+                except _REJECTED as exc:
+                    raise _located(f"{path}:{number}", exc) from None
+                self.append(line, key)
+
+    def clear(self) -> None:
+        """Truncate the file to 0 bytes and forget every key."""
+        with self._lock:
+            self._fh.truncate(0)
+            self._index.clear()
+            self._end = 0
 
     def close(self) -> None:
         self._fh.close()

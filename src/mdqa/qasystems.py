@@ -17,7 +17,7 @@ from datetime import date
 from typing import Optional, Sequence
 
 from .backends import BackendError, CallLedger
-from .corpus import DocumentCollection, DocumentFilter, doc_signature, select_documents
+from .corpus import DocumentCollection, DocumentFilter, select_documents
 from .planlang import (
     ExecEnv,
     PageHandle,
@@ -291,13 +291,8 @@ class SystemRun:
 def _signatures(
     refs: Sequence[tuple[str, int]], collection: DocumentCollection
 ) -> list[tuple[str, str, int, str]]:
-    seen: list[tuple[str, str, int, str]] = []
-    for ref in refs:
-        sym, form, year, period_end = doc_signature(ref, collection)
-        sig = (sym, form, year, period_end.isoformat())
-        if sig not in seen:
-            seen.append(sig)
-    return seen
+    """The retrieved pages' document signatures, first seen first."""
+    return list(dict.fromkeys(map(collection.page_signature, refs)))
 
 
 def _page_handles(

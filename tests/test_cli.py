@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from mdqa import backends, cli
 from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main
 from mdqa.corpus import load_collection
+from mdqa.files import AppendLog
 from mdqa.oracle import OracleChatBackend
 from mdqa.qasystems import SYSTEM_IDS
 from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, text_key
@@ -297,12 +300,12 @@ def test_run_parallel_jobs_byte_identical_across_a_k_sweep(runner, workspace, tm
     assert outputs[0] == outputs[1]
 
 
-def test_run_journals_each_questions_ks_back_to_back(workspace, finished_session):
+def test_run_journals_each_questions_ks_back_to_back(workspace, unfinished_session):
     questions = [
         json.loads(line)["question_id"]
         for line in (workspace / "questions.jsonl").read_text().splitlines()
     ]
-    journal = (finished_session / "journal.jsonl").read_text().splitlines()
+    journal = (unfinished_session / "journal.jsonl").read_text().splitlines()
     assert [(r["system_id"], r["question_id"], r["k"]) for r in map(json.loads, journal)] == [
         (system_id, q, k)
         for system_id in ("vanilla_rag", "codegen_docs_pager")
@@ -520,6 +523,32 @@ def finished_session(workspace, tmp_path_factory):
     return session
 
 
+class _Stopped(Exception):
+    """Raised in place of a step of ``mdqa run``, as a crash would stop it."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stopped
+
+
+def _unfinished_run(workspace, session, *extra):
+    """``mdqa run`` stopped after its last run, before ``system_runs.jsonl``
+    is written."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_write_runs", _stop)
+        result = CliRunner().invoke(main, _run_args(workspace, session, *extra))
+    assert isinstance(result.exception, _Stopped), result.output
+
+
+@pytest.fixture(scope="module")
+def unfinished_session(workspace, tmp_path_factory):
+    """``finished_session``'s run, stopped before the final write: its journal
+    holds every run in the order they finished."""
+    session = tmp_path_factory.mktemp("unfinished") / "session"
+    _unfinished_run(workspace, session)
+    return session
+
+
 def _copy_session(finished_session, tmp_path):
     session = tmp_path / "session"
     shutil.copytree(finished_session, session)
@@ -544,23 +573,105 @@ def _journal_cuts(size: int, first_line: int) -> dict[str, int]:
     + [f"random{i}" for i in range(4)],
 )
 def test_resume_after_journal_cut_is_byte_identical(
-    runner, workspace, finished_session, tmp_path, cut
+    runner, workspace, finished_session, unfinished_session, tmp_path, cut
 ):
     """A crash leaves the journal cut at any byte; the resumed session
     redoes the torn run and ends with the same files."""
-    session = _copy_session(finished_session, tmp_path)
-    for name in ("system_runs.jsonl", "ledger.json"):
-        (session / name).unlink()
-    journal = (finished_session / "journal.jsonl").read_bytes()
+    session = _copy_session(unfinished_session, tmp_path)
+    journal = (unfinished_session / "journal.jsonl").read_bytes()
     offset = _journal_cuts(len(journal), journal.index(b"\n") + 1)[cut]
     (session / "journal.jsonl").write_bytes(journal[:offset])
 
+    _unfinished_run(workspace, session)
+    assert (session / "journal.jsonl").read_bytes() == journal
     result = runner.invoke(main, _run_args(workspace, session))
     assert result.exit_code == 0, result.output
     assert (session / "system_runs.jsonl").read_bytes() == (
         finished_session / "system_runs.jsonl"
     ).read_bytes()
-    assert (session / "journal.jsonl").read_bytes() == journal
+
+
+def test_finished_session_keeps_its_runs_in_one_file(finished_session, unfinished_session):
+    """The journal is emptied, not deleted, once ``system_runs.jsonl`` holds
+    its lines, sorted by (system, k, question)."""
+    assert (finished_session / "journal.jsonl").read_bytes() == b""
+    lines = (finished_session / "system_runs.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 * 9 * 2
+    assert sorted(lines) == sorted(
+        (unfinished_session / "journal.jsonl").read_bytes().splitlines(keepends=True)
+    )
+    keys = [(r["system_id"], r["k"], r["question_id"]) for r in map(json.loads, lines)]
+    assert keys == sorted(keys)
+
+
+def test_crash_before_the_journal_is_emptied_resumes_to_the_same_bytes(
+    runner, workspace, finished_session, tmp_path
+):
+    """Between the final write and emptying the journal, both files hold
+    the same runs; the resume reads their union once."""
+    session = tmp_path / "session"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AppendLog, "clear", _stop)
+        result = runner.invoke(main, _run_args(workspace, session))
+    assert isinstance(result.exception, _Stopped), result.output
+    runs = (finished_session / "system_runs.jsonl").read_bytes()
+    assert (session / "system_runs.jsonl").read_bytes() == runs
+    assert sorted((session / "journal.jsonl").read_bytes().splitlines()) == sorted(
+        runs.splitlines()
+    )
+
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0, result.output
+    assert "(0 new, 36 resumed)" in result.output
+    assert (session / "system_runs.jsonl").read_bytes() == runs
+    assert (session / "journal.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_resume_with_a_wider_k_grid_equals_a_fresh_session(
+    runner, workspace, finished_session, tmp_path, jobs
+):
+    session = tmp_path / "session"
+    for k_grid in ("4", "4,8"):
+        args = _run_args(workspace, session, "--jobs", jobs)
+        args[args.index("--k-grid") + 1] = k_grid
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert "(18 new, 18 resumed)" in result.output
+    assert (session / "system_runs.jsonl").read_bytes() == (
+        finished_session / "system_runs.jsonl"
+    ).read_bytes()
+
+
+def test_eval_of_unfinished_session_exits_2(runner, unfinished_session):
+    result = runner.invoke(main, ["eval", str(unfinished_session)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {unfinished_session} is not a completed session directory\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_no_run_is_held_in_memory_at_the_final_write(
+    runner, workspace, tmp_path, monkeypatch, jobs
+):
+    """Each run lives until its journal line is written, not to the end."""
+    made, alive = [], []
+    run_system, write_runs = cli.run_system, cli._write_runs
+
+    def tracked_run_system(*args, **kwargs):
+        run = run_system(*args, **kwargs)
+        made.append(weakref.ref(run))
+        return run
+
+    def checked_write_runs(journal, path):
+        gc.collect()
+        alive.extend(ref for ref in made if ref() is not None)
+        return write_runs(journal, path)
+
+    monkeypatch.setattr(cli, "run_system", tracked_run_system)
+    monkeypatch.setattr(cli, "_write_runs", checked_write_runs)
+    result = runner.invoke(main, _run_args(workspace, tmp_path / "session", "--jobs", jobs))
+    assert result.exit_code == 0, result.output
+    assert len(made) == 36 and alive == []
 
 
 def _http_run(workspace, session, transport, *extra):
@@ -722,8 +833,8 @@ def _replace_line(path, line_no, text):
     path.write_text("".join(lines))
 
 
-def test_bad_journal_line_exits_2(runner, workspace, finished_session, tmp_path):
-    session = _copy_session(finished_session, tmp_path)
+def test_bad_journal_line_exits_2(runner, workspace, unfinished_session, tmp_path):
+    session = _copy_session(unfinished_session, tmp_path)
     _replace_line(session / "journal.jsonl", 2, '{"system_id": "vanilla')
     result = runner.invoke(main, _run_args(workspace, session))
     assert result.exit_code == 2, result.output

@@ -233,6 +233,26 @@ def test_doc_signature_unknown_page():
         doc_signature(("missing-doc", 1), collection)
 
 
+def test_page_signature_is_the_string_doc_signature():
+    collection = _toy_collection()
+    for doc in collection.documents:
+        for page in doc.pages:
+            sym, form, year, period_end = doc_signature((doc.doc_id, page.page_number), collection)
+            sig = (sym, form, year, period_end.isoformat())
+            assert collection.page_signature((doc.doc_id, page.page_number)) == sig
+            assert collection.signature_of(doc.doc_id) == sig
+    for ref, message in [
+        (("adbe-10k-2022", 9999), "has no page 9999"),
+        (("missing-doc", 1), "unknown doc_id 'missing-doc'"),
+    ]:
+        with pytest.raises(UnknownDocumentError, match=message):
+            collection.page_signature(ref)
+        with pytest.raises(UnknownDocumentError, match=message):
+            collection.get_page(*ref)
+    with pytest.raises(UnknownDocumentError, match="unknown doc_id 'missing-doc'"):
+        collection.signature_of("missing-doc")
+
+
 def test_doc_signature_constant_across_pages():
     pages = tuple(Page(n, f"t{n}", f"content {n}") for n in (1, 2, 5))
     doc = make_doc("multi", pages=pages)

@@ -341,6 +341,27 @@ def test_bottleneck_affine_recall(clean_bundle):
     assert report["page_recall"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_build_report_scores_each_run_once(clean_bundle, monkeypatch):
+    """The report's R-squared table comes from its own cells, and equals
+    ``bottleneck_report`` of the same runs."""
+    from mdqa import evaluation
+
+    collection, _ = clean_bundle
+    recalls = [0.25, 0.5, 0.75, 1.0]
+    runs, questions = _affine_grid(
+        clean_bundle, recalls, lambda r: 0.2 + 0.6 * r, precisions=[1.0, 0.5, 0.5, 0.25]
+    )
+    expected = bottleneck_report(runs, questions, collection)
+    passes = []
+    aggregate = evaluation.aggregate_cells
+    monkeypatch.setattr(
+        evaluation, "aggregate_cells", lambda *a: passes.append(1) or aggregate(*a)
+    )
+    report = evaluation.build_report(runs, questions, collection)
+    assert passes == [1]
+    assert report["bottleneck_r_squared"] == expected
+
+
 def test_bottleneck_requires_three_cells(clean_bundle):
     collection, _ = clean_bundle
     runs, questions = _affine_grid(clean_bundle, [0.5, 1.0], lambda r: r)

@@ -165,3 +165,28 @@ def test_append_log_same_key_from_many_threads(tmp_path):
     assert sorted(r[:4] for r in records) == [b"same"] + [f"t{t:03d}".encode() for t in range(8)]
     with AppendLog(path, key=lambda record: record[:4], record_size=size) as log:
         assert all(log.read(r[:4]) == r for r in records)
+
+
+def test_keyed_log_extends_by_key_then_clears(tmp_path):
+    key = lambda line: json.loads(line)["key"]  # noqa: E731
+    finished = tmp_path / "finished.jsonl"
+    finished.write_bytes(b'{"key": "a", "v": 9}\n{"key": "b", "v": 2}\n{"key": "c", "v": 3}\n')
+    path = tmp_path / "journal.jsonl"
+    with AppendLog(path, key=key) as log:
+        log.append(b'{"key": "a", "v": 1}\n', "a")
+        log.extend(finished)  # "a" is held already: skipped
+        assert log.keys() == ["a", "b", "c"]
+        assert [log.read(k) for k in "ac"] == [b'{"key": "a", "v": 1}\n', b'{"key": "c", "v": 3}\n']
+        log.clear()
+        assert path.read_bytes() == b"" and log.keys() == [] and log.read("a") is None
+        log.append(b'{"key": "b", "v": 5}\n', "b")
+        assert log.read("b") == b'{"key": "b", "v": 5}\n'
+    assert path.read_bytes() == b'{"key": "b", "v": 5}\n'
+
+
+def test_keyed_log_extend_names_a_bad_line(tmp_path):
+    finished = tmp_path / "finished.jsonl"
+    finished.write_bytes(b'{"key": "a"}\n{"key": \n')
+    with AppendLog(tmp_path / "journal.jsonl", key=lambda line: json.loads(line)["key"]) as log:
+        with pytest.raises(FileFormatError, match=r"finished.jsonl:2: not JSON"):
+            log.extend(finished)
