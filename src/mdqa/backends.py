@@ -2,9 +2,10 @@
 accounting, and the deterministic hashed bag-of-words embedder used by tests
 and oracle sessions.
 
-An HTTP backend caches in one append-only log under ``config.cache_dir``
-(``chat.jsonl`` by request hash, or a ``VectorStore`` by text); a hit reads
-one record back. Both backends may share one wire log, a line per request.
+An HTTP backend always caches, in one append-only log under
+``config.cache_dir`` (``chat.jsonl`` by request hash, or a ``VectorStore`` by
+text); a hit reads one record back. Both backends may share one wire log, a
+line per request.
 
 Cost accounting counts chat completions as "LLM calls"; embedding work is
 reported separately and counted per text embedded, not per HTTP request.
@@ -40,16 +41,10 @@ class BackendConfigError(BackendError):
 
 @dataclass
 class BackendConfig:
-    kind: str  # "http_openai_compatible" | "oracle_mock"
+    cache_dir: Path
     endpoint: str = ""
     model: str = ""
     auth_env: str = "MDQA_API_KEY"
-    max_retries: int = 3
-    backoff_base: float = 0.5
-    in_flight_limit: int = 8
-    cache_dir: Optional[Path] = None
-    chat_path: str = "/chat/completions"
-    embed_path: str = "/embeddings"
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +91,10 @@ class CallLedger:
     def _bucket(self) -> tuple[str, str]:
         return _current_scope.get() or ("-", "-")
 
-    def record_chat(self, n: int = 1) -> None:
+    def record_chat(self) -> None:
         with self._lock:
             key = self._bucket()
-            self._chat[key] = self._chat.get(key, 0) + n
+            self._chat[key] = self._chat.get(key, 0) + 1
 
     def record_embed(self, n: int) -> None:
         with self._lock:
@@ -161,6 +156,11 @@ def _hash_request(payload: dict) -> str:
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+# Attempts per request, the first backoff (doubled per retry), and requests of
+# one backend in flight at once.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
+IN_FLIGHT_LIMIT = 8
 
 
 def _requests_transport(url: str, body: dict, headers: dict, timeout: float):
@@ -189,14 +189,13 @@ class _HttpBackendBase(Closable):
         self.ledger = ledger
         self._transport = transport or _requests_transport
         self._sleep = sleeper
-        self._semaphore = threading.Semaphore(config.in_flight_limit)
+        self._semaphore = threading.Semaphore(IN_FLIGHT_LIMIT)
         self._wire = wire_log
-        self.cache = self._open_cache(Path(config.cache_dir)) if config.cache_dir else None
+        self.cache = self._open_cache(Path(config.cache_dir))
 
     def close(self) -> None:
         """Close the cache; the wire log is the caller's to close."""
-        if self.cache:
-            self.cache.close()
+        self.cache.close()
 
     def _auth_header(self) -> dict:
         key = os.environ.get(self.config.auth_env)
@@ -216,9 +215,9 @@ class _HttpBackendBase(Closable):
         url = self.config.endpoint.rstrip("/") + path
         last_error = None
         attempts = 0
-        while attempts < self.config.max_retries:
+        while attempts < MAX_ATTEMPTS:
             if attempts:
-                self._sleep(self.config.backoff_base * (2 ** (attempts - 1)))
+                self._sleep(BACKOFF_BASE_S * (2 ** (attempts - 1)))
             attempts += 1
             with self._semaphore:
                 try:
@@ -260,18 +259,17 @@ class HttpChatBackend(_HttpBackendBase):
             **params,
         }
         key = _hash_request(body)
-        cached = self.cache.read(key) if self.cache else None
+        cached = self.cache.read(key)
         if cached is not None:
             return json.loads(cached)["body"]
-        payload = self._post(self.config.chat_path, body)
+        payload = self._post("/chat/completions", body)
         try:
             text = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise BackendError(f"malformed chat response: {payload}") from None
         if self.ledger:
             self.ledger.record_network_chat()
-        if self.cache:
-            self.cache.append(jsonl_line({"body": text, "key": key}).encode("utf-8"), key)
+        self.cache.append(jsonl_line({"body": text, "key": key}).encode("utf-8"), key)
         return text
 
 
@@ -310,11 +308,11 @@ class HttpEmbedBackend(_HttpBackendBase):
         if not texts:
             raise BackendError("embed requires at least one text")
         keys = [text_key(text) for text in texts]
-        vectors = [self.cache.get(key) if self.cache else None for key in keys]
+        vectors = [self.cache.get(key) for key in keys]
         missing = [i for i, vec in enumerate(vectors) if vec is None]
         if missing:
             body = {"model": self.config.model, "input": [texts[i] for i in missing]}
-            rows = _embedding_rows(self._post(self.config.embed_path, body), len(missing))
+            rows = _embedding_rows(self._post("/embeddings", body), len(missing))
             self._dim = self._dim or rows.shape[1]
             if rows.shape[1] != self._dim:
                 raise BackendError(f"embedding dimension changed: {self._dim} -> {rows.shape[1]}")
@@ -322,8 +320,7 @@ class HttpEmbedBackend(_HttpBackendBase):
                 self.ledger.record_embed(len(missing))
             for i, row in zip(missing, rows):
                 vectors[i] = row
-                if self.cache:
-                    self.cache.put(keys[i], row)
+                self.cache.put(keys[i], row)
         return np.stack(vectors)
 
 
@@ -359,7 +356,6 @@ class HashedBowEmbedder:
     def __init__(self, dim: int = 512, ledger: Optional[CallLedger] = None):
         self.dim = dim
         self.ledger = ledger
-        self.compute_count = 0  # texts actually embedded, for cache tests
         self._slot_cache: dict[str, int] = {}
 
     @property
@@ -383,7 +379,6 @@ class HashedBowEmbedder:
             norm = np.linalg.norm(out[row])
             if norm > 0:
                 out[row] /= norm
-        self.compute_count += len(texts)
         if self.ledger:
             self.ledger.record_embed(len(texts))
         # Quantize to float32 so cache round-trips are exact.

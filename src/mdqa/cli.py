@@ -76,14 +76,24 @@ def _fail(message: str) -> None:
 
 
 def _parse_int_list(text: str, option: str, span: bool = False) -> tuple[int, ...]:
-    """``4,8,16``, or with ``span`` an inclusive ``2019:2023``; a bad list exits 2."""
+    """``4,8,16``, or with ``span`` an inclusive ``2019:2023``. A bad or empty
+    list, or a value below 1, exits 2."""
     try:
         if span and ":" in text:
             lo, hi = text.split(":", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(p) for p in text.split(",") if p)
+            values = tuple(range(int(lo), int(hi) + 1))
+        else:
+            values = tuple(int(p) for p in text.split(",") if p)
     except ValueError:
         _fail(f"{option} expects comma-separated integers, got {text!r}")
+    if not values or min(values) < 1:
+        _fail(f"{option} expects one or more integers >= 1, got {text!r}")
+    return values
+
+
+def _require_positive(value: int, option: str) -> None:
+    if value < 1:
+        _fail(f"{option} must be >= 1, got {value}")
 
 
 def _load_corpus(corpus_dir: str) -> tuple[DocumentCollection, FactTable]:
@@ -186,6 +196,7 @@ def gen(
     variant_years: str | None,
 ) -> None:
     """Generate a question set (or one per year variant)."""
+    _require_positive(company_list_size, "--company-list-size")
     collection, table = _load_corpus(corpus_dir)
     template_ids = tuple(t for t in templates.split(",") if t)
     metrics_map = _metrics_option_to_map(metrics)
@@ -222,6 +233,7 @@ def gen(
 @click.option("--embed-dim", type=int, default=512, show_default=True)
 def index(corpus_dir: str, cache_dir: str, embed_dim: int) -> None:
     """Build (or refresh) the page embedding cache with the mock embedder."""
+    _require_positive(embed_dim, "--embed-dim")
     collection, _ = _load_corpus(corpus_dir)
     embedder = HashedBowEmbedder(dim=embed_dim)
     with VectorStore(cache_dir, embedder.fingerprint) as store:
@@ -254,7 +266,6 @@ def _build_backends(
         vectors = files.enter_context(VectorStore(index_cache, embed.fingerprint))
         return Backends(chat=chat, embed=embed, ledger=ledger), vectors
     config = BackendConfig(
-        kind="http_openai_compatible",
         endpoint=endpoint,
         model=model,
         auth_env=auth_env,
@@ -357,8 +368,7 @@ def run_cmd(
         if system_id not in SYSTEM_IDS:
             _fail(f"unknown system {system_id!r}")
     ks = _parse_int_list(k_grid, "--k-grid")
-    if not ks or any(k < 1 for k in ks):
-        _fail("k grid must be non-empty with all values >= 1")
+    _require_positive(n_queries, "--n-queries")
 
     session = Path(session_dir)
     session.mkdir(parents=True, exist_ok=True)

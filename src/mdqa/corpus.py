@@ -302,14 +302,8 @@ class FactTable:
     def symbols(self) -> list[str]:
         return sorted(self._name_by_symbol)
 
-    def years(self, stock_symbol: Optional[str] = None, metric_id: Optional[str] = None) -> list[int]:
-        out = {
-            rec.fiscal_year
-            for rec in self.records
-            if (stock_symbol is None or rec.stock_symbol == stock_symbol.upper())
-            and (metric_id is None or rec.metric_id == metric_id)
-        }
-        return sorted(out)
+    def years(self) -> list[int]:
+        return sorted({rec.fiscal_year for rec in self.records})
 
     def reported_metric_ids(self) -> list[str]:
         return sorted(m.metric_id for m in self.metric_defs if m.kind == "reported")

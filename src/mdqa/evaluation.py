@@ -311,7 +311,6 @@ def build_report(
     questions: list[Question],
     collection: DocumentCollection,
     ledger_snapshot: Optional[dict] = None,
-    stability: Optional[dict] = None,
 ) -> dict:
     cells = aggregate_cells(runs, questions, collection)
     report: dict = {
@@ -355,8 +354,6 @@ def build_report(
         }
     if ledger_snapshot:
         report["ledger"] = ledger_snapshot
-    if stability:
-        report["stability"] = stability
     return report
 
 

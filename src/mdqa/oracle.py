@@ -76,7 +76,6 @@ class OracleChatBackend:
         self.dataset_year = dataset_year
         self.mode = mode
         self.ledger = ledger
-        self.call_count = 0
         self._questions: list[Question] = sorted(
             questions or [], key=lambda q: -len(q.text)
         )
@@ -94,7 +93,6 @@ class OracleChatBackend:
     # -- entry point --------------------------------------------------------
 
     def chat(self, messages: list[dict], **params) -> str:
-        self.call_count += 1
         if self.ledger:
             self.ledger.record_chat()
         system = "\n".join(m["content"] for m in messages if m["role"] == "system")
@@ -149,6 +147,20 @@ class OracleChatBackend:
     def _page_refs(text: str) -> list[tuple[str, int]]:
         return [(doc, int(num)) for doc, num in _PAGE_REF_RE.findall(text)]
 
+    def _first_shown_fact(
+        self, symbol: str, metric_id: str, refs: list[tuple[str, int]]
+    ) -> Optional[FactRecord]:
+        """The textual extractor's pick: the (symbol, metric) fact of any
+        fiscal year on the first of ``refs`` that shows one, since it reads
+        pages in the order the prompt presents them."""
+        shown = {
+            (r.source_doc_id, p): r
+            for r in self.fact_table.records
+            if r.stock_symbol == symbol and r.metric_id == metric_id
+            for p in r.source_pages
+        }
+        return next((shown[ref] for ref in refs if ref in shown), None)
+
     # -- extraction ----------------------------------------------------------
 
     def _extract_reply(self, user: str) -> str:
@@ -169,15 +181,9 @@ class OracleChatBackend:
         if self.mode == "textual":
             # The extractor grabs whatever same-metric figure the pages show,
             # year mismatch and all.
-            candidates = {
-                (r.source_doc_id, p): r
-                for r in self.fact_table.records
-                if r.stock_symbol == symbol and r.metric_id == metric_id
-                for p in r.source_pages
-            }
-            for ref in refs:
-                if ref in candidates:
-                    return _fmt_fact(candidates[ref])
+            shown = self._first_shown_fact(symbol, metric_id, refs)
+            if shown is not None:
+                return _fmt_fact(shown)
         return "not found"
 
     # -- query expansion -----------------------------------------------------
@@ -237,11 +243,8 @@ class OracleChatBackend:
         question = self._find_question(user)
         if question is None:
             raise BackendError("oracle has no registered question matching the prompt")
-        ranked_refs = []
-        for ref in self._page_refs(user):
-            if ref not in ranked_refs:
-                ranked_refs.append(ref)
-        ref_set = set(ranked_refs)
+        refs = self._page_refs(user)
+        ref_set = set(refs)
         rule = TEMPLATES[question.template_id].gold_rule
         _, needed = compute_gold_with_provenance(
             rule, dict(question.bindings), self.fact_table, question.dataset_year
@@ -254,9 +257,9 @@ class OracleChatBackend:
                 substitutes[key] = rec.normalized
                 continue
             if self.mode == "textual":
-                found = self._textual_substitute(rec, ranked_refs)
-                if found is not None:
-                    substitutes[key] = found
+                shown = self._first_shown_fact(rec.stock_symbol, rec.metric_id, refs)
+                if shown is not None:
+                    substitutes[key] = shown.normalized
         if len(substitutes) < len(
             {(r.stock_symbol, r.metric_id, r.fiscal_year) for r in needed}
         ):
@@ -281,21 +284,6 @@ class OracleChatBackend:
         if answer.kind == "yesno":
             return answer.label
         return "\n".join(f"{label}: {_fmt_plain(v)}" for label, v in answer.parts)
-
-    def _textual_substitute(
-        self, rec: FactRecord, ranked_refs: list[tuple[str, int]]
-    ) -> Optional[float]:
-        # Scan pages in the order the prompt presented them: the extractor
-        # reads top-ranked pages first.
-        candidates = {}
-        for r in self.fact_table.records:
-            if r.stock_symbol == rec.stock_symbol and r.metric_id == rec.metric_id:
-                for p in r.source_pages:
-                    candidates[(r.source_doc_id, p)] = r
-        for ref in ranked_refs:
-            if ref in candidates:
-                return candidates[ref].normalized
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -70,20 +70,19 @@ class PageHandle:
 @dataclass
 class PlanTrace:
     builtin_calls: list[tuple[str, str, str]] = field(default_factory=list)
-    retrieved_pages: list[tuple[str, int]] = field(default_factory=list)
-    selected_docs: list[str] = field(default_factory=list)
+    # Insertion-ordered sets: first retrieved first, each recorded once.
+    retrieved_pages: dict[tuple[str, int], None] = field(default_factory=dict)
+    selected_docs: dict[str, None] = field(default_factory=dict)
     chat_calls: int = 0
     emitted: Any = None
     completed: bool = False
     step_count: int = 0
 
     def record_page(self, ref: tuple[str, int]) -> None:
-        if ref not in self.retrieved_pages:
-            self.retrieved_pages.append(ref)
+        self.retrieved_pages[ref] = None
 
     def record_doc(self, doc_id: str) -> None:
-        if doc_id not in self.selected_docs:
-            self.selected_docs.append(doc_id)
+        self.selected_docs[doc_id] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,13 +104,13 @@ class ExecEnv:
     helpers. ``retrieve_fn(question, documents_or_none)`` returns PageHandles;
     ``extract_fn(question, pages)`` returns ``(value, chat_calls_used)``.
     ``with_doc_select`` gates select_documents at runtime (the page-only
-    system variant does not expose it).
+    system variant does not expose it), and ``retrieve_fn`` closes over the
+    retrieval depth k. Every pipeline runs with the default budgets.
     """
 
     select_fn: Optional[Callable] = None
     retrieve_fn: Optional[Callable] = None
     extract_fn: Optional[Callable] = None
-    k: int = 4
     with_doc_select: bool = True
     step_budget: int = DEFAULT_STEP_BUDGET
     builtin_budget: int = DEFAULT_BUILTIN_BUDGET

@@ -26,7 +26,6 @@ from .planlang import (
     execute_plan,
     parse_plan,
 )
-from .planlang.interpreter import DEFAULT_BUILTIN_BUDGET, DEFAULT_STEP_BUDGET
 from .prompts import PromptPack, load_pack
 from .retrieval import (
     PageIndex,
@@ -179,10 +178,12 @@ def parse_emitted(value) -> ParsedAnswer:
 # ---------------------------------------------------------------------------
 
 
-def render_pages(pages: Sequence[PageHandle], max_chars: int = PAGE_PROMPT_MAX_CHARS) -> str:
+def render_pages(pages: Sequence[PageHandle]) -> str:
     blocks = []
     for p in pages:
-        blocks.append(f"[page {p.doc_id}#{p.page_number}] {p.title}\n{p.content[:max_chars]}")
+        blocks.append(
+            f"[page {p.doc_id}#{p.page_number}] {p.title}\n{p.content[:PAGE_PROMPT_MAX_CHARS]}"
+        )
     return "\n\n".join(blocks)
 
 
@@ -458,8 +459,6 @@ def make_exec_env(
     backends: Backends,
     k: int,
     with_doc_select: bool,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    builtin_budget: int = DEFAULT_BUILTIN_BUDGET,
 ) -> ExecEnv:
     """Wire the plan-language builtins to the corpus, index, and backends."""
     extract_pack = load_pack("extract")
@@ -517,10 +516,7 @@ def make_exec_env(
         select_fn=select_fn,
         retrieve_fn=retrieve_fn,
         extract_fn=extract_fn,
-        k=k,
         with_doc_select=with_doc_select,
-        step_budget=step_budget,
-        builtin_budget=builtin_budget,
     )
 
 
@@ -533,8 +529,6 @@ def answer_codegen(
     k: int,
     dataset_year: int,
     with_doc_select: bool = True,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    builtin_budget: int = DEFAULT_BUILTIN_BUDGET,
 ) -> SystemRun:
     """Plan generation, sandboxed execution, emitted value parsed as answer.
 
@@ -571,15 +565,7 @@ def answer_codegen(
         except PlanParseError as exc:
             run.failure = f"plan_parse_error: {exc}"
             return run
-        env = make_exec_env(
-            collection,
-            index,
-            backends,
-            k,
-            with_doc_select,
-            step_budget=step_budget,
-            builtin_budget=builtin_budget,
-        )
+        env = make_exec_env(collection, index, backends, k, with_doc_select)
         try:
             trace = execute_plan(program, env)
         except PlanRuntimeError as exc:

@@ -421,6 +421,9 @@ def fill_template(
 # Generation
 # ---------------------------------------------------------------------------
 
+# Candidate draws per template before giving up on reaching its count.
+MAX_ATTEMPTS = 1000
+
 
 @dataclass
 class GenConfig:
@@ -440,7 +443,6 @@ class GenConfig:
     years: Optional[tuple[int, ...]] = None
     num_years: tuple[int, ...] = (2, 3)
     company_list_size: int = 5
-    max_attempts: int = 1000
 
 
 def _metric_pool(
@@ -572,7 +574,7 @@ def generate_questions(
         emitted = 0
         seen: set[str] = set()
         attempts = 0
-        while emitted < config.count_per_template and attempts < config.max_attempts:
+        while emitted < config.count_per_template and attempts < MAX_ATTEMPTS:
             attempts += 1
             try:
                 binding, slots = _draw_binding(template, config, fact_table, rng)
@@ -619,7 +621,7 @@ def generate_questions(
         if emitted == 0:
             raise InfeasibleConfigError(
                 f"template {template_id!r}: no slot assignment yielded a "
-                f"computable gold within {config.max_attempts} attempts"
+                f"computable gold within {MAX_ATTEMPTS} attempts"
             )
     return questions
 

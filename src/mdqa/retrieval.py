@@ -275,7 +275,6 @@ def build_index(
     collection: DocumentCollection,
     embed_backend,
     store: Optional[VectorStore] = None,
-    max_chars: int = EMBED_INPUT_MAX_CHARS,
 ) -> PageIndex:
     """Embed every page (title + newline + content, truncated) into an index.
 
@@ -289,7 +288,7 @@ def build_index(
     for doc in collection.documents:
         for page in doc.pages:
             refs.append((doc.doc_id, page.page_number))
-            texts.append(f"{page.title}\n{page.content}"[:max_chars])
+            texts.append(f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS])
     keys = [text_key(t) for t in texts]
 
     vectors = [store.get(key) if store else None for key in keys]

@@ -46,8 +46,8 @@ def test_embed_counts_texts_and_ledger():
     embedder = HashedBowEmbedder(ledger=ledger)
     embedder.embed(["a b", "c"])
     embedder.embed(["d"])
-    assert embedder.compute_count == 3
     assert ledger.embed_total == 3
+    assert ledger.embed_by_scope() == {("-", "-"): 3}
 
 
 def test_embed_requires_input():
@@ -128,12 +128,10 @@ class _Transport:
 
 def _http_config(tmp_path, **overrides):
     base = dict(
-        kind="http_openai_compatible",
         endpoint="https://llm.example/v1",
         model="test-model",
         auth_env="MDQA_TEST_KEY",
         cache_dir=tmp_path / "cache",
-        backoff_base=0.0,
     )
     base.update(overrides)
     return BackendConfig(**base)
@@ -166,16 +164,18 @@ def test_chat_retries_on_rate_limit(tmp_path, monkeypatch):
     ) as backend:
         assert backend.chat([{"role": "user", "content": "x"}]) == "ok"
     assert len(transport.requests) == 2
-    assert len(sleeps) == 1
+    assert sleeps == [0.5]
 
 
 def test_chat_exhausted_retries(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
     transport = _Transport([(503, {}), (503, {}), (503, {})])
+    sleeps = []
     with HttpChatBackend(
-        _http_config(tmp_path, max_retries=3), transport=transport, sleeper=lambda s: None
+        _http_config(tmp_path), transport=transport, sleeper=sleeps.append
     ) as backend, pytest.raises(BackendError, match="failed after 3 attempts"):
         backend.chat([{"role": "user", "content": "x"}])
+    assert sleeps == [0.5, 1.0]
 
 
 def test_chat_non_retryable_stops_immediately(tmp_path, monkeypatch):
@@ -190,12 +190,12 @@ def test_chat_non_retryable_stops_immediately(tmp_path, monkeypatch):
 
 def test_chat_reports_the_attempts_it_made(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
-    transport = _Transport([(503, {}), (429, {}), (400, {"error": "bad request"})])
+    transport = _Transport([(503, {}), (400, {"error": "bad request"})])
     with HttpChatBackend(
-        _http_config(tmp_path, max_retries=5), transport=transport, sleeper=lambda s: None
-    ) as backend, pytest.raises(BackendError, match="failed after 3 attempts: HTTP 400"):
+        _http_config(tmp_path), transport=transport, sleeper=lambda s: None
+    ) as backend, pytest.raises(BackendError, match="failed after 2 attempts: HTTP 400"):
         backend.chat([{"role": "user", "content": "x"}])
-    assert len(transport.requests) == 3
+    assert len(transport.requests) == 2
 
 
 def test_missing_auth_fails_before_any_network(tmp_path, monkeypatch):
@@ -210,7 +210,8 @@ def test_missing_auth_fails_before_any_network(tmp_path, monkeypatch):
 
 def test_http_config_requires_endpoint_and_model(tmp_path):
     with pytest.raises(BackendConfigError):
-        HttpChatBackend(BackendConfig(kind="http_openai_compatible"))
+        HttpChatBackend(BackendConfig(cache_dir=tmp_path / "cache"))
+    assert not (tmp_path / "cache").exists()
 
 
 def test_wire_log_written_and_auth_not_logged(tmp_path, monkeypatch):

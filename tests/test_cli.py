@@ -797,7 +797,7 @@ def test_crash_at_run_n_leaves_n_minus_1_journal_lines(runner, workspace, tmp_pa
 
     class CrashingOracle(OracleChatBackend):
         def chat(self, messages, **params):
-            if self.call_count + 1 == crash_at:  # vanilla_rag: one chat per run
+            if self.ledger.chat_total + 1 == crash_at:  # vanilla_rag: one chat per run
                 seen_at_crash.append((session / "journal.jsonl").read_bytes())
                 raise RuntimeError("backend crashed")
             return super().chat(messages, **params)
@@ -916,6 +916,41 @@ def test_gen_bad_num_years_exits_2(runner, workspace, tmp_path):
     )
     assert result.exit_code == 2, result.output
     assert "--num-years expects comma-separated integers, got '2,x'" in result.output
+
+
+def _gen_args(workspace, tmp_path, *extra):
+    return [
+        "gen",
+        "--corpus", str(workspace / "corpus"),
+        "--out", str(tmp_path / "q.jsonl"),
+        "--dataset-year", "2023",
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_args,option",
+    [
+        (lambda ws, tmp: ["synth", str(tmp / "c"), "--years", "2023:2019"], "--years"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md4", "--company-list-size", "0"),
+         "--company-list-size"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md4", "--company-list-size", "-2"),
+         "--company-list-size"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--num-years", "0"),
+         "--num-years"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--n-queries", "0"), "--n-queries"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--k-grid", "4,0"), "--k-grid"),
+        (lambda ws, tmp: ["index", "--corpus", str(ws / "corpus"), "--cache", str(tmp / "ic"),
+                          "--embed-dim", "0"], "--embed-dim"),
+    ],
+    ids=["years_reversed", "company_list_0", "company_list_neg", "num_years_0",
+         "n_queries_0", "k_grid_0", "embed_dim_0"],
+)
+def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, option):
+    result = runner.invoke(main, make_args(workspace, tmp_path))
+    assert result.exit_code == 2, result.output
+    assert f"error: {option} " in result.output
+    assert not (tmp_path / "q.jsonl").exists() and not (tmp_path / "s").exists()
 
 
 def _toml_list_run(runner, workspace, tmp_path, systems, k_grid):

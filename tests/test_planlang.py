@@ -400,7 +400,7 @@ def test_sum_over_years_plan_against_injected_facts():
     assert trace.emitted == pytest.approx(6.0e9)
     assert trace.chat_calls == 3
     assert world.extract_calls == 3
-    assert trace.selected_docs == ["nflx-2023", "nflx-2022", "nflx-2021"]
+    assert list(trace.selected_docs) == ["nflx-2023", "nflx-2022", "nflx-2021"]
     assert set(trace.retrieved_pages) == {
         ("nflx-2023", 1), ("nflx-2022", 1), ("nflx-2021", 1)
     }

@@ -91,12 +91,12 @@ def _build_cached(collection, embedder, root):
 
 def test_rebuild_with_cache_costs_nothing(tmp_path):
     collection = _collection({"d1": ["alpha one", "beta two"], "d2": ["gamma three"]})
-    first = HashedBowEmbedder()
+    first = HashedBowEmbedder(ledger=CallLedger())
     _build_cached(collection, first, tmp_path)
-    assert first.compute_count == 3
-    second = HashedBowEmbedder()
+    assert first.ledger.embed_total == 3
+    second = HashedBowEmbedder(ledger=CallLedger())
     index = _build_cached(collection, second, tmp_path)
-    assert second.compute_count == 0
+    assert second.ledger.embed_total == 0
     assert len(index) == 3
 
 
@@ -104,9 +104,9 @@ def test_one_edited_page_costs_one_computation(tmp_path):
     texts = {"d1": ["alpha one", "beta two"], "d2": ["gamma three"]}
     _build_cached(_collection(texts), HashedBowEmbedder(), tmp_path)
     texts["d1"][1] = "beta two EDITED"
-    embedder = HashedBowEmbedder()
+    embedder = HashedBowEmbedder(ledger=CallLedger())
     _build_cached(_collection(texts), embedder, tmp_path)
-    assert embedder.compute_count == 1
+    assert embedder.ledger.embed_total == 1
 
 
 def test_cache_fingerprint_mismatch(tmp_path):
@@ -401,7 +401,7 @@ def test_smaller_k_is_the_prefix_served_from_the_memo(monkeypatch):
     embedder = HashedBowEmbedder(ledger=ledger)
     index = build_index(collection, embedder)
     ranked = _counting_rank_all(index, monkeypatch)
-    built = embedder.compute_count
+    built = ledger.embed_total
     pool = collection.documents[2:0:-1]  # two runs
     for docs in (collection.documents, pool):
         full = retrieve_relevant_pages("alpha beta", docs, 100, index, embedder)
@@ -410,8 +410,7 @@ def test_smaller_k_is_the_prefix_served_from_the_memo(monkeypatch):
             assert got == full[:k]
     assert ranked == [((0, 24),), ((12, 18), (6, 12))]
     # Each call embedded its query, and the ledger counted it.
-    assert embedder.compute_count - built == 10
-    assert ledger.embed_total == embedder.compute_count
+    assert ledger.embed_total - built == 10
 
 
 def test_memo_holds_at_most_its_bound(monkeypatch):
