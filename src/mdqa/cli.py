@@ -50,7 +50,7 @@ from .evaluation import (
 )
 from .files import AppendLog, FileFormatError, atomic_open, jsonl_line, read_json, read_jsonl, write_json
 from .oracle import OracleChatBackend
-from .qasystems import SYSTEM_IDS, Backends, SystemRun, run_system
+from .qasystems import RUN_FORMAT, SYSTEM_IDS, Backends, SystemRun, run_system
 from .questiongen import (
     GenConfig,
     Question,
@@ -196,6 +196,7 @@ def gen(
     variant_years: str | None,
 ) -> None:
     """Generate a question set (or one per year variant)."""
+    _require_positive(count, "--count")
     _require_positive(company_list_size, "--company-list-size")
     collection, table = _load_corpus(corpus_dir)
     template_ids = tuple(t for t in templates.split(",") if t)
@@ -369,11 +370,14 @@ def run_cmd(
             _fail(f"unknown system {system_id!r}")
     ks = _parse_int_list(k_grid, "--k-grid")
     _require_positive(n_queries, "--n-queries")
+    _require_positive(jobs, "--jobs")
 
     session = Path(session_dir)
+    _check_run_format(session)
     session.mkdir(parents=True, exist_ok=True)
     write_questions(questions, session / "questions.jsonl")
     effective = {
+        "format": RUN_FORMAT,
         "corpus": str(corpus_dir),
         "questions": str(questions_path),
         "systems": list(system_ids),
@@ -408,12 +412,12 @@ def run_cmd(
         if runs_path.exists():
             journal.extend(runs_path)
         done = set(journal.keys())
-        # Question-major: a question's k runs are adjacent, so the plan
-        # parse memo catches their repeats.
+        # Question-major, then system-major: the parse memo catches a k sweep's
+        # repeats, the ranking memo multi_query_rag's repeat of vanilla_rag's.
         todo = [
             (system_id, q, k)
-            for system_id in system_ids
             for q in questions
+            for system_id in system_ids
             for k in ks
             if (system_id, q.question_id, k) not in done
         ]
@@ -444,6 +448,16 @@ def run_cmd(
         f"({len(todo)} new, {len(done)} resumed), "
         f"chat_calls={ledger.chat_total}"
     )
+
+
+def _check_run_format(session: Path) -> None:
+    """Exit 2 if ``session`` holds run records of another format (format 1
+    if ``config.json`` names none), so that one file never mixes formats."""
+    config = session / "config.json"
+    found = read_json(config, dict).get("format", 1) if config.exists() else RUN_FORMAT
+    if found != RUN_FORMAT:
+        _fail(f"{session} holds run records of format {found}; this mdqa writes "
+              f"format {RUN_FORMAT} and cannot resume it")
 
 
 def _run_key(line: bytes) -> tuple[str, str, int]:
@@ -535,6 +549,7 @@ def stability(
 ) -> None:
     """Generate and run one benchmark variant per dataset year, then report
     the accuracy spread (templates and companies held constant)."""
+    _require_positive(count, "--count")
     collection, table = _load_corpus(corpus_dir)
     session = Path(session_dir)
     session.mkdir(parents=True, exist_ok=True)

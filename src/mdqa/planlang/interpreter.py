@@ -14,6 +14,7 @@ recorded as a builtin call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from .parser import (
@@ -53,7 +54,7 @@ class _EmitSignal(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageHandle:
     """A retrieved page as seen from inside a plan."""
 
@@ -85,9 +86,9 @@ class PlanTrace:
         self.selected_docs[doc_id] = None
 
     def to_json_dict(self) -> dict:
+        """The trace as a run stores it; its pages are the run's own."""
         return {
             "builtin_calls": [list(c) for c in self.builtin_calls],
-            "retrieved_pages": [[d, p] for d, p in self.retrieved_pages],
             "selected_docs": list(self.selected_docs),
             "chat_calls": self.chat_calls,
             "emitted": digest_value(self.emitted) if self.completed else None,
@@ -133,7 +134,7 @@ def digest_value(value: Any, depth: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if depth >= 2:
             return f"<list n={len(value)}>"
-        inner = ", ".join(digest_value(v, depth + 1) for v in list(value)[:6])
+        inner = ", ".join(digest_value(v, depth + 1) for v in islice(value, 6))
         suffix = ", ..." if len(value) > 6 else ""
         return f"[{inner}{suffix}]"
     if isinstance(value, dict):
@@ -141,7 +142,7 @@ def digest_value(value: Any, depth: int = 0) -> str:
             return f"<map n={len(value)}>"
         inner = ", ".join(
             f"{digest_value(k, depth + 1)}: {digest_value(v, depth + 1)}"
-            for k, v in list(value.items())[:6]
+            for k, v in islice(value.items(), 6)
         )
         suffix = ", ..." if len(value) > 6 else ""
         return f"{{{inner}{suffix}}}"

@@ -29,7 +29,6 @@ from .planlang import (
 from .prompts import PromptPack, load_pack
 from .retrieval import (
     PageIndex,
-    ScoredPage,
     expand_queries,
     merge_multiquery,
     retrieve_relevant_pages,
@@ -240,6 +239,11 @@ class Backends:
     ledger: Optional[CallLedger] = None
 
 
+# The layout of a serialised SystemRun. Format 1 also held the document
+# signatures of its pages and, in its trace, the pages again.
+RUN_FORMAT = 2
+
+
 @dataclass
 class SystemRun:
     system_id: str
@@ -247,7 +251,6 @@ class SystemRun:
     k: int
     predicted: Optional[ParsedAnswer]
     retrieved_pages: list[tuple[str, int]]
-    retrieved_docs: list[tuple[str, str, int, str]]
     chat_calls: int
     embed_calls: int
     failure: Optional[str] = None
@@ -262,7 +265,6 @@ class SystemRun:
             "k": self.k,
             "predicted": self.predicted.to_json_dict() if self.predicted else None,
             "retrieved_pages": [[d, p] for d, p in self.retrieved_pages],
-            "retrieved_docs": [list(sig) for sig in self.retrieved_docs],
             "chat_calls": self.chat_calls,
             "embed_calls": self.embed_calls,
             "failure": self.failure,
@@ -279,7 +281,6 @@ class SystemRun:
             k=int(raw["k"]),
             predicted=ParsedAnswer.from_json_dict(raw["predicted"]) if raw.get("predicted") else None,
             retrieved_pages=[(d, int(p)) for d, p in raw["retrieved_pages"]],
-            retrieved_docs=[tuple(sig) for sig in raw["retrieved_docs"]],
             chat_calls=int(raw["chat_calls"]),
             embed_calls=int(raw["embed_calls"]),
             failure=raw.get("failure"),
@@ -287,31 +288,6 @@ class SystemRun:
             plan_source=raw.get("plan_source"),
             prompt_version=raw.get("prompt_version", ""),
         )
-
-
-def _signatures(
-    refs: Sequence[tuple[str, int]], collection: DocumentCollection
-) -> list[tuple[str, str, int, str]]:
-    """The retrieved pages' document signatures, first seen first."""
-    return list(dict.fromkeys(map(collection.page_signature, refs)))
-
-
-def _page_handles(
-    scored: Sequence[ScoredPage], collection: DocumentCollection
-) -> list[PageHandle]:
-    out = []
-    for s in scored:
-        doc_id, page_number = s.page_ref
-        page = collection.get_page(doc_id, page_number)
-        out.append(
-            PageHandle(
-                doc_id=doc_id,
-                page_number=page_number,
-                title=page.title,
-                content=page.content,
-            )
-        )
-    return out
 
 
 class _Meter:
@@ -346,7 +322,6 @@ def _metered_run(system_id: str, question_id: str, k: int, backends: Backends):
         k=k,
         predicted=None,
         retrieved_pages=[],
-        retrieved_docs=[],
         chat_calls=0,
         embed_calls=0,
         prompt_version=pack.version,
@@ -368,20 +343,19 @@ def _answer_from_pages(
     pack: PromptPack,
     chat_backend,
     question_text: str,
-    collection: DocumentCollection,
+    index: PageIndex,
     dataset_year: int,
     retrieve,
 ) -> None:
-    """The RAG answer stage: retrieve, record the pages and their documents,
-    ask once, then parse the answer or tag the failure."""
+    """The RAG answer stage: retrieve, record the pages, ask once, then
+    parse the answer or tag the failure."""
     try:
         scored = retrieve()
     except BackendError as exc:
         run.failure = f"retrieval_error: {exc}"
         return
     run.retrieved_pages = [s.page_ref for s in scored]
-    run.retrieved_docs = _signatures(run.retrieved_pages, collection)
-    pages = _page_handles(scored, collection)
+    pages = index.page_handles(run.retrieved_pages)
     messages = [
         {"role": "system", "content": pack.render("system", current_year=dataset_year)},
         {
@@ -412,7 +386,7 @@ def answer_vanilla(
     """One retrieval over the whole collection, one answer chat call."""
     with _metered_run("vanilla_rag", question_id, k, backends) as (run, pack, backends):
         _answer_from_pages(
-            run, pack, backends.chat, question_text, collection, dataset_year,
+            run, pack, backends.chat, question_text, index, dataset_year,
             lambda: retrieve_relevant_pages(
                 question_text, collection.documents, k, index, backends.embed
             ),
@@ -448,7 +422,7 @@ def answer_multiquery(
             return merge_multiquery(rankings, k)
 
         _answer_from_pages(
-            run, pack, backends.chat, question_text, collection, dataset_year, retrieve
+            run, pack, backends.chat, question_text, index, dataset_year, retrieve
         )
     return run
 
@@ -496,7 +470,7 @@ def make_exec_env(
     def retrieve_fn(question, documents):
         docs = collection.documents if documents is None else documents
         scored = retrieve_relevant_pages(question, docs, k, index, backends.embed)
-        return _page_handles(scored, collection)
+        return index.page_handles(s.page_ref for s in scored)
 
     def extract_fn(question, pages):
         # A meter nested in the run's own, so the trace counts the same calls
@@ -573,7 +547,6 @@ def answer_codegen(
             run.failure = f"plan_runtime_error:{exc.kind}: {exc}"
         run.trace = trace.to_json_dict()
         run.retrieved_pages = list(trace.retrieved_pages)
-        run.retrieved_docs = _signatures(run.retrieved_pages, collection)
         if run.failure is None:
             try:
                 run.predicted = parse_emitted(trace.emitted)

@@ -33,12 +33,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Document, DocumentCollection
 from .files import AppendLog, Closable, read_json, write_json
+from .planlang import PageHandle
 
 EMBED_INPUT_MAX_CHARS = 6000
 # Whole rankings a PageIndex keeps, least recently used out first. `mdqa run`
@@ -114,6 +115,11 @@ class PageIndex:
             if span is None or [p.page_number for p in doc.pages] != span[2]:
                 raise RetrievalError(f"document {doc.doc_id!r} does not match the index")
             self._indexed_pages[doc.doc_id] = doc.pages
+        # A plan's view of each page of ``documents``, built once.
+        self._handles = {
+            (d.doc_id, p.page_number): PageHandle(d.doc_id, p.page_number, p.title, p.content)
+            for d in documents for p in d.pages
+        }
         # Row -> position in (doc_id, page_number) order, the tie-break key.
         standard = sorted(range(len(self.refs)), key=self.refs.__getitem__)
         self._standard_refs = [self.refs[i] for i in standard]
@@ -139,6 +145,10 @@ class PageIndex:
 
     def unit_vector(self, page_ref: tuple[str, int]) -> np.ndarray:
         return self._unit[self.row(page_ref)]
+
+    def page_handles(self, refs: Iterable[tuple[str, int]]) -> list[PageHandle]:
+        """The handles of pages of the documents the index was built from."""
+        return [self._handles[ref] for ref in refs]
 
     def row_runs(self, docs: Sequence[Document]) -> tuple[tuple[int, int], ...]:
         """The pool's rows as ``(start, stop)`` runs in pool order; spans of

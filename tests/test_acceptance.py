@@ -263,7 +263,6 @@ def _constructed_grid(clean_bundle):
                     k=4,
                     predicted=_num(1.0) if i < n_correct else _num(50.0),
                     retrieved_pages=list(refs),
-                    retrieved_docs=[],
                     chat_calls=1,
                     embed_calls=1,
                 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import random
 import shutil
@@ -15,10 +16,10 @@ from mdqa import backends, cli
 from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main
 from mdqa.corpus import load_collection
-from mdqa.files import AppendLog
+from mdqa.files import AppendLog, jsonl_line, write_json
 from mdqa.oracle import OracleChatBackend
-from mdqa.qasystems import SYSTEM_IDS
-from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, text_key
+from mdqa.qasystems import RUN_FORMAT, SYSTEM_IDS
+from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, PageIndex, text_key
 
 
 @pytest.fixture()
@@ -308,8 +309,8 @@ def test_run_journals_each_questions_ks_back_to_back(workspace, unfinished_sessi
     journal = (unfinished_session / "journal.jsonl").read_text().splitlines()
     assert [(r["system_id"], r["question_id"], r["k"]) for r in map(json.loads, journal)] == [
         (system_id, q, k)
-        for system_id in ("vanilla_rag", "codegen_docs_pager")
         for q in questions
+        for system_id in ("vanilla_rag", "codegen_docs_pager")
         for k in (4, 8)
     ]
 
@@ -942,9 +943,17 @@ def _gen_args(workspace, tmp_path, *extra):
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--k-grid", "4,0"), "--k-grid"),
         (lambda ws, tmp: ["index", "--corpus", str(ws / "corpus"), "--cache", str(tmp / "ic"),
                           "--embed-dim", "0"], "--embed-dim"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--count", "0"), "--count"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--count", "-3"), "--count"),
+        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
+                          "--variant-years", "2022:2023", "--templates", "ve2", "--count", "0"],
+         "--count"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "0"), "--jobs"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "-2"), "--jobs"),
     ],
     ids=["years_reversed", "company_list_0", "company_list_neg", "num_years_0",
-         "n_queries_0", "k_grid_0", "embed_dim_0"],
+         "n_queries_0", "k_grid_0", "embed_dim_0", "gen_count_0", "gen_count_neg",
+         "stability_count_0", "jobs_0", "jobs_neg"],
 )
 def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, option):
     result = runner.invoke(main, make_args(workspace, tmp_path))
@@ -984,3 +993,169 @@ def test_run_toml_bad_list_exits_2(runner, workspace, tmp_path):
     result = _toml_list_run(runner, workspace, tmp_path, '["vanilla_rag"]', '[4, "x"]')
     assert result.exit_code == 2, result.output
     assert "--k-grid expects comma-separated integers, got '4,x'" in result.output
+
+
+# ---------------------------------------------------------------------------
+# Run record format
+# ---------------------------------------------------------------------------
+
+# sha256 of ``finished_session``'s system_runs.jsonl in run record format 1.
+FORMAT_1_RUNS_SHA256 = "4e10a920a3dcf485dea0c132802c22b0b9244adb71412471ed81d1c6da97700d"
+
+# ``mdqa trace`` of two runs of ``finished_session``, as format 1 printed them.
+_PINNED_TRACES = {
+    ('md1-0002', 'vanilla_rag', '4'): """\
+Question: How much Dividends Paid did Boltara pay in the last 3 years in US dollars?
+Gold: 965000000.0  docs=blta-10k-2021, blta-10k-2022, blta-10k-2023
+Predicted: 0.0  failure=None
+Retrieved pages:
+  page blta-10k-2019#4  form=10-K company=BLTA fiscal_year=2019 period_end=2019-02-28 matched=no wrong:fiscal_year
+  page blta-10k-2020#4  form=10-K company=BLTA fiscal_year=2020 period_end=2020-02-28 matched=no wrong:fiscal_year
+  page blta-10k-2021#4  form=10-K company=BLTA fiscal_year=2021 period_end=2021-02-28 matched=yes
+  page blta-10k-2022#4  form=10-K company=BLTA fiscal_year=2022 period_end=2022-02-28 matched=yes
+""",
+    ('ve2-0000', 'codegen_docs_pager', '8'): """\
+Question: What is Fornax's Short Term Debt in 2023?
+Gold: 256700000.0  docs=frnx-10k-2023
+Predicted: 256700000.0  failure=None
+Retrieved pages:
+  page frnx-10k-2023#6  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=yes
+  page frnx-10k-2023#7  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=no
+  page frnx-10k-2023#3  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=no
+  page frnx-10k-2023#4  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=no
+  page frnx-10k-2023#1  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=no
+  page frnx-10k-2023#5  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=no
+  page frnx-10k-2023#2  form=10-K company=FRNX fiscal_year=2023 period_end=2023-06-28 matched=no
+Plan source:
+  question = "What is the Short Term Debt of Fornax (FRNX) in 2023 in US dollars?"
+  documents = select_documents(stock_symbols=["FRNX"], form_types=["10-K"], fiscal_years=[2023])
+  pages = retrieve_relevant_pages(question, documents)
+  value = extract_value(question, pages)
+  emit(float(value))
+Builtin calls:
+  select_documents([{stock_symbols: <list n=1>, form_types: <list n=1>, fiscal_years: <list n=1>}]) -> [<doc frnx-10k-2023>]
+  retrieve_relevant_pages([What is the Short Term Debt of Fornax (FRNX) in 2023 in U..., [<doc frnx-10k-2023>]]) -> [<page frnx-10k-2023#6>, <page frnx-10k-2023#7>, <page frnx-10k-2023#3>, <page frnx-10k-2023#4>, <page frnx-10k-2023#1>, <page frnx-10k-2023#5>, ...]
+  extract_value([What is the Short Term Debt of Fornax (FRNX) in 2023 in U..., [<page frnx-10k-2023#6>, <page frnx-10k-2023#7>, <page frnx-10k-2023#3>, <page frnx-10k-2023#4>, <page frnx-10k-2023#1>, <page frnx-10k-2023#5>, ...]]) -> 256700000
+  float([256700000]) -> 256700000
+""",
+}
+
+
+def _as_format_1(session: Path) -> None:
+    """Rewrite a finished session as run record format 1 held it: each run
+    also lists its documents' signatures, first seen first, and each trace
+    its pages; ``config.json`` names no format."""
+    config = json.loads((session / "config.json").read_text())
+    del config["format"]
+    collection = load_collection(config["corpus"])
+    lines = []
+    runs_path = session / "system_runs.jsonl"
+    for record in map(json.loads, runs_path.read_text().splitlines()):
+        signatures = map(collection.page_signature, map(tuple, record["retrieved_pages"]))
+        record["retrieved_docs"] = [list(sig) for sig in dict.fromkeys(signatures)]
+        if record["trace"] is not None:
+            record["trace"]["retrieved_pages"] = record["retrieved_pages"]
+        lines.append(jsonl_line(record))
+    runs_path.write_text("".join(lines))
+    write_json(session / "config.json", config)
+
+
+@pytest.fixture(scope="module")
+def format_1_session(finished_session, tmp_path_factory):
+    session = tmp_path_factory.mktemp("format1") / "session"
+    shutil.copytree(finished_session, session)
+    _as_format_1(session)
+    return session
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_run_record_holds_no_derivable_field(finished_session):
+    """Document signatures and a trace's pages derive from the run's
+    ``retrieved_pages``, so no run line holds them."""
+    lines = (finished_session / "system_runs.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    traces = [r["trace"] for r in records if r["trace"] is not None]
+    assert len(traces) == len(records) // 2  # every codegen_docs_pager run
+    assert not any("retrieved_docs" in r for r in records)
+    assert not any("retrieved_pages" in t for t in traces)
+    config = json.loads((finished_session / "config.json").read_text())
+    assert config["format"] == RUN_FORMAT
+
+
+def test_format_1_session_is_the_old_bytes(format_1_session):
+    runs = (format_1_session / "system_runs.jsonl").read_bytes()
+    assert hashlib.sha256(runs).hexdigest() == FORMAT_1_RUNS_SHA256
+
+
+def test_resume_of_a_format_1_session_exits_2_and_changes_nothing(
+    runner, workspace, format_1_session, tmp_path
+):
+    session = _copy_session(format_1_session, tmp_path)
+    before = _files(session)
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 2, result.output
+    assert (
+        f"holds run records of format 1; this mdqa writes format {RUN_FORMAT}" in result.output
+    )
+    assert _files(session) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "cost"])
+def test_format_1_session_scores_the_same(
+    runner, finished_session, format_1_session, tmp_path, command
+):
+    """``eval`` and ``cost`` ignore the keys format 1 also held."""
+    outputs = []
+    for name, source in (("current", finished_session), ("format_1", format_1_session)):
+        session = tmp_path / name
+        shutil.copytree(source, session)
+        result = runner.invoke(main, [command, str(session)])
+        assert result.exit_code == 0, result.output
+        written = "report.json" if command == "eval" else "cost.json"
+        outputs.append((result.output.replace(str(session), "<session>"),
+                        (session / written).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("session_fixture", ["finished_session", "format_1_session"])
+@pytest.mark.parametrize("key", list(_PINNED_TRACES), ids=lambda key: key[1])
+def test_trace_prints_the_pinned_dump(runner, request, session_fixture, key):
+    session = request.getfixturevalue(session_fixture)
+    result = runner.invoke(main, ["trace", str(session), *key])
+    assert result.exit_code == 0, result.output
+    assert result.output == _PINNED_TRACES[key]
+
+
+def test_multi_query_rag_reuses_vanilla_rags_ranking(runner, workspace, tmp_path, monkeypatch):
+    """With 36 questions one system's sweep outgrows the ranking memo's 32
+    entries. A question's systems run back to back, so multi_query_rag's
+    first query, the question itself, finds vanilla_rag's ranking of it
+    still in the memo: no ranking vanilla_rag made is made again."""
+    result = runner.invoke(main, _gen_args(
+        workspace, tmp_path, "--templates", "ve2,md1,md4", "--count", "12", "--seed", "7"
+    ))
+    assert result.exit_code == 0, result.output
+    system, ranked = [None], []
+    run_system, rank_all = cli.run_system, PageIndex._rank_all
+
+    def tracked_run_system(system_id, *args, **kwargs):
+        system[0] = system_id
+        return run_system(system_id, *args, **kwargs)
+
+    def counted_rank_all(index, q, runs):
+        ranked.append((system[0], (q.tobytes(), runs)))
+        return rank_all(index, q, runs)
+
+    monkeypatch.setattr(cli, "run_system", tracked_run_system)
+    monkeypatch.setattr(PageIndex, "_rank_all", counted_rank_all)
+    args = _run_args(workspace, tmp_path / "session", "--systems", ",".join(SYSTEM_IDS))
+    args[args.index("--questions") + 1] = str(tmp_path / "q.jsonl")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    by_vanilla = {key for system_id, key in ranked if system_id == "vanilla_rag"}
+    assert len(by_vanilla) == 36
+    again = [key for system_id, key in ranked if system_id != "vanilla_rag" and key in by_vanilla]
+    assert again == []

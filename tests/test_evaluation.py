@@ -180,7 +180,6 @@ def _run_with_pages(refs, system="vanilla_rag", k=4, predicted=None, chat_calls=
         k=k,
         predicted=predicted,
         retrieved_pages=list(refs),
-        retrieved_docs=[],
         chat_calls=chat_calls,
         embed_calls=1,
     )
@@ -325,7 +324,6 @@ def _affine_grid(clean_bundle, recalls, accuracy_of_recall, precisions=None):
                     k=4,
                     predicted=_num(1.0) if correct else _num(99.0),
                     retrieved_pages=refs,
-                    retrieved_docs=[],
                     chat_calls=1,
                     embed_calls=1,
                 )

@@ -212,18 +212,17 @@ def test_vanilla_rejects_k_zero(clean_world):
 
 
 def test_retrieved_docs_is_signature_image(clean_world):
+    # A run records pages only; its documents are derived through the corpus.
     from mdqa.corpus import doc_signature
 
     collection, _, index, questions, backends = clean_world
     question = questions[0]
     run = answer_vanilla(question.question_id, question.text, collection, index, backends, 4, 2023)
-    expected = []
+    assert run.retrieved_pages
+    assert "retrieved_docs" not in run.to_json_dict()
     for ref in run.retrieved_pages:
         sym, form, year, pe = doc_signature(ref, collection)
-        sig = (sym, form, year, pe.isoformat())
-        if sig not in expected:
-            expected.append(sig)
-    assert run.retrieved_docs == expected
+        assert collection.page_signature(ref) == (sym, form, year, pe.isoformat())
 
 
 def test_multiquery_n1_matches_vanilla_retrieval(clean_world):
@@ -422,7 +421,9 @@ def test_adversarial_vanilla_doc_recall_zero(adversarial_bundle, adversarial_ind
         gold_sigs = {
             collection.get_document(d).signature() for d in question.gold_docs
         }
-        retrieved_years = {sig[2] for sig in run.retrieved_docs}
+        retrieved_years = {
+            collection.page_signature(ref)[2] for ref in run.retrieved_pages
+        }
         assert retrieved_years == {2023}
         assert all(sig[2] != 2023 for sig in gold_sigs)
         # Textual extraction grabs the wrong-year figure: answer is wrong but
