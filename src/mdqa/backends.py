@@ -60,7 +60,7 @@ class CallLedger:
     """Append-only chat/embed call counters, grouped by (system, question).
 
     Calls made outside a scope land in the ("-", "-") bucket. Thread safe;
-    counters never decrease.
+    counters never decrease but by a ``restore``.
     """
 
     def __init__(self) -> None:
@@ -69,16 +69,15 @@ class CallLedger:
         self._embed: dict[tuple[str, str], int] = {}
         self._network_chat = 0
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "CallLedger":
-        """A ledger that goes on counting from an earlier ``snapshot()``."""
-        ledger = cls()
-        for name, counts in (("chat_by_scope", ledger._chat), ("embed_by_scope", ledger._embed)):
-            for key, n in snapshot[name].items():
-                system_id, _, question_id = key.partition("/")
-                counts[(system_id, question_id)] = int(n)
-        ledger._network_chat = int(snapshot["network_chat_total"])
-        return ledger
+    def restore(self, snapshot: dict) -> None:
+        """Replace every count with those of an earlier ``snapshot()``."""
+        network_chat = int(snapshot["network_chat_total"])
+        chat, embed = (
+            {key.partition("/")[::2]: int(n) for key, n in snapshot[name].items()}
+            for name in ("chat_by_scope", "embed_by_scope")
+        )
+        with self._lock:
+            self._chat, self._embed, self._network_chat = chat, embed, network_chat
 
     @contextlib.contextmanager
     def scope(self, system_id: str, question_id: str):
@@ -358,10 +357,6 @@ class HashedBowEmbedder:
         self.ledger = ledger
         self._slot_cache: dict[str, int] = {}
 
-    @property
-    def fingerprint(self) -> str:
-        return f"hashed-bow-{self.dim}/1"
-
     def _slot(self, token: str) -> int:
         slot = self._slot_cache.get(token)
         if slot is None:
@@ -381,5 +376,5 @@ class HashedBowEmbedder:
                 out[row] /= norm
         if self.ledger:
             self.ledger.record_embed(len(texts))
-        # Quantize to float32 so cache round-trips are exact.
+        # Quantize to float32, as the HTTP embedder's cache holds its vectors.
         return out.astype(np.float32)

@@ -1,5 +1,5 @@
-"""Command-line orchestration: ingest, synth, gen, index, run, eval,
-stability, cost, trace.
+"""Command-line orchestration: ingest, synth, gen, run, eval, stability,
+cost, trace.
 
 Sessions live under an output directory: the effective config, the question
 set, the run records, call ledger, caches, and reports. ``mdqa run`` keeps no
@@ -59,7 +59,7 @@ from .questiongen import (
     read_questions,
     write_questions,
 )
-from .retrieval import RetrievalError, VectorStore, build_index
+from .retrieval import RetrievalError, build_index
 
 try:
     import tomllib
@@ -122,7 +122,7 @@ def main() -> None:
 
 
 # ---------------------------------------------------------------------------
-# ingest / synth / gen / index
+# ingest / synth / gen
 # ---------------------------------------------------------------------------
 
 
@@ -228,20 +228,6 @@ def gen(
         click.echo(f"{target}: {len(questions)} questions")
 
 
-@main.command()
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--cache", "cache_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--embed-dim", type=int, default=512, show_default=True)
-def index(corpus_dir: str, cache_dir: str, embed_dim: int) -> None:
-    """Build (or refresh) the page embedding cache with the mock embedder."""
-    _require_positive(embed_dim, "--embed-dim")
-    collection, _ = _load_corpus(corpus_dir)
-    embedder = HashedBowEmbedder(dim=embed_dim)
-    with VectorStore(cache_dir, embedder.fingerprint) as store:
-        page_index = build_index(collection, embedder, store)
-    click.echo(f"indexed {len(page_index)} pages (dim={page_index.embedding_dim})")
-
-
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -251,10 +237,13 @@ def _build_backends(
     backend: str, oracle_mode: str, table: FactTable, questions: list[Question],
     dataset_year: int, ledger: CallLedger, session_dir: Path, log_wire: bool,
     endpoint: str, model: str, auth_env: str, files: contextlib.ExitStack,
-) -> tuple[Backends, VectorStore]:
-    """The session's backends and vector store; ``files`` closes their logs."""
+) -> Backends:
+    """The session's backends; ``files`` closes their logs. ``index_cache/``
+    holds the HTTP embedder's vectors. The oracle's embedder is local and
+    fast, so an oracle session stores no vectors and leaves it empty."""
     index_cache = session_dir / "index_cache"
     if backend == "oracle":
+        index_cache.mkdir(exist_ok=True)
         chat = OracleChatBackend(
             table,
             dataset_year,
@@ -263,9 +252,7 @@ def _build_backends(
             metric_aliases=synth_mod.ORACLE_METRIC_ALIASES,
             ledger=ledger,
         )
-        embed = HashedBowEmbedder(ledger=ledger)
-        vectors = files.enter_context(VectorStore(index_cache, embed.fingerprint))
-        return Backends(chat=chat, embed=embed, ledger=ledger), vectors
+        return Backends(chat=chat, embed=HashedBowEmbedder(ledger=ledger), ledger=ledger)
     config = BackendConfig(
         endpoint=endpoint,
         model=model,
@@ -274,11 +261,10 @@ def _build_backends(
     )
     wire = files.enter_context(AppendLog(session_dir / "wire.jsonl")) if log_wire else None
     chat = files.enter_context(HttpChatBackend(config, ledger=ledger, wire_log=wire))
-    # The embedding backend caches in the index's store: one copy per vector.
     embed = files.enter_context(HttpEmbedBackend(
         dataclasses.replace(config, cache_dir=index_cache), ledger=ledger, wire_log=wire
     ))
-    return Backends(chat=chat, embed=embed, ledger=ledger), embed.cache
+    return Backends(chat=chat, embed=embed, ledger=ledger)
 
 
 def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | None):
@@ -391,19 +377,21 @@ def run_cmd(
     }
     write_json(session / "config.json", effective)
 
-    ledger_path = session / "ledger.json"  # a resumed session counts on from it
     ledger = CallLedger()
-    if ledger_path.exists():
-        ledger = read_json(ledger_path, CallLedger.from_snapshot)
     with contextlib.ExitStack() as files:
-        backends, vectors = _build_backends(
+        backends = _build_backends(
             backend, oracle_mode, table, questions, dataset_year, ledger,
             session, log_wire, endpoint, model, auth_env, files,
         )
         try:
-            page_index = build_index(collection, backends.embed, vectors)
+            page_index = build_index(collection, backends.embed)
         except BackendError as exc:
             _fail(f"the page index could not be built: {exc}")
+        # A resumed session counts on from its ledger, which already counts
+        # the index build of the invocation that wrote it.
+        ledger_path = session / "ledger.json"
+        if ledger_path.exists():
+            read_json(ledger_path, ledger.restore)
         # The journal holds each completed run once, by key: opening it cut
         # off a torn last line (that run is redone), and the runs of a
         # finished session that it lacks are appended to it.

@@ -1,11 +1,11 @@
 """Page-level vector index and top-k cosine retrieval.
 
 Scoring is an exact cosine full scan; at benchmark scale (a few thousand
-pages) approximate search buys nothing and costs determinism. Vectors are
-cached in a ``VectorStore``: a manifest pinning the backend fingerprint and
-dimension, and one append-only file of fixed-size records keyed by the
-sha256 of the embedded text. An HTTP session's embedding backend shares the
-index's store, so each vector is stored once.
+pages) approximate search buys nothing and costs determinism. The index lives
+in memory and is built by each process. The HTTP embedder, whose vectors cost
+a request, caches them in a ``VectorStore``: a manifest pinning the backend
+fingerprint and dimension, and one append-only file of fixed-size records
+keyed by the sha256 of the embedded text.
 
 In memory the index holds float64 unit vectors, and each document's pages
 are one contiguous span of rows. A pool of documents becomes runs of rows:
@@ -83,7 +83,6 @@ class PageIndex:
         self,
         refs: list[tuple[str, int]],
         vectors: np.ndarray,
-        backend_fingerprint: str,
         documents: Sequence[Document] = (),
     ):
         if len(refs) != vectors.shape[0]:
@@ -91,7 +90,6 @@ class PageIndex:
         if not np.all(np.isfinite(vectors)):
             raise RetrievalError("index contains non-finite vectors")
         self.refs = list(refs)
-        self.backend_fingerprint = backend_fingerprint
         self.embedding_dim = int(vectors.shape[1])
         # Normalized float64 copies; cosine becomes a dot product.
         norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
@@ -281,17 +279,12 @@ class VectorStore(Closable):
             self._log.close()
 
 
-def build_index(
-    collection: DocumentCollection,
-    embed_backend,
-    store: Optional[VectorStore] = None,
-) -> PageIndex:
+def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
     """Embed every page (title + newline + content, truncated) into an index.
 
-    With a ``store``, vectors are read from it and appended to it, so a
-    rebuild only embeds pages whose text changed. The store pins the backend
-    fingerprint; reusing it with a different backend is an error rather than
-    a silent mix of vector spaces.
+    Each distinct page text is embedded once, and the texts go to the backend
+    in ``text_key`` order in one call, so a caching backend sees the same
+    requests whatever the collection's order.
     """
     texts: list[str] = []
     refs: list[tuple[str, int]] = []
@@ -299,25 +292,12 @@ def build_index(
         for page in doc.pages:
             refs.append((doc.doc_id, page.page_number))
             texts.append(f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS])
-    keys = [text_key(t) for t in texts]
-
-    vectors = [store.get(key) if store else None for key in keys]
-    # Distinct uncached texts, embedded once each, in key order.
-    pending: dict[bytes, list[int]] = {}
-    for i, key in enumerate(keys):
-        if vectors[i] is None:
-            pending.setdefault(key, []).append(i)
-    if pending:
-        ordered = sorted(pending)
-        embedded = embed_backend.embed([texts[pending[key][0]] for key in ordered])
-        for key, vec in zip(ordered, embedded):
-            if store:
-                store.put(key, vec)
-            for slot in pending[key]:
-                vectors[slot] = vec
-    return PageIndex(
-        refs, np.stack(vectors), embed_backend.fingerprint, documents=collection.documents
-    )
+    keys = [text_key(text) for text in texts]
+    by_key = dict(zip(keys, texts))
+    ordered = sorted(by_key)
+    vector_of = dict(zip(ordered, embed_backend.embed([by_key[key] for key in ordered])))
+    vectors = np.stack([vector_of[key] for key in keys])
+    return PageIndex(refs, vectors, documents=collection.documents)
 
 
 def retrieve_relevant_pages(

@@ -137,8 +137,10 @@ def _tokens_clean(text: str) -> bool:
     return all(token_slot(t) not in _SIGNAL_SLOTS for t in tokenize(text))
 
 
-# Draws allowed per value before a window is taken to hold no clean value.
+# Draws allowed per value before a window is taken to hold no clean value, and
+# earlier values a series may redraw before it gives up.
 _MAX_DRAWS = 1000
+_MAX_REDRAWS = 20
 
 
 def _series(
@@ -147,24 +149,34 @@ def _series(
     """Yearly values: the first drawn from [lo, hi), each later one grown by a
     factor from [g_lo, g_hi), so wrong-year answers always miss the 1% answer
     tolerance. A draw whose formatted digit tokens land on signal slots is
-    redrawn; a window with no clean value raises ValueError."""
+    redrawn. When a year's growth window holds no clean value, the previous
+    year's value is redrawn; after ``_MAX_REDRAWS`` of those, ValueError."""
 
     def draw(sample):
         for _ in range(_MAX_DRAWS):
             value = sample()
             if _tokens_clean(fmt(quantize(value))):
                 return value
-        raise ValueError(
-            f"no value with clean digit tokens in {_MAX_DRAWS} draws; "
-            "this seed cannot build a bundle"
-        )
+        return None
 
-    value = draw(lambda: rng.uniform(lo, hi))
-    out = [quantize(value)]
-    for _ in range(n - 1):
-        value = draw(lambda: value * rng.uniform(g_lo, g_hi))
-        out.append(quantize(value))
-    return out
+    values: list[float] = []
+    redraws = 0
+    while len(values) < n:
+        if values:
+            value = draw(lambda: values[-1] * rng.uniform(g_lo, g_hi))
+        else:
+            value = draw(lambda: rng.uniform(lo, hi))
+        if value is not None:
+            values.append(value)
+        elif values and redraws < _MAX_REDRAWS:
+            redraws += 1
+            values.pop()
+        else:
+            raise ValueError(
+                f"no value with clean digit tokens in {_MAX_DRAWS} draws; "
+                "this seed cannot build a bundle"
+            )
+    return [quantize(value) for value in values]
 
 
 def _money_series(rng: random.Random, lo: float, hi: float, g_lo: float, g_hi: float, n: int):

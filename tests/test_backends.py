@@ -105,6 +105,23 @@ def test_ledger_scopes_and_totals():
     assert snap["chat_total"] == sum(snap["chat_by_scope"].values())
 
 
+def test_ledger_restore_replaces_every_count():
+    earlier = CallLedger()
+    with earlier.scope("vanilla_rag", "q/1"):
+        earlier.record_chat()
+        earlier.record_embed(3)
+    earlier.record_network_chat()
+    ledger = CallLedger()
+    ledger.record_embed(900)  # counted before the restore, then dropped
+    ledger.record_chat()
+    ledger.restore(earlier.snapshot())
+    assert ledger.snapshot() == earlier.snapshot()
+    with ledger.scope("vanilla_rag", "q/1"):
+        ledger.record_chat()
+    assert ledger.chat_by_scope() == {("vanilla_rag", "q/1"): 2}
+    assert (ledger.embed_total, ledger.network_chat_total) == (3, 1)
+
+
 # ---------------------------------------------------------------------------
 # HTTP chat backend
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import shutil
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -19,7 +18,7 @@ from mdqa.corpus import load_collection
 from mdqa.files import AppendLog, jsonl_line, write_json
 from mdqa.oracle import OracleChatBackend
 from mdqa.qasystems import RUN_FORMAT, SYSTEM_IDS
-from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, PageIndex, text_key
+from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, PageIndex, VectorStore, text_key
 
 
 @pytest.fixture()
@@ -355,32 +354,6 @@ def test_http_session_parallel_jobs_byte_identical(
         assert result.exit_code == 0, result.output
         outputs.append((session / "system_runs.jsonl").read_bytes())
     assert outputs[0] == outputs[1] == (finished_session / "system_runs.jsonl").read_bytes()
-
-
-def test_index_command_builds_cache(runner, workspace, tmp_path):
-    result = runner.invoke(
-        main,
-        ["index", "--corpus", str(workspace / "corpus"), "--cache", str(tmp_path / "cache")],
-    )
-    assert result.exit_code == 0, result.output
-    assert "indexed" in result.output
-    cache = tmp_path / "cache"
-    assert sorted(p.name for p in cache.iterdir()) == ["manifest.json", "vectors.f4"]
-    dim = json.loads((cache / "manifest.json").read_text())["dim"]
-    data = (cache / "vectors.f4").read_bytes()
-    record = 32 + 4 * dim
-    texts = {
-        f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS]
-        for doc in load_collection(workspace / "corpus").documents
-        for page in doc.pages
-    }
-    assert len(data) == len(texts) * record
-    embedded = HashedBowEmbedder(dim=dim)
-    by_key = {text_key(text): text for text in texts}
-    for offset in range(0, len(data), record):
-        key, row = data[offset:offset + 32], data[offset + 32:offset + record]
-        expected = embedded.embed([by_key[key]])[0]
-        assert np.array_equal(np.frombuffer(row, dtype="<f4"), expected)
 
 
 def test_eval_missing_session_exits_2(runner, tmp_path):
@@ -874,11 +847,16 @@ def test_run_record_without_system_id_exits_2(runner, finished_session, tmp_path
     assert f"{runs}:5: missing field 'system_id'" in result.output
 
 
-def test_index_cache_from_other_backend_exits_2(runner, workspace, finished_session, tmp_path):
-    session = _copy_session(finished_session, tmp_path)
+def test_index_cache_from_other_backend_exits_2(runner, workspace, http_session, tmp_path):
+    session = _copy_session(http_session, tmp_path)
     manifest = session / "index_cache" / "manifest.json"
     manifest.write_text(json.dumps({"backend_fingerprint": "http:other", "dim": 512}))
-    result = runner.invoke(main, _run_args(workspace, session))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MDQA_API_KEY", "k")
+        result = runner.invoke(main, _run_args(
+            workspace, session, "--backend", "http", "--endpoint", "http://localhost:9/v1",
+            "--model", "m",
+        ))
     assert result.exit_code == 2, result.output
     assert f"{manifest}: cache built with 'http:other'" in result.output
 
@@ -941,8 +919,6 @@ def _gen_args(workspace, tmp_path, *extra):
          "--num-years"),
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--n-queries", "0"), "--n-queries"),
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--k-grid", "4,0"), "--k-grid"),
-        (lambda ws, tmp: ["index", "--corpus", str(ws / "corpus"), "--cache", str(tmp / "ic"),
-                          "--embed-dim", "0"], "--embed-dim"),
         (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--count", "0"), "--count"),
         (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--count", "-3"), "--count"),
         (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
@@ -952,7 +928,7 @@ def _gen_args(workspace, tmp_path, *extra):
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "-2"), "--jobs"),
     ],
     ids=["years_reversed", "company_list_0", "company_list_neg", "num_years_0",
-         "n_queries_0", "k_grid_0", "embed_dim_0", "gen_count_0", "gen_count_neg",
+         "n_queries_0", "k_grid_0", "gen_count_0", "gen_count_neg",
          "stability_count_0", "jobs_0", "jobs_neg"],
 )
 def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, option):
@@ -1159,3 +1135,102 @@ def test_multi_query_rag_reuses_vanilla_rags_ranking(runner, workspace, tmp_path
     assert len(by_vanilla) == 36
     again = [key for system_id, key in ranked if system_id != "vanilla_rag" and key in by_vanilla]
     assert again == []
+
+
+# ---------------------------------------------------------------------------
+# Where page vectors are kept
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_session_keeps_an_empty_index_cache(finished_session):
+    """Local vectors are rebuilt by each invocation; ``index_cache/`` is the
+    HTTP embedder's store and stays empty."""
+    assert (finished_session / "index_cache").is_dir()
+    assert list((finished_session / "index_cache").iterdir()) == []
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _with_old_index_cache(session: Path) -> None:
+    """Give an oracle session the ``index_cache/`` it held while oracle
+    sessions stored their page vectors: one record per distinct page text,
+    in key order (sha256 pinned to what that mdqa wrote for this session)."""
+    collection = load_collection(json.loads((session / "config.json").read_text())["corpus"])
+    texts = sorted({
+        f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS]
+        for doc in collection.documents for page in doc.pages
+    }, key=text_key)
+    embedder = HashedBowEmbedder()
+    with VectorStore(session / "index_cache", "hashed-bow-512/1") as store:
+        for text, vector in zip(texts, embedder.embed(texts)):
+            store.put(text_key(text), vector)
+    assert {p.name: _sha256(p) for p in (session / "index_cache").iterdir()} == {
+        "manifest.json": "22a9fffa0387b36b2ab28e2f02640421340b3e1c511eafa0b36a1d9dba964c8c",
+        "vectors.f4": "616c3cf3b35a5c3cfcbbe094548c2b80d01151610a7a20bd361675289db4d965",
+    }
+
+
+def test_oracle_session_with_old_index_cache_resumes_to_the_same_bytes(
+    runner, workspace, finished_session, tmp_path
+):
+    """The old vectors are left unread and untouched; the resume rewrites the
+    runs, the ledger and, after ``eval``, the report to the same bytes."""
+    session = _copy_session(finished_session, tmp_path)
+    _with_old_index_cache(session)
+    assert runner.invoke(main, ["eval", str(session)]).exit_code in (0, 1)
+    before = _files(session)
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0 and "0 new" in result.output, result.output
+    assert runner.invoke(main, ["eval", str(session)]).exit_code in (0, 1)
+    assert _files(session) == before
+
+
+def test_killed_oracle_session_counts_its_index_build(workspace, finished_session, tmp_path):
+    """A killed invocation writes no ``ledger.json``, so the resume's own
+    index build is the one the ledger counts."""
+    session, started = tmp_path / "session", []
+    run_system = cli.run_system
+
+    def stopped_after_5(*args, **kwargs):
+        if len(started) == 5:
+            raise _Stopped
+        started.append(args)
+        return run_system(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_system", stopped_after_5)
+        result = CliRunner().invoke(main, _run_args(workspace, session))
+    assert isinstance(result.exception, _Stopped), result.output
+    assert not (session / "ledger.json").exists()
+    result = CliRunner().invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0 and "5 resumed" in result.output, result.output
+    resumed, finished = (
+        json.loads((s / "ledger.json").read_text())["embed_by_scope"]
+        for s in (session, finished_session)
+    )
+    assert resumed["-/-"] == finished["-/-"] > 0
+
+
+# sha256 of an HTTP ``--log-wire`` session's vector cache, wire log and
+# ledger, then of the same files after a resume onto a wider k grid.
+_HTTP_SESSION_SHA256 = {
+    "4,8": {
+        "index_cache/vectors.f4": "9eec5519300751d9bfc4e4e6350bb54380d72c9b7b94c6e410355c853f26aa16",
+        "wire.jsonl": "f6b96c5d777c62ccda1f8bf505ab7dbf8a877e75cc0f908b8f9702f2809949ae",
+        "ledger.json": "7813161d62c38eeaaac600ce7482cbcb6a50cc8a3b989d5b265fd2afc58d1b59",
+    },
+    "4,8,16": {
+        "index_cache/vectors.f4": "9eec5519300751d9bfc4e4e6350bb54380d72c9b7b94c6e410355c853f26aa16",
+        "wire.jsonl": "7ba7b93a2a3ec482d3f9bd6db20b0fb719b21c8a49c32ff53b4d5dbb0122c3ab",
+        "ledger.json": "a7b36d0a11ee66ccbf487d0720bb27d918b05eeab7b98132ac096bd3123b7f53",
+    },
+}
+
+
+def test_http_session_cache_wire_and_ledger_are_pinned(workspace, tmp_path):
+    session = tmp_path / "session"
+    for k_grid, expected in _HTTP_SESSION_SHA256.items():
+        _http_run(workspace, session, _oracle_transport(workspace), "--log-wire", "--k-grid", k_grid)
+        assert {name: _sha256(session / name) for name in expected} == expected

@@ -12,11 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdqa.backends import BackendError, CallLedger, HashedBowEmbedder, tokenize, token_slot
+from mdqa.backends import (
+    BackendConfig,
+    BackendError,
+    CallLedger,
+    HashedBowEmbedder,
+    HttpEmbedBackend,
+    tokenize,
+    token_slot,
+)
 from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
     RANKING_MEMO_SIZE,
-    VectorStore,
     text_key,
     CacheMismatchError,
     PageIndex,
@@ -84,41 +91,64 @@ def test_index_has_one_entry_per_page():
     assert len(index) == 10
 
 
-def _build_cached(collection, embedder, root):
-    with VectorStore(root, embedder.fingerprint) as store:
-        return build_index(collection, embedder, store)
+def _embed_transport(requests: list):
+    """A ``Transport`` that embeds with ``HashedBowEmbedder``, in process, and
+    records each request's texts."""
+    embedder = HashedBowEmbedder()
+
+    def transport(url, body, headers, timeout):
+        requests.append(body["input"])
+        vectors = embedder.embed(body["input"])
+        return 200, {"data": [{"embedding": v.tolist()} for v in vectors]}
+
+    return transport
 
 
-def test_rebuild_with_cache_costs_nothing(tmp_path):
+def _build_cached(collection, root, ledger=None, model="m", requests=None):
+    """``build_index`` over an HTTP embedder whose vector cache is ``root``:
+    the one place a page vector is cached."""
+    config = BackendConfig(cache_dir=root, endpoint="http://localhost:9/v1", model=model)
+    transport = _embed_transport([] if requests is None else requests)
+    with HttpEmbedBackend(config, ledger=ledger, transport=transport) as backend:
+        return build_index(collection, backend)
+
+
+@pytest.fixture()
+def api_key(monkeypatch):
+    monkeypatch.setenv("MDQA_API_KEY", "k")
+
+
+def test_rebuild_with_cache_costs_nothing(tmp_path, api_key):
     collection = _collection({"d1": ["alpha one", "beta two"], "d2": ["gamma three"]})
-    first = HashedBowEmbedder(ledger=CallLedger())
-    _build_cached(collection, first, tmp_path)
-    assert first.ledger.embed_total == 3
-    second = HashedBowEmbedder(ledger=CallLedger())
-    index = _build_cached(collection, second, tmp_path)
-    assert second.ledger.embed_total == 0
+    first = CallLedger()
+    _build_cached(collection, tmp_path, first)
+    assert first.embed_total == 3
+    second, requests = CallLedger(), []
+    index = _build_cached(collection, tmp_path, second, requests=requests)
+    assert second.embed_total == 0 and requests == []
     assert len(index) == 3
 
 
-def test_one_edited_page_costs_one_computation(tmp_path):
+def test_one_edited_page_costs_one_computation(tmp_path, api_key):
     texts = {"d1": ["alpha one", "beta two"], "d2": ["gamma three"]}
-    _build_cached(_collection(texts), HashedBowEmbedder(), tmp_path)
+    _build_cached(_collection(texts), tmp_path)
     texts["d1"][1] = "beta two EDITED"
-    embedder = HashedBowEmbedder(ledger=CallLedger())
-    _build_cached(_collection(texts), embedder, tmp_path)
-    assert embedder.ledger.embed_total == 1
+    ledger, requests = CallLedger(), []
+    _build_cached(_collection(texts), tmp_path, ledger, requests=requests)
+    assert ledger.embed_total == 1
+    assert requests == [["\nbeta two EDITED"]]
 
 
-def test_cache_fingerprint_mismatch(tmp_path):
+def test_cache_fingerprint_mismatch(tmp_path, api_key):
     collection = _collection({"d1": ["alpha"]})
-    _build_cached(collection, HashedBowEmbedder(dim=512), tmp_path)
+    _build_cached(collection, tmp_path, model="m")
     with pytest.raises(CacheMismatchError):
-        _build_cached(collection, HashedBowEmbedder(dim=64), tmp_path)
+        _build_cached(collection, tmp_path, model="other")
 
 
-def test_cache_files_are_float32_records(tmp_path):
+def test_cache_files_are_float32_records(tmp_path, api_key):
     collection = _collection({"d1": ["alpha", "beta two"], "d2": ["alpha"]})
-    index = _build_cached(collection, HashedBowEmbedder(), tmp_path)
+    index = _build_cached(collection, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "vectors.f4"]
     # One record per distinct page text (title, newline, content), in the
     # order they were embedded: by key.
@@ -250,7 +280,7 @@ def test_equal_document_outside_the_index_ranks_the_same():
 def test_index_rejects_rows_it_cannot_span(refs, documents, message):
     vectors = np.eye(3, dtype=np.float32)
     with pytest.raises(RetrievalError, match=message):
-        PageIndex(refs, vectors, "test", documents=documents)
+        PageIndex(refs, vectors, documents=documents)
 
 
 def test_scores_in_range_and_self_similarity():
@@ -356,7 +386,7 @@ def _dense_indexes(draw):
     docs = draw(st.permutations(docs))
     refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
     vectors = palette[rng.integers(0, len(palette), len(refs))]
-    index = PageIndex(refs, vectors, "dense", documents=tuple(docs))
+    index = PageIndex(refs, vectors, documents=tuple(docs))
     return index, docs, rng.standard_normal(512).astype(np.float32)
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +17,20 @@ import mdqa
 from mdqa.backends import HashedBowEmbedder, token_slot, tokenize
 from mdqa.corpus import value_findable_in_doc
 from mdqa.retrieval import build_index, retrieve_relevant_pages
-from mdqa.synth import _SIGNAL_SLOTS, make_bundle, write_bundle
+from mdqa.evaluation import RELATIVE_TOLERANCE
+from mdqa.synth import (
+    _SIGNAL_SLOTS,
+    DEFAULT_YEARS,
+    _fmt_count,
+    _fmt_dividend,
+    _fmt_money,
+    _series,
+    _whole,
+    make_bundle,
+    write_bundle,
+)
+
+_RENDER = {"total_employees": _fmt_count, "dividends_paid": _fmt_dividend}
 
 
 def _cosine(query: str, text: str) -> float:
@@ -141,13 +156,12 @@ def test_default_seed_bundle_bytes_pinned(tmp_path, kind, collection_sha, facts_
 
 def test_synth_seed_without_clean_values_exits_2(tmp_path):
     # Seed 4 draws an employee-count growth window in which every value has a
-    # digit token on a signal slot. Run in a child process, so a sampler that
-    # redraws forever fails the test instead of hanging the suite.
+    # digit token on a signal slot; with no redraw of the year before allowed,
+    # it cannot build. Run in a child process, so a sampler that redraws
+    # forever fails the test instead of hanging the suite.
+    code = "import mdqa.synth; mdqa.synth._MAX_REDRAWS = 0; from mdqa.cli import main; main()"
     result = subprocess.run(
-        [
-            sys.executable, "-c", "from mdqa.cli import main; main()",
-            "synth", str(tmp_path / "bundle"), "--seed", "4",
-        ],
+        [sys.executable, "-c", code, "synth", str(tmp_path / "bundle"), "--seed", "4"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -155,6 +169,41 @@ def test_synth_seed_without_clean_values_exits_2(tmp_path):
     )
     assert result.returncode == 2, result.stderr
     assert "error: no value with clean digit tokens" in result.stderr
+
+
+def _clean_below_1000(value: float) -> str:
+    """A format under which a value is clean only below 1000: from there on
+    it renders as a year, a signal token."""
+    return "2019" if value >= 1000 else ""
+
+
+def test_empty_growth_window_redraws_the_year_before():
+    rng = random.Random(0)
+    assert random.Random(0).uniform(975, 999) > 1000 / 1.02  # year 2's window is empty
+    first, second = _series(rng, 975, 999, 1.02, 1.08, 2, _whole, _clean_below_1000)
+    assert first < 1000 / 1.02 and 1.02 * first - 1 < second < 1000
+
+
+def test_redraws_of_the_year_before_are_bounded():
+    with pytest.raises(ValueError, match="no value with clean digit tokens"):
+        _series(random.Random(0), 900, 999, 1.2, 1.3, 2, _whole, _clean_below_1000)
+
+
+@pytest.mark.parametrize("kind", ["clean", "adversarial"])
+def test_every_seed_builds_a_bundle(kind):
+    """Seeds 0-29 each build, every value keeps its digit tokens off the
+    signal slots, and no other year's value of a series passes as the right
+    one within the answer tolerance."""
+    for seed in range(30):
+        _, table = make_bundle(kind, seed=seed)
+        for rec in table.records:
+            rendered = _RENDER.get(rec.metric_id, _fmt_money)(rec.value)
+            assert all(token_slot(t) not in _SIGNAL_SLOTS for t in tokenize(rendered)), seed
+        for _, symbol in table.companies:
+            for metric in table.reported_metric_ids():
+                values = [table.get(symbol, year, metric).normalized for year in DEFAULT_YEARS]
+                for a, b in itertools.permutations(values, 2):
+                    assert abs(a - b) / abs(b) > RELATIVE_TOLERANCE, (seed, symbol, metric)
 
 
 # ---------------------------------------------------------------------------
