@@ -240,10 +240,10 @@ def _build_backends(
 ) -> Backends:
     """The session's backends; ``files`` closes their logs. ``index_cache/``
     holds the HTTP embedder's vectors. The oracle's embedder is local and
-    fast, so an oracle session stores no vectors and leaves it empty."""
+    fast, so an oracle session stores no vectors."""
     index_cache = session_dir / "index_cache"
     if backend == "oracle":
-        index_cache.mkdir(exist_ok=True)
+        index_cache.mkdir(exist_ok=True)  # benchmarks/bench_session.py lists it
         chat = OracleChatBackend(
             table,
             dataset_year,
@@ -359,7 +359,7 @@ def run_cmd(
     _require_positive(jobs, "--jobs")
 
     session = Path(session_dir)
-    _check_run_format(session)
+    _check_resumable(session, backend)
     session.mkdir(parents=True, exist_ok=True)
     write_questions(questions, session / "questions.jsonl")
     effective = {
@@ -377,21 +377,26 @@ def run_cmd(
     }
     write_json(session / "config.json", effective)
 
+    ledger_path = session / "ledger.json"  # a resumed session counts on from it
+    resumed = ledger_path.exists()
     ledger = CallLedger()
+    if resumed:
+        read_json(ledger_path, ledger.restore)
     with contextlib.ExitStack() as files:
         backends = _build_backends(
             backend, oracle_mode, table, questions, dataset_year, ledger,
             session, log_wire, endpoint, model, auth_env, files,
         )
+        # Every invocation builds the index. The HTTP embedder counts only the
+        # vectors it fetches, each a paid call; a resumed ledger already
+        # counts one build of the oracle's, so this one goes uncounted.
+        index_embed = backends.embed
+        if resumed and backend == "oracle":
+            index_embed = HashedBowEmbedder(dim=index_embed.dim)
         try:
-            page_index = build_index(collection, backends.embed)
+            page_index = build_index(collection, index_embed)
         except BackendError as exc:
             _fail(f"the page index could not be built: {exc}")
-        # A resumed session counts on from its ledger, which already counts
-        # the index build of the invocation that wrote it.
-        ledger_path = session / "ledger.json"
-        if ledger_path.exists():
-            read_json(ledger_path, ledger.restore)
         # The journal holds each completed run once, by key: opening it cut
         # off a torn last line (that run is redone), and the runs of a
         # finished session that it lacks are appended to it.
@@ -438,14 +443,21 @@ def run_cmd(
     )
 
 
-def _check_run_format(session: Path) -> None:
+def _check_resumable(session: Path, backend: str) -> None:
     """Exit 2 if ``session`` holds run records of another format (format 1
-    if ``config.json`` names none), so that one file never mixes formats."""
+    if ``config.json`` names none) or of another backend, so that one session
+    never mixes formats or backends. The HTTP embedder's store pins its
+    model."""
     config = session / "config.json"
-    found = read_json(config, dict).get("format", 1) if config.exists() else RUN_FORMAT
-    if found != RUN_FORMAT:
-        _fail(f"{session} holds run records of format {found}; this mdqa writes "
-              f"format {RUN_FORMAT} and cannot resume it")
+    if not config.exists():
+        return
+    found = read_json(config, dict)
+    if found.get("format", 1) != RUN_FORMAT:
+        _fail(f"{session} holds run records of format {found.get('format', 1)}; "
+              f"this mdqa writes format {RUN_FORMAT} and cannot resume it")
+    if found.get("backend", backend) != backend:
+        _fail(f"{session} was run with --backend {found['backend']}; "
+              f"it cannot be resumed with --backend {backend}")
 
 
 def _run_key(line: bytes) -> tuple[str, str, int]:

@@ -847,6 +847,25 @@ def test_run_record_without_system_id_exits_2(runner, finished_session, tmp_path
     assert f"{runs}:5: missing field 'system_id'" in result.output
 
 
+@pytest.mark.parametrize("first, then", [("http", "oracle"), ("oracle", "http")])
+def test_resume_with_other_backend_exits_2(
+    runner, workspace, http_session, finished_session, tmp_path, first, then
+):
+    """One session never mixes backends: the resume stops before it writes."""
+    session = _copy_session(http_session if first == "http" else finished_session, tmp_path)
+    before = _files(session)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MDQA_API_KEY", "k")
+        mp.setattr(backends, "_requests_transport", None)  # no request is made
+        result = runner.invoke(main, _run_args(
+            workspace, session, "--backend", then, "--endpoint", "http://localhost:9/v1",
+            "--model", "m",
+        ))
+    assert result.exit_code == 2, result.output
+    assert f"{session} was run with --backend {first}" in result.output
+    assert _files(session) == before
+
+
 def test_index_cache_from_other_backend_exits_2(runner, workspace, http_session, tmp_path):
     session = _copy_session(http_session, tmp_path)
     manifest = session / "index_cache" / "manifest.json"
@@ -1142,11 +1161,10 @@ def test_multi_query_rag_reuses_vanilla_rags_ranking(runner, workspace, tmp_path
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_session_keeps_an_empty_index_cache(finished_session):
+def test_oracle_session_stores_no_vectors(finished_session):
     """Local vectors are rebuilt by each invocation; ``index_cache/`` is the
-    HTTP embedder's store and stays empty."""
-    assert (finished_session / "index_cache").is_dir()
-    assert list((finished_session / "index_cache").iterdir()) == []
+    HTTP embedder's store."""
+    assert not [p for p in finished_session.rglob("*") if "index_cache" in p.parts[:-1]]
 
 
 def _sha256(path: Path) -> str:
@@ -1211,6 +1229,27 @@ def test_killed_oracle_session_counts_its_index_build(workspace, finished_sessio
         for s in (session, finished_session)
     )
     assert resumed["-/-"] == finished["-/-"] > 0
+
+
+def test_http_resume_counts_the_vectors_it_fetches_again(workspace, http_session, tmp_path):
+    """A resume that has lost the vector cache pays for the page vectors
+    again; its ledger counts them on top of the session's."""
+    session = _copy_session(http_session, tmp_path)
+    (session / "index_cache" / "vectors.f4").unlink()
+    sent = []
+    _http_run(workspace, session, _recording(_oracle_transport(workspace), sent))
+    fetched = sum(len(body["input"]) for url, body in sent if url.endswith("/embeddings"))
+    before, after = (
+        json.loads((s / "ledger.json").read_text()) for s in (http_session, session)
+    )
+    assert fetched > 0
+    assert after["embed_by_scope"].pop("-/-") == before["embed_by_scope"].pop("-/-") + fetched
+    assert after.pop("embed_total") == before.pop("embed_total") + fetched
+    assert after == before
+    # The pages' vectors again, as the first invocation wrote them before its
+    # query vectors.
+    vectors = (session / "index_cache" / "vectors.f4").read_bytes()
+    assert (http_session / "index_cache" / "vectors.f4").read_bytes().startswith(vectors)
 
 
 # sha256 of an HTTP ``--log-wire`` session's vector cache, wire log and
