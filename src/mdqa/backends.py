@@ -1,5 +1,5 @@
-"""Chat and embedding backends: HTTP access with caching and retries, call
-accounting, and the deterministic hashed bag-of-words embedder used by tests
+"""Chat and embedding backends: HTTP access with caching and retries, the
+call ledger, and the deterministic hashed bag-of-words embedder used by tests
 and oracle sessions.
 
 An HTTP backend always caches, in one append-only log under
@@ -7,8 +7,10 @@ An HTTP backend always caches, in one append-only log under
 text); a hit reads one record back. Both backends may share one wire log, a
 line per request.
 
-Cost accounting counts chat completions as "LLM calls"; embedding work is
-reported separately and counted per text embedded, not per HTTP request.
+Chat completions ("LLM calls") are counted once, by each run's meter into its
+run record; ``mdqa run`` sums them from the records. The ledger holds only
+what no run record does: texts embedded, per (system, question) and for the
+index build, and chat requests that went over the network.
 """
 
 from __future__ import annotations
@@ -57,27 +59,24 @@ _current_scope: contextvars.ContextVar[Optional[tuple[str, str]]] = contextvars.
 
 
 class CallLedger:
-    """Append-only chat/embed call counters, grouped by (system, question).
+    """Append-only counters of texts embedded, grouped by (system, question),
+    and of chat requests sent over the network.
 
-    Calls made outside a scope land in the ("-", "-") bucket. Thread safe;
+    Texts embedded outside a scope land in the ("-", "-") bucket. Thread safe;
     counters never decrease but by a ``restore``.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._chat: dict[tuple[str, str], int] = {}
         self._embed: dict[tuple[str, str], int] = {}
         self._network_chat = 0
 
     def restore(self, snapshot: dict) -> None:
         """Replace every count with those of an earlier ``snapshot()``."""
         network_chat = int(snapshot["network_chat_total"])
-        chat, embed = (
-            {key.partition("/")[::2]: int(n) for key, n in snapshot[name].items()}
-            for name in ("chat_by_scope", "embed_by_scope")
-        )
+        embed = {key.partition("/")[::2]: int(n) for key, n in snapshot["embed_by_scope"].items()}
         with self._lock:
-            self._chat, self._embed, self._network_chat = chat, embed, network_chat
+            self._embed, self._network_chat = embed, network_chat
 
     @contextlib.contextmanager
     def scope(self, system_id: str, question_id: str):
@@ -87,27 +86,14 @@ class CallLedger:
         finally:
             _current_scope.reset(token)
 
-    def _bucket(self) -> tuple[str, str]:
-        return _current_scope.get() or ("-", "-")
-
-    def record_chat(self) -> None:
-        with self._lock:
-            key = self._bucket()
-            self._chat[key] = self._chat.get(key, 0) + 1
-
     def record_embed(self, n: int) -> None:
         with self._lock:
-            key = self._bucket()
+            key = _current_scope.get() or ("-", "-")
             self._embed[key] = self._embed.get(key, 0) + n
 
     def record_network_chat(self) -> None:
         with self._lock:
             self._network_chat += 1
-
-    @property
-    def chat_total(self) -> int:
-        with self._lock:
-            return sum(self._chat.values())
 
     @property
     def embed_total(self) -> int:
@@ -119,22 +105,14 @@ class CallLedger:
         with self._lock:
             return self._network_chat
 
-    def chat_by_scope(self) -> dict[tuple[str, str], int]:
-        with self._lock:
-            return dict(self._chat)
-
     def embed_by_scope(self) -> dict[tuple[str, str], int]:
         with self._lock:
             return dict(self._embed)
 
     def snapshot(self) -> dict:
         return {
-            "chat_total": self.chat_total,
             "embed_total": self.embed_total,
             "network_chat_total": self.network_chat_total,
-            "chat_by_scope": {
-                f"{s}/{q}": n for (s, q), n in sorted(self.chat_by_scope().items())
-            },
             "embed_by_scope": {
                 f"{s}/{q}": n for (s, q), n in sorted(self.embed_by_scope().items())
             },
@@ -240,8 +218,8 @@ class HttpChatBackend(_HttpBackendBase):
     """Chat completions over an OpenAI-compatible endpoint.
 
     Responses are cached by (messages, params, model); a rerun of an identical
-    session issues zero new network requests but still increments the logical
-    call count.
+    session issues zero new network requests. The ledger counts the requests
+    that went over the network.
     """
 
     def _open_cache(self, root: Path) -> AppendLog:
@@ -249,8 +227,6 @@ class HttpChatBackend(_HttpBackendBase):
         return AppendLog(root / "chat.jsonl", key=lambda line: json.loads(line)["key"])
 
     def chat(self, messages: list[dict], **params) -> str:
-        if self.ledger:
-            self.ledger.record_chat()
         body = {
             "model": self.config.model,
             "messages": messages,

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
+from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -250,7 +253,6 @@ def _build_backends(
             questions=questions,
             mode=oracle_mode,
             metric_aliases=synth_mod.ORACLE_METRIC_ALIASES,
-            ledger=ledger,
         )
         return Backends(chat=chat, embed=HashedBowEmbedder(ledger=ledger), ledger=ledger)
     config = BackendConfig(
@@ -415,32 +417,42 @@ def run_cmd(
             if (system_id, q.question_id, k) not in done
         ]
 
-        def execute(item) -> None:
+        def execute(item) -> dict:
             system_id, question, k = item
-            run = run_system(
+            record = run_system(
                 system_id, question.question_id, question.text, collection, page_index,
                 backends, k, dataset_year, n_queries=n_queries,
-            )
-            journal.append(
-                jsonl_line(run.to_json_dict()).encode("utf-8"),
-                (system_id, question.question_id, k),
-            )
+            ).to_json_dict()
+            key = (system_id, question.question_id, k)
+            journal.append(jsonl_line(record).encode("utf-8"), key)
+            return record
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for _ in pool.map(execute, todo):
-                    pass
-        else:
-            for item in todo:
-                execute(item)
+        # Each run record comes back to this thread, which alone sums them.
+        old_records = (json.loads(journal.read(key)) for key in done)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            new_records = pool.map(execute, todo) if jobs > 1 else map(execute, todo)
+            chat_counts = _chat_counts(itertools.chain(old_records, new_records))
         n_runs = _write_runs(journal, runs_path)
 
-    write_json(ledger_path, ledger.snapshot())
+    write_json(ledger_path, {**chat_counts, **ledger.snapshot()})
     click.echo(
         f"session {session}: {n_runs} runs "
         f"({len(todo)} new, {len(done)} resumed), "
-        f"chat_calls={ledger.chat_total}"
+        f"chat_calls={chat_counts['chat_total']}"
     )
+
+
+def _chat_counts(records: Iterable[dict]) -> dict:
+    """The chat counts of ``ledger.json``, summed from run records: the one
+    count of chat calls. ``chat_by_scope`` is keyed ``system/question`` in
+    sorted order and leaves out scopes of 0 calls."""
+    by_scope: Counter[tuple[str, str]] = Counter()
+    for record in records:
+        by_scope[record["system_id"], record["question_id"]] += record["chat_calls"]
+    return {
+        "chat_total": sum(by_scope.values()),
+        "chat_by_scope": {f"{s}/{q}": n for (s, q), n in sorted(by_scope.items()) if n},
+    }
 
 
 def _check_resumable(session: Path, backend: str) -> None:
@@ -550,13 +562,17 @@ def stability(
     """Generate and run one benchmark variant per dataset year, then report
     the accuracy spread (templates and companies held constant)."""
     _require_positive(count, "--count")
+    _require_positive(k, "--k")
+    years = _parse_int_list(variant_years, "--variant-years", span=True)
+    if len(set(years)) < 2:
+        _fail(f"--variant-years needs at least 2 distinct years, got {variant_years!r}")
+    template_ids = tuple(t for t in templates.split(",") if t)
+    metrics_map = _metrics_option_to_map(metrics)
     collection, table = _load_corpus(corpus_dir)
     session = Path(session_dir)
     session.mkdir(parents=True, exist_ok=True)
-    template_ids = tuple(t for t in templates.split(",") if t)
-    metrics_map = _metrics_option_to_map(metrics)
     variant_results = {}
-    for year in _parse_int_list(variant_years, "--variant-years", span=True):
+    for year in years:
         config = GenConfig(
             template_ids=template_ids,
             count_per_template=count,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .backends import BackendError, CallLedger, tokenize
+from .backends import BackendError, tokenize
 from .corpus import FactRecord, FactTable, parse_formula
 from .questiongen import (
     TEMPLATES,
@@ -68,14 +68,12 @@ class OracleChatBackend:
         questions: Optional[Iterable[Question]] = None,
         mode: str = "perfect",
         metric_aliases: Optional[dict[str, list[str]]] = None,
-        ledger: Optional[CallLedger] = None,
     ):
         if mode not in ("perfect", "textual"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         self.fact_table = fact_table
         self.dataset_year = dataset_year
         self.mode = mode
-        self.ledger = ledger
         self._questions: list[Question] = sorted(
             questions or [], key=lambda q: -len(q.text)
         )
@@ -93,8 +91,6 @@ class OracleChatBackend:
     # -- entry point --------------------------------------------------------
 
     def chat(self, messages: list[dict], **params) -> str:
-        if self.ledger:
-            self.ledger.record_chat()
         system = "\n".join(m["content"] for m in messages if m["role"] == "system")
         user = "\n".join(m["content"] for m in messages if m["role"] == "user")
         if "Value query:" in user:

@@ -576,10 +576,7 @@ def generate_questions(
         attempts = 0
         while emitted < config.count_per_template and attempts < MAX_ATTEMPTS:
             attempts += 1
-            try:
-                binding, slots = _draw_binding(template, config, fact_table, rng)
-            except InfeasibleConfigError:
-                raise
+            binding, slots = _draw_binding(template, config, fact_table, rng)
             key = json.dumps(binding, sort_keys=True, default=str)
             if key in seen:
                 continue

@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from mdqa.backends import CallLedger, HashedBowEmbedder
+from mdqa.backends import HashedBowEmbedder
 from mdqa.corpus import (
     Document,
     DocumentCollection,
@@ -174,8 +174,3 @@ def demo_world():
     embedder = HashedBowEmbedder()
     index = build_index(collection, embedder)
     return collection, table, index, embedder
-
-
-@pytest.fixture()
-def demo_ledger():
-    return CallLedger()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mdqa.backends import CallLedger, HashedBowEmbedder
+from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main as cli_main
 from mdqa.evaluation import (
     bottleneck_report,
@@ -443,32 +443,40 @@ def test_a8_cost_accounting(clean_bundle, clean_index):
         company_list_size=5,
     )
     questions = generate_questions(table, collection, config)
-    ledger = CallLedger()
-    chat = OracleChatBackend(
-        table, 2023, questions=questions, mode="perfect",
-        metric_aliases=ORACLE_METRIC_ALIASES, ledger=ledger,
+
+    class CountingOracle(OracleChatBackend):
+        """The chat backend, counting the calls it receives."""
+        calls = 0
+
+        def chat(self, messages, **params):
+            self.calls += 1
+            return super().chat(messages, **params)
+
+    chat = CountingOracle(
+        table, 2023, questions=questions, mode="perfect", metric_aliases=ORACLE_METRIC_ALIASES,
     )
-    backends = Backends(chat, HashedBowEmbedder(), ledger)
-    runs = []
+    backends = Backends(chat, HashedBowEmbedder())
+    runs, received = [], {}
     for system in ("vanilla_rag", "codegen_docs_pager"):
         for question in questions:
+            before = chat.calls
             runs.append(
                 run_system(
                     system, question.question_id, question.text,
                     collection, clean_index, backends, 4, 2023,
                 )
             )
+            received[(system, question.question_id)] = chat.calls - before
     codegen = [r for r in runs if r.system_id == "codegen_docs_pager"]
     assert all(r.chat_calls == 7 for r in codegen), [r.chat_calls for r in codegen]
     report = cost_report(runs)
     assert report["mean_chat_calls"]["vanilla_rag"] == 1.0
     assert report["mean_chat_calls"]["codegen_docs_pager"] == 7.0
     assert report["ratio_vs_vanilla"]["codegen_docs_pager"] == 7.0
-    # Ledger totals equal the summed per-run counts.
-    assert ledger.chat_total == sum(r.chat_calls for r in runs)
-    per_scope = ledger.chat_by_scope()
+    # The calls the backend received equal the summed per-run counts.
+    assert chat.calls == sum(r.chat_calls for r in runs)
     for run in runs:
-        assert per_scope[(run.system_id, run.question_id)] == run.chat_calls
+        assert received[(run.system_id, run.question_id)] == run.chat_calls
     _report("A8", "md4 codegen runs cost exactly 7 chat calls; ratio vs vanilla = 7.0")
 
 

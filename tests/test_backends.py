@@ -89,37 +89,35 @@ def test_rank_critical_tokens_have_distinct_slots():
 def test_ledger_scopes_and_totals():
     ledger = CallLedger()
     with ledger.scope("vanilla_rag", "q1"):
-        ledger.record_chat()
-        ledger.record_embed(2)
+        ledger.record_embed(1)
     with ledger.scope("codegen_pager", "q1"):
-        ledger.record_chat()
-        ledger.record_chat()
-    ledger.record_chat()  # unscoped
-    assert ledger.chat_total == 4
-    assert ledger.embed_total == 2
-    by_scope = ledger.chat_by_scope()
+        ledger.record_embed(1)
+        ledger.record_embed(1)
+    ledger.record_embed(1)  # unscoped
+    assert ledger.embed_total == 4
+    by_scope = ledger.embed_by_scope()
     assert by_scope[("vanilla_rag", "q1")] == 1
     assert by_scope[("codegen_pager", "q1")] == 2
     assert by_scope[("-", "-")] == 1
     snap = ledger.snapshot()
-    assert snap["chat_total"] == sum(snap["chat_by_scope"].values())
+    assert snap["embed_total"] == sum(snap["embed_by_scope"].values())
+    assert "chat_total" not in snap and "chat_by_scope" not in snap
 
 
 def test_ledger_restore_replaces_every_count():
     earlier = CallLedger()
     with earlier.scope("vanilla_rag", "q/1"):
-        earlier.record_chat()
         earlier.record_embed(3)
     earlier.record_network_chat()
     ledger = CallLedger()
     ledger.record_embed(900)  # counted before the restore, then dropped
-    ledger.record_chat()
+    ledger.record_network_chat()
     ledger.restore(earlier.snapshot())
     assert ledger.snapshot() == earlier.snapshot()
     with ledger.scope("vanilla_rag", "q/1"):
-        ledger.record_chat()
-    assert ledger.chat_by_scope() == {("vanilla_rag", "q/1"): 2}
-    assert (ledger.embed_total, ledger.network_chat_total) == (3, 1)
+        ledger.record_embed(1)
+    assert ledger.embed_by_scope() == {("vanilla_rag", "q/1"): 4}
+    assert (ledger.embed_total, ledger.network_chat_total) == (4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,6 @@ def test_chat_cache_avoids_second_network_call(tmp_path, monkeypatch):
         assert backend.chat(messages) == "hello"
         assert backend.chat(messages) == "hello"
     assert len(transport.requests) == 1
-    assert ledger.chat_total == 2  # logical calls
     assert ledger.network_chat_total == 1
     # The log outlives the backend: a new one answers from it.
     with HttpChatBackend(_http_config(tmp_path), transport=transport) as again:

@@ -770,8 +770,11 @@ def test_crash_at_run_n_leaves_n_minus_1_journal_lines(runner, workspace, tmp_pa
     seen_at_crash = []
 
     class CrashingOracle(OracleChatBackend):
+        calls = 0
+
         def chat(self, messages, **params):
-            if self.ledger.chat_total + 1 == crash_at:  # vanilla_rag: one chat per run
+            self.calls += 1
+            if self.calls == crash_at:  # vanilla_rag: one chat per run
                 seen_at_crash.append((session / "journal.jsonl").read_bytes())
                 raise RuntimeError("backend crashed")
             return super().chat(messages, **params)
@@ -943,12 +946,22 @@ def _gen_args(workspace, tmp_path, *extra):
         (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
                           "--variant-years", "2022:2023", "--templates", "ve2", "--count", "0"],
          "--count"),
+        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
+                          "--variant-years", "2022:2023", "--templates", "ve2", "--k", "0"],
+         "--k"),
+        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
+                          "--variant-years", "2023", "--templates", "ve2"],
+         "--variant-years"),
+        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
+                          "--variant-years", "2023,2023", "--templates", "ve2"],
+         "--variant-years"),
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "0"), "--jobs"),
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "-2"), "--jobs"),
     ],
     ids=["years_reversed", "company_list_0", "company_list_neg", "num_years_0",
          "n_queries_0", "k_grid_0", "gen_count_0", "gen_count_neg",
-         "stability_count_0", "jobs_0", "jobs_neg"],
+         "stability_count_0", "stability_k_0", "stability_one_year", "stability_same_year",
+         "jobs_0", "jobs_neg"],
 )
 def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, option):
     result = runner.invoke(main, make_args(workspace, tmp_path))
@@ -1207,7 +1220,8 @@ def test_oracle_session_with_old_index_cache_resumes_to_the_same_bytes(
 
 def test_killed_oracle_session_counts_its_index_build(workspace, finished_session, tmp_path):
     """A killed invocation writes no ``ledger.json``, so the resume's own
-    index build is the one the ledger counts."""
+    index build is the one the ledger counts. The chat counts are summed from
+    the runs, so the killed invocation's runs are counted too."""
     session, started = tmp_path / "session", []
     run_system = cli.run_system
 
@@ -1225,10 +1239,11 @@ def test_killed_oracle_session_counts_its_index_build(workspace, finished_sessio
     result = CliRunner().invoke(main, _run_args(workspace, session))
     assert result.exit_code == 0 and "5 resumed" in result.output, result.output
     resumed, finished = (
-        json.loads((s / "ledger.json").read_text())["embed_by_scope"]
-        for s in (session, finished_session)
+        json.loads((s / "ledger.json").read_text()) for s in (session, finished_session)
     )
-    assert resumed["-/-"] == finished["-/-"] > 0
+    assert resumed["embed_by_scope"]["-/-"] == finished["embed_by_scope"]["-/-"] > 0
+    assert resumed["chat_by_scope"] == finished["chat_by_scope"]
+    assert resumed["chat_total"] == finished["chat_total"] > 0
 
 
 def test_http_resume_counts_the_vectors_it_fetches_again(workspace, http_session, tmp_path):

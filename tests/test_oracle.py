@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from mdqa.backends import BackendError, CallLedger, HashedBowEmbedder
+from mdqa.backends import BackendError, HashedBowEmbedder
 from mdqa.oracle import OracleChatBackend, build_canonical_plan
 from mdqa.planlang import parse_plan
 from mdqa.planlang.parser import Call, ExprStmt, For
@@ -272,10 +272,3 @@ def test_oracle_rejects_unknown_prompt_shape(clean_bundle):
     oracle = _oracle(clean_bundle, [])
     with pytest.raises(BackendError):
         oracle.chat([{"role": "user", "content": "tell me a story"}])
-
-
-def test_oracle_counts_calls(clean_bundle):
-    ledger = CallLedger()
-    oracle = OracleChatBackend(clean_bundle[1], 2023, ledger=ledger)
-    oracle.chat(_extract_prompt("What is the Net Income of Argonix (ARGX) in 2021?", []))
-    assert ledger.chat_total == 1

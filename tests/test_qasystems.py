@@ -189,7 +189,6 @@ def clean_world(clean_bundle, clean_index):
         questions=questions,
         mode="perfect",
         metric_aliases=ORACLE_METRIC_ALIASES,
-        ledger=ledger,
     )
     return collection, table, clean_index, questions, Backends(chat, embedder, ledger)
 
@@ -288,20 +287,22 @@ def test_rag_embed_failure_recorded(clean_world, system_id, chat_calls):
 
 def test_codegen_failed_extract_call_is_counted(clean_bundle, clean_index):
     collection, _ = clean_bundle
-    ledger = CallLedger()
 
     class ExtractOutage:
+        calls = 0
+
         def chat(self, messages, **params):
-            ledger.record_chat()
+            self.calls += 1
             if any("Value query:" in m["content"] for m in messages):
                 raise BackendError("extract endpoint down")
             return 'pages = retrieve_relevant_pages("total revenue")\n' \
                 'emit(extract_value("total revenue", pages))'
 
-    backends = Backends(ExtractOutage(), HashedBowEmbedder(), ledger)
+    chat = ExtractOutage()
+    backends = Backends(chat, HashedBowEmbedder())
     run = run_system("codegen_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023)
     assert run.failure.startswith("plan_runtime_error:extraction_failed")
-    assert ledger.chat_by_scope()[("codegen_pager", "q")] == 2
+    assert chat.calls == 2
     assert run.chat_calls == 2
     assert run.trace["chat_calls"] == 1
     assert run.embed_calls == 1
@@ -472,8 +473,9 @@ def test_run_system_scopes_ledger(clean_world):
     run = run_system(
         "vanilla_rag", question.question_id, question.text, collection, index, backends, 4, 2023
     )
-    by_scope = backends.ledger.chat_by_scope()
-    assert by_scope[("vanilla_rag", question.question_id)] == run.chat_calls
+    # vanilla_rag embeds one text, its question, in one call.
+    assert run.embed_calls == 1
+    assert backends.ledger.embed_by_scope() == {("vanilla_rag", question.question_id): 1}
 
 
 def test_k_sweep_meters_every_embed_while_ranking_once(clean_world):
