@@ -1,22 +1,20 @@
-"""Chat and embedding backends: HTTP access with caching and retries, the
-call ledger, and the deterministic hashed bag-of-words embedder used by tests
-and oracle sessions.
+"""Chat and embedding backends: HTTP access with caching and retries, and
+the deterministic hashed bag-of-words embedder used by tests and oracle
+sessions.
 
 An HTTP backend always caches, in one append-only log under
 ``config.cache_dir`` (``chat.jsonl`` by request hash, or a ``VectorStore`` by
-text); a hit reads one record back. Both backends may share one wire log, a
-line per request.
+text); a hit reads one record back, and each record is one reply or vector
+that went over the network. Both backends may share one wire log, a line per
+request.
 
-Chat completions ("LLM calls") are counted once, by each run's meter into its
-run record; ``mdqa run`` sums them from the records. The ledger holds only
-what no run record does: texts embedded, per (system, question) and for the
-index build, and chat requests that went over the network.
+The backends count nothing. Each run's meter counts its chat and embed calls
+into its run record, and ``mdqa run`` folds ``ledger.json`` from the records,
+the index build and the chat log.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import json
 import os
@@ -47,76 +45,6 @@ class BackendConfig:
     endpoint: str = ""
     model: str = ""
     auth_env: str = "MDQA_API_KEY"
-
-
-# ---------------------------------------------------------------------------
-# Call ledger
-# ---------------------------------------------------------------------------
-
-_current_scope: contextvars.ContextVar[Optional[tuple[str, str]]] = contextvars.ContextVar(
-    "mdqa_ledger_scope", default=None
-)
-
-
-class CallLedger:
-    """Append-only counters of texts embedded, grouped by (system, question),
-    and of chat requests sent over the network.
-
-    Texts embedded outside a scope land in the ("-", "-") bucket. Thread safe;
-    counters never decrease but by a ``restore``.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._embed: dict[tuple[str, str], int] = {}
-        self._network_chat = 0
-
-    def restore(self, snapshot: dict) -> None:
-        """Replace every count with those of an earlier ``snapshot()``."""
-        network_chat = int(snapshot["network_chat_total"])
-        embed = {key.partition("/")[::2]: int(n) for key, n in snapshot["embed_by_scope"].items()}
-        with self._lock:
-            self._embed, self._network_chat = embed, network_chat
-
-    @contextlib.contextmanager
-    def scope(self, system_id: str, question_id: str):
-        token = _current_scope.set((system_id, question_id))
-        try:
-            yield
-        finally:
-            _current_scope.reset(token)
-
-    def record_embed(self, n: int) -> None:
-        with self._lock:
-            key = _current_scope.get() or ("-", "-")
-            self._embed[key] = self._embed.get(key, 0) + n
-
-    def record_network_chat(self) -> None:
-        with self._lock:
-            self._network_chat += 1
-
-    @property
-    def embed_total(self) -> int:
-        with self._lock:
-            return sum(self._embed.values())
-
-    @property
-    def network_chat_total(self) -> int:
-        with self._lock:
-            return self._network_chat
-
-    def embed_by_scope(self) -> dict[tuple[str, str], int]:
-        with self._lock:
-            return dict(self._embed)
-
-    def snapshot(self) -> dict:
-        return {
-            "embed_total": self.embed_total,
-            "network_chat_total": self.network_chat_total,
-            "embed_by_scope": {
-                f"{s}/{q}": n for (s, q), n in sorted(self.embed_by_scope().items())
-            },
-        }
 
 
 def _hash_request(payload: dict) -> str:
@@ -155,7 +83,6 @@ class _HttpBackendBase(Closable):
     def __init__(
         self,
         config: BackendConfig,
-        ledger: Optional[CallLedger] = None,
         transport: Optional[Transport] = None,
         sleeper: Callable[[float], None] = time.sleep,
         wire_log: Optional[AppendLog] = None,
@@ -163,7 +90,6 @@ class _HttpBackendBase(Closable):
         if not config.endpoint or not config.model:
             raise BackendConfigError("http backend requires endpoint and model")
         self.config = config
-        self.ledger = ledger
         self._transport = transport or _requests_transport
         self._sleep = sleeper
         self._semaphore = threading.Semaphore(IN_FLIGHT_LIMIT)
@@ -218,8 +144,7 @@ class HttpChatBackend(_HttpBackendBase):
     """Chat completions over an OpenAI-compatible endpoint.
 
     Responses are cached by (messages, params, model); a rerun of an identical
-    session issues zero new network requests. The ledger counts the requests
-    that went over the network.
+    session issues zero new network requests.
     """
 
     def _open_cache(self, root: Path) -> AppendLog:
@@ -242,8 +167,6 @@ class HttpChatBackend(_HttpBackendBase):
             text = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise BackendError(f"malformed chat response: {payload}") from None
-        if self.ledger:
-            self.ledger.record_network_chat()
         self.cache.append(jsonl_line({"body": text, "key": key}).encode("utf-8"), key)
         return text
 
@@ -291,8 +214,6 @@ class HttpEmbedBackend(_HttpBackendBase):
             self._dim = self._dim or rows.shape[1]
             if rows.shape[1] != self._dim:
                 raise BackendError(f"embedding dimension changed: {self._dim} -> {rows.shape[1]}")
-            if self.ledger:
-                self.ledger.record_embed(len(missing))
             for i, row in zip(missing, rows):
                 vectors[i] = row
                 self.cache.put(keys[i], row)
@@ -328,9 +249,8 @@ class HashedBowEmbedder:
     computed from these vectors are hand-checkable.
     """
 
-    def __init__(self, dim: int = 512, ledger: Optional[CallLedger] = None):
+    def __init__(self, dim: int = 512):
         self.dim = dim
-        self.ledger = ledger
         self._slot_cache: dict[str, int] = {}
 
     def _slot(self, token: str) -> int:
@@ -350,7 +270,5 @@ class HashedBowEmbedder:
             norm = np.linalg.norm(out[row])
             if norm > 0:
                 out[row] /= norm
-        if self.ledger:
-            self.ledger.record_embed(len(texts))
         # Quantize to float32, as the HTTP embedder's cache holds its vectors.
         return out.astype(np.float32)

@@ -32,7 +32,6 @@ from .backends import (
     BackendConfig,
     BackendConfigError,
     BackendError,
-    CallLedger,
     HashedBowEmbedder,
     HttpChatBackend,
     HttpEmbedBackend,
@@ -78,19 +77,35 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
+def _parse_id_list(text: str, option: str) -> tuple[str, ...]:
+    """``a,b,c``. An empty entry or a repeated one exits 2."""
+    ids = tuple(text.split(","))
+    if "" in ids or len(set(ids)) < len(ids):
+        _fail(f"{option} expects distinct comma-separated ids, got {text!r}")
+    return ids
+
+
+def _parse_systems(text: str) -> tuple[str, ...]:
+    system_ids = _parse_id_list(text, "--systems")
+    for system_id in system_ids:
+        if system_id not in SYSTEM_IDS:
+            _fail(f"unknown system {system_id!r}")
+    return system_ids
+
+
 def _parse_int_list(text: str, option: str, span: bool = False) -> tuple[int, ...]:
     """``4,8,16``, or with ``span`` an inclusive ``2019:2023``. A bad or empty
-    list, or a value below 1, exits 2."""
+    list, an empty entry, a repeated value or one below 1 exits 2."""
     try:
         if span and ":" in text:
             lo, hi = text.split(":", 1)
             values = tuple(range(int(lo), int(hi) + 1))
         else:
-            values = tuple(int(p) for p in text.split(",") if p)
+            values = tuple(int(p) for p in text.split(","))
     except ValueError:
         _fail(f"{option} expects comma-separated integers, got {text!r}")
-    if not values or min(values) < 1:
-        _fail(f"{option} expects one or more integers >= 1, got {text!r}")
+    if not values or min(values) < 1 or len(set(values)) < len(values):
+        _fail(f"{option} expects one or more distinct integers >= 1, got {text!r}")
     return values
 
 
@@ -165,7 +180,7 @@ def _metrics_option_to_map(values: tuple[str, ...]) -> dict[str, tuple[str, ...]
         if "=" not in item:
             _fail(f"--metrics expects template=metric,metric..., got {item!r}")
         template_id, metric_csv = item.split("=", 1)
-        out[template_id] = tuple(m for m in metric_csv.split(",") if m)
+        out[template_id] = _parse_id_list(metric_csv, "--metrics")
     return out
 
 
@@ -201,8 +216,8 @@ def gen(
     """Generate a question set (or one per year variant)."""
     _require_positive(count, "--count")
     _require_positive(company_list_size, "--company-list-size")
+    template_ids = _parse_id_list(templates, "--templates")
     collection, table = _load_corpus(corpus_dir)
-    template_ids = tuple(t for t in templates.split(",") if t)
     metrics_map = _metrics_option_to_map(metrics)
     variants = (
         _parse_int_list(variant_years, "--variant-years", span=True)
@@ -238,7 +253,7 @@ def gen(
 
 def _build_backends(
     backend: str, oracle_mode: str, table: FactTable, questions: list[Question],
-    dataset_year: int, ledger: CallLedger, session_dir: Path, log_wire: bool,
+    dataset_year: int, session_dir: Path, log_wire: bool,
     endpoint: str, model: str, auth_env: str, files: contextlib.ExitStack,
 ) -> Backends:
     """The session's backends; ``files`` closes their logs. ``index_cache/``
@@ -254,7 +269,7 @@ def _build_backends(
             mode=oracle_mode,
             metric_aliases=synth_mod.ORACLE_METRIC_ALIASES,
         )
-        return Backends(chat=chat, embed=HashedBowEmbedder(ledger=ledger), ledger=ledger)
+        return Backends(chat=chat, embed=HashedBowEmbedder())
     config = BackendConfig(
         endpoint=endpoint,
         model=model,
@@ -262,11 +277,11 @@ def _build_backends(
         cache_dir=session_dir / "http_cache",
     )
     wire = files.enter_context(AppendLog(session_dir / "wire.jsonl")) if log_wire else None
-    chat = files.enter_context(HttpChatBackend(config, ledger=ledger, wire_log=wire))
+    chat = files.enter_context(HttpChatBackend(config, wire_log=wire))
     embed = files.enter_context(HttpEmbedBackend(
-        dataclasses.replace(config, cache_dir=index_cache), ledger=ledger, wire_log=wire
+        dataclasses.replace(config, cache_dir=index_cache), wire_log=wire
     ))
-    return Backends(chat=chat, embed=embed, ledger=ledger)
+    return Backends(chat=chat, embed=embed)
 
 
 def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | None):
@@ -352,10 +367,7 @@ def run_cmd(
         _fail(f"questions file is empty: {questions_path}")
     if dataset_year is None:
         dataset_year = questions[0].dataset_year
-    system_ids = tuple(s for s in systems.split(",") if s)
-    for system_id in system_ids:
-        if system_id not in SYSTEM_IDS:
-            _fail(f"unknown system {system_id!r}")
+    system_ids = _parse_systems(systems)
     ks = _parse_int_list(k_grid, "--k-grid")
     _require_positive(n_queries, "--n-queries")
     _require_positive(jobs, "--jobs")
@@ -379,24 +391,13 @@ def run_cmd(
     }
     write_json(session / "config.json", effective)
 
-    ledger_path = session / "ledger.json"  # a resumed session counts on from it
-    resumed = ledger_path.exists()
-    ledger = CallLedger()
-    if resumed:
-        read_json(ledger_path, ledger.restore)
     with contextlib.ExitStack() as files:
         backends = _build_backends(
-            backend, oracle_mode, table, questions, dataset_year, ledger,
+            backend, oracle_mode, table, questions, dataset_year,
             session, log_wire, endpoint, model, auth_env, files,
         )
-        # Every invocation builds the index. The HTTP embedder counts only the
-        # vectors it fetches, each a paid call; a resumed ledger already
-        # counts one build of the oracle's, so this one goes uncounted.
-        index_embed = backends.embed
-        if resumed and backend == "oracle":
-            index_embed = HashedBowEmbedder(dim=index_embed.dim)
         try:
-            page_index = build_index(collection, index_embed)
+            page_index = build_index(collection, backends.embed)
         except BackendError as exc:
             _fail(f"the page index could not be built: {exc}")
         # The journal holds each completed run once, by key: opening it cut
@@ -429,29 +430,44 @@ def run_cmd(
 
         # Each run record comes back to this thread, which alone sums them.
         old_records = (json.loads(journal.read(key)) for key in done)
+        chat_log = backends.chat.cache if backend == "http" else None
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             new_records = pool.map(execute, todo) if jobs > 1 else map(execute, todo)
-            chat_counts = _chat_counts(itertools.chain(old_records, new_records))
+            ledger = _ledger(
+                itertools.chain(old_records, new_records), page_index.texts_embedded, chat_log
+            )
         n_runs = _write_runs(journal, runs_path)
 
-    write_json(ledger_path, {**chat_counts, **ledger.snapshot()})
+    write_json(session / "ledger.json", ledger)
     click.echo(
         f"session {session}: {n_runs} runs "
         f"({len(todo)} new, {len(done)} resumed), "
-        f"chat_calls={chat_counts['chat_total']}"
+        f"chat_calls={ledger['chat_total']}"
     )
 
 
-def _chat_counts(records: Iterable[dict]) -> dict:
-    """The chat counts of ``ledger.json``, summed from run records: the one
-    count of chat calls. ``chat_by_scope`` is keyed ``system/question`` in
-    sorted order and leaves out scopes of 0 calls."""
-    by_scope: Counter[tuple[str, str]] = Counter()
+def _ledger(records: Iterable[dict], index_texts: int, chat_log: AppendLog | None) -> dict:
+    """``ledger.json``, a fold of the session: chat and embed calls per
+    (system, question) summed from its run records, the ``index_texts`` its
+    index build embedded as scope ``-/-``, and the replies in its chat log
+    (each went over the network once; none without a log). Scopes are keyed
+    ``system/question`` in sorted order; scopes of 0 calls are left out."""
+    chat: Counter[tuple[str, str]] = Counter()
+    embed: Counter[tuple[str, str]] = Counter({("-", "-"): index_texts})
     for record in records:
-        by_scope[record["system_id"], record["question_id"]] += record["chat_calls"]
+        scope = record["system_id"], record["question_id"]
+        chat[scope] += record["chat_calls"]
+        embed[scope] += record["embed_calls"]
+
+    def by_scope(counts: Counter) -> dict[str, int]:
+        return {f"{s}/{q}": n for (s, q), n in sorted(counts.items()) if n}
+
     return {
-        "chat_total": sum(by_scope.values()),
-        "chat_by_scope": {f"{s}/{q}": n for (s, q), n in sorted(by_scope.items()) if n},
+        "chat_total": sum(chat.values()),
+        "chat_by_scope": by_scope(chat),
+        "embed_total": sum(embed.values()),
+        "embed_by_scope": by_scope(embed),
+        "network_chat_total": len(chat_log.keys()) if chat_log is not None else 0,
     }
 
 
@@ -564,9 +580,10 @@ def stability(
     _require_positive(count, "--count")
     _require_positive(k, "--k")
     years = _parse_int_list(variant_years, "--variant-years", span=True)
-    if len(set(years)) < 2:
-        _fail(f"--variant-years needs at least 2 distinct years, got {variant_years!r}")
-    template_ids = tuple(t for t in templates.split(",") if t)
+    if len(years) < 2:
+        _fail(f"--variant-years needs at least 2 years, got {variant_years!r}")
+    template_ids = _parse_id_list(templates, "--templates")
+    _parse_systems(systems)  # run parses them again, after files are written
     metrics_map = _metrics_option_to_map(metrics)
     collection, table = _load_corpus(corpus_dir)
     session = Path(session_dir)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Optional, Sequence
 
-from .backends import BackendError, CallLedger
+from .backends import BackendError
 from .corpus import DocumentCollection, DocumentFilter, select_documents
 from .planlang import (
     ExecEnv,
@@ -236,7 +236,6 @@ def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_
 class Backends:
     chat: object
     embed: object
-    ledger: Optional[CallLedger] = None
 
 
 # The layout of a serialised SystemRun. Format 1 also held the document
@@ -327,7 +326,7 @@ def _metered_run(system_id: str, question_id: str, k: int, backends: Backends):
         prompt_version=pack.version,
     )
     try:
-        yield run, pack, Backends(chat, embed, backends.ledger)
+        yield run, pack, Backends(chat, embed)
     finally:
         run.chat_calls = chat.calls
         run.embed_calls = embed.calls
@@ -566,27 +565,15 @@ def run_system(
     dataset_year: int,
     n_queries: int = 3,
 ) -> SystemRun:
-    """Dispatch one question to one system, scoped in the call ledger."""
+    """Dispatch one question to one system."""
     if system_id not in SYSTEM_IDS:
         raise ValueError(f"unknown system_id {system_id!r}")
-    scope = backends.ledger.scope(system_id, question_id) if backends.ledger else None
-    with scope or contextlib.nullcontext():
-        if system_id == "vanilla_rag":
-            return answer_vanilla(
-                question_id, question_text, collection, index, backends, k, dataset_year
-            )
-        if system_id == "multi_query_rag":
-            return answer_multiquery(
-                question_id,
-                question_text,
-                collection,
-                index,
-                backends,
-                k,
-                dataset_year,
-                n_queries=n_queries,
-            )
-        return answer_codegen(
+    if system_id == "vanilla_rag":
+        return answer_vanilla(
+            question_id, question_text, collection, index, backends, k, dataset_year
+        )
+    if system_id == "multi_query_rag":
+        return answer_multiquery(
             question_id,
             question_text,
             collection,
@@ -594,5 +581,15 @@ def run_system(
             backends,
             k,
             dataset_year,
-            with_doc_select=(system_id == "codegen_docs_pager"),
+            n_queries=n_queries,
         )
+    return answer_codegen(
+        question_id,
+        question_text,
+        collection,
+        index,
+        backends,
+        k,
+        dataset_year,
+        with_doc_select=(system_id == "codegen_docs_pager"),
+    )

@@ -635,4 +635,15 @@ def write_questions(questions: list[Question], path: str | Path) -> Path:
 
 
 def read_questions(path: str | Path) -> list[Question]:
-    return read_jsonl(path, Question.from_json_dict)
+    """The questions of a JSONL file. A ``question_id`` held twice raises
+    ``FileFormatError`` naming the second one's ``path:line``."""
+    seen: set[str] = set()
+
+    def parse(raw: dict) -> Question:
+        question = Question.from_json_dict(raw)
+        if question.question_id in seen:
+            raise ValueError(f"question_id {question.question_id!r} is held twice")
+        seen.add(question.question_id)
+        return question
+
+    return read_jsonl(path, parse)

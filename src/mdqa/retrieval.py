@@ -77,6 +77,8 @@ class PageIndex:
     ``documents`` (the objects the index was built from) is matched to its
     span by identity of its ``pages`` tuple; any other document by comparing
     page numbers. A pool that is ``documents`` itself reuses its runs.
+
+    ``texts_embedded`` is how many texts the build sent to its embedder.
     """
 
     def __init__(
@@ -84,12 +86,14 @@ class PageIndex:
         refs: list[tuple[str, int]],
         vectors: np.ndarray,
         documents: Sequence[Document] = (),
+        texts_embedded: int = 0,
     ):
         if len(refs) != vectors.shape[0]:
             raise RetrievalError("index arrays disagree in length")
         if not np.all(np.isfinite(vectors)):
             raise RetrievalError("index contains non-finite vectors")
         self.refs = list(refs)
+        self.texts_embedded = texts_embedded
         self.embedding_dim = int(vectors.shape[1])
         # Normalized float64 copies; cosine becomes a dot product.
         norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
@@ -297,7 +301,7 @@ def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
     ordered = sorted(by_key)
     vector_of = dict(zip(ordered, embed_backend.embed([by_key[key] for key in ordered])))
     vectors = np.stack([vector_of[key] for key in keys])
-    return PageIndex(refs, vectors, documents=collection.documents)
+    return PageIndex(refs, vectors, documents=collection.documents, texts_embedded=len(ordered))
 
 
 def retrieve_relevant_pages(

@@ -79,7 +79,7 @@ emit(total_revenues)
 def test_a1_plan_language_fidelity(demo_world):
     collection, table, index, embedder = demo_world
     chat = OracleChatBackend(table, 2023, mode="perfect", metric_aliases=DEMO_ALIASES)
-    backends = Backends(chat=chat, embed=embedder, ledger=None)
+    backends = Backends(chat=chat, embed=embedder)
     env = make_exec_env(collection, index, backends, k=4, with_doc_select=True)
 
     started = time.perf_counter()
@@ -147,7 +147,7 @@ def test_a2_clean_corpus_ceiling(clean_bundle, clean_index):
             table, 2023, questions=questions, mode="perfect",
             metric_aliases=ORACLE_METRIC_ALIASES,
         )
-        backends = Backends(chat, HashedBowEmbedder(), None)
+        backends = Backends(chat, HashedBowEmbedder())
         correct = 0
         for question in questions:
             run = run_system(
@@ -196,7 +196,7 @@ def test_a3_system_ordering(adversarial_bundle, adversarial_index):
         table, 2023, questions=questions, mode="textual",
         metric_aliases=ORACLE_METRIC_ALIASES,
     )
-    backends = Backends(chat, HashedBowEmbedder(), None)
+    backends = Backends(chat, HashedBowEmbedder())
     accuracy = {}
     for system in ("vanilla_rag", "multi_query_rag", "codegen_pager", "codegen_docs_pager"):
         correct = 0

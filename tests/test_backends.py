@@ -9,7 +9,6 @@ from mdqa.backends import (
     BackendConfig,
     BackendConfigError,
     BackendError,
-    CallLedger,
     HashedBowEmbedder,
     HttpChatBackend,
     HttpEmbedBackend,
@@ -41,13 +40,10 @@ def test_embed_empty_text_gives_zero_vector():
     assert np.all(vec == 0)
 
 
-def test_embed_counts_texts_and_ledger():
-    ledger = CallLedger()
-    embedder = HashedBowEmbedder(ledger=ledger)
-    embedder.embed(["a b", "c"])
-    embedder.embed(["d"])
-    assert ledger.embed_total == 3
-    assert ledger.embed_by_scope() == {("-", "-"): 3}
+def test_embed_returns_one_row_per_text():
+    embedder = HashedBowEmbedder()
+    assert embedder.embed(["a b", "c"]).shape == (2, embedder.dim)
+    assert embedder.embed(["d"]).shape == (1, embedder.dim)
 
 
 def test_embed_requires_input():
@@ -79,45 +75,6 @@ def test_rank_critical_tokens_have_distinct_slots():
     collisions = [tokens for tokens in slots.values() if len(tokens) > 1]
     assert collisions == [], f"rank-critical token collisions: {collisions}"
     assert set(hard) <= set(SIGNAL_TOKENS)
-
-
-# ---------------------------------------------------------------------------
-# Call ledger
-# ---------------------------------------------------------------------------
-
-
-def test_ledger_scopes_and_totals():
-    ledger = CallLedger()
-    with ledger.scope("vanilla_rag", "q1"):
-        ledger.record_embed(1)
-    with ledger.scope("codegen_pager", "q1"):
-        ledger.record_embed(1)
-        ledger.record_embed(1)
-    ledger.record_embed(1)  # unscoped
-    assert ledger.embed_total == 4
-    by_scope = ledger.embed_by_scope()
-    assert by_scope[("vanilla_rag", "q1")] == 1
-    assert by_scope[("codegen_pager", "q1")] == 2
-    assert by_scope[("-", "-")] == 1
-    snap = ledger.snapshot()
-    assert snap["embed_total"] == sum(snap["embed_by_scope"].values())
-    assert "chat_total" not in snap and "chat_by_scope" not in snap
-
-
-def test_ledger_restore_replaces_every_count():
-    earlier = CallLedger()
-    with earlier.scope("vanilla_rag", "q/1"):
-        earlier.record_embed(3)
-    earlier.record_network_chat()
-    ledger = CallLedger()
-    ledger.record_embed(900)  # counted before the restore, then dropped
-    ledger.record_network_chat()
-    ledger.restore(earlier.snapshot())
-    assert ledger.snapshot() == earlier.snapshot()
-    with ledger.scope("vanilla_rag", "q/1"):
-        ledger.record_embed(1)
-    assert ledger.embed_by_scope() == {("vanilla_rag", "q/1"): 4}
-    assert (ledger.embed_total, ledger.network_chat_total) == (4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +112,13 @@ def _http_config(tmp_path, **overrides):
 def test_chat_cache_avoids_second_network_call(tmp_path, monkeypatch):
     monkeypatch.setenv("MDQA_TEST_KEY", "k")
     transport = _Transport([(200, _chat_payload("hello"))])
-    ledger = CallLedger()
     messages = [{"role": "user", "content": "hi"}]
-    with HttpChatBackend(_http_config(tmp_path), ledger=ledger, transport=transport) as backend:
+    with HttpChatBackend(_http_config(tmp_path), transport=transport) as backend:
         assert backend.chat(messages) == "hello"
         assert backend.chat(messages) == "hello"
     assert len(transport.requests) == 1
-    assert ledger.network_chat_total == 1
+    # One record per reply that went over the network.
+    assert (tmp_path / "cache" / "chat.jsonl").read_bytes().count(b"\n") == 1
     # The log outlives the backend: a new one answers from it.
     with HttpChatBackend(_http_config(tmp_path), transport=transport) as again:
         assert again.chat(messages) == "hello"
@@ -261,8 +218,7 @@ def test_embed_batch_uses_cache(tmp_path, monkeypatch):
             (200, _embed_payload([[0.0, 1.0], [0.5, 0.5]])),
         ]
     )
-    ledger = CallLedger()
-    with HttpEmbedBackend(_http_config(tmp_path), ledger=ledger, transport=transport) as backend:
+    with HttpEmbedBackend(_http_config(tmp_path), transport=transport) as backend:
         first = backend.embed(["a"])
         assert first.shape == (1, 2)
         # Batch of three with one already cached: exactly two uncached
@@ -271,7 +227,9 @@ def test_embed_batch_uses_cache(tmp_path, monkeypatch):
     assert second.shape == (3, 2)
     sent = transport.requests[1][1]["input"]
     assert sent == ["b", "c"]
-    assert ledger.embed_total == 3  # computations, not requests
+    # Three computations in two requests, each cached once.
+    assert sum(len(body["input"]) for _, body, _ in transport.requests) == 3
+    assert (tmp_path / "cache" / "vectors.f4").stat().st_size == 3 * (32 + 4 * 2)
 
 
 def test_embed_dimension_drift_rejected(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -344,7 +345,7 @@ def test_http_session_parallel_jobs_byte_identical(
     """Threads share the HTTP caches' logs; the runs must not notice."""
     monkeypatch.setenv("MDQA_API_KEY", "k")
     monkeypatch.setattr(backends, "_requests_transport", _oracle_transport(workspace))
-    outputs = []
+    outputs, ledgers = [], []
     for jobs in ("1", "4"):
         session = tmp_path / f"jobs-{jobs}"
         result = runner.invoke(main, _run_args(
@@ -353,7 +354,11 @@ def test_http_session_parallel_jobs_byte_identical(
         ))
         assert result.exit_code == 0, result.output
         outputs.append((session / "system_runs.jsonl").read_bytes())
+        ledgers.append((session / "ledger.json").read_bytes())
     assert outputs[0] == outputs[1] == (finished_session / "system_runs.jsonl").read_bytes()
+    # Two threads that miss one reply at once may both send it; the chat log
+    # keeps it once, and the ledger counts what the logs and runs hold.
+    assert ledgers[0] == ledgers[1]
 
 
 def test_eval_missing_session_exits_2(runner, tmp_path):
@@ -648,14 +653,18 @@ def test_no_run_is_held_in_memory_at_the_final_write(
     assert len(made) == 36 and alive == []
 
 
-def _http_run(workspace, session, transport, *extra):
+def _http_invoke(workspace, session, transport, *extra):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MDQA_API_KEY", "secret-key-value")
         mp.setattr(backends, "_requests_transport", transport)
-        result = CliRunner().invoke(main, _run_args(
+        return CliRunner().invoke(main, _run_args(
             workspace, session, "--backend", "http", "--endpoint", "http://localhost:9/v1",
             "--model", "m", *extra,
         ))
+
+
+def _http_run(workspace, session, transport, *extra):
+    result = _http_invoke(workspace, session, transport, *extra)
     assert result.exit_code == 0, result.output
 
 
@@ -749,18 +758,15 @@ def test_resume_after_cache_cut_fetches_only_the_cut_entry(
         ledgers[cut] = json.loads((session / "ledger.json").read_text())
     assert sent[False] == []
     (url, body), = sent[True]
-    torn, expected = data[-last:], ledgers[False]
+    torn = data[-last:]
     if cache.endswith(".jsonl"):
         assert json.loads(torn)["key"] == backends._hash_request(body)
-        expected["network_chat_total"] += 1
     else:
         assert [text_key(text) for text in body["input"]] == [torn[:32]]
-        (scope, n), = ledgers[True]["embed_by_scope"].items()
-        assert n == 1 and expected["embed_by_scope"] == {}
-        expected["embed_by_scope"] = {scope: 1}
-        expected["embed_total"] += 1
-    # The ledger counts that one fetch and nothing else.
-    assert ledgers[True] == expected
+    # The ledger is a fold of the runs and the logs, which end as they were.
+    assert ledgers[True] == ledgers[False]
+    chat_log = (http_session / "http_cache/chat.jsonl").read_bytes()
+    assert ledgers[False]["network_chat_total"] == chat_log.count(b"\n") > 0
 
 
 def test_crash_at_run_n_leaves_n_minus_1_journal_lines(runner, workspace, tmp_path, monkeypatch):
@@ -929,6 +935,13 @@ def _gen_args(workspace, tmp_path, *extra):
     ]
 
 
+def _stability_args(workspace, tmp_path, *extra):
+    return [
+        "stability", "--corpus", str(workspace / "corpus"), "--session", str(tmp_path / "s"),
+        *extra,
+    ]
+
+
 @pytest.mark.parametrize(
     "make_args,option",
     [
@@ -943,31 +956,77 @@ def _gen_args(workspace, tmp_path, *extra):
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--k-grid", "4,0"), "--k-grid"),
         (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--count", "0"), "--count"),
         (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--count", "-3"), "--count"),
-        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
-                          "--variant-years", "2022:2023", "--templates", "ve2", "--count", "0"],
+        (lambda ws, tmp: _stability_args(ws, tmp, "--variant-years", "2022:2023",
+                                         "--templates", "ve2", "--count", "0"),
          "--count"),
-        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
-                          "--variant-years", "2022:2023", "--templates", "ve2", "--k", "0"],
+        (lambda ws, tmp: _stability_args(ws, tmp, "--variant-years", "2022:2023",
+                                         "--templates", "ve2", "--k", "0"),
          "--k"),
-        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
-                          "--variant-years", "2023", "--templates", "ve2"],
+        (lambda ws, tmp: _stability_args(ws, tmp, "--variant-years", "2023", "--templates", "ve2"),
          "--variant-years"),
-        (lambda ws, tmp: ["stability", "--corpus", str(ws / "corpus"), "--session", str(tmp / "s"),
-                          "--variant-years", "2023,2023", "--templates", "ve2"],
+        (lambda ws, tmp: _stability_args(ws, tmp, "--variant-years", "2023,2023",
+                                         "--templates", "ve2"),
          "--variant-years"),
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "0"), "--jobs"),
         (lambda ws, tmp: _run_args(ws, tmp / "s", "--jobs", "-2"), "--jobs"),
+        # Lists with an empty or repeated entry.
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--systems", "vanilla_rag,vanilla_rag"),
+         "--systems"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--systems", ","), "--systems"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--k-grid", "4,4"), "--k-grid"),
+        (lambda ws, tmp: _run_args(ws, tmp / "s", "--k-grid", "4,,8"), "--k-grid"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "ve1,ve1", "--count", "2"),
+         "--templates"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "ve1,"), "--templates"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1", "--num-years", "2,2"),
+         "--num-years"),
+        (lambda ws, tmp: _gen_args(ws, tmp, "--templates", "md1",
+                                   "--metrics", "md1=dividends_paid,dividends_paid"),
+         "--metrics"),
+        (lambda ws, tmp: _stability_args(ws, tmp, "--variant-years", "2022:2023",
+                                         "--templates", "ve2,ve2"),
+         "--templates"),
+        (lambda ws, tmp: _stability_args(ws, tmp, "--variant-years", "2022:2023",
+                                         "--templates", "ve2",
+                                         "--systems", "vanilla_rag,vanilla_rag"),
+         "--systems"),
     ],
     ids=["years_reversed", "company_list_0", "company_list_neg", "num_years_0",
          "n_queries_0", "k_grid_0", "gen_count_0", "gen_count_neg",
          "stability_count_0", "stability_k_0", "stability_one_year", "stability_same_year",
-         "jobs_0", "jobs_neg"],
+         "jobs_0", "jobs_neg",
+         "run_systems_repeated", "run_systems_empty", "k_grid_repeated", "k_grid_empty_entry",
+         "gen_templates_repeated", "gen_templates_empty_entry", "num_years_repeated",
+         "metrics_repeated", "stability_templates_repeated", "stability_systems_repeated"],
 )
 def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, option):
     result = runner.invoke(main, make_args(workspace, tmp_path))
     assert result.exit_code == 2, result.output
     assert f"error: {option} " in result.output
     assert not (tmp_path / "q.jsonl").exists() and not (tmp_path / "s").exists()
+
+
+def test_repeated_question_id_exits_2(runner, workspace, finished_session, tmp_path):
+    """A question set holds each ``question_id`` once: ``run``, ``eval`` and
+    ``trace`` name the line that repeats one."""
+    first, second = (workspace / "questions.jsonl").read_text().splitlines()[:2]
+    question_id = json.loads(first)["question_id"]
+    text = first + "\n" + json.dumps({**json.loads(second), "question_id": question_id}) + "\n"
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text(text)
+    session = _copy_session(finished_session, tmp_path)
+    (session / "questions.jsonl").write_text(text)
+    run_args = _run_args(workspace, tmp_path / "s")
+    run_args[run_args.index("--questions") + 1] = str(questions)
+    for args, path in (
+        (run_args, questions),
+        (["eval", str(session)], session / "questions.jsonl"),
+        (["trace", str(session), question_id, "vanilla_rag", "4"], session / "questions.jsonl"),
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}:2: " in result.output and repr(question_id) in result.output
+    assert not (tmp_path / "s").exists()
 
 
 def _toml_list_run(runner, workspace, tmp_path, systems, k_grid):
@@ -1184,15 +1243,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _page_texts(corpus_dir) -> list[str]:
+    """The distinct texts of a corpus's pages as the index embeds them, in
+    key order."""
+    collection = load_collection(corpus_dir)
+    return sorted({
+        f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS]
+        for doc in collection.documents for page in doc.pages
+    }, key=text_key)
+
+
 def _with_old_index_cache(session: Path) -> None:
     """Give an oracle session the ``index_cache/`` it held while oracle
     sessions stored their page vectors: one record per distinct page text,
     in key order (sha256 pinned to what that mdqa wrote for this session)."""
-    collection = load_collection(json.loads((session / "config.json").read_text())["corpus"])
-    texts = sorted({
-        f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS]
-        for doc in collection.documents for page in doc.pages
-    }, key=text_key)
+    texts = _page_texts(json.loads((session / "config.json").read_text())["corpus"])
     embedder = HashedBowEmbedder()
     with VectorStore(session / "index_cache", "hashed-bow-512/1") as store:
         for text, vector in zip(texts, embedder.embed(texts)):
@@ -1218,21 +1283,29 @@ def test_oracle_session_with_old_index_cache_resumes_to_the_same_bytes(
     assert _files(session) == before
 
 
-def test_killed_oracle_session_counts_its_index_build(workspace, finished_session, tmp_path):
-    """A killed invocation writes no ``ledger.json``, so the resume's own
-    index build is the one the ledger counts. The chat counts are summed from
-    the runs, so the killed invocation's runs are counted too."""
-    session, started = tmp_path / "session", []
+@contextlib.contextmanager
+def _stopped_after(n_runs: int):
+    """Stop ``mdqa run`` as a crash would, once ``n_runs`` runs are done."""
+    started = []
     run_system = cli.run_system
 
-    def stopped_after_5(*args, **kwargs):
-        if len(started) == 5:
+    def run_or_stop(*args, **kwargs):
+        if len(started) == n_runs:
             raise _Stopped
         started.append(args)
         return run_system(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_system", stopped_after_5)
+        mp.setattr(cli, "run_system", run_or_stop)
+        yield
+
+
+def test_killed_oracle_session_counts_its_index_build(workspace, finished_session, tmp_path):
+    """A killed invocation writes no ``ledger.json``. The resume folds its
+    ledger from all the runs and its own index build, so it writes the
+    finished session's ledger."""
+    session = tmp_path / "session"
+    with _stopped_after(5):
         result = CliRunner().invoke(main, _run_args(workspace, session))
     assert isinstance(result.exception, _Stopped), result.output
     assert not (session / "ledger.json").exists()
@@ -1241,14 +1314,28 @@ def test_killed_oracle_session_counts_its_index_build(workspace, finished_sessio
     resumed, finished = (
         json.loads((s / "ledger.json").read_text()) for s in (session, finished_session)
     )
-    assert resumed["embed_by_scope"]["-/-"] == finished["embed_by_scope"]["-/-"] > 0
-    assert resumed["chat_by_scope"] == finished["chat_by_scope"]
-    assert resumed["chat_total"] == finished["chat_total"] > 0
+    assert resumed == finished
+    assert finished["chat_total"] > 0 and finished["network_chat_total"] == 0
+    assert finished["embed_by_scope"]["-/-"] == len(_page_texts(workspace / "corpus"))
+
+
+def test_killed_http_session_resumes_to_the_same_ledger(workspace, http_session, tmp_path):
+    """The replies and vectors that a killed invocation fetched stay in the
+    caches, so the resume writes an uninterrupted session's runs and ledger."""
+    session = tmp_path / "session"
+    with _stopped_after(5):
+        result = _http_invoke(workspace, session, _oracle_transport(workspace))
+    assert isinstance(result.exception, _Stopped), result.output
+    assert not (session / "ledger.json").exists()
+    _http_run(workspace, session, _oracle_transport(workspace))
+    for name in ("system_runs.jsonl", "ledger.json"):
+        assert (session / name).read_bytes() == (http_session / name).read_bytes()
 
 
 def test_http_resume_counts_the_vectors_it_fetches_again(workspace, http_session, tmp_path):
     """A resume that has lost the vector cache pays for the page vectors
-    again; its ledger counts them on top of the session's."""
+    again and caches each once; its ledger, a fold of the runs, the index
+    build and the chat log, is the session's."""
     session = _copy_session(http_session, tmp_path)
     (session / "index_cache" / "vectors.f4").unlink()
     sent = []
@@ -1257,14 +1344,14 @@ def test_http_resume_counts_the_vectors_it_fetches_again(workspace, http_session
     before, after = (
         json.loads((s / "ledger.json").read_text()) for s in (http_session, session)
     )
-    assert fetched > 0
-    assert after["embed_by_scope"].pop("-/-") == before["embed_by_scope"].pop("-/-") + fetched
-    assert after.pop("embed_total") == before.pop("embed_total") + fetched
     assert after == before
     # The pages' vectors again, as the first invocation wrote them before its
-    # query vectors.
+    # query vectors: one record per vector paid for.
     vectors = (session / "index_cache" / "vectors.f4").read_bytes()
     assert (http_session / "index_cache" / "vectors.f4").read_bytes().startswith(vectors)
+    dim = json.loads((session / "index_cache" / "manifest.json").read_text())["dim"]
+    assert len(vectors) == fetched * (32 + 4 * dim)
+    assert fetched == before["embed_by_scope"]["-/-"] > 0
 
 
 # sha256 of an HTTP ``--log-wire`` session's vector cache, wire log and
@@ -1273,12 +1360,12 @@ _HTTP_SESSION_SHA256 = {
     "4,8": {
         "index_cache/vectors.f4": "9eec5519300751d9bfc4e4e6350bb54380d72c9b7b94c6e410355c853f26aa16",
         "wire.jsonl": "f6b96c5d777c62ccda1f8bf505ab7dbf8a877e75cc0f908b8f9702f2809949ae",
-        "ledger.json": "7813161d62c38eeaaac600ce7482cbcb6a50cc8a3b989d5b265fd2afc58d1b59",
+        "ledger.json": "d1ca57643dad271f383c8e4a543ef5f03ea787ba6b7513424147ca760bcb330d",
     },
     "4,8,16": {
         "index_cache/vectors.f4": "9eec5519300751d9bfc4e4e6350bb54380d72c9b7b94c6e410355c853f26aa16",
         "wire.jsonl": "7ba7b93a2a3ec482d3f9bd6db20b0fb719b21c8a49c32ff53b4d5dbb0122c3ab",
-        "ledger.json": "a7b36d0a11ee66ccbf487d0720bb27d918b05eeab7b98132ac096bd3123b7f53",
+        "ledger.json": "820a081f69b11a281e4010ca6c7dba40ceeed9df8666acfb9c80b3aebf5f5ebc",
     },
 }
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from mdqa.backends import BackendError, CallLedger, HashedBowEmbedder
+from mdqa.backends import BackendError, HashedBowEmbedder
 from mdqa.oracle import OracleChatBackend
 from mdqa.planlang import PageHandle
 from mdqa.qasystems import (
@@ -169,6 +169,18 @@ def test_extract_value_yesno():
 # ---------------------------------------------------------------------------
 
 
+class _TextLog(HashedBowEmbedder):
+    """An embedder that keeps every text it is asked to embed."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed(self, texts):
+        self.texts.extend(texts)
+        return super().embed(texts)
+
+
 @pytest.fixture()
 def clean_world(clean_bundle, clean_index):
     collection, table = clean_bundle
@@ -181,8 +193,7 @@ def clean_world(clean_bundle, clean_index):
         num_years=(2,),
     )
     questions = generate_questions(table, collection, config)
-    ledger = CallLedger()
-    embedder = HashedBowEmbedder(ledger=ledger)
+    embedder = _TextLog()
     chat = OracleChatBackend(
         table,
         2023,
@@ -190,7 +201,7 @@ def clean_world(clean_bundle, clean_index):
         mode="perfect",
         metric_aliases=ORACLE_METRIC_ALIASES,
     )
-    return collection, table, clean_index, questions, Backends(chat, embedder, ledger)
+    return collection, table, clean_index, questions, Backends(chat, embedder)
 
 
 def test_vanilla_correct_when_gold_ranks_first(clean_world):
@@ -257,7 +268,7 @@ def test_multiquery_expansion_failure_recorded(clean_world):
         def chat(self, messages, **params):
             raise BackendError("expansion died")
 
-    bad = Backends(chat=Exploding(), embed=backends.embed, ledger=None)
+    bad = Backends(chat=Exploding(), embed=backends.embed)
     run = answer_multiquery("q1", "text", collection, index, bad, 4, 2023)
     assert run.failure is not None
     assert run.failure.startswith("retrieval_error")
@@ -275,7 +286,7 @@ class _EmbedOutage:
 def test_rag_embed_failure_recorded(clean_world, system_id, chat_calls):
     collection, _, index, questions, backends = clean_world
     question = questions[0]
-    broken = Backends(chat=backends.chat, embed=_EmbedOutage(), ledger=backends.ledger)
+    broken = Backends(chat=backends.chat, embed=_EmbedOutage())
     run = run_system(
         system_id, question.question_id, question.text, collection, index, broken, 4, 2023
     )
@@ -323,7 +334,7 @@ def test_codegen_md4_costs_seven_chat_calls(clean_bundle, clean_index):
         table, 2023, questions=questions, mode="perfect",
         metric_aliases=ORACLE_METRIC_ALIASES,
     )
-    backends = Backends(chat, HashedBowEmbedder(), None)
+    backends = Backends(chat, HashedBowEmbedder())
     for question in questions:
         run = answer_codegen(
             question.question_id, question.text, collection, clean_index, backends, 4, 2023,
@@ -344,7 +355,7 @@ def test_codegen_plan_without_emit_is_no_answer(clean_bundle, clean_index):
         def chat(self, messages, **params):
             return "x = 1\ny = x + 1"
 
-    backends = Backends(PlanOnly(), HashedBowEmbedder(), None)
+    backends = Backends(PlanOnly(), HashedBowEmbedder())
     run = answer_codegen("q", "irrelevant", collection, clean_index, backends, 4, 2023)
     assert run.failure is not None
     assert "no_answer" in run.failure
@@ -365,7 +376,7 @@ def test_codegen_parse_failure_retries_once(clean_bundle, clean_index):
             return replies[self.calls - 1]
 
     planner = FlakyPlanner()
-    backends = Backends(planner, HashedBowEmbedder(), None)
+    backends = Backends(planner, HashedBowEmbedder())
     run = answer_codegen("q", "irrelevant", collection, clean_index, backends, 4, 2023)
     assert planner.calls == 2
     assert run.chat_calls == 2
@@ -380,7 +391,7 @@ def test_codegen_double_parse_failure_recorded(clean_bundle, clean_index):
         def chat(self, messages, **params):
             return "(((("
 
-    backends = Backends(Hopeless(), HashedBowEmbedder(), None)
+    backends = Backends(Hopeless(), HashedBowEmbedder())
     run = answer_codegen("q", "irrelevant", collection, clean_index, backends, 4, 2023)
     assert run.failure.startswith("plan_parse_error")
     assert run.chat_calls == 2
@@ -414,7 +425,7 @@ def test_adversarial_vanilla_doc_recall_zero(adversarial_bundle, adversarial_ind
         table, 2023, questions=questions, mode="textual",
         metric_aliases=ORACLE_METRIC_ALIASES,
     )
-    backends = Backends(chat, HashedBowEmbedder(), None)
+    backends = Backends(chat, HashedBowEmbedder())
     for question in questions:
         run = answer_vanilla(
             question.question_id, question.text, collection, adversarial_index, backends, 4, 2023
@@ -450,7 +461,7 @@ def test_clean_corpus_weak_ordering_on_multi_doc_set(clean_bundle, clean_index):
         table, 2023, questions=questions, mode="perfect",
         metric_aliases=ORACLE_METRIC_ALIASES,
     )
-    backends = Backends(chat, HashedBowEmbedder(), None)
+    backends = Backends(chat, HashedBowEmbedder())
     accuracy = {}
     for system in ("vanilla_rag", "codegen_pager", "codegen_docs_pager"):
         correct = 0
@@ -467,7 +478,7 @@ def test_clean_corpus_weak_ordering_on_multi_doc_set(clean_bundle, clean_index):
     assert accuracy["codegen_pager"] >= accuracy["vanilla_rag"]
 
 
-def test_run_system_scopes_ledger(clean_world):
+def test_run_system_embeds_only_its_question(clean_world):
     collection, _, index, questions, backends = clean_world
     question = questions[0]
     run = run_system(
@@ -475,12 +486,12 @@ def test_run_system_scopes_ledger(clean_world):
     )
     # vanilla_rag embeds one text, its question, in one call.
     assert run.embed_calls == 1
-    assert backends.ledger.embed_by_scope() == {("vanilla_rag", question.question_id): 1}
+    assert backends.embed.texts == [question.text]
 
 
 def test_k_sweep_meters_every_embed_while_ranking_once(clean_world):
     """Across a question's k sweep the index ranks each query once, yet every
-    run still meters its own embed calls and the ledger counts them all."""
+    run still meters its own embed calls and the embedder embeds them all."""
     collection, _, _, questions, backends = clean_world
     index = build_index(collection, HashedBowEmbedder())
     question = questions[0]
@@ -495,9 +506,9 @@ def test_k_sweep_meters_every_embed_while_ranking_once(clean_world):
     n_queries = runs[-1].embed_calls
     assert n_queries > 1
     assert [run.embed_calls for run in runs] == [1] * 3 + [n_queries] * 3
-    by_scope = backends.ledger.embed_by_scope()
-    assert by_scope[("vanilla_rag", question.question_id)] == 3
-    assert by_scope[("multi_query_rag", question.question_id)] == 3 * n_queries
+    # One text per embed call: the question three times, then each query.
+    assert len(backends.embed.texts) == 3 + 3 * n_queries
+    assert backends.embed.texts[:4] == [question.text] * 4
     # The question itself is multi_query_rag's first query: its ranking is
     # shared with vanilla_rag's.
     assert len(index._rankings) == n_queries

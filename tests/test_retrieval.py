@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from mdqa.backends import (
     BackendConfig,
     BackendError,
-    CallLedger,
     HashedBowEmbedder,
     HttpEmbedBackend,
     tokenize,
@@ -104,12 +103,12 @@ def _embed_transport(requests: list):
     return transport
 
 
-def _build_cached(collection, root, ledger=None, model="m", requests=None):
+def _build_cached(collection, root, model="m", requests=None):
     """``build_index`` over an HTTP embedder whose vector cache is ``root``:
     the one place a page vector is cached."""
     config = BackendConfig(cache_dir=root, endpoint="http://localhost:9/v1", model=model)
     transport = _embed_transport([] if requests is None else requests)
-    with HttpEmbedBackend(config, ledger=ledger, transport=transport) as backend:
+    with HttpEmbedBackend(config, transport=transport) as backend:
         return build_index(collection, backend)
 
 
@@ -120,22 +119,20 @@ def api_key(monkeypatch):
 
 def test_rebuild_with_cache_costs_nothing(tmp_path, api_key):
     collection = _collection({"d1": ["alpha one", "beta two"], "d2": ["gamma three"]})
-    first = CallLedger()
-    _build_cached(collection, tmp_path, first)
-    assert first.embed_total == 3
-    second, requests = CallLedger(), []
-    index = _build_cached(collection, tmp_path, second, requests=requests)
-    assert second.embed_total == 0 and requests == []
-    assert len(index) == 3
+    first, second = [], []
+    _build_cached(collection, tmp_path, requests=first)
+    assert sum(map(len, first)) == 3
+    index = _build_cached(collection, tmp_path, requests=second)
+    assert second == []
+    assert len(index) == 3 and index.texts_embedded == 3
 
 
 def test_one_edited_page_costs_one_computation(tmp_path, api_key):
     texts = {"d1": ["alpha one", "beta two"], "d2": ["gamma three"]}
     _build_cached(_collection(texts), tmp_path)
     texts["d1"][1] = "beta two EDITED"
-    ledger, requests = CallLedger(), []
-    _build_cached(_collection(texts), tmp_path, ledger, requests=requests)
-    assert ledger.embed_total == 1
+    requests = []
+    _build_cached(_collection(texts), tmp_path, requests=requests)
     assert requests == [["\nbeta two EDITED"]]
 
 
@@ -427,11 +424,16 @@ def test_smaller_k_is_the_prefix_served_from_the_memo(monkeypatch):
     collection = _collection(
         {f"d{i}": [" ".join(rng.choices(words, k=5)) for _ in range(6)] for i in range(4)}
     )
-    ledger = CallLedger()
-    embedder = HashedBowEmbedder(ledger=ledger)
-    index = build_index(collection, embedder)
+    queries = []
+
+    class QueryLog(HashedBowEmbedder):
+        def embed(self, texts):
+            queries.extend(texts)
+            return super().embed(texts)
+
+    index = build_index(collection, HashedBowEmbedder())
+    embedder = QueryLog()
     ranked = _counting_rank_all(index, monkeypatch)
-    built = ledger.embed_total
     pool = collection.documents[2:0:-1]  # two runs
     for docs in (collection.documents, pool):
         full = retrieve_relevant_pages("alpha beta", docs, 100, index, embedder)
@@ -439,8 +441,8 @@ def test_smaller_k_is_the_prefix_served_from_the_memo(monkeypatch):
             got = retrieve_relevant_pages("alpha beta", docs, k, index, embedder)
             assert got == full[:k]
     assert ranked == [((0, 24),), ((12, 18), (6, 12))]
-    # Each call embedded its query, and the ledger counted it.
-    assert ledger.embed_total - built == 10
+    # Each call embedded its query.
+    assert queries == ["alpha beta"] * 10
 
 
 def test_memo_holds_at_most_its_bound(monkeypatch):
