@@ -11,6 +11,10 @@ request.
 The backends count nothing. Each run's meter counts its chat and embed calls
 into its run record, and ``mdqa run`` folds ``ledger.json`` from the records,
 the index build and the chat log.
+
+numpy is imported inside the functions that compute a vector, so a command
+that embeds nothing (``synth`` needs only ``tokenize`` and ``token_slot``)
+starts without it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
-
-import numpy as np
 
 from .files import AppendLog, Closable, jsonl_line
 from .retrieval import VectorStore, text_key
@@ -174,6 +176,8 @@ class HttpChatBackend(_HttpBackendBase):
 def _embedding_rows(payload: dict, n: int) -> np.ndarray:
     """The vectors of an embeddings response as float32 rows. Raises
     ``BackendError`` unless it holds ``n`` vectors of finite numbers, of one dim."""
+    import numpy as np
+
     try:
         rows = [np.asarray(item["embedding"]) for item in payload["data"]]
     except (KeyError, TypeError):
@@ -203,6 +207,8 @@ class HttpEmbedBackend(_HttpBackendBase):
         return VectorStore(root, self.fingerprint)
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        import numpy as np
+
         if not texts:
             raise BackendError("embed requires at least one text")
         keys = [text_key(text) for text in texts]
@@ -261,6 +267,8 @@ class HashedBowEmbedder:
         return slot
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        import numpy as np
+
         if not texts:
             raise BackendError("embed requires at least one text")
         out = np.zeros((len(texts), self.dim), dtype=np.float64)

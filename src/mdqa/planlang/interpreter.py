@@ -371,10 +371,13 @@ class _Interpreter:
     def eval_compare(self, node: Compare) -> bool:
         left = self.eval(node.left)
         right = self.eval(node.right)
-        if node.op == "==":
-            return left == right
-        if node.op == "!=":
-            return left != right
+        if node.op in ("==", "!="):
+            # Lists a plan builds in a loop, or that hold themselves, can nest
+            # deeper than Python compares.
+            try:
+                return left == right if node.op == "==" else left != right
+            except RecursionError:
+                raise self.fail("value_error", "values nest too deeply to compare") from None
         ok = (self._is_number(left) and self._is_number(right)) or (
             isinstance(left, str) and isinstance(right, str)
         )

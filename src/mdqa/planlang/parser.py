@@ -9,6 +9,10 @@ imports, and no way to name a callable other than the whitelist, so parsing
 alone establishes the sandbox boundary. Calling anything outside the
 whitelist is a parse error; interpolating an undeclared variable is deferred
 to runtime.
+
+Nesting is bounded (``MAX_NESTING``), so neither the parser's recursion nor
+the interpreter's walk of the tree can exhaust Python's stack: a deeper plan
+is a ``PlanParseError``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ BUILTIN_NAMES = frozenset(
         "append",
     }
 )
+
+# Levels a statement may nest: the blocks around it, plus its expression's
+# open brackets and unary minus signs (the parser recurses once per level) or
+# its tree height, chains of operators and subscripts included (the
+# interpreter recurses once per level), whichever is higher.
+MAX_NESTING = 64
 
 _KEYWORDS = {"for", "in", "if", "elif", "else", "True", "False", "None"}
 
@@ -317,6 +327,24 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # blocks, expressions and unary minus signs open
+        self.height = 0  # of the expression tree parsed last
+
+    def _nest(self, tok: Token) -> None:
+        """Open one more level at ``tok``; close it with ``depth -= 1``."""
+        self.depth += 1
+        self._check(0, tok)
+
+    def _grow(self, height: int, tok: Token) -> None:
+        """The expression tree ending at ``tok`` is ``height`` levels high."""
+        self.height = height
+        self._check(height, tok)
+
+    def _check(self, height: int, tok: Token) -> None:
+        if self.depth + height > MAX_NESTING:
+            raise PlanParseError(
+                f"plan nests deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -356,7 +384,7 @@ class _Parser:
 
     def parse_block(self) -> tuple:
         self.expect("NEWLINE")
-        self.expect("INDENT")
+        self._nest(self.expect("INDENT"))
         body = []
         while self.peek().kind not in ("DEDENT", "EOF"):
             body.append(self.parse_statement())
@@ -365,6 +393,7 @@ class _Parser:
         if not body:
             tok = self.peek()
             raise PlanParseError("empty block", tok.line, tok.col)
+        self.depth -= 1
         return tuple(body)
 
     def parse_statement(self):
@@ -418,14 +447,19 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_comparison()
+        self._nest(self.peek())
+        node = self.parse_comparison()
+        self.depth -= 1
+        return node
 
     def parse_comparison(self):
         left = self.parse_arith()
         tok = self.peek()
         if tok.kind == "OP" and tok.value in ("==", "!=", "<", "<=", ">", ">="):
             self.advance()
+            height = self.height
             right = self.parse_arith()
+            self._grow(max(height, self.height) + 1, tok)
             return Compare(op=tok.value, left=left, right=right, line=tok.line)
         return left
 
@@ -433,33 +467,46 @@ class _Parser:
         node = self.parse_term()
         while self.peek().kind == "OP" and self.peek().value in ("+", "-"):
             op = self.advance()
-            node = BinOp(op=op.value, left=node, right=self.parse_term(), line=op.line)
+            height = self.height
+            right = self.parse_term()
+            self._grow(max(height, self.height) + 1, op)
+            node = BinOp(op=op.value, left=node, right=right, line=op.line)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.peek().kind == "OP" and self.peek().value in ("*", "/"):
             op = self.advance()
-            node = BinOp(op=op.value, left=node, right=self.parse_unary(), line=op.line)
+            height = self.height
+            right = self.parse_unary()
+            self._grow(max(height, self.height) + 1, op)
+            node = BinOp(op=op.value, left=node, right=right, line=op.line)
         return node
 
     def parse_unary(self):
         if self.at_op("-"):
             op = self.advance()
-            return UnaryOp(op="-", operand=self.parse_unary(), line=op.line)
+            self._nest(op)
+            operand = self.parse_unary()
+            self.depth -= 1
+            self._grow(self.height + 1, op)
+            return UnaryOp(op="-", operand=operand, line=op.line)
         return self.parse_postfix()
 
     def parse_postfix(self):
         node = self.parse_atom()
         while self.at_op("["):
             bracket = self.advance()
+            height = self.height
             index = self.parse_expr()
             self.expect("OP", "]")
+            self._grow(max(height, self.height) + 1, bracket)
             node = Subscript(target=node, index=index, line=bracket.line)
         return node
 
     def parse_atom(self):
         tok = self.peek()
+        self.height = 0
         if tok.kind == "NUMBER":
             self.advance()
             return Num(value=float(tok.value), line=tok.line)
@@ -485,29 +532,34 @@ class _Parser:
         if self.at_op("["):
             self.advance()
             items = []
+            height = 0
             while not self.at_op("]"):
                 items.append(self.parse_expr())
+                height = max(height, self.height)
                 if self.at_op(","):
                     self.advance()
                 elif not self.at_op("]"):
                     bad = self.peek()
                     raise PlanParseError("expected ',' or ']'", bad.line, bad.col)
-            self.advance()
+            self._grow(height + 1, self.advance())
             return ListLit(items=tuple(items), line=tok.line)
         if self.at_op("{"):
             self.advance()
             items = []
+            height = 0
             while not self.at_op("}"):
                 key = self.parse_expr()
+                height = max(height, self.height)
                 self.expect("OP", ":")
                 value = self.parse_expr()
+                height = max(height, self.height)
                 items.append((key, value))
                 if self.at_op(","):
                     self.advance()
                 elif not self.at_op("}"):
                     bad = self.peek()
                     raise PlanParseError("expected ',' or '}'", bad.line, bad.col)
-            self.advance()
+            self._grow(height + 1, self.advance())
             return MapLit(items=tuple(items), line=tok.line)
         raise PlanParseError(
             f"unexpected token {tok.value or tok.kind!r}", tok.line, tok.col
@@ -524,6 +576,7 @@ class _Parser:
         self.expect("OP", "(")
         args = []
         kwargs = []
+        height = 0
         while not self.at_op(")"):
             tok = self.peek()
             if (
@@ -540,12 +593,13 @@ class _Parser:
                         "positional argument after keyword argument", tok.line, tok.col
                     )
                 args.append(self.parse_expr())
+            height = max(height, self.height)
             if self.at_op(","):
                 self.advance()
             elif not self.at_op(")"):
                 bad = self.peek()
                 raise PlanParseError("expected ',' or ')'", bad.line, bad.col)
-        self.advance()
+        self._grow(height + 1, self.advance())
         return Call(
             name=name_tok.value,
             args=tuple(args),

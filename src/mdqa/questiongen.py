@@ -122,6 +122,9 @@ class Question:
 
     @staticmethod
     def from_json_dict(raw: dict) -> "Question":
+        for name in ("question_id", "template_id", "text"):
+            if not isinstance(raw[name], str):
+                raise TypeError(f"{name} must be a string, got {raw[name]!r}")
         return Question(
             question_id=raw["question_id"],
             template_id=raw["template_id"],

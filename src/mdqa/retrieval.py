@@ -22,6 +22,9 @@ A ranking is a function of (query vector, runs), so the index keeps the
 whole sorted ranking of its last ``RANKING_MEMO_SIZE`` (query vector, runs)
 pairs and serves any k as a prefix of it: a question's k sweep embeds its
 query once per run but ranks it once.
+
+numpy is imported inside the functions that compute on vectors, so a command
+that only reads a session (``eval``, ``cost``, ``trace``) starts without it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .corpus import Document, DocumentCollection
 from .files import AppendLog, Closable, read_json, write_json
@@ -88,6 +89,8 @@ class PageIndex:
         documents: Sequence[Document] = (),
         texts_embedded: int = 0,
     ):
+        import numpy as np
+
         if len(refs) != vectors.shape[0]:
             raise RetrievalError("index arrays disagree in length")
         if not np.all(np.isfinite(vectors)):
@@ -145,9 +148,6 @@ class PageIndex:
         except KeyError:
             raise UnindexedPageError(f"page {page_ref!r} is not in the index") from None
 
-    def unit_vector(self, page_ref: tuple[str, int]) -> np.ndarray:
-        return self._unit[self.row(page_ref)]
-
     def page_handles(self, refs: Iterable[tuple[str, int]]) -> list[PageHandle]:
         """The handles of pages of the documents the index was built from."""
         return [self._handles[ref] for ref in refs]
@@ -188,6 +188,8 @@ class PageIndex:
         """Top-k of the rows in ``runs`` by cosine to ``query_vec``: the first
         k of the pool's whole ranking, which is computed once per (query
         vector, runs) while it stays in the memo."""
+        import numpy as np
+
         q = np.asarray(query_vec, dtype=np.float64)
         key = (q.tobytes(), runs)
         with self._lock:
@@ -211,6 +213,8 @@ class PageIndex:
         self, q: np.ndarray, runs: tuple[tuple[int, int], ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Positions and scores of every row in ``runs``, best first."""
+        import numpy as np
+
         norm = math.sqrt(q.dot(q))  # np.linalg.norm(q), without its overhead
         if norm > 0:
             q = q / norm
@@ -263,11 +267,15 @@ class VectorStore(Closable):
         self.dim = dim
 
     def get(self, key: bytes) -> Optional[np.ndarray]:
+        import numpy as np
+
         record = self._log.read(key) if self._log else None
         return None if record is None else np.frombuffer(record, dtype="<f4", offset=32)
 
     def put(self, key: bytes, vector: np.ndarray) -> None:
         """Append ``vector`` under ``key`` unless the key is already held."""
+        import numpy as np
+
         row = np.asarray(vector, dtype="<f4")
         with self._lock:
             if self._log is None:
@@ -290,6 +298,8 @@ def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
     in ``text_key`` order in one call, so a caching backend sees the same
     requests whatever the collection's order.
     """
+    import numpy as np
+
     texts: list[str] = []
     refs: list[tuple[str, int]] = []
     for doc in collection.documents:
@@ -323,8 +333,7 @@ def retrieve_relevant_pages(
     runs = index.row_runs(docs)
     if not runs:
         return []
-    query_vec = np.asarray(embed_backend.embed([query])[0])
-    return index.rank(query_vec, runs, k)
+    return index.rank(embed_backend.embed([query])[0], runs, k)
 
 
 def expand_queries(question: str, chat_backend, n: int, prompt_pack=None) -> list[str]:

@@ -4,8 +4,11 @@ import contextlib
 import gc
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -1006,18 +1009,19 @@ def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, opti
     assert not (tmp_path / "q.jsonl").exists() and not (tmp_path / "s").exists()
 
 
-def test_repeated_question_id_exits_2(runner, workspace, finished_session, tmp_path):
-    """A question set holds each ``question_id`` once: ``run``, ``eval`` and
-    ``trace`` name the line that repeats one."""
+def _second_question_exits_2(runner, workspace, finished_session, tmp_path, fields, message):
+    """Give the workspace's second question ``fields``: ``run``, ``eval`` and
+    ``trace`` each exit 2 with ``message`` about line 2, and ``run`` writes
+    nothing."""
     first, second = (workspace / "questions.jsonl").read_text().splitlines()[:2]
-    question_id = json.loads(first)["question_id"]
-    text = first + "\n" + json.dumps({**json.loads(second), "question_id": question_id}) + "\n"
+    text = first + "\n" + json.dumps({**json.loads(second), **fields}) + "\n"
     questions = tmp_path / "questions.jsonl"
     questions.write_text(text)
     session = _copy_session(finished_session, tmp_path)
     (session / "questions.jsonl").write_text(text)
     run_args = _run_args(workspace, tmp_path / "s")
     run_args[run_args.index("--questions") + 1] = str(questions)
+    question_id = json.loads(first)["question_id"]
     for args, path in (
         (run_args, questions),
         (["eval", str(session)], session / "questions.jsonl"),
@@ -1025,8 +1029,85 @@ def test_repeated_question_id_exits_2(runner, workspace, finished_session, tmp_p
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert f"error: {path}:2: " in result.output and repr(question_id) in result.output
+        assert f"error: {path}:2: {message}" in result.output
     assert not (tmp_path / "s").exists()
+
+
+def test_repeated_question_id_exits_2(runner, workspace, finished_session, tmp_path):
+    """A question set holds each ``question_id`` once."""
+    question_id = json.loads((workspace / "questions.jsonl").read_text().splitlines()[0])[
+        "question_id"
+    ]
+    _second_question_exits_2(
+        runner, workspace, finished_session, tmp_path, {"question_id": question_id},
+        f"bad record: question_id {question_id!r} is held twice",
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value", [("question_id", 7), ("template_id", None), ("text", ["q"])]
+)
+def test_non_string_question_field_exits_2(
+    runner, workspace, finished_session, tmp_path, field, value
+):
+    """``question_id``, ``template_id`` and ``text`` are strings, checked when
+    the file is read, before any run."""
+    _second_question_exits_2(
+        runner, workspace, finished_session, tmp_path, {field: value},
+        f"bad record: {field} must be a string",
+    )
+
+
+def _child_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a new interpreter that imports this mdqa."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_leaves_numpy_out():
+    """The session benchmark's launcher imports these two modules before
+    every command; only a command that embeds or ranks loads numpy."""
+    code = 'import sys, mdqa.backends, mdqa.cli; print("numpy" in sys.modules)'
+    result = _child_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+# Runs each command of argv[1] (a JSON list of argument lists) in process,
+# with numpy made unimportable, and exits with the first nonzero exit code.
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+from mdqa.cli import main
+for args in json.loads(sys.argv[1]):
+    try:
+        main.main(args=args, prog_name="mdqa", standalone_mode=False)
+    except SystemExit as exc:
+        if exc.code:
+            sys.exit(f"mdqa {args[0]} exited {exc.code}")
+"""
+
+
+def test_commands_that_compute_no_vector_run_without_numpy(finished_session, tmp_path):
+    session = _copy_session(finished_session, tmp_path)
+    question_id = json.loads((session / "questions.jsonl").read_text().splitlines()[0])[
+        "question_id"
+    ]
+    corpus = str(tmp_path / "corpus")
+    commands = [
+        ["synth", corpus, "--companies", "3"],
+        ["gen", "--corpus", corpus, "--out", str(tmp_path / "q.jsonl"), "--templates", "ve1",
+         "--count", "2", "--dataset-year", "2023"],
+        ["ingest", corpus],
+        ["eval", str(session)],
+        ["cost", str(session)],
+        ["trace", str(session), question_id, "vanilla_rag", "4"],
+    ]
+    result = _child_python(_WITHOUT_NUMPY, json.dumps(commands))
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert (session / "report.json").exists() and (session / "cost.json").exists()
 
 
 def _toml_list_run(runner, workspace, tmp_path, systems, k_grid):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,16 @@ from mdqa.planlang import (
     execute_plan,
     parse_plan,
 )
-from mdqa.planlang.parser import BUILTIN_NAMES, Assign, Call, ExprStmt, For, If, MapLit
+from mdqa.planlang.parser import (
+    BUILTIN_NAMES,
+    MAX_NESTING,
+    Assign,
+    Call,
+    ExprStmt,
+    For,
+    If,
+    MapLit,
+)
 
 
 def run(source: str, **env_kwargs):
@@ -481,6 +491,73 @@ def test_trace_accounts_for_every_backend_call():
 
 
 # ---------------------------------------------------------------------------
+# Nesting: bounded where it is parsed, so no recursion exhausts the stack
+# ---------------------------------------------------------------------------
+
+# Plan source nesting ``n`` levels, one way to nest per entry. ``x[0]`` is
+# ``x`` itself, so a chain of subscripts of any length runs.
+_NESTINGS = {
+    "parentheses": lambda n: "emit(" + "(" * n + "1" + ")" * n + ")",
+    "unary-minus": lambda n: "emit(" + "-" * n + "1)",
+    "lists": lambda n: "emit(len(" + "[" * n + "]" * n + "))",
+    "maps": lambda n: "emit(len(" + '{"a": ' * n + "1" + "}" * n + "))",
+    "calls": lambda n: "emit(" + "abs(" * n + "1" + ")" * n + ")",
+    "operators": lambda n: "emit(" + " + ".join(["1"] * n) + ")",
+    "subscripts": lambda n: "x = []\nappend(x, x)\nemit(len(x" + "[0]" * n + "))",
+    "blocks": lambda n: "".join(" " * i + "if True:\n" for i in range(n)) + " " * n + "emit(1)",
+}
+
+
+def _parses(source: str) -> bool:
+    try:
+        parse_plan.__wrapped__(source)  # past the memo
+    except PlanParseError:
+        return False
+    return True
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("build", _NESTINGS.values(), ids=_NESTINGS)
+def test_deepest_accepted_plan_runs_in_a_bounded_stack(build):
+    """Each way to nest stops near ``MAX_NESTING`` levels with a
+    ``PlanParseError`` naming line and column. The deepest plan accepted
+    parses and runs in 600 stack frames, well inside Python's default
+    recursion limit of 1,000."""
+    n = next(n for n in range(MAX_NESTING, 0, -1) if _parses(build(n)))
+    assert n >= MAX_NESTING - 3
+    message = rf"^line \d+, col \d+: plan nests deeper than {MAX_NESTING} levels$"
+    with pytest.raises(PlanParseError, match=message):
+        parse_plan(build(n + 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 600)
+    try:
+        trace = execute_plan(parse_plan.__wrapped__(build(n)), ExecEnv())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert trace.completed
+
+
+@pytest.mark.parametrize("links", ["+ 1", "[0]"], ids=["operators", "subscripts"])
+def test_chain_of_10_000_links_is_a_parse_error(links):
+    """The parser reads a chain of operators or subscripts in a loop, but the
+    tree it builds grows a level per link, and the interpreter recurses once
+    per level."""
+    with pytest.raises(PlanParseError, match="plan nests deeper than"):
+        parse_plan("x = [1]\nemit(x" + links * 10**4 + ")")
+
+
+def test_comparing_lists_that_hold_themselves_is_a_runtime_error():
+    with pytest.raises(PlanRuntimeError, match="^value_error: values nest too deeply"):
+        run("x = []\nappend(x, x)\ny = []\nappend(y, y)\nemit(x == y)")
+
+
+# ---------------------------------------------------------------------------
 # Fuzzing: the sandbox raises nothing but its two error types
 # ---------------------------------------------------------------------------
 
@@ -495,6 +572,14 @@ _FUZZ_TOKENS = sorted(BUILTIN_NAMES) + _FUZZ_NAMES + [
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(max_size=80), st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map("".join)))
+# 10,000 levels of each way to nest, and of blocks 1,000: the source of
+# nested blocks grows with the square of their depth.
+@example("emit(" + "(" * 10**4)
+@example("-" * 10**4 + "1")
+@example("[" * 10**4)
+@example('{"a": ' * 10**4)
+@example("emit(" + "abs(" * 10**4)
+@example("".join(" " * i + "if 1:\n" for i in range(10**3)))
 def test_parse_random_text_raises_only_parse_errors(source):
     try:
         parse_plan(source)

@@ -397,6 +397,21 @@ def test_codegen_double_parse_failure_recorded(clean_bundle, clean_index):
     assert run.chat_calls == 2
 
 
+def test_codegen_too_deep_plan_is_a_parse_failure(clean_bundle, clean_index):
+    """A reply nesting 2,000 parentheses is recorded as a parse failure; it
+    does not escape ``run_system``."""
+    collection, _ = clean_bundle
+
+    class Deep:
+        def chat(self, messages, **params):
+            return "emit(" + "(" * 2000 + "1" + ")" * 2000 + ")"
+
+    backends = Backends(Deep(), HashedBowEmbedder())
+    run = run_system("codegen_pager", "q1", "q", collection, clean_index, backends, 4, 2023)
+    assert run.failure.startswith("plan_parse_error")
+    assert "plan nests deeper than" in run.failure
+
+
 def test_oracle_replies_always_parse(clean_world):
     # Answer parsing is total over the oracle's reply grammar.
     collection, _, index, questions, backends = clean_world

@@ -22,6 +22,7 @@ from mdqa.backends import (
 )
 from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
+    EMBED_INPUT_MAX_CHARS,
     RANKING_MEMO_SIZE,
     text_key,
     CacheMismatchError,
@@ -65,10 +66,19 @@ def _brute_force_cosine(query: str, text: str, dim: int = 512) -> float:
     return dot / (nq * np_)
 
 
-def _reference_retrieve(query, docs, k, index, embed_backend):
+def _unit_rows(pages, embed_backend):
+    """Float64 unit vectors of the embedder's rows for ``pages``, computed as
+    ``build_index`` embeds a page and ``PageIndex`` normalizes its row."""
+    texts = [f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS] for page in pages]
+    rows = embed_backend.embed(texts).astype(np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def _reference_retrieve(query, docs, k, embed_backend):
     """The per-page Python loop that retrieval used before span scoring."""
     refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
-    matrix = np.stack([index.unit_vector(ref) for ref in refs])
+    matrix = _unit_rows([page for doc in docs for page in doc.pages], embed_backend)
     q = np.asarray(embed_backend.embed([query])[0]).astype(np.float64)
     norm = np.linalg.norm(q)
     if norm > 0:
@@ -284,7 +294,7 @@ def test_scores_in_range_and_self_similarity():
     collection = _collection({"d1": ["alpha beta gamma delta"]})
     embedder = HashedBowEmbedder()
     index = build_index(collection, embedder)
-    vec = index.unit_vector(("d1", 1))
+    (vec,) = _unit_rows(collection.documents[0].pages, embedder)
     assert abs(float(vec @ vec) - 1.0) < 1e-9
     result = retrieve_relevant_pages("alpha beta gamma delta", collection.documents, 1, index, embedder)
     assert -1.0 <= result[0].score <= 1.0
@@ -355,7 +365,7 @@ def test_matches_python_loop_reference(collection, query, data):
     k = data.draw(st.sampled_from([max(n - 1, 1), n, n + 3]), label="k")
 
     got = retrieve_relevant_pages(query, pool, k, index, embedder)
-    want = _reference_retrieve(query, pool, k, index, embedder)
+    want = _reference_retrieve(query, pool, k, embedder)
     assert [(s.page_ref, s.score) for s in got] == [(s.page_ref, s.score) for s in want]
 
 
@@ -483,7 +493,7 @@ def test_memo_from_many_threads():
             ))
     finally:
         sys.setswitchinterval(switch)
-    assert got == [_reference_retrieve(*item, index, embedder) for item in work]
+    assert got == [_reference_retrieve(*item, embedder) for item in work]
     assert len(index._rankings) <= RANKING_MEMO_SIZE
 
 
