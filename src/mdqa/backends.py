@@ -71,14 +71,27 @@ IN_FLIGHT_LIMIT = 8
 
 
 def _requests_transport(url: str, body: dict, headers: dict, timeout: float):
-    import requests
+    """POST ``body`` as JSON with the standard library. An HTTP error status
+    is returned like any other; a connection failure or timeout raises an
+    ``OSError``. (The benchmark launcher and tracer patch this name.)"""
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+    request = urllib.request.Request(url, json.dumps(body).encode(), headers, method="POST")
     try:
-        payload = resp.json()
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            status, raw = exc.code, exc.read()
+    except http.client.HTTPException as exc:  # a malformed or cut-off response
+        raise OSError(f"bad HTTP response: {exc!r}") from exc
+    try:
+        payload = json.loads(raw)
     except ValueError:
-        payload = {"error": resp.text}
-    return resp.status_code, payload
+        payload = {"error": raw.decode("utf-8", "replace")}
+    return status, payload
 
 
 class _HttpBackendBase(Closable):

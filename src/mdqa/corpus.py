@@ -566,17 +566,21 @@ def load_fact_table(path: str | Path, collection: DocumentCollection) -> FactTab
         raise CorpusError(f"facts file not found: {facts_path}")
     if not metrics_path.exists():
         raise CorpusError(f"metrics file not found: {metrics_path}")
-    metrics_raw = read_json(metrics_path, list)
-    metric_defs = [
-        MetricDef(
-            metric_id=str(_require(m, "metric_id", "metrics.json")),
-            display_name=str(_require(m, "display_name", "metrics.json")),
-            kind=str(_require(m, "kind", "metrics.json")),
-            formula=m.get("formula"),
-            description=m.get("description", ""),
+    metric_defs = []
+    for m in read_json(metrics_path, list):
+        metric_id = str(_require(m, "metric_id", "metrics.json"))
+        formula = m.get("formula")
+        if formula is not None and not isinstance(formula, str):
+            raise CorpusError(f"{metrics_path}: metric {metric_id!r}: formula must be a string")
+        metric_defs.append(
+            MetricDef(
+                metric_id=metric_id,
+                display_name=str(_require(m, "display_name", "metrics.json")),
+                kind=str(_require(m, "kind", "metrics.json")),
+                formula=formula,
+                description=m.get("description", ""),
+            )
         )
-        for m in metrics_raw
-    ]
     records = []
     for n, raw in enumerate(read_jsonl(facts_path, lambda raw: raw), start=1):
         ctx = f"{facts_path} record {n}"
@@ -653,16 +657,6 @@ def select_documents(
         out.append(doc)
     out.sort(key=lambda d: (d.stock_symbol, d.fiscal_year, d.form_type, d.period_end_date))
     return out
-
-
-def doc_signature(
-    page_ref: tuple[str, int], collection: DocumentCollection
-) -> tuple[str, str, int, date]:
-    """Metadata identity of the document owning a retrieved page."""
-    doc_id, page_number = page_ref
-    doc = collection.get_document(doc_id)
-    collection.get_page(doc_id, page_number)
-    return doc.signature()
 
 
 # ---------------------------------------------------------------------------

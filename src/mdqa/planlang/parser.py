@@ -1,26 +1,44 @@
-"""Tokenizer and parser for the plan language.
+"""Parser for the plan language.
 
-The grammar is a deliberately small imperative subset: newline-terminated
-statements, indentation-delimited blocks (canonically 2 spaces; any
-consistent deepening is accepted), list and map literals, subscripts,
-interpolated strings, arithmetic, comparisons, and calls to a fixed builtin
-whitelist. There are no attribute accesses, no function definitions, no
-imports, and no way to name a callable other than the whitelist, so parsing
-alone establishes the sandbox boundary. Calling anything outside the
-whitelist is a parse error; interpolating an undeclared variable is deferred
-to runtime.
+A plan is a small subset of Python, and Python's own parser (``ast.parse``)
+reads it. The subset: newline-terminated statements (assignments, ``for``
+loops, ``if``/``elif``/``else`` and expressions), indentation-delimited blocks
+(canonically 2 spaces), list and map literals, subscripts, interpolated
+strings, arithmetic, single comparisons, and calls to a fixed builtin
+whitelist. A converter walks a whitelist of ``ast`` nodes into the plan's own
+node classes below; every other node is a ``PlanParseError`` with line and
+column. There are no attribute accesses, no function definitions, no imports,
+and no way to name a callable other than the whitelist, so parsing alone
+establishes the sandbox boundary. Interpolating an undeclared variable is
+deferred to runtime.
 
-Nesting is bounded (``MAX_NESTING``), so neither the parser's recursion nor
-the interpreter's walk of the tree can exhaust Python's stack: a deeper plan
-is a ``PlanParseError``.
+Python reads some text otherwise than the plan language does, so a scan of
+each line comes first. It empties comments and blank lines, and it rejects
+tab indentation, statements that run past the end of their line, ``;``,
+string prefixes, triple quotes, adjacent strings, escapes other than ``\\``,
+``\"``, ``\'``, ``\n`` and ``\t``, and numbers or names not spelt the plan
+language's way (``0x1F``, ``1_000``, ``1j``, ``1.``, ``1if``, non-ASCII
+names). So ``ast.parse`` never warns about a plan. The converter checks the
+rest on the source text: parenthesised ``for`` targets, ``elif`` against
+``else: if``, and one statement per line.
+
+What Python's parser refuses is refused too, though the plan language once
+read it: Python reserved words as names, integers written ``01`` or longer
+than 4,300 digits, a raw carriage return, NUL or lone surrogate inside a
+string, and ``elif`` chains thousands of branches long.
+
+Nesting is bounded (``MAX_NESTING``), so neither the conversion nor the
+interpreter's walk of the tree can exhaust Python's stack: a deeper plan is a
+``PlanParseError``.
 """
 
 from __future__ import annotations
 
+import ast
+import bisect
 import functools
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 BUILTIN_NAMES = frozenset(
     {
@@ -43,17 +61,38 @@ BUILTIN_NAMES = frozenset(
     }
 )
 
-# Levels a statement may nest: the blocks around it, plus its expression's
-# open brackets and unary minus signs (the parser recurses once per level) or
-# its tree height, chains of operators and subscripts included (the
-# interpreter recurses once per level), whichever is higher.
+# Levels an expression may nest: the blocks around it, the brackets open
+# around it and the unary minus signs above it, plus the height of its tree,
+# chains of operators and subscripts included. The interpreter recurses once
+# per level.
 MAX_NESTING = 64
+_TOO_DEEP = f"plan nests deeper than {MAX_NESTING} levels"
 
-_KEYWORDS = {"for", "in", "if", "elif", "else", "True", "False", "None"}
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+")
+_NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
+# What a line holds outside strings and comments. A ``plain`` run needs no
+# check: blanks, operators, and names and numbers that end where Python's do.
+_LEXEME_RE = re.compile(
+    rf"""(?P<plain>(?:[ \t]+|[A-Za-z_]\w*|{_NUMBER}(?![\w.])|[=!<>]=|[-+*/=<>,:])+)
+    |(?P<string>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
+    |(?P<open>[(\[{{])|(?P<close>[)\]}}])|(?P<comment>\#)
+    |(?P<word>[\w.]+)|(?P<other>.)""",
+    re.ASCII | re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 _INTERP_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_FOR_HEAD_RE = re.compile(r"for[ \t]+\w+(?:[ \t]*,[ \t]*\w+)*[ \t]+in\b", re.ASCII)
+_OPERATORS = {
+    ast.Add: "+",
+    ast.Sub: "-",
+    ast.Mult: "*",
+    ast.Div: "/",
+    ast.Eq: "==",
+    ast.NotEq: "!=",
+    ast.Lt: "<",
+    ast.LtE: "<=",
+    ast.Gt: ">",
+    ast.GtE: ">=",
+}
 
 
 class PlanParseError(Exception):
@@ -61,14 +100,6 @@ class PlanParseError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME KEYWORD NUMBER STRING OP NEWLINE INDENT DEDENT EOF
-    value: str
-    line: int
-    col: int
 
 
 # --------------------------------------------------------------------------
@@ -190,105 +221,6 @@ class PlanProgram:
     statements: tuple
 
 
-# --------------------------------------------------------------------------
-# Tokenizer
-# --------------------------------------------------------------------------
-
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
-_ONE_CHAR_OPS = "+-*/=<>()[]{},:"
-
-
-def _lex_line(text: str, line_no: int, start: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = start
-    while pos < len(text):
-        ch = text[pos]
-        if ch in " \t":
-            pos += 1
-            continue
-        if ch == "#":
-            break
-        col = pos + 1
-        if ch in "\"'":
-            quote = ch
-            pos += 1
-            chunks = []
-            while True:
-                if pos >= len(text):
-                    raise PlanParseError("unterminated string", line_no, col)
-                c = text[pos]
-                if c == "\\":
-                    if pos + 1 >= len(text):
-                        raise PlanParseError("bad escape at end of line", line_no, col)
-                    esc = text[pos + 1]
-                    chunks.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    pos += 2
-                    continue
-                if c == quote:
-                    pos += 1
-                    break
-                chunks.append(c)
-                pos += 1
-            tokens.append(Token("STRING", "".join(chunks), line_no, col))
-            continue
-        two = text[pos : pos + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("OP", two, line_no, col))
-            pos += 2
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line_no, col))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            word = m.group()
-            kind = "KEYWORD" if word in _KEYWORDS else "NAME"
-            tokens.append(Token(kind, word, line_no, col))
-            pos = m.end()
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("OP", ch, line_no, col))
-            pos += 1
-            continue
-        raise PlanParseError(f"unexpected character {ch!r}", line_no, col)
-    return tokens
-
-
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    indents = [0]
-    lines = source.split("\n")
-    last_line = 1
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        last_line = line_no
-        indent = len(raw) - len(raw.lstrip(" \t"))
-        if "\t" in raw[:indent]:
-            raise PlanParseError("tabs are not allowed in indentation", line_no, 1)
-        if indent > indents[-1]:
-            indents.append(indent)
-            tokens.append(Token("INDENT", "", line_no, 1))
-        else:
-            while indent < indents[-1]:
-                indents.pop()
-                tokens.append(Token("DEDENT", "", line_no, 1))
-            if indent != indents[-1]:
-                raise PlanParseError("inconsistent indentation", line_no, 1)
-        body = _lex_line(raw, line_no, indent)
-        if body:
-            tokens.extend(body)
-            tokens.append(Token("NEWLINE", "", line_no, len(raw) + 1))
-    while len(indents) > 1:
-        indents.pop()
-        tokens.append(Token("DEDENT", "", last_line, 1))
-    tokens.append(Token("EOF", "", last_line + 1, 1))
-    return tokens
-
-
 def _split_interpolation(text: str, line: int) -> tuple[tuple[str, str], ...]:
     # "{{" and "}}" escape literal braces; "{name}" interpolates.
     parts: list[tuple[str, str]] = []
@@ -323,297 +255,194 @@ def _split_interpolation(text: str, line: int) -> tuple[tuple[str, str], ...]:
 # --------------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # blocks, expressions and unary minus signs open
-        self.height = 0  # of the expression tree parsed last
+def _scan(source: str) -> tuple[list[str], list]:
+    """Check each line for text that Python reads otherwise than a plan does.
 
-    def _nest(self, tok: Token) -> None:
-        """Open one more level at ``tok``; close it with ``depth -= 1``."""
-        self.depth += 1
-        self._check(0, tok)
-
-    def _grow(self, height: int, tok: Token) -> None:
-        """The expression tree ending at ``tok`` is ``height`` levels high."""
-        self.height = height
-        self._check(height, tok)
-
-    def _check(self, height: int, tok: Token) -> None:
-        if self.depth + height > MAX_NESTING:
-            raise PlanParseError(
-                f"plan nests deeper than {MAX_NESTING} levels", tok.line, tok.col
-            )
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            wanted = value or kind
-            raise PlanParseError(
-                f"expected {wanted!r}, found {tok.value or tok.kind!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
-
-    def at_op(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.value == value
-
-    def at_keyword(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KEYWORD" and tok.value == value
-
-    # -- statements --------------------------------------------------------
-
-    def parse_program(self, source: str) -> PlanProgram:
-        statements = []
-        while self.peek().kind != "EOF":
-            statements.append(self.parse_statement())
-        return PlanProgram(source=source, statements=tuple(statements))
-
-    def parse_block(self) -> tuple:
-        self.expect("NEWLINE")
-        self._nest(self.expect("INDENT"))
-        body = []
-        while self.peek().kind not in ("DEDENT", "EOF"):
-            body.append(self.parse_statement())
-        if self.peek().kind == "DEDENT":
-            self.advance()
-        if not body:
-            tok = self.peek()
-            raise PlanParseError("empty block", tok.line, tok.col)
-        self.depth -= 1
-        return tuple(body)
-
-    def parse_statement(self):
-        tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.value == "for":
-            return self.parse_for()
-        if tok.kind == "KEYWORD" and tok.value == "if":
-            return self.parse_if()
-        expr = self.parse_expr()
-        if self.at_op("="):
-            eq = self.advance()
-            if not isinstance(expr, (Name, Subscript)):
-                raise PlanParseError(
-                    "assignment target must be a name or subscript", eq.line, eq.col
-                )
-            value = self.parse_expr()
-            self.expect("NEWLINE")
-            return Assign(target=expr, value=value, line=tok.line)
-        self.expect("NEWLINE")
-        return ExprStmt(expr=expr, line=tok.line)
-
-    def parse_for(self):
-        start = self.expect("KEYWORD", "for")
-        targets = [self.expect("NAME").value]
-        while self.at_op(","):
-            self.advance()
-            targets.append(self.expect("NAME").value)
-        self.expect("KEYWORD", "in")
-        iterable = self.parse_expr()
-        self.expect("OP", ":")
-        body = self.parse_block()
-        return For(targets=tuple(targets), iterable=iterable, body=body, line=start.line)
-
-    def parse_if(self):
-        start = self.expect("KEYWORD", "if")
-        branches = []
-        cond = self.parse_expr()
-        self.expect("OP", ":")
-        branches.append((cond, self.parse_block()))
-        while self.at_keyword("elif"):
-            self.advance()
-            cond = self.parse_expr()
-            self.expect("OP", ":")
-            branches.append((cond, self.parse_block()))
-        if self.at_keyword("else"):
-            self.advance()
-            self.expect("OP", ":")
-            branches.append((None, self.parse_block()))
-        return If(branches=tuple(branches), line=start.line)
-
-    # -- expressions --------------------------------------------------------
-
-    def parse_expr(self):
-        self._nest(self.peek())
-        node = self.parse_comparison()
-        self.depth -= 1
-        return node
-
-    def parse_comparison(self):
-        left = self.parse_arith()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in ("==", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            height = self.height
-            right = self.parse_arith()
-            self._grow(max(height, self.height) + 1, tok)
-            return Compare(op=tok.value, left=left, right=right, line=tok.line)
-        return left
-
-    def parse_arith(self):
-        node = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().value in ("+", "-"):
-            op = self.advance()
-            height = self.height
-            right = self.parse_term()
-            self._grow(max(height, self.height) + 1, op)
-            node = BinOp(op=op.value, left=node, right=right, line=op.line)
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek().kind == "OP" and self.peek().value in ("*", "/"):
-            op = self.advance()
-            height = self.height
-            right = self.parse_unary()
-            self._grow(max(height, self.height) + 1, op)
-            node = BinOp(op=op.value, left=node, right=right, line=op.line)
-        return node
-
-    def parse_unary(self):
-        if self.at_op("-"):
-            op = self.advance()
-            self._nest(op)
-            operand = self.parse_unary()
-            self.depth -= 1
-            self._grow(self.height + 1, op)
-            return UnaryOp(op="-", operand=operand, line=op.line)
-        return self.parse_postfix()
-
-    def parse_postfix(self):
-        node = self.parse_atom()
-        while self.at_op("["):
-            bracket = self.advance()
-            height = self.height
-            index = self.parse_expr()
-            self.expect("OP", "]")
-            self._grow(max(height, self.height) + 1, bracket)
-            node = Subscript(target=node, index=index, line=bracket.line)
-        return node
-
-    def parse_atom(self):
-        tok = self.peek()
-        self.height = 0
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Num(value=float(tok.value), line=tok.line)
-        if tok.kind == "STRING":
-            self.advance()
-            return Str(parts=_split_interpolation(tok.value, tok.line), line=tok.line)
-        if tok.kind == "KEYWORD" and tok.value in ("True", "False"):
-            self.advance()
-            return Bool(value=tok.value == "True", line=tok.line)
-        if tok.kind == "KEYWORD" and tok.value == "None":
-            self.advance()
-            return NoneLit(line=tok.line)
-        if tok.kind == "NAME":
-            if self.peek(1).kind == "OP" and self.peek(1).value == "(":
-                return self.parse_call()
-            self.advance()
-            return Name(ident=tok.value, line=tok.line)
-        if self.at_op("("):
-            self.advance()
-            node = self.parse_expr()
-            self.expect("OP", ")")
-            return node
-        if self.at_op("["):
-            self.advance()
-            items = []
-            height = 0
-            while not self.at_op("]"):
-                items.append(self.parse_expr())
-                height = max(height, self.height)
-                if self.at_op(","):
-                    self.advance()
-                elif not self.at_op("]"):
-                    bad = self.peek()
-                    raise PlanParseError("expected ',' or ']'", bad.line, bad.col)
-            self._grow(height + 1, self.advance())
-            return ListLit(items=tuple(items), line=tok.line)
-        if self.at_op("{"):
-            self.advance()
-            items = []
-            height = 0
-            while not self.at_op("}"):
-                key = self.parse_expr()
-                height = max(height, self.height)
-                self.expect("OP", ":")
-                value = self.parse_expr()
-                height = max(height, self.height)
-                items.append((key, value))
-                if self.at_op(","):
-                    self.advance()
-                elif not self.at_op("}"):
-                    bad = self.peek()
-                    raise PlanParseError("expected ',' or '}'", bad.line, bad.col)
-            self._grow(height + 1, self.advance())
-            return MapLit(items=tuple(items), line=tok.line)
-        raise PlanParseError(
-            f"unexpected token {tok.value or tok.kind!r}", tok.line, tok.col
-        )
-
-    def parse_call(self):
-        name_tok = self.expect("NAME")
-        if name_tok.value not in BUILTIN_NAMES:
-            raise PlanParseError(
-                f"call to non-whitelisted function {name_tok.value!r}",
-                name_tok.line,
-                name_tok.col,
-            )
-        self.expect("OP", "(")
-        args = []
-        kwargs = []
-        height = 0
-        while not self.at_op(")"):
-            tok = self.peek()
-            if (
-                tok.kind == "NAME"
-                and self.peek(1).kind == "OP"
-                and self.peek(1).value == "="
-            ):
-                self.advance()
-                self.advance()
-                kwargs.append((tok.value, self.parse_expr()))
+    Returns the lines for ``ast.parse``, with comments and blank lines
+    emptied, and for each line the columns where a bracket opens or closes,
+    after -1, together with the depth after each.
+    """
+    lines = source.split("\n")
+    brackets: list = [None] * len(lines)
+    for number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            lines[number - 1] = ""
+            continue
+        indent = len(line) - len(line.lstrip(" \t"))
+        if "\t" in line[:indent]:
+            raise PlanParseError("tabs are not allowed in indentation", number, 1)
+        cols, depths = [-1], [0]
+        for match in _LEXEME_RE.finditer(line, indent):
+            kind, col = match.lastgroup, match.start()
+            if kind == "plain":
+                continue
+            if kind in ("open", "close"):
+                depths.append(depths[-1] + (1 if kind == "open" else -1))
+                cols.append(col)
+                if depths[-1] >= MAX_NESTING:
+                    raise PlanParseError(_TOO_DEEP, number, col + 1)
+            elif kind == "string":
+                _check_string(line, match, number)
+            elif kind == "comment":
+                lines[number - 1] = line[:col]
+                break
+            elif kind == "word":
+                raise PlanParseError(f"{match.group()!r} is not a name or number", number, col + 1)
+            elif match.group() in "\"'":
+                raise PlanParseError("unterminated string", number, col + 1)
             else:
-                if kwargs:
-                    raise PlanParseError(
-                        "positional argument after keyword argument", tok.line, tok.col
-                    )
-                args.append(self.parse_expr())
-            height = max(height, self.height)
-            if self.at_op(","):
-                self.advance()
-            elif not self.at_op(")"):
-                bad = self.peek()
-                raise PlanParseError("expected ',' or ')'", bad.line, bad.col)
-        self._grow(height + 1, self.advance())
-        return Call(
-            name=name_tok.value,
-            args=tuple(args),
-            kwargs=tuple(kwargs),
-            line=name_tok.line,
-        )
+                raise PlanParseError(f"unexpected character {match.group()!r}", number, col + 1)
+        if depths[-1] > 0:
+            raise PlanParseError("statement runs past the end of its line", number, len(line) + 1)
+        brackets[number - 1] = (cols, depths)
+    return lines, brackets
+
+
+def _check_string(line: str, match: re.Match, number: int) -> None:
+    start, end = match.span()
+    if start and (line[start - 1].isalnum() or line[start - 1] == "_"):
+        raise PlanParseError("strings take no prefix", number, start)
+    if line[end:].lstrip(" \t")[:1] in ("'", '"'):
+        raise PlanParseError("a string may not follow a string", number, end + 1)
+    for escape in _ESCAPE_RE.findall(match.group()):
+        if escape not in "\\\"'nt":
+            raise PlanParseError(f"unsupported escape \\{escape}", number, start + 1)
+
+
+class _Converter:
+    """Builds plan nodes from the ``ast`` of the scanned lines.
+
+    An expression's level is the higher of its parent's level plus one and
+    its own nesting: the blocks around it, the brackets open before it and
+    the unary minus signs above it. No level may pass ``MAX_NESTING``; a
+    list, map or call needs one more.
+    """
+
+    def __init__(self, lines: list[str], brackets: list):
+        self.lines = lines
+        self.brackets = brackets
+
+    def col(self, line: int, offset: int) -> int:
+        """The character column of the UTF-8 byte offset that ``ast`` gives."""
+        text = self.lines[line - 1]
+        return offset if text.isascii() else len(text.encode()[:offset].decode())
+
+    def error(self, node: ast.AST, message: str) -> PlanParseError:
+        return PlanParseError(message, node.lineno, self.col(node.lineno, node.col_offset) + 1)
+
+    def unsupported(self, node: ast.AST) -> PlanParseError:
+        what = type(getattr(node, "op", node)).__name__
+        return self.error(node, f"{what} is not part of the plan language")
+
+    def block(self, nodes: list, blocks: int) -> tuple:
+        return tuple(self.statement(node, blocks) for node in nodes)
+
+    def statement(self, node: ast.stmt, blocks: int):
+        line, text, nest = node.lineno, self.lines[node.lineno - 1], blocks + 1
+        if text[: node.col_offset].strip():
+            raise self.error(node, "only one statement may start on a line")
+        if isinstance(node, ast.Expr):
+            return ExprStmt(self.expr(node.value, nest), line)
+        if isinstance(node, ast.Assign):
+            target = node.targets[0]
+            if len(node.targets) > 1 or not isinstance(target, (ast.Name, ast.Subscript)):
+                raise self.error(node, "assignment target must be a name or subscript")
+            return Assign(self.expr(target, nest), self.expr(node.value, nest), line)
+        if isinstance(node, ast.For):
+            if node.orelse or not _FOR_HEAD_RE.match(text, node.col_offset):
+                raise self.error(node, "a loop reads 'for name, ... in iterable:'")
+            names = node.target.elts if isinstance(node.target, ast.Tuple) else [node.target]
+            targets = tuple(name.id for name in names)
+            return For(targets, self.expr(node.iter, nest), self.block(node.body, blocks + 1), line)
+        if isinstance(node, ast.If):
+            branches = [(self.expr(node.test, nest), self.block(node.body, blocks + 1))]
+            orelse = node.orelse
+            # Python reads `elif` as an `if` alone in the `else` block.
+            while (
+                len(orelse) == 1
+                and isinstance(orelse[0], ast.If)
+                and self.lines[orelse[0].lineno - 1].startswith("elif", orelse[0].col_offset)
+            ):
+                node = orelse[0]
+                branches.append((self.expr(node.test, nest), self.block(node.body, blocks + 1)))
+                orelse = node.orelse
+            if orelse:
+                branches.append((None, self.block(orelse, blocks + 1)))
+            return If(tuple(branches), line)
+        raise self.unsupported(node)
+
+    def expr(self, node: ast.expr, nest: int, above: int = 0):
+        """``nest`` counts the blocks around the statement, plus one, and the
+        unary minus signs above ``node``; ``above`` is its parent's level."""
+        line = node.lineno
+        cols, depths = self.brackets[line - 1]
+        brackets = depths[bisect.bisect_left(cols, self.col(line, node.col_offset)) - 1]
+        level = max(above + 1, nest + brackets)
+        if level + isinstance(node, (ast.List, ast.Dict, ast.Call)) > MAX_NESTING:
+            raise self.error(node, _TOO_DEEP)
+        if isinstance(node, ast.Constant):
+            return self.constant(node)
+        if isinstance(node, ast.Name):
+            return Name(node.id, line)
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            left, right = self.expr(node.left, nest, level), self.expr(node.right, nest, level)
+            return BinOp(_OPERATORS[type(node.op)], left, right, line)
+        if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _OPERATORS:
+            left = self.expr(node.left, nest, level)
+            right = self.expr(node.comparators[0], nest, level)
+            return Compare(_OPERATORS[type(node.ops[0])], left, right, line)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return UnaryOp("-", self.expr(node.operand, nest + 1, level), line)
+        if isinstance(node, ast.Subscript):
+            target, index = self.expr(node.value, nest, level), self.expr(node.slice, nest, level)
+            return Subscript(target, index, line)
+        if isinstance(node, ast.List):
+            return ListLit(tuple(self.expr(item, nest, level) for item in node.elts), line)
+        if isinstance(node, ast.Dict) and None not in node.keys:
+            items = zip(node.keys, node.values)
+            pairs = ((self.expr(k, nest, level), self.expr(v, nest, level)) for k, v in items)
+            return MapLit(tuple(pairs), line)
+        if isinstance(node, ast.Call):
+            return self.call(node, nest, level)
+        raise self.unsupported(node)
+
+    def constant(self, node: ast.Constant):
+        value, line = node.value, node.lineno
+        if isinstance(value, bool):
+            return Bool(value, line)
+        if value is None:
+            return NoneLit(line)
+        if isinstance(value, str):
+            return Str(_split_interpolation(value, line), line)
+        # A number: the scan let through only the plan language's spellings,
+        # which float() reads as the plan language does.
+        start, end = self.col(line, node.col_offset), self.col(line, node.end_col_offset)
+        return Num(float(self.lines[line - 1][start:end]), line)
+
+    def call(self, node: ast.Call, nest: int, level: int) -> Call:
+        func = node.func
+        if not isinstance(func, ast.Name):
+            raise self.error(node, "a call must name a builtin")
+        after = self.lines[func.lineno - 1][self.col(func.lineno, func.end_col_offset) :]
+        if not after.lstrip(" \t").startswith("("):
+            raise self.error(node, "a call must name a builtin")
+        if func.id not in BUILTIN_NAMES:
+            raise self.error(func, f"call to non-whitelisted function {func.id!r}")
+        if any(keyword.arg is None for keyword in node.keywords):
+            raise self.error(node, "**arguments are not part of the plan language")
+        args = tuple(self.expr(arg, nest, level) for arg in node.args)
+        kwargs = tuple((kw.arg, self.expr(kw.value, nest, level)) for kw in node.keywords)
+        return Call(func.id, args, kwargs, node.lineno)
 
 
 @functools.lru_cache(maxsize=32)
 def parse_plan(source: str) -> PlanProgram:
     """Parse plan source into a PlanProgram.
 
-    Raises PlanParseError with line/column on syntax errors and on any call
-    to a function outside the builtin whitelist.
+    Raises PlanParseError with line/column on syntax errors, on Python syntax
+    outside the plan language, and on any call to a function outside the
+    builtin whitelist.
 
     Results are memoised by source text (a few dozen recent sources): the
     program and its AST nodes are frozen, and the interpreter never mutates
@@ -621,8 +450,16 @@ def parse_plan(source: str) -> PlanProgram:
     """
     if not source or not source.strip():
         raise PlanParseError("empty plan source", 1, 1)
-    tokens = tokenize(source)
-    program = _Parser(tokens).parse_program(source)
-    if not program.statements:
+    lines, brackets = _scan(source)
+    try:
+        module = ast.parse("\n".join(lines), "<plan>")
+    except SyntaxError as exc:
+        raise PlanParseError(exc.msg, exc.lineno or 1, exc.offset or 1) from None
+    except ValueError as exc:  # a NUL byte before 3.12, a lone surrogate
+        raise PlanParseError(str(exc), 1, 1) from None
+    except (RecursionError, MemoryError):
+        raise PlanParseError(_TOO_DEEP, 1, 1) from None
+    statements = _Converter(lines, brackets).block(module.body, 0)
+    if not statements:
         raise PlanParseError("plan has no statements", 1, 1)
-    return program
+    return PlanProgram(source=source, statements=statements)

@@ -351,14 +351,6 @@ def evaluate_rule(
     raise QuestionGenError(f"unknown gold rule {rule!r}")
 
 
-def compute_gold(
-    rule: str, binding: dict, fact_table: FactTable, dataset_year: int
-) -> GoldAnswer:
-    """Compute the gold answer for a rule over the fact table."""
-    gold, _ = compute_gold_with_provenance(rule, binding, fact_table, dataset_year)
-    return gold
-
-
 def compute_gold_with_provenance(
     rule: str, binding: dict, fact_table: FactTable, dataset_year: int
 ) -> tuple[GoldAnswer, list[FactRecord]]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import http.server
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from mdqa.backends import (
     HashedBowEmbedder,
     HttpChatBackend,
     HttpEmbedBackend,
+    _requests_transport,
     token_slot,
 )
 from mdqa.files import AppendLog
@@ -167,6 +171,91 @@ def test_chat_reports_the_attempts_it_made(tmp_path, monkeypatch):
     ) as backend, pytest.raises(BackendError, match="failed after 2 attempts: HTTP 400"):
         backend.chat([{"role": "user", "content": "x"}])
     assert len(transport.requests) == 2
+
+
+# The standard-library transport itself, against a server on the loopback.
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    replies: list = []  # (status, body bytes[, declared length]), one per request
+    received: list = []
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.received.append((self.path, self.headers["Authorization"], json.loads(body)))
+        status, reply, *declared = self.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Length", str(declared[0] if declared else len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setattr(_Handler, "replies", [])
+    monkeypatch.setattr(_Handler, "received", [])
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.mark.parametrize(
+    "status,reply,payload",
+    [
+        (200, b'{"ok": [1]}', {"ok": [1]}),
+        (429, b'{"error": "slow down"}', {"error": "slow down"}),
+        (500, b'{"error": "boom"}', {"error": "boom"}),
+        (200, b"<html>not json</html>", {"error": "<html>not json</html>"}),
+    ],
+    ids=["ok", "rate-limited", "server-error", "not-json"],
+)
+def test_transport_returns_every_status_with_its_payload(loopback, status, reply, payload):
+    _Handler.replies.append((status, reply))
+    headers = {"Content-Type": "application/json", "Authorization": "Bearer k"}
+    body = {"input": ["caf\u00e9", 1]}
+    assert _requests_transport(loopback + "/chat", body, headers, 5.0) == (status, payload)
+    assert _Handler.received == [("/v1/chat", "Bearer k", body)]
+
+
+def test_transport_keeps_the_retry_rules(loopback, tmp_path, monkeypatch):
+    monkeypatch.setenv("MDQA_TEST_KEY", "k")
+    _Handler.replies.extend(
+        [(429, b'{"error": "slow down"}'), (200, json.dumps(_chat_payload("ok")).encode())]
+    )
+    sleeps = []
+    config = _http_config(tmp_path, endpoint=loopback)
+    with HttpChatBackend(config, sleeper=sleeps.append) as backend:
+        assert backend.chat([{"role": "user", "content": "hi"}]) == "ok"
+    assert len(_Handler.received) == 2 and len(sleeps) == 1
+    _Handler.replies.append((401, b"denied"))
+    with HttpChatBackend(_http_config(tmp_path / "2", endpoint=loopback)) as backend:
+        with pytest.raises(BackendError, match="after 1 attempt: HTTP 401: {'error': 'denied'}"):
+            backend.chat([{"role": "user", "content": "hi"}])
+
+
+def test_transport_cut_off_reply_is_an_os_error(loopback):
+    _Handler.replies.append((200, b'{"ok"', 100))
+    with pytest.raises(OSError, match="bad HTTP response: IncompleteRead"):
+        _requests_transport(loopback, {}, {}, 5.0)
+
+
+def test_transport_connection_failure_is_an_os_error(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+    with pytest.raises(OSError):
+        _requests_transport(f"http://127.0.0.1:{port}/v1", {}, {}, 5.0)
 
 
 def test_missing_auth_fails_before_any_network(tmp_path, monkeypatch):

@@ -84,6 +84,21 @@ def test_ingest_missing_facts_exits_2(runner, tmp_path):
     assert "facts" in result.output
 
 
+def test_ingest_non_string_formula_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["synth", str(tmp_path / "c"), "--companies", "3"])
+    assert result.exit_code == 0
+    metrics_path = tmp_path / "c" / "metrics.json"
+    metrics = json.loads(metrics_path.read_text())
+    compound = next(m for m in metrics if m["kind"] == "compound")
+    compound["formula"] = 7
+    metrics_path.write_text(json.dumps(metrics))
+    result = runner.invoke(main, ["ingest", str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+    assert f"{metrics_path}: metric {compound['metric_id']!r}: formula must be a string" in (
+        result.output
+    )
+
+
 def test_gen_is_deterministic(runner, workspace, tmp_path):
     args = [
         "gen",

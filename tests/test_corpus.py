@@ -14,7 +14,6 @@ from mdqa.corpus import (
     FormulaError,
     Page,
     UnknownDocumentError,
-    doc_signature,
     eval_formula,
     formula_refs,
     load_collection,
@@ -221,23 +220,26 @@ def test_filter_rejects_inverted_range():
 
 def test_doc_signature_fields():
     collection = _toy_collection()
-    sig = doc_signature(("adbe-10k-2022", 1), collection)
-    assert sig == ("ADBE", "10-K", 2022, date(2022, 12, 2))
+    sig = collection.page_signature(("adbe-10k-2022", 1))
+    assert sig == ("ADBE", "10-K", 2022, "2022-12-02")
+    assert collection.get_document("adbe-10k-2022").signature() == (
+        "ADBE", "10-K", 2022, date(2022, 12, 2)
+    )
 
 
 def test_doc_signature_unknown_page():
     collection = _toy_collection()
     with pytest.raises(UnknownDocumentError):
-        doc_signature(("adbe-10k-2022", 9999), collection)
+        collection.page_signature(("adbe-10k-2022", 9999))
     with pytest.raises(UnknownDocumentError):
-        doc_signature(("missing-doc", 1), collection)
+        collection.page_signature(("missing-doc", 1))
 
 
 def test_page_signature_is_the_string_doc_signature():
     collection = _toy_collection()
     for doc in collection.documents:
         for page in doc.pages:
-            sym, form, year, period_end = doc_signature((doc.doc_id, page.page_number), collection)
+            sym, form, year, period_end = doc.signature()
             sig = (sym, form, year, period_end.isoformat())
             assert collection.page_signature((doc.doc_id, page.page_number)) == sig
             assert collection.signature_of(doc.doc_id) == sig
@@ -257,7 +259,7 @@ def test_doc_signature_constant_across_pages():
     pages = tuple(Page(n, f"t{n}", f"content {n}") for n in (1, 2, 5))
     doc = make_doc("multi", pages=pages)
     collection = DocumentCollection([doc])
-    sigs = {doc_signature(("multi", p.page_number), collection) for p in pages}
+    sigs = {collection.page_signature(("multi", p.page_number)) for p in pages}
     assert len(sigs) == 1
 
 

@@ -223,15 +223,13 @@ def test_vanilla_rejects_k_zero(clean_world):
 
 def test_retrieved_docs_is_signature_image(clean_world):
     # A run records pages only; its documents are derived through the corpus.
-    from mdqa.corpus import doc_signature
-
     collection, _, index, questions, backends = clean_world
     question = questions[0]
     run = answer_vanilla(question.question_id, question.text, collection, index, backends, 4, 2023)
     assert run.retrieved_pages
     assert "retrieved_docs" not in run.to_json_dict()
     for ref in run.retrieved_pages:
-        sym, form, year, pe = doc_signature(ref, collection)
+        sym, form, year, pe = collection.get_document(ref[0]).signature()
         assert collection.page_signature(ref) == (sym, form, year, pe.isoformat())
 
 

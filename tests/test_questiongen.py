@@ -15,7 +15,6 @@ from mdqa.questiongen import (
     QuestionGenError,
     TEMPLATES,
     compound_lookup,
-    compute_gold,
     compute_gold_with_provenance,
     fill_template,
     generate_questions,
@@ -117,7 +116,7 @@ def test_fill_template_company_list_rendering():
 
 
 # ---------------------------------------------------------------------------
-# compute_gold
+# compute_gold_with_provenance
 # ---------------------------------------------------------------------------
 
 
@@ -163,7 +162,7 @@ def _facts_table():
 
 def test_gold_overall_growth():
     table, _ = _facts_table()
-    gold = compute_gold(
+    gold, _ = compute_gold_with_provenance(
         "overall_growth",
         {"symbol": "HON", "metric": "div", "num_year": 2},
         table,
@@ -181,13 +180,13 @@ def test_gold_overall_growth_simple_numbers():
     ]
     docs = [make_doc("d1", "AA", "Aa", year=2021), make_doc("d2", "AA", "Aa", year=2023)]
     table = FactTable(records, defs, [("Aa", "AA")])
-    gold = compute_gold("overall_growth", {"symbol": "AA", "metric": "m", "num_year": 2}, table, 2023)
+    gold, _ = compute_gold_with_provenance("overall_growth", {"symbol": "AA", "metric": "m", "num_year": 2}, table, 2023)
     assert gold.number == 50.0
 
 
 def test_gold_extreme_lookup_unique_maximum():
     table, _ = _facts_table()
-    gold = compute_gold(
+    gold, _ = compute_gold_with_provenance(
         "extreme_lookup",
         {"symbols": ("HON", "CAT", "PFE"), "metric1": "rev", "metric2": "emp",
          "extreme": "highest"},
@@ -205,7 +204,7 @@ def test_gold_extreme_lookup_matches_brute_force():
         "metric2": "emp",
         "extreme": "lowest",
     }
-    gold = compute_gold("extreme_lookup", dict(binding), table, 2023)
+    gold, _ = compute_gold_with_provenance("extreme_lookup", dict(binding), table, 2023)
     values = {s: table.get(s, 2023, "rev").normalized for s in binding["symbols"]}
     winner = min(sorted(values), key=lambda s: (values[s], s))
     assert gold.number == table.get(winner, 2023, "emp").normalized
@@ -224,7 +223,7 @@ def test_gold_extreme_lookup_tie_breaks_to_smallest_symbol():
         )
     table = FactTable(records, defs, [("Aaa", "AAA"), ("Bbb", "BBB")])
     binding = {"symbols": ("BBB", "AAA"), "metric1": "m1", "metric2": "m2", "extreme": "highest"}
-    gold = compute_gold("extreme_lookup", binding, table, 2023)
+    gold, _ = compute_gold_with_provenance("extreme_lookup", binding, table, 2023)
     assert gold.number == 10.0
     assert binding["winner_symbol"] == "AAA"
     assert binding["tie"] is True
@@ -232,7 +231,7 @@ def test_gold_extreme_lookup_tie_breaks_to_smallest_symbol():
 
 def test_gold_compound_rpe():
     table, _ = _facts_table()
-    gold = compute_gold("compound_value", {"symbol": "HON", "metric": "rpe", "year": 2023}, table, 2023)
+    gold, _ = compute_gold_with_provenance("compound_value", {"symbol": "HON", "metric": "rpe", "year": 2023}, table, 2023)
     assert gold.number == pytest.approx(0.1)  # 5 units / 50 units
     defs = [
         MetricDef("rev", "Revenue", "reported"),
@@ -244,7 +243,7 @@ def test_gold_compound_rpe():
         FactRecord("XX", 2023, "emp", 1000.0, "units", "x-2023", (1,)),
     ]
     table2 = FactTable(records, defs, [("Xx", "XX")])
-    gold2 = compute_gold("compound_value", {"symbol": "XX", "metric": "rpe", "year": 2023}, table2, 2023)
+    gold2, _ = compute_gold_with_provenance("compound_value", {"symbol": "XX", "metric": "rpe", "year": 2023}, table2, 2023)
     assert gold2.number == 1.0e6
 
 
@@ -276,13 +275,13 @@ def test_gold_cyclic_compound_definition():
     ]
     table = FactTable([], defs, [("Xx", "XX")])
     with pytest.raises(QuestionGenError, match="cyclic"):
-        compute_gold("compound_value", {"symbol": "XX", "metric": "a", "year": 2023}, table, 2023)
+        compute_gold_with_provenance("compound_value", {"symbol": "XX", "metric": "a", "year": 2023}, table, 2023)
 
 
 def test_gold_sum_over_years_brute_force():
     table, _ = _facts_table()
     binding = {"symbol": "HON", "metric": "div", "num_year": 3}
-    gold = compute_gold("sum_over_years", binding, table, 2023)
+    gold, _ = compute_gold_with_provenance("sum_over_years", binding, table, 2023)
     brute = sum(
         table.get("HON", year, "div").normalized for year in (2021, 2022, 2023)
     )
@@ -292,7 +291,7 @@ def test_gold_sum_over_years_brute_force():
 
 def test_gold_pct_difference():
     table, _ = _facts_table()
-    gold = compute_gold(
+    gold, _ = compute_gold_with_provenance(
         "pct_difference",
         {"symbol1": "HON", "symbol2": "CAT", "metric": "rev"},
         table,
@@ -309,18 +308,18 @@ def test_gold_pct_difference_zero_base():
     ]
     table = FactTable(records, defs, [("Aa", "AA"), ("Bb", "BB")])
     with pytest.raises(MissingFactError, match="zero"):
-        compute_gold("pct_difference", {"symbol1": "AA", "symbol2": "BB", "metric": "m"}, table, 2023)
+        compute_gold_with_provenance("pct_difference", {"symbol1": "AA", "symbol2": "BB", "metric": "m"}, table, 2023)
 
 
 def test_gold_yes_if_positive():
     table, _ = _facts_table()
-    gold = compute_gold("yes_if_positive", {"symbol": "HON", "metric": "div", "year": 2023}, table, 2023)
+    gold, _ = compute_gold_with_provenance("yes_if_positive", {"symbol": "HON", "metric": "div", "year": 2023}, table, 2023)
     assert gold.kind == "yesno" and gold.label == "Yes"
 
 
 def test_gold_multi_value():
     table, _ = _facts_table()
-    gold = compute_gold(
+    gold, _ = compute_gold_with_provenance(
         "multi_value",
         {"symbol": "HON", "metric1": "rev", "metric2": "emp", "year": 2023},
         table,
@@ -333,7 +332,7 @@ def test_gold_multi_value():
 def test_gold_missing_fact():
     table, _ = _facts_table()
     with pytest.raises(MissingFactError):
-        compute_gold("single_value", {"symbol": "HON", "metric": "div", "year": 1999}, table, 2023)
+        compute_gold_with_provenance("single_value", {"symbol": "HON", "metric": "div", "year": 1999}, table, 2023)
 
 
 def test_gold_scale_coherence():
@@ -346,10 +345,10 @@ def test_gold_scale_coherence():
             FactRecord("BB", 2023, "m", 50.0 * scale, "units", "d3", (1,)),
         ]
         table = FactTable(records, defs, [("Aa", "AA"), ("Bb", "BB")])
-        growth = compute_gold(
+        growth, _ = compute_gold_with_provenance(
             "overall_growth", {"symbol": "AA", "metric": "m", "num_year": 2}, table, 2023
         )
-        diff = compute_gold(
+        diff, _ = compute_gold_with_provenance(
             "pct_difference", {"symbol1": "AA", "symbol2": "BB", "metric": "m"}, table, 2023
         )
         assert growth.number == pytest.approx(50.0)
