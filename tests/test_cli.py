@@ -1471,3 +1471,57 @@ def test_http_session_cache_wire_and_ledger_are_pinned(workspace, tmp_path):
     for k_grid, expected in _HTTP_SESSION_SHA256.items():
         _http_run(workspace, session, _oracle_transport(workspace), "--log-wire", "--k-grid", k_grid)
         assert {name: _sha256(session / name) for name in expected} == expected
+
+
+# ---------------------------------------------------------------------------
+# Session bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of each small session's runs, report and ledger. A change that moves
+# a byte of a session changes its pin here, and CHANGES.md says why.
+_SESSION_SHA256 = {
+    "finished_session": {
+        "system_runs.jsonl": "78661fb03f35f839c64c8a2c1b353e693f55498cd9bb19ae3a9dc869af7156a1",
+        "report.json": "55c156e8b0dae648bfdd7b21faf87c6431f50709ff4f825a08ffa3835b39d874",
+        "ledger.json": "626c48cbc4ff97c8acb869cdc794bd0edaa5e4013b5333a9890483c3b4e30447",
+    },
+    "http_session": {
+        "system_runs.jsonl": "78661fb03f35f839c64c8a2c1b353e693f55498cd9bb19ae3a9dc869af7156a1",
+        "report.json": "e5b969999393f6f805a92857ad753cf040f56fbf72f6cdcaca9fc9de14324677",
+        "ledger.json": "d1ca57643dad271f383c8e4a543ef5f03ea787ba6b7513424147ca760bcb330d",
+    },
+    "textual_session": {
+        "system_runs.jsonl": "61587f05af63950512241ed87ef4c2c76c22e5ae094841c803bbbe5edabdd127",
+        "report.json": "326ff5dc588693688abbb5a27c73ae35549ca4ffcda0510c9b3cedc5b846b006",
+        "ledger.json": "b696c007f8650fc7535bfc478bafcd8cd770b6cd62939e733d0340202de7efae",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def textual_session(tmp_path_factory):
+    """Every template once, every system at one k, on the adversarial corpus
+    with the textual oracle: its plans hold an ``elif`` (yn1) and an
+    expanded compound-metric formula (cve1)."""
+    root = tmp_path_factory.mktemp("textual")
+    corpus, questions = str(root / "corpus"), str(root / "questions.jsonl")
+    runner = CliRunner()
+    for args in (
+        ["synth", corpus, "--kind", "adversarial", "--companies", "6"],
+        ["gen", "--corpus", corpus, "--out", questions, "--count", "1", "--dataset-year", "2023",
+         "--templates", "ve1,ve2,cve1,md1,md2,md3,md4,yn1,mo1", "--seed", "7"],
+        ["run", "--corpus", corpus, "--questions", questions, "--session", str(root / "session"),
+         "--k-grid", "8", "--oracle-mode", "textual"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    return root / "session"
+
+
+@pytest.mark.parametrize("session_fixture", list(_SESSION_SHA256))
+def test_session_bytes_are_pinned(runner, request, session_fixture, tmp_path):
+    session = _copy_session(request.getfixturevalue(session_fixture), tmp_path)
+    assert runner.invoke(main, ["eval", str(session)]).exit_code in (0, 1)
+    assert {name: _sha256(session / name) for name in _SESSION_SHA256[session_fixture]} == (
+        _SESSION_SHA256[session_fixture]
+    )
