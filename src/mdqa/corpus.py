@@ -14,7 +14,9 @@ across threads.
 
 from __future__ import annotations
 
+import ast
 import functools
+import math
 import re
 from dataclasses import asdict, dataclass
 from datetime import date
@@ -149,7 +151,7 @@ class DocumentFilter:
 
 
 class DocumentCollection:
-    """An immutable set of documents indexed by (symbol, form type, year)."""
+    """An immutable set of documents, indexed by id and by page."""
 
     def __init__(self, documents: Iterable[Document]):
         self.documents: tuple[Document, ...] = tuple(documents)
@@ -158,7 +160,6 @@ class DocumentCollection:
         self._by_id: dict[str, Document] = {}
         self._pages: dict[tuple[str, int], Page] = {}
         self._signatures: dict[str, tuple[str, str, int, str]] = {}
-        self._index: dict[tuple[str, str, int], list[Document]] = {}
         seen_identity: set[tuple[str, str, int, date]] = set()
         for doc in self.documents:
             if doc.doc_id in self._by_id:
@@ -173,9 +174,6 @@ class DocumentCollection:
             seen_identity.add(identity)
             self._by_id[doc.doc_id] = doc
             self._signatures[doc.doc_id] = (*identity[:3], identity[3].isoformat())
-            self._index.setdefault(
-                (doc.stock_symbol, doc.form_type, doc.fiscal_year), []
-            ).append(doc)
             for page in doc.pages:
                 self._pages[(doc.doc_id, page.page_number)] = page
 
@@ -217,9 +215,6 @@ class DocumentCollection:
         if (doc_id, page_number) not in self._pages:
             self.get_page(doc_id, page_number)  # raises UnknownDocumentError
         return self._signatures[doc_id]
-
-    def lookup(self, stock_symbol: str, form_type: str, fiscal_year: int) -> list[Document]:
-        return list(self._index.get((stock_symbol.upper(), form_type, fiscal_year), ()))
 
     @property
     def page_count(self) -> int:
@@ -271,7 +266,10 @@ class FactTable:
             elif m.kind == "compound":
                 if not m.formula:
                     raise FormulaError(f"compound metric {m.metric_id!r} lacks a formula")
-                node = parse_formula(m.formula)
+                try:
+                    node = parse_formula(m.formula)
+                except FormulaError as exc:
+                    raise FormulaError(f"compound metric {m.metric_id!r}: {exc}") from None
                 unknown = formula_refs(node) - set(self._metrics)
                 if unknown:
                     raise FormulaError(
@@ -316,103 +314,66 @@ class FactTable:
 # Compound metric formulas
 # ---------------------------------------------------------------------------
 
-_FORMULA_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/()]))")
+# A formula is Python arithmetic over metric ids: names and numbers spelt as
+# below, ``+ - * /`` and parentheses. Python reads more spellings (``1e5``,
+# ``0x1F``, ``1_000``, non-ASCII names), so each word between the operators is
+# checked before ``ast.parse``. Deeper trees are refused, so walking one
+# recurses a bounded number of times.
+_FORMULA_WORD = re.compile(r"[^\s()+\-*/]+")
+_FORMULA_SPELLING = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?")
+FORMULA_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+MAX_FORMULA_DEPTH = 100
 
 
-def parse_formula(text: str):
-    """Parse an arithmetic expression over metric ids into a nested tuple tree.
+def parse_formula(text: str) -> ast.expr:
+    """Parse an arithmetic expression over metric ids into Python's tree of it.
 
-    Nodes: ("num", float) | ("ref", metric_id) | ("bin", op, left, right).
+    Nodes: ``Constant`` (a number), ``Name`` (a metric id) and ``BinOp``
+    (``+ - * /``); a tree is at most ``MAX_FORMULA_DEPTH`` nodes deep.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _FORMULA_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FormulaError(f"bad formula token at {text[pos:]!r}")
-            break
-        if m.group("num"):
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("id"):
-            tokens.append(("id", m.group("id")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    if not tokens:
-        raise FormulaError("empty formula")
-
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def advance():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_expr():
-        node = parse_term()
-        while peek() and peek()[0] == "op" and peek()[1] in "+-":
-            op = advance()[1]
-            node = ("bin", op, node, parse_term())
-        return node
-
-    def parse_term():
-        node = parse_atom()
-        while peek() and peek()[0] == "op" and peek()[1] in "*/":
-            op = advance()[1]
-            node = ("bin", op, node, parse_atom())
-        return node
-
-    def parse_atom():
-        tok = peek()
-        if tok is None:
-            raise FormulaError("formula ended unexpectedly")
-        if tok[0] == "num":
-            advance()
-            return ("num", tok[1])
-        if tok[0] == "id":
-            advance()
-            return ("ref", tok[1])
-        if tok == ("op", "("):
-            advance()
-            node = parse_expr()
-            if peek() != ("op", ")"):
-                raise FormulaError("unbalanced parenthesis in formula")
-            advance()
-            return node
-        raise FormulaError(f"unexpected formula token {tok!r}")
-
-    node = parse_expr()
-    if idx != len(tokens):
-        raise FormulaError(f"trailing formula tokens {tokens[idx:]!r}")
-    return node
+    for word in _FORMULA_WORD.findall(text):
+        if not _FORMULA_SPELLING.fullmatch(word):
+            raise FormulaError(f"bad formula token {word!r}")
+        if word[0].isdigit() and math.isinf(float(word)):
+            raise FormulaError("formula number is too large for a float")
+    try:
+        tree = ast.parse(text.strip(), mode="eval").body
+    except SyntaxError as exc:
+        raise FormulaError(f"bad formula: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise FormulaError("formula nests too deeply for Python's parser") from None
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and type(node.op) in FORMULA_OPERATORS:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif not isinstance(node, ast.Name) and not (
+            isinstance(node, ast.Constant) and type(node.value) in (int, float)
+        ):
+            what = type(getattr(node, "op", node)).__name__
+            raise FormulaError(f"{what} is not allowed in a formula")
+    return tree
 
 
-def formula_refs(node) -> set[str]:
-    if node[0] == "ref":
-        return {node[1]}
-    if node[0] == "bin":
-        return formula_refs(node[2]) | formula_refs(node[3])
-    return set()
+def formula_refs(node: ast.expr) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def eval_formula(node, values: dict[str, float]) -> float:
-    if node[0] == "num":
-        return node[1]
-    if node[0] == "ref":
-        return values[node[1]]
-    _, op, left, right = node
-    a = eval_formula(left, values)
-    b = eval_formula(right, values)
-    if op == "+":
+def eval_formula(node: ast.expr, values: dict[str, float]) -> float:
+    if isinstance(node, ast.Constant):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        return values[node.id]
+    a = eval_formula(node.left, values)
+    b = eval_formula(node.right, values)
+    op = type(node.op)
+    if op is ast.Add:
         return a + b
-    if op == "-":
+    if op is ast.Sub:
         return a - b
-    if op == "*":
+    if op is ast.Mult:
         return a * b
     if b == 0:
         raise ZeroDivisionError("division by zero in compound metric formula")

@@ -12,11 +12,12 @@ failure.
 
 from __future__ import annotations
 
+import ast
 import re
 from typing import Iterable, Optional
 
 from .backends import BackendError, tokenize
-from .corpus import FactRecord, FactTable, parse_formula
+from .corpus import FORMULA_OPERATORS, FactRecord, FactTable, parse_formula
 from .questiongen import (
     TEMPLATES,
     MissingFactError,
@@ -343,16 +344,17 @@ def build_canonical_plan(
         leaves: list[str] = []
 
         def expand(n) -> str:
-            if n[0] == "num":
-                return repr(n[1])
-            if n[0] == "ref":
-                sub_metric = fact_table.metric(n[1])
+            if isinstance(n, ast.Constant):
+                return repr(float(n.value))
+            if isinstance(n, ast.Name):
+                sub_metric = fact_table.metric(n.id)
                 if sub_metric.kind == "compound":
                     return f"({expand(parse_formula(sub_metric.formula))})"
-                if n[1] not in leaves:
-                    leaves.append(n[1])
-                return f"v_{n[1]}"
-            return f"({expand(n[2])} {n[1]} {expand(n[3])})"
+                if n.id not in leaves:
+                    leaves.append(n.id)
+                return f"v_{n.id}"
+            op = FORMULA_OPERATORS[type(n.op)]
+            return f"({expand(n.left)} {op} {expand(n.right)})"
 
         expr = expand(node)
         for leaf in leaves:

@@ -1,7 +1,8 @@
 """Restricted plan language: parser and sandboxed interpreter.
 
-Model-emitted plans are parsed into a small AST (assignments, for loops,
-conditionals, expressions, emit) and interpreted in-process. The only
+Model-emitted plans are parsed by Python's own parser into its syntax tree,
+checked against a whitelist of node kinds (assignments, for loops,
+conditionals, expressions, emit), and interpreted in-process. The only
 side effects a plan can have are the three injected helpers
 (select_documents, retrieve_relevant_pages, extract_value) and the emit
 answer sink; everything else is pure and budgeted.
@@ -10,7 +11,6 @@ answer sink; everything else is pure and budgeted.
 from .parser import (
     BUILTIN_NAMES,
     PlanParseError,
-    PlanProgram,
     parse_plan,
 )
 from .interpreter import (
@@ -26,7 +26,6 @@ __all__ = [
     "ExecEnv",
     "PageHandle",
     "PlanParseError",
-    "PlanProgram",
     "PlanRuntimeError",
     "PlanTrace",
     "execute_plan",

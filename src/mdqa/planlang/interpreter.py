@@ -1,9 +1,10 @@
 """Sandboxed execution of parsed plan programs.
 
-The interpreter walks the AST with a plain environment dict. Effectful
-builtins are injected callables; the interpreter itself touches no files, no
-network, and no process state, so a plan's observable behaviour is exactly
-its trace. Numeric semantics are 64-bit floats throughout.
+The interpreter walks the checked ``ast`` tree that ``parse_plan`` returns,
+with a plain environment dict. Effectful builtins are injected callables; the
+interpreter itself touches no files, no network, and no process state, so a
+plan's observable behaviour is exactly its trace. Numeric semantics are 64-bit
+floats throughout.
 
 Budgets: every statement and expression evaluation costs one step
 (default limit 10,000); every recorded builtin call costs one unit of the
@@ -13,32 +14,20 @@ recorded as a builtin call.
 
 from __future__ import annotations
 
+import ast
+import functools
+import math
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Optional
 
-from .parser import (
-    Assign,
-    BinOp,
-    Bool,
-    Call,
-    Compare,
-    ExprStmt,
-    For,
-    If,
-    ListLit,
-    MapLit,
-    Name,
-    NoneLit,
-    Num,
-    PlanProgram,
-    Str,
-    Subscript,
-    UnaryOp,
-)
+from .parser import elif_branch
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_BUILTIN_BUDGET = 64
+
+_INTERP_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 class PlanRuntimeError(Exception):
@@ -74,6 +63,7 @@ class PlanTrace:
     # Insertion-ordered sets: first retrieved first, each recorded once.
     retrieved_pages: dict[tuple[str, int], None] = field(default_factory=dict)
     selected_docs: dict[str, None] = field(default_factory=dict)
+    # Chat calls made while the plan ran; the caller of execute_plan counts them.
     chat_calls: int = 0
     emitted: Any = None
     completed: bool = False
@@ -103,7 +93,7 @@ class ExecEnv:
 
     ``select_fn``, ``retrieve_fn`` and ``extract_fn`` are the three injected
     helpers. ``retrieve_fn(question, documents_or_none)`` returns PageHandles;
-    ``extract_fn(question, pages)`` returns ``(value, chat_calls_used)``.
+    ``extract_fn(question, pages)`` returns the value.
     ``with_doc_select`` gates select_documents at runtime (the page-only
     system variant does not expose it), and ``retrieve_fn`` closes over the
     retrieval depth k. Every pipeline runs with the default budgets.
@@ -149,6 +139,39 @@ def digest_value(value: Any, depth: int = 0) -> str:
     return f"<{type(value).__name__}>"
 
 
+@functools.lru_cache(maxsize=256)
+def _split_interpolation(text: str) -> tuple[tuple[str, str], ...]:
+    """A string's alternating segments: ("lit", text) and ("var", identifier).
+
+    "{{" and "}}" escape literal braces; "{name}" interpolates.
+    """
+    parts: list[tuple[str, str]] = []
+    buf: list[str] = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if text[pos : pos + 2] in ("{{", "}}"):
+            buf.append(ch)
+            pos += 2
+            continue
+        if ch == "{":
+            m = _INTERP_RE.match(text, pos)
+            if m:
+                if buf:
+                    parts.append(("lit", "".join(buf)))
+                    buf = []
+                parts.append(("var", m.group(1)))
+                pos = m.end()
+                continue
+        buf.append(ch)
+        pos += 1
+    if buf:
+        parts.append(("lit", "".join(buf)))
+    if not parts:
+        parts.append(("lit", ""))
+    return tuple(parts)
+
+
 def _number_text(value: float) -> str:
     if value != value or value in (float("inf"), float("-inf")):
         return repr(value)
@@ -158,7 +181,7 @@ def _number_text(value: float) -> str:
 
 
 class _Interpreter:
-    def __init__(self, program: PlanProgram, env: ExecEnv):
+    def __init__(self, program: ast.Module, env: ExecEnv):
         self.program = program
         self.env = env
         self.trace = PlanTrace()
@@ -191,7 +214,7 @@ class _Interpreter:
 
     def run(self) -> PlanTrace:
         try:
-            for stmt in self.program.statements:
+            for stmt in self.program.body:
                 self.exec_stmt(stmt)
         except _EmitSignal:
             self.trace.completed = True
@@ -200,24 +223,24 @@ class _Interpreter:
 
     def exec_stmt(self, stmt) -> None:
         self.tick()
-        if isinstance(stmt, Assign):
+        if isinstance(stmt, ast.Assign):
             value = self.eval(stmt.value)
-            self.assign(stmt.target, value)
-        elif isinstance(stmt, ExprStmt):
-            self.eval(stmt.expr)
-        elif isinstance(stmt, For):
+            self.assign(stmt.targets[0], value)
+        elif isinstance(stmt, ast.Expr):
+            self.eval(stmt.value)
+        elif isinstance(stmt, ast.For):
             self.exec_for(stmt)
-        elif isinstance(stmt, If):
+        elif isinstance(stmt, ast.If):
             self.exec_if(stmt)
-        else:  # pragma: no cover - parser emits only the above
+        else:  # pragma: no cover - the parser admits only the above
             raise self.fail("type_error", f"unknown statement {type(stmt).__name__}")
 
     def assign(self, target, value) -> None:
-        if isinstance(target, Name):
-            self.vars[target.ident] = value
+        if isinstance(target, ast.Name):
+            self.vars[target.id] = value
             return
-        container = self.eval(target.target)
-        index = self.eval(target.index)
+        container = self.eval(target.value)
+        index = self.eval(target.slice)
         if isinstance(container, dict):
             if isinstance(index, (str, float, bool)):
                 container[index] = value
@@ -239,32 +262,39 @@ class _Interpreter:
             raise self.fail("value_error", f"list index {int(index)} out of range")
         return idx
 
-    def exec_for(self, stmt: For) -> None:
-        iterable = self.eval(stmt.iterable)
+    def exec_for(self, stmt: ast.For) -> None:
+        iterable = self.eval(stmt.iter)
         if not isinstance(iterable, (list, tuple)):
             raise self.fail("type_error", "for loop requires a list")
+        target = stmt.target
+        names = [name.id for name in target.elts] if isinstance(target, ast.Tuple) else None
         for item in iterable:
             self.tick()
-            if len(stmt.targets) == 1:
-                self.vars[stmt.targets[0]] = item
+            if names is None:
+                self.vars[target.id] = item
             else:
-                if not isinstance(item, (list, tuple)) or len(item) != len(stmt.targets):
+                if not isinstance(item, (list, tuple)) or len(item) != len(names):
                     raise self.fail(
                         "type_error",
-                        f"cannot unpack {digest_value(item)} into "
-                        f"{len(stmt.targets)} names",
+                        f"cannot unpack {digest_value(item)} into {len(names)} names",
                     )
-                for name, sub in zip(stmt.targets, item):
+                for name, sub in zip(names, item):
                     self.vars[name] = sub
             for inner in stmt.body:
                 self.exec_stmt(inner)
 
-    def exec_if(self, stmt: If) -> None:
-        for cond, body in stmt.branches:
-            if cond is None or self.truthy(self.eval(cond)):
-                for inner in body:
-                    self.exec_stmt(inner)
-                return
+    def exec_if(self, stmt: ast.If) -> None:
+        # The branches of an elif chain cost no step of their own.
+        body = None
+        while body is None:
+            if self.truthy(self.eval(stmt.test)):
+                body = stmt.body
+            elif (branch := elif_branch(stmt)) is not None:
+                stmt = branch
+            else:
+                body = stmt.orelse
+        for inner in body:
+            self.exec_stmt(inner)
 
     def truthy(self, value) -> bool:
         if value is None:
@@ -281,46 +311,48 @@ class _Interpreter:
 
     def eval(self, node) -> Any:
         self.tick()
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Bool):
-            return node.value
-        if isinstance(node, NoneLit):
-            return None
-        if isinstance(node, Str):
-            return self.interpolate(node)
-        if isinstance(node, Name):
-            if node.ident not in self.vars:
-                raise self.fail("undefined_name", f"name {node.ident!r} is not defined")
-            return self.vars[node.ident]
-        if isinstance(node, ListLit):
-            return [self.eval(item) for item in node.items]
-        if isinstance(node, MapLit):
+        if isinstance(node, ast.Constant):
+            value = node.value
+            if isinstance(value, str):
+                return self.interpolate(value)
+            if value is None or isinstance(value, bool):
+                return value
+            try:
+                return float(value)
+            except OverflowError:  # an integer literal past the largest float
+                return math.inf
+        if isinstance(node, ast.Name):
+            if node.id not in self.vars:
+                raise self.fail("undefined_name", f"name {node.id!r} is not defined")
+            return self.vars[node.id]
+        if isinstance(node, ast.List):
+            return [self.eval(item) for item in node.elts]
+        if isinstance(node, ast.Dict):
             out: dict = {}
-            for key_expr, value_expr in node.items:
+            for key_expr, value_expr in zip(node.keys, node.values):
                 key = self.eval(key_expr)
                 if not isinstance(key, (str, float, bool)):
                     raise self.fail("type_error", "map keys must be strings or numbers")
                 out[key] = self.eval(value_expr)
             return out
-        if isinstance(node, BinOp):
+        if isinstance(node, ast.BinOp):
             return self.eval_binop(node)
-        if isinstance(node, UnaryOp):
+        if isinstance(node, ast.UnaryOp):
             operand = self.eval(node.operand)
             if not isinstance(operand, float) or isinstance(operand, bool):
                 raise self.fail("type_error", "unary minus requires a number")
             return -operand
-        if isinstance(node, Compare):
+        if isinstance(node, ast.Compare):
             return self.eval_compare(node)
-        if isinstance(node, Subscript):
+        if isinstance(node, ast.Subscript):
             return self.eval_subscript(node)
-        if isinstance(node, Call):
+        if isinstance(node, ast.Call):
             return self.eval_call(node)
         raise self.fail("type_error", f"unknown expression {type(node).__name__}")
 
-    def interpolate(self, node: Str) -> str:
+    def interpolate(self, string: str) -> str:
         chunks = []
-        for kind, text in node.parts:
+        for kind, text in _split_interpolation(string):
             if kind == "lit":
                 chunks.append(text)
             else:
@@ -337,10 +369,11 @@ class _Interpreter:
             return value
         return digest_value(value)
 
-    def eval_binop(self, node: BinOp) -> Any:
+    def eval_binop(self, node: ast.BinOp) -> Any:
         left = self.eval(node.left)
         right = self.eval(node.right)
-        if node.op == "+":
+        op = type(node.op)
+        if op is ast.Add:
             if self._is_number(left) and self._is_number(right):
                 return float(left) + float(right)
             if isinstance(left, str) and isinstance(right, str):
@@ -356,9 +389,9 @@ class _Interpreter:
                 f"and {digest_value(right)}",
             )
         a, b = float(left), float(right)
-        if node.op == "-":
+        if op is ast.Sub:
             return a - b
-        if node.op == "*":
+        if op is ast.Mult:
             return a * b
         if b == 0.0:
             raise self.fail("division_by_zero", "division by zero")
@@ -368,14 +401,15 @@ class _Interpreter:
     def _is_number(value) -> bool:
         return isinstance(value, float) and not isinstance(value, bool)
 
-    def eval_compare(self, node: Compare) -> bool:
+    def eval_compare(self, node: ast.Compare) -> bool:
         left = self.eval(node.left)
-        right = self.eval(node.right)
-        if node.op in ("==", "!="):
+        right = self.eval(node.comparators[0])
+        op = type(node.ops[0])
+        if op is ast.Eq or op is ast.NotEq:
             # Lists a plan builds in a loop, or that hold themselves, can nest
             # deeper than Python compares.
             try:
-                return left == right if node.op == "==" else left != right
+                return left == right if op is ast.Eq else left != right
             except RecursionError:
                 raise self.fail("value_error", "values nest too deeply to compare") from None
         ok = (self._is_number(left) and self._is_number(right)) or (
@@ -386,17 +420,17 @@ class _Interpreter:
                 "type_error",
                 f"cannot order {digest_value(left)} and {digest_value(right)}",
             )
-        if node.op == "<":
+        if op is ast.Lt:
             return left < right
-        if node.op == "<=":
+        if op is ast.LtE:
             return left <= right
-        if node.op == ">":
+        if op is ast.Gt:
             return left > right
         return left >= right
 
-    def eval_subscript(self, node: Subscript) -> Any:
-        container = self.eval(node.target)
-        index = self.eval(node.index)
+    def eval_subscript(self, node: ast.Subscript) -> Any:
+        container = self.eval(node.value)
+        index = self.eval(node.slice)
         if isinstance(container, dict):
             if not isinstance(index, (str, float, bool)):
                 raise self.fail("type_error", "map keys must be strings or numbers")
@@ -409,10 +443,10 @@ class _Interpreter:
 
     # -- builtins -------------------------------------------------------------
 
-    def eval_call(self, node: Call) -> Any:
+    def eval_call(self, node: ast.Call) -> Any:
         args = [self.eval(a) for a in node.args]
-        kwargs = {name: self.eval(expr) for name, expr in node.kwargs}
-        name = node.name
+        kwargs = {keyword.arg: self.eval(keyword.value) for keyword in node.keywords}
+        name = node.func.id
 
         if name == "emit":
             if len(args) != 1 or kwargs:
@@ -468,14 +502,11 @@ class _Interpreter:
             if not isinstance(question, str) or not isinstance(pages, list):
                 raise self.fail("type_error", "extract_value needs (question, pages)")
             try:
-                value, chat_calls = self.env.extract_fn(question, pages)
+                return self.env.extract_fn(question, pages)
             except PlanRuntimeError:
                 raise
             except Exception as exc:
-                self.trace.chat_calls += getattr(exc, "chat_calls_used", 0)
                 raise self.fail("extraction_failed", str(exc))
-            self.trace.chat_calls += chat_calls
-            return value
 
         return self.pure_builtin(name, args, kwargs)
 
@@ -585,7 +616,7 @@ class _Interpreter:
         return [float(v) for v in range(start, stop, step)]
 
 
-def execute_plan(program: PlanProgram, env: ExecEnv) -> PlanTrace:
+def execute_plan(program: ast.Module, env: ExecEnv) -> PlanTrace:
     """Run a parsed plan; returns the trace of a completed (emitted) run.
 
     Raises PlanRuntimeError on budget exhaustion, runtime type errors,

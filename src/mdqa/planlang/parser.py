@@ -5,12 +5,12 @@ reads it. The subset: newline-terminated statements (assignments, ``for``
 loops, ``if``/``elif``/``else`` and expressions), indentation-delimited blocks
 (canonically 2 spaces), list and map literals, subscripts, interpolated
 strings, arithmetic, single comparisons, and calls to a fixed builtin
-whitelist. A converter walks a whitelist of ``ast`` nodes into the plan's own
-node classes below; every other node is a ``PlanParseError`` with line and
-column. There are no attribute accesses, no function definitions, no imports,
-and no way to name a callable other than the whitelist, so parsing alone
-establishes the sandbox boundary. Interpolating an undeclared variable is
-deferred to runtime.
+whitelist. A checker walks the ``ast`` tree against a whitelist of node kinds;
+every other node is a ``PlanParseError`` with line and column. The checked
+tree is the program: the interpreter runs Python's own nodes. There are no
+attribute accesses, no function definitions, no imports, and no way to name a
+callable other than the whitelist, so parsing alone establishes the sandbox
+boundary. Interpolating an undeclared variable is deferred to runtime.
 
 Python reads some text otherwise than the plan language does, so a scan of
 each line comes first. It empties comments and blank lines, and it rejects
@@ -18,16 +18,16 @@ tab indentation, statements that run past the end of their line, ``;``,
 string prefixes, triple quotes, adjacent strings, escapes other than ``\\``,
 ``\"``, ``\'``, ``\n`` and ``\t``, and numbers or names not spelt the plan
 language's way (``0x1F``, ``1_000``, ``1j``, ``1.``, ``1if``, non-ASCII
-names). So ``ast.parse`` never warns about a plan. The converter checks the
-rest on the source text: parenthesised ``for`` targets, ``elif`` against
-``else: if``, and one statement per line.
+names). So ``ast.parse`` never warns about a plan. The checker tests the
+rest on the source text: parenthesised ``for`` targets, calls, and one
+statement per line.
 
 What Python's parser refuses is refused too, though the plan language once
 read it: Python reserved words as names, integers written ``01`` or longer
 than 4,300 digits, a raw carriage return, NUL or lone surrogate inside a
 string, and ``elif`` chains thousands of branches long.
 
-Nesting is bounded (``MAX_NESTING``), so neither the conversion nor the
+Nesting is bounded (``MAX_NESTING``), so neither the checker nor the
 interpreter's walk of the tree can exhaust Python's stack: a deeper plan is a
 ``PlanParseError``.
 """
@@ -38,7 +38,6 @@ import ast
 import bisect
 import functools
 import re
-from dataclasses import dataclass
 
 BUILTIN_NAMES = frozenset(
     {
@@ -67,6 +66,9 @@ BUILTIN_NAMES = frozenset(
 # per level.
 MAX_NESTING = 64
 _TOO_DEEP = f"plan nests deeper than {MAX_NESTING} levels"
+# Python's parser gives up on a plan too deep or too long for its stack, such
+# as an ``elif`` chain thousands of branches long, which it nests.
+_TOO_BIG = "plan is too long or nests too deeply for Python's parser"
 
 _NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
 # What a line holds outside strings and comments. A ``plain`` run needs no
@@ -79,20 +81,10 @@ _LEXEME_RE = re.compile(
     re.ASCII | re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
-_INTERP_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 _FOR_HEAD_RE = re.compile(r"for[ \t]+\w+(?:[ \t]*,[ \t]*\w+)*[ \t]+in\b", re.ASCII)
-_OPERATORS = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.Div: "/",
-    ast.Eq: "==",
-    ast.NotEq: "!=",
-    ast.Lt: "<",
-    ast.LtE: "<=",
-    ast.Gt: ">",
-    ast.GtE: ">=",
-}
+_OPERATORS = frozenset(
+    {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE}
+)
 
 
 class PlanParseError(Exception):
@@ -100,159 +92,6 @@ class PlanParseError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
-
-
-# --------------------------------------------------------------------------
-# AST nodes
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Str:
-    # Alternating segments: ("lit", text) and ("var", identifier).
-    parts: tuple[tuple[str, str], ...]
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Bool:
-    value: bool
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class NoneLit:
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class ListLit:
-    items: tuple
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class MapLit:
-    items: tuple  # of (key_expr, value_expr)
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class UnaryOp:
-    op: str
-    operand: object
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Compare:
-    op: str
-    left: object
-    right: object
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-    kwargs: tuple  # of (name, expr)
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Subscript:
-    target: object
-    index: object
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Assign:
-    target: object  # Name or Subscript
-    value: object
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class For:
-    targets: tuple[str, ...]
-    iterable: object
-    body: tuple
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class If:
-    # (condition, body) branches in order; the else branch has condition None.
-    branches: tuple
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: object
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class PlanProgram:
-    source: str
-    statements: tuple
-
-
-def _split_interpolation(text: str, line: int) -> tuple[tuple[str, str], ...]:
-    # "{{" and "}}" escape literal braces; "{name}" interpolates.
-    parts: list[tuple[str, str]] = []
-    buf: list[str] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if text[pos : pos + 2] in ("{{", "}}"):
-            buf.append(ch)
-            pos += 2
-            continue
-        if ch == "{":
-            m = _INTERP_RE.match(text, pos)
-            if m:
-                if buf:
-                    parts.append(("lit", "".join(buf)))
-                    buf = []
-                parts.append(("var", m.group(1)))
-                pos = m.end()
-                continue
-        buf.append(ch)
-        pos += 1
-    if buf:
-        parts.append(("lit", "".join(buf)))
-    if not parts:
-        parts.append(("lit", ""))
-    return tuple(parts)
-
-
-# --------------------------------------------------------------------------
-# Parser
-# --------------------------------------------------------------------------
 
 
 def _scan(source: str) -> tuple[list[str], list]:
@@ -310,8 +149,21 @@ def _check_string(line: str, match: re.Match, number: int) -> None:
             raise PlanParseError(f"unsupported escape \\{escape}", number, start + 1)
 
 
-class _Converter:
-    """Builds plan nodes from the ``ast`` of the scanned lines.
+def elif_branch(node: ast.If) -> ast.If | None:
+    """The ``elif`` branch that follows ``node``, or None.
+
+    Python reads an ``elif`` as the one ``If`` in the ``else`` block, at the
+    column of its parent; the statements of an ``else:`` block are indented
+    deeper.
+    """
+    orelse = node.orelse
+    if len(orelse) == 1 and isinstance(orelse[0], ast.If) and orelse[0].col_offset == node.col_offset:
+        return orelse[0]
+    return None
+
+
+class _Checker:
+    """Checks the ``ast`` of the scanned lines against the plan language.
 
     An expression's level is the higher of its parent's level plus one and
     its own nesting: the blocks around it, the brackets open before it and
@@ -335,44 +187,38 @@ class _Converter:
         what = type(getattr(node, "op", node)).__name__
         return self.error(node, f"{what} is not part of the plan language")
 
-    def block(self, nodes: list, blocks: int) -> tuple:
-        return tuple(self.statement(node, blocks) for node in nodes)
+    def block(self, nodes: list, blocks: int) -> None:
+        for node in nodes:
+            self.statement(node, blocks)
 
-    def statement(self, node: ast.stmt, blocks: int):
-        line, text, nest = node.lineno, self.lines[node.lineno - 1], blocks + 1
+    def statement(self, node: ast.stmt, blocks: int) -> None:
+        text, nest = self.lines[node.lineno - 1], blocks + 1
         if text[: node.col_offset].strip():
             raise self.error(node, "only one statement may start on a line")
         if isinstance(node, ast.Expr):
-            return ExprStmt(self.expr(node.value, nest), line)
-        if isinstance(node, ast.Assign):
+            self.expr(node.value, nest)
+        elif isinstance(node, ast.Assign):
             target = node.targets[0]
             if len(node.targets) > 1 or not isinstance(target, (ast.Name, ast.Subscript)):
                 raise self.error(node, "assignment target must be a name or subscript")
-            return Assign(self.expr(target, nest), self.expr(node.value, nest), line)
-        if isinstance(node, ast.For):
+            self.expr(target, nest)
+            self.expr(node.value, nest)
+        elif isinstance(node, ast.For):
             if node.orelse or not _FOR_HEAD_RE.match(text, node.col_offset):
                 raise self.error(node, "a loop reads 'for name, ... in iterable:'")
-            names = node.target.elts if isinstance(node.target, ast.Tuple) else [node.target]
-            targets = tuple(name.id for name in names)
-            return For(targets, self.expr(node.iter, nest), self.block(node.body, blocks + 1), line)
-        if isinstance(node, ast.If):
-            branches = [(self.expr(node.test, nest), self.block(node.body, blocks + 1))]
-            orelse = node.orelse
-            # Python reads `elif` as an `if` alone in the `else` block.
-            while (
-                len(orelse) == 1
-                and isinstance(orelse[0], ast.If)
-                and self.lines[orelse[0].lineno - 1].startswith("elif", orelse[0].col_offset)
-            ):
-                node = orelse[0]
-                branches.append((self.expr(node.test, nest), self.block(node.body, blocks + 1)))
-                orelse = node.orelse
-            if orelse:
-                branches.append((None, self.block(orelse, blocks + 1)))
-            return If(tuple(branches), line)
-        raise self.unsupported(node)
+            self.expr(node.iter, nest)
+            self.block(node.body, blocks + 1)
+        elif isinstance(node, ast.If):
+            branch = node
+            while branch is not None:
+                self.expr(branch.test, nest)
+                self.block(branch.body, blocks + 1)
+                node, branch = branch, elif_branch(branch)
+            self.block(node.orelse, blocks + 1)
+        else:
+            raise self.unsupported(node)
 
-    def expr(self, node: ast.expr, nest: int, above: int = 0):
+    def expr(self, node: ast.expr, nest: int, above: int = 0) -> None:
         """``nest`` counts the blocks around the statement, plus one, and the
         unary minus signs above ``node``; ``above`` is its parent's level."""
         line = node.lineno
@@ -381,46 +227,32 @@ class _Converter:
         level = max(above + 1, nest + brackets)
         if level + isinstance(node, (ast.List, ast.Dict, ast.Call)) > MAX_NESTING:
             raise self.error(node, _TOO_DEEP)
-        if isinstance(node, ast.Constant):
-            return self.constant(node)
-        if isinstance(node, ast.Name):
-            return Name(node.id, line)
+        # A constant needs no check: the scan lets through only the plan
+        # language's numbers and strings, True, False and None.
+        if isinstance(node, (ast.Constant, ast.Name)):
+            return
         if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
-            left, right = self.expr(node.left, nest, level), self.expr(node.right, nest, level)
-            return BinOp(_OPERATORS[type(node.op)], left, right, line)
-        if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _OPERATORS:
-            left = self.expr(node.left, nest, level)
-            right = self.expr(node.comparators[0], nest, level)
-            return Compare(_OPERATORS[type(node.ops[0])], left, right, line)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return UnaryOp("-", self.expr(node.operand, nest + 1, level), line)
-        if isinstance(node, ast.Subscript):
-            target, index = self.expr(node.value, nest, level), self.expr(node.slice, nest, level)
-            return Subscript(target, index, line)
-        if isinstance(node, ast.List):
-            return ListLit(tuple(self.expr(item, nest, level) for item in node.elts), line)
-        if isinstance(node, ast.Dict) and None not in node.keys:
-            items = zip(node.keys, node.values)
-            pairs = ((self.expr(k, nest, level), self.expr(v, nest, level)) for k, v in items)
-            return MapLit(tuple(pairs), line)
-        if isinstance(node, ast.Call):
-            return self.call(node, nest, level)
-        raise self.unsupported(node)
+            children = [node.left, node.right]
+        elif isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _OPERATORS:
+            children = [node.left, node.comparators[0]]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            self.expr(node.operand, nest + 1, level)
+            return
+        elif isinstance(node, ast.Subscript):
+            children = [node.value, node.slice]
+        elif isinstance(node, ast.List):
+            children = node.elts
+        elif isinstance(node, ast.Dict) and None not in node.keys:
+            children = [item for pair in zip(node.keys, node.values) for item in pair]
+        elif isinstance(node, ast.Call):
+            self.call(node)
+            children = node.args + [keyword.value for keyword in node.keywords]
+        else:
+            raise self.unsupported(node)
+        for child in children:
+            self.expr(child, nest, level)
 
-    def constant(self, node: ast.Constant):
-        value, line = node.value, node.lineno
-        if isinstance(value, bool):
-            return Bool(value, line)
-        if value is None:
-            return NoneLit(line)
-        if isinstance(value, str):
-            return Str(_split_interpolation(value, line), line)
-        # A number: the scan let through only the plan language's spellings,
-        # which float() reads as the plan language does.
-        start, end = self.col(line, node.col_offset), self.col(line, node.end_col_offset)
-        return Num(float(self.lines[line - 1][start:end]), line)
-
-    def call(self, node: ast.Call, nest: int, level: int) -> Call:
+    def call(self, node: ast.Call) -> None:
         func = node.func
         if not isinstance(func, ast.Name):
             raise self.error(node, "a call must name a builtin")
@@ -431,22 +263,19 @@ class _Converter:
             raise self.error(func, f"call to non-whitelisted function {func.id!r}")
         if any(keyword.arg is None for keyword in node.keywords):
             raise self.error(node, "**arguments are not part of the plan language")
-        args = tuple(self.expr(arg, nest, level) for arg in node.args)
-        kwargs = tuple((kw.arg, self.expr(kw.value, nest, level)) for kw in node.keywords)
-        return Call(func.id, args, kwargs, node.lineno)
 
 
 @functools.lru_cache(maxsize=32)
-def parse_plan(source: str) -> PlanProgram:
-    """Parse plan source into a PlanProgram.
+def parse_plan(source: str) -> ast.Module:
+    """Parse plan source into Python's syntax tree of it, checked.
 
     Raises PlanParseError with line/column on syntax errors, on Python syntax
     outside the plan language, and on any call to a function outside the
     builtin whitelist.
 
     Results are memoised by source text (a few dozen recent sources): the
-    program and its AST nodes are frozen, and the interpreter never mutates
-    them. Errors are not memoised, so a bad source raises on every call.
+    interpreter never mutates a tree. Errors are not memoised, so a bad
+    source raises on every call.
     """
     if not source or not source.strip():
         raise PlanParseError("empty plan source", 1, 1)
@@ -458,8 +287,8 @@ def parse_plan(source: str) -> PlanProgram:
     except ValueError as exc:  # a NUL byte before 3.12, a lone surrogate
         raise PlanParseError(str(exc), 1, 1) from None
     except (RecursionError, MemoryError):
-        raise PlanParseError(_TOO_DEEP, 1, 1) from None
-    statements = _Converter(lines, brackets).block(module.body, 0)
-    if not statements:
+        raise PlanParseError(_TOO_BIG, 1, 1) from None
+    _Checker(lines, brackets).block(module.body, 0)
+    if not module.body:
         raise PlanParseError("plan has no statements", 1, 1)
-    return PlanProgram(source=source, statements=statements)
+    return module

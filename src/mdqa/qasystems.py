@@ -44,9 +44,7 @@ class AnswerParseError(Exception):
 
 
 class ExtractionError(Exception):
-    def __init__(self, message: str, chat_calls_used: int = 0):
-        super().__init__(message)
-        self.chat_calls_used = chat_calls_used
+    pass
 
 
 @dataclass(frozen=True)
@@ -472,18 +470,12 @@ def make_exec_env(
         return index.page_handles(s.page_ref for s in scored)
 
     def extract_fn(question, pages):
-        # A meter nested in the run's own, so the trace counts the same calls
-        # as the run, a failed call included.
-        chat = _Meter(backends.chat)
-        try:
-            answer = extract_value(question, pages, chat, extract_pack)
-        except (ExtractionError, BackendError) as exc:
-            raise ExtractionError(str(exc), chat_calls_used=chat.calls) from exc
+        answer = extract_value(question, pages, backends.chat, extract_pack)
         if answer.kind == "number":
-            return answer.number, chat.calls
+            return answer.number
         if answer.kind == "yesno":
-            return answer.label, chat.calls
-        return {label: value for label, value in answer.parts}, chat.calls
+            return answer.label
+        return {label: value for label, value in answer.parts}
 
     return ExecEnv(
         select_fn=select_fn,
@@ -539,11 +531,14 @@ def answer_codegen(
             run.failure = f"plan_parse_error: {exc}"
             return run
         env = make_exec_env(collection, index, backends, k, with_doc_select)
+        calls_before = backends.chat.calls
         try:
             trace = execute_plan(program, env)
         except PlanRuntimeError as exc:
             trace = exc.trace
             run.failure = f"plan_runtime_error:{exc.kind}: {exc}"
+        # The trace counts the run's chat calls made by the plan, failed ones included.
+        trace.chat_calls = backends.chat.calls - calls_before
         run.trace = trace.to_json_dict()
         run.retrieved_pages = list(trace.retrieved_pages)
         if run.failure is None:

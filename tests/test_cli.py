@@ -99,6 +99,24 @@ def test_ingest_non_string_formula_exits_2(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [" + ".join(["total_revenue"] * 3000), "(" * 2000 + "total_revenue" + ")" * 2000],
+    ids=["3000-terms", "2000-parentheses"],
+)
+def test_ingest_too_deep_formula_exits_2(runner, tmp_path, formula):
+    result = runner.invoke(main, ["synth", str(tmp_path / "c"), "--companies", "3"])
+    assert result.exit_code == 0
+    metrics_path = tmp_path / "c" / "metrics.json"
+    metrics = json.loads(metrics_path.read_text())
+    compound = next(m for m in metrics if m["kind"] == "compound")
+    compound["formula"] = formula
+    metrics_path.write_text(json.dumps(metrics))
+    result = runner.invoke(main, ["ingest", str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: compound metric {compound['metric_id']!r}: ")
+
+
 def test_gen_is_deterministic(runner, workspace, tmp_path):
     args = [
         "gen",

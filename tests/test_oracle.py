@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import ast
+
 import pytest
 
 from mdqa.backends import BackendError, HashedBowEmbedder
 from mdqa.oracle import OracleChatBackend, build_canonical_plan
 from mdqa.planlang import parse_plan
-from mdqa.planlang.parser import Call, ExprStmt, For
 from mdqa.questiongen import GenConfig, generate_questions
 from mdqa.synth import ORACLE_METRIC_ALIASES
 
@@ -123,15 +124,15 @@ def test_canonical_md1_plan_loops_per_year(clean_bundle):
     _, table = clean_bundle
     source = build_canonical_plan(question, table, with_select=True)
     program = parse_plan(source)
-    loops = [s for s in program.statements if isinstance(s, For)]
+    loops = [s for s in program.body if isinstance(s, ast.For)]
     assert len(loops) == 1
-    assert isinstance(loops[0].iterable, Call) and loops[0].iterable.name == "range"
+    assert isinstance(loops[0].iter, ast.Call) and loops[0].iter.func.id == "range"
     assert "select_documents" in source
     assert "fiscal_years=[year]" in source
     num_year = question.bindings["num_year"]
     assert f"range(2023, {2023 - num_year}, -1)" in source
-    last = program.statements[-1]
-    assert isinstance(last, ExprStmt) and last.expr.name == "emit"
+    last = program.body[-1]
+    assert isinstance(last, ast.Expr) and last.value.func.id == "emit"
 
 
 def test_canonical_plans_parse_for_every_template(clean_bundle):

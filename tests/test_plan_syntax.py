@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import warnings
 
 import pytest
 
 from mdqa.planlang import ExecEnv, PlanParseError, execute_plan, parse_plan
-from mdqa.planlang.parser import Call, ExprStmt, If, Num, Str
+from mdqa.planlang.parser import elif_branch
 
 # Each source is valid Python (bar the one-line continuations, which Python
 # joins); each is a parse error in the plan language.
@@ -119,14 +120,15 @@ def test_source_python_warns_about_is_a_parse_error_under_every_filter(source):
 
 def test_else_if_is_not_elif():
     elif_plan = parse_plan("x = 1\nif x < 0:\n  emit(1)\nelif x > 0:\n  emit(2)\n")
-    (branch_if, branch_elif) = elif_plan.statements[1].branches
-    assert branch_elif[0] is not None
+    assert elif_branch(elif_plan.body[1]) is not None
     nested = parse_plan("x = 1\nif x < 0:\n  emit(1)\nelse:\n  if x > 0:\n    emit(2)\n")
-    (branch_if, branch_else) = nested.statements[1].branches
-    assert branch_else[0] is None
-    (inner,) = branch_else[1]
-    assert isinstance(inner, If) and inner.line == 5
-    assert execute_plan(nested, ExecEnv()).emitted == 2.0
+    assert elif_branch(nested.body[1]) is None
+    (inner,) = nested.body[1].orelse
+    assert isinstance(inner, ast.If) and inner.lineno == 5
+    elif_trace, nested_trace = (execute_plan(plan, ExecEnv()) for plan in (elif_plan, nested))
+    assert elif_trace.emitted == nested_trace.emitted == 2.0
+    # An elif is a branch of its statement; the nested if is a statement.
+    assert elif_trace.step_count == nested_trace.step_count - 1
 
 
 def test_numbers_read_as_spelt():
@@ -134,19 +136,19 @@ def test_numbers_read_as_spelt():
     large for a float is infinite, not an error."""
     spellings = ["0", "00", "7", "1.5", ".5", "2.5e3", "1E-2", "1e+2", "00.5", "1" * 400]
     for spelling in spellings:
-        (stmt,) = parse_plan(f"emit({spelling})").statements
-        assert stmt.expr.args == (Num(float(spelling), 1),)
+        trace = execute_plan(parse_plan(f"emit({spelling})"), ExecEnv())
+        assert trace.emitted == float(spelling)
 
 
 def test_strings_read_their_five_escapes():
-    (stmt,) = parse_plan(r'''emit("a\\b\"c\'d\ne\tf{{g}}")''').statements
-    assert stmt.expr.args == (Str((("lit", "a\\b\"c'd\ne\tf{g}"),), 1),)
+    trace = execute_plan(parse_plan(r'''emit("a\\b\"c\'d\ne\tf{{g}}")'''), ExecEnv())
+    assert trace.emitted == "a\\b\"c'd\ne\tf{g}"
 
 
 def test_comments_blank_lines_and_parenthesised_targets():
     source = "# c\n\n  # indented\n(x) = [1]  # trailing\n\n(x)[0] = 2\nemit(x[0])\n"
     program = parse_plan(source)
-    assert [stmt.line for stmt in program.statements] == [4, 6, 7]
+    assert [stmt.lineno for stmt in program.body] == [4, 6, 7]
     assert execute_plan(program, ExecEnv()).emitted == 2.0
 
 
@@ -154,7 +156,7 @@ def test_lines_with_non_ascii_strings_keep_their_columns():
     """``ast`` counts columns in UTF-8 bytes; the plan counts characters."""
     ascii_plan = parse_plan('emit(len(["ee", ((1)), {"a": [2]}]) + abs(3))')
     wide_plan = parse_plan('emit(len(["\u00e9\u00e9", ((1)), {"a": [2]}]) + abs(3))')
-    assert repr(wide_plan.statements).replace("\u00e9", "e") == repr(ascii_plan.statements)
+    assert ast.dump(wide_plan).replace("\u00e9", "e") == ast.dump(ascii_plan)
     with pytest.raises(PlanParseError, match="^line 1, col 11: call to non-whitelisted"):
         parse_plan('x = "\u00e9" + open(x)')
 
@@ -168,11 +170,32 @@ def test_python_parse_failures_keep_their_position():
 
 
 def test_call_may_space_its_parenthesis():
-    (stmt,) = parse_plan("emit (1)").statements
-    assert isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call)
+    (stmt,) = parse_plan("emit (1)").body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
 
 
 def test_python_depth_errors_become_nesting_errors():
     # ast.parse raises MemoryError or RecursionError, by Python version.
-    with pytest.raises(PlanParseError, match="plan nests deeper than"):
+    with pytest.raises(PlanParseError, match="^line 1, col 1: .* nests too deeply for Python's"):
         parse_plan("-" * 10**5 + "1")
+
+
+def _elif_chain(branches: int) -> str:
+    tests = "".join(f"elif x == {i}:\n  emit({i})\n" for i in range(1, branches))
+    return f"x = {branches - 1}\nif x == 0:\n  emit(0)\n{tests}"
+
+
+def test_long_elif_chain_runs_in_a_loop():
+    """Python's parser nests the branches of an elif chain; the checker
+    and the interpreter walk them in a loop, not a frame per branch."""
+    assert execute_plan(parse_plan(_elif_chain(1_000)), ExecEnv()).emitted == 999.0
+
+
+def test_elif_chain_too_long_for_python_is_not_called_too_deep():
+    """Python's parser runs out of stack on 10,000 elif branches, which nest
+    no plan level."""
+    with pytest.raises(PlanParseError) as exc_info:
+        parse_plan(_elif_chain(10_000))
+    assert str(exc_info.value) == (
+        "line 1, col 1: plan is too long or nests too deeply for Python's parser"
+    )

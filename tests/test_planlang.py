@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import sys
 from types import SimpleNamespace
 
@@ -15,16 +16,7 @@ from mdqa.planlang import (
     execute_plan,
     parse_plan,
 )
-from mdqa.planlang.parser import (
-    BUILTIN_NAMES,
-    MAX_NESTING,
-    Assign,
-    Call,
-    ExprStmt,
-    For,
-    If,
-    MapLit,
-)
+from mdqa.planlang.parser import BUILTIN_NAMES, MAX_NESTING
 
 
 def run(source: str, **env_kwargs):
@@ -38,10 +30,10 @@ def run(source: str, **env_kwargs):
 
 def test_parse_single_statement():
     program = parse_plan("emit(42)")
-    assert len(program.statements) == 1
-    stmt = program.statements[0]
-    assert isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call)
-    assert stmt.expr.name == "emit"
+    assert len(program.body) == 1
+    stmt = program.body[0]
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert stmt.value.func.id == "emit"
 
 
 def test_parse_rejects_non_whitelisted_callable():
@@ -87,55 +79,25 @@ def test_parse_error_raised_on_every_call():
 
 def test_parse_comments_and_blank_lines():
     program = parse_plan("# leading comment\n\nx = 1  # trailing\n\nemit(x)\n")
-    assert len(program.statements) == 2
+    assert len(program.body) == 2
 
 
 def test_parse_lowest_debt_program_shape():
     source = LOWEST_DEBT_PLAN
     program = parse_plan(source)
-    fors = [s for s in program.statements if isinstance(s, For)]
+    fors = [s for s in program.body if isinstance(s, ast.For)]
     assert len(fors) == 1
     loop = fors[0]
-    assert loop.targets == ("company", "symbol")
-    assert isinstance(loop.iterable, Call) and loop.iterable.name == "zip"
+    assert [name.id for name in loop.target.elts] == ["company", "symbol"]
+    assert isinstance(loop.iter, ast.Call) and loop.iter.func.id == "zip"
     map_assigns = [
-        s for s in program.statements if isinstance(s, Assign) and isinstance(s.value, MapLit)
+        s for s in program.body if isinstance(s, ast.Assign) and isinstance(s.value, ast.Dict)
     ]
     assert len(map_assigns) == 2
-    calls = _all_call_names(program)
+    calls = [node.func.id for node in ast.walk(program) if isinstance(node, ast.Call)]
     assert "argmin" in calls
-    last = program.statements[-1]
-    assert isinstance(last, ExprStmt) and last.expr.name == "emit"
-
-
-def _all_call_names(program):
-    names = []
-
-    def walk(node):
-        if isinstance(node, Call):
-            names.append(node.name)
-            for a in node.args:
-                walk(a)
-            for _, v in node.kwargs:
-                walk(v)
-        elif isinstance(node, (Assign,)):
-            walk(node.value)
-        elif isinstance(node, ExprStmt):
-            walk(node.expr)
-        elif isinstance(node, For):
-            walk(node.iterable)
-            for s in node.body:
-                walk(s)
-        elif isinstance(node, If):
-            for cond, body in node.branches:
-                if cond is not None:
-                    walk(cond)
-                for s in body:
-                    walk(s)
-
-    for stmt in program.statements:
-        walk(stmt)
-    return names
+    last = program.body[-1]
+    assert isinstance(last, ast.Expr) and last.value.func.id == "emit"
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +340,7 @@ class _World:
         year = int(re.search(r"(19|20)\d{2}", question).group())
         symbol = re.search(r"\(([A-Z]+)\)", question)
         key = (symbol.group(1) if symbol else "NFLX", year)
-        return self.facts[key], 1
+        return self.facts[key]
 
 
 def _env(world, **kwargs):
@@ -408,7 +370,6 @@ def test_sum_over_years_plan_against_injected_facts():
     world = _World({("NFLX", 2021): 1.0e9, ("NFLX", 2022): 2.0e9, ("NFLX", 2023): 3.0e9})
     trace = execute_plan(parse_plan(SUM_RETURNS_PLAN), _env(world))
     assert trace.emitted == pytest.approx(6.0e9)
-    assert trace.chat_calls == 3
     assert world.extract_calls == 3
     assert list(trace.selected_docs) == ["nflx-2023", "nflx-2022", "nflx-2021"]
     assert set(trace.retrieved_pages) == {
@@ -453,18 +414,17 @@ def test_lowest_debt_plan_emits_winner_revenue():
 
             symbol = re.search(r"\(([A-Z]+)\)", question).group(1)
             if "total debt" in question:
-                return facts[(symbol, 2023)], 1
+                return facts[(symbol, 2023)]
             assert "total revenues" in question
             assert symbol == "PFE"  # brute-force argmin of the fact dict
-            return 58.5e9, 1
+            return 58.5e9
 
     world = DebtThenRevenue({})
     trace = execute_plan(parse_plan(LOWEST_DEBT_PLAN), _env(world))
     brute_force_winner = min(sorted(facts), key=lambda key: (facts[key], key))[0]
     assert brute_force_winner == "PFE"
     assert trace.emitted == pytest.approx(5.85e10)
-    assert trace.chat_calls == 6  # five debt extractions plus one revenue
-    assert world.extract_calls == 6
+    assert world.extract_calls == 6  # five debt extractions plus one revenue
 
 
 def test_extraction_failure_keeps_trace():
@@ -483,7 +443,6 @@ def test_extraction_failure_keeps_trace():
 def test_trace_accounts_for_every_backend_call():
     world = _World({("NFLX", y): float(y) for y in (2021, 2022, 2023)})
     trace = execute_plan(parse_plan(SUM_RETURNS_PLAN), _env(world))
-    assert trace.chat_calls == world.extract_calls
     recorded = [name for name, _, _ in trace.builtin_calls]
     assert recorded.count("extract_value") == world.extract_calls
     assert recorded.count("select_documents") == 3
@@ -548,7 +507,9 @@ def test_chain_of_10_000_links_is_a_parse_error(links):
     """The parser reads a chain of operators or subscripts in a loop, but the
     tree it builds grows a level per link, and the interpreter recurses once
     per level."""
-    with pytest.raises(PlanParseError, match="plan nests deeper than"):
+    # Python 3.10's parser builds the chain and the checker stops it; later
+    # parsers run out of stack first.
+    with pytest.raises(PlanParseError, match="plan nests deeper than|nests too deeply for Python"):
         parse_plan("x = [1]\nemit(x" + links * 10**4 + ")")
 
 
@@ -654,7 +615,7 @@ def _stub_env() -> ExecEnv:
     return ExecEnv(
         select_fn=lambda **kwargs: [SimpleNamespace(doc_id="d1")],
         retrieve_fn=lambda question, documents: list(_STUB_PAGES),
-        extract_fn=lambda question, pages: (1.0, 1),
+        extract_fn=lambda question, pages: 1.0,
         step_budget=500,
         builtin_budget=16,
     )

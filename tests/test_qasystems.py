@@ -344,6 +344,7 @@ def test_codegen_md4_costs_seven_chat_calls(clean_bundle, clean_index):
         assert run.predicted.number == pytest.approx(question.gold.number)
         extracts = [c for c in run.trace["builtin_calls"] if c[0] == "extract_value"]
         assert run.chat_calls >= 1 + len(extracts)
+        assert run.trace["chat_calls"] == len(extracts) == 6
 
 
 def test_codegen_plan_without_emit_is_no_answer(clean_bundle, clean_index):
