@@ -408,40 +408,55 @@ def run_cmd(
         if runs_path.exists():
             journal.extend(runs_path)
         done = set(journal.keys())
-        # Question-major, then system-major: the parse memo catches a k sweep's
-        # repeats, the ranking memo multi_query_rag's repeat of vanilla_rag's.
-        todo = [
-            (system_id, q, k)
-            for q in questions
-            for system_id in system_ids
-            for k in ks
-            if (system_id, q.question_id, k) not in done
-        ]
+        # One sweep per (question, system), question-major, then system-major:
+        # the parse memo catches a sweep's repeats, the ranking memo
+        # multi_query_rag's repeat of vanilla_rag's. A sweep holds the ks it
+        # has left, in ascending order.
+        ascending = sorted(ks)
+        sweeps = []
+        for q in questions:
+            for system_id in system_ids:
+                left = [k for k in ascending if (system_id, q.question_id, k) not in done]
+                if left:
+                    sweeps.append((system_id, q, left))
 
-        def execute(item) -> dict:
-            system_id, question, k = item
-            record = run_system(
-                system_id, question.question_id, question.text, collection, page_index,
-                backends, k, dataset_year, n_queries=n_queries,
-            ).to_json_dict()
-            key = (system_id, question.question_id, k)
-            journal.append(jsonl_line(record).encode("utf-8"), key)
-            return record
+        def execute(sweep) -> list[dict]:
+            """Run the sweep's ks until a run is k-free; each larger k gets
+            that run's record with only ``k`` changed. Each run is journalled
+            as it is produced."""
+            system_id, question, left = sweep
+            records, k_free_record = [], None
+            for k in left:
+                if k_free_record is None:
+                    run = run_system(
+                        system_id, question.question_id, question.text, collection,
+                        page_index, backends, k, dataset_year, n_queries=n_queries,
+                    )
+                    record = run.to_json_dict()
+                    if run.k_free:
+                        k_free_record = record
+                else:
+                    record = {**k_free_record, "k": k}
+                key = (system_id, question.question_id, k)
+                journal.append(jsonl_line(record).encode("utf-8"), key)
+                records.append(record)
+            return records
 
         # Each run record comes back to this thread, which alone sums them.
         old_records = (json.loads(journal.read(key)) for key in done)
         chat_log = backends.chat.cache if backend == "http" else None
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            new_records = pool.map(execute, todo) if jobs > 1 else map(execute, todo)
+            new_records = pool.map(execute, sweeps) if jobs > 1 else map(execute, sweeps)
             ledger = _ledger(
-                itertools.chain(old_records, new_records), page_index.texts_embedded, chat_log
+                itertools.chain(old_records, itertools.chain.from_iterable(new_records)),
+                page_index.texts_embedded, chat_log,
             )
         n_runs = _write_runs(journal, runs_path)
 
     write_json(session / "ledger.json", ledger)
     click.echo(
         f"session {session}: {n_runs} runs "
-        f"({len(todo)} new, {len(done)} resumed), "
+        f"({n_runs - len(done)} new, {len(done)} resumed), "
         f"chat_calls={ledger['chat_total']}"
     )
 

@@ -160,6 +160,9 @@ class DocumentCollection:
         self._by_id: dict[str, Document] = {}
         self._pages: dict[tuple[str, int], Page] = {}
         self._signatures: dict[str, tuple[str, str, int, str]] = {}
+        # ("symbol", ticker), ("name", lowered name) and ("short", lowered
+        # name without corporate suffixes) -> documents, for select_documents.
+        self._by_company: dict[tuple[str, str], list[Document]] = {}
         seen_identity: set[tuple[str, str, int, date]] = set()
         for doc in self.documents:
             if doc.doc_id in self._by_id:
@@ -174,6 +177,9 @@ class DocumentCollection:
             seen_identity.add(identity)
             self._by_id[doc.doc_id] = doc
             self._signatures[doc.doc_id] = (*identity[:3], identity[3].isoformat())
+            full, short = _company_keys(doc.company_name)
+            for key in (("symbol", doc.stock_symbol), ("name", full), ("short", short)):
+                self._by_company.setdefault(key, []).append(doc)
             for page in doc.pages:
                 self._pages[(doc.doc_id, page.page_number)] = page
 
@@ -597,16 +603,16 @@ def select_documents(
     empty list is a valid outcome.
     """
     wanted = [_company_keys(name) for name in doc_filter.companies or ()]
-    full_names = {full for full, _ in wanted}
-    short_names = {short for _, short in wanted}
-    symbols = tuple(s.upper() for s in (doc_filter.stock_symbols or ()))
+    symbols = [s.upper() for s in (doc_filter.stock_symbols or ())]
+    if wanted or symbols:
+        keys = [("symbol", s) for s in symbols]
+        keys += [("name", full) for full, _ in wanted] + [("short", short) for _, short in wanted]
+        found = {doc.doc_id: doc for key in keys for doc in collection._by_company.get(key, ())}
+        candidates = found.values()
+    else:
+        candidates = collection.documents
     out = []
-    for doc in collection.documents:
-        if wanted or symbols:
-            if doc.stock_symbol not in symbols:
-                full, short = _company_keys(doc.company_name)
-                if full not in full_names and short not in short_names:
-                    continue
+    for doc in candidates:
         if doc_filter.form_types and doc.form_type not in doc_filter.form_types:
             continue
         if doc_filter.fiscal_years and doc.fiscal_year not in doc_filter.fiscal_years:

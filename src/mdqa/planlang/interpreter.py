@@ -108,7 +108,20 @@ class ExecEnv:
 
 
 def digest_value(value: Any, depth: int = 0) -> str:
-    """Short deterministic rendering of a runtime value for the trace."""
+    """Short deterministic rendering of a runtime value for the trace.
+
+    The common values are dispatched on their exact type; any other value,
+    a subclass of one of them included, goes down the isinstance ladder.
+    """
+    kind = type(value)
+    if kind is str:
+        return value if len(value) <= 60 else value[:57] + "..."
+    if kind is float:
+        return _number_text(value)
+    if kind is list or kind is tuple:
+        return _digest_items(value, depth)
+    if kind is PageHandle:
+        return f"<page {value.doc_id}#{value.page_number}>"
     if isinstance(value, bool):
         return "True" if value else "False"
     if value is None:
@@ -122,11 +135,7 @@ def digest_value(value: Any, depth: int = 0) -> str:
     if hasattr(value, "doc_id"):
         return f"<doc {value.doc_id}>"
     if isinstance(value, (list, tuple)):
-        if depth >= 2:
-            return f"<list n={len(value)}>"
-        inner = ", ".join(digest_value(v, depth + 1) for v in islice(value, 6))
-        suffix = ", ..." if len(value) > 6 else ""
-        return f"[{inner}{suffix}]"
+        return _digest_items(value, depth)
     if isinstance(value, dict):
         if depth >= 2:
             return f"<map n={len(value)}>"
@@ -137,6 +146,13 @@ def digest_value(value: Any, depth: int = 0) -> str:
         suffix = ", ..." if len(value) > 6 else ""
         return f"{{{inner}{suffix}}}"
     return f"<{type(value).__name__}>"
+
+
+def _digest_items(value: list | tuple, depth: int) -> str:
+    if depth >= 2:
+        return f"<list n={len(value)}>"
+    inner = ", ".join([digest_value(v, depth + 1) for v in islice(value, 6)])
+    return f"[{inner}, ...]" if len(value) > 6 else f"[{inner}]"
 
 
 @functools.lru_cache(maxsize=256)
@@ -173,7 +189,7 @@ def _split_interpolation(text: str) -> tuple[tuple[str, str], ...]:
 
 
 def _number_text(value: float) -> str:
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         return repr(value)
     if float(value).is_integer() and abs(value) < 1e16:
         return str(int(value))

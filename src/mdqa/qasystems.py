@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Optional, Sequence
 
@@ -254,6 +254,16 @@ class SystemRun:
     trace: Optional[dict] = None
     plan_source: Optional[str] = None
     prompt_version: str = ""
+    # Set by ``_cut`` when a top-k cut returned k items and so may have
+    # dropped some. Kept in memory only: never serialised or compared.
+    cut: bool = field(default=False, compare=False, repr=False)
+
+    @property
+    def k_free(self) -> bool:
+        """No failure and no top-k cut that dropped a page. The pipeline
+        depends on k only through its cuts, so at any larger k it makes the
+        same requests and its record differs only in ``k``."""
+        return self.failure is None and not self.cut
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,6 +340,15 @@ def _metered_run(system_id: str, question_id: str, k: int, backends: Backends):
         run.embed_calls = embed.calls
 
 
+def _cut(run: SystemRun, ranking: list) -> list:
+    """Every top-k cut of a pipeline passes its result through here. One
+    that returned ``run.k`` items counts as cut, even if its pool held
+    exactly k."""
+    if len(ranking) >= run.k:
+        run.cut = True
+    return ranking
+
+
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
@@ -384,9 +403,9 @@ def answer_vanilla(
     with _metered_run("vanilla_rag", question_id, k, backends) as (run, pack, backends):
         _answer_from_pages(
             run, pack, backends.chat, question_text, index, dataset_year,
-            lambda: retrieve_relevant_pages(
+            lambda: _cut(run, retrieve_relevant_pages(
                 question_text, collection.documents, k, index, backends.embed
-            ),
+            )),
         )
     return run
 
@@ -413,10 +432,12 @@ def answer_multiquery(
 
         def retrieve():
             rankings = [
-                retrieve_relevant_pages(query, collection.documents, k, index, backends.embed)
+                _cut(run, retrieve_relevant_pages(
+                    query, collection.documents, k, index, backends.embed
+                ))
                 for query in queries
             ]
-            return merge_multiquery(rankings, k)
+            return _cut(run, merge_multiquery(rankings, k))
 
         _answer_from_pages(
             run, pack, backends.chat, question_text, index, dataset_year, retrieve
@@ -531,6 +552,8 @@ def answer_codegen(
             run.failure = f"plan_parse_error: {exc}"
             return run
         env = make_exec_env(collection, index, backends, k, with_doc_select)
+        retrieve = env.retrieve_fn
+        env.retrieve_fn = lambda question, documents: _cut(run, retrieve(question, documents))
         calls_before = backends.chat.calls
         try:
             trace = execute_plan(program, env)

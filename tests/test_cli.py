@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -10,18 +11,19 @@ import shutil
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from mdqa import backends, cli
+from mdqa import backends, cli, qasystems
 from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main
 from mdqa.corpus import load_collection
 from mdqa.files import AppendLog, jsonl_line, write_json
 from mdqa.oracle import OracleChatBackend
-from mdqa.qasystems import RUN_FORMAT, SYSTEM_IDS
+from mdqa.qasystems import RUN_FORMAT, SYSTEM_IDS, SystemRun
 from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, PageIndex, VectorStore, text_key
 
 
@@ -1543,3 +1545,174 @@ def test_session_bytes_are_pinned(runner, request, session_fixture, tmp_path):
     assert {name: _sha256(session / name) for name in _SESSION_SHA256[session_fixture]} == (
         _SESSION_SHA256[session_fixture]
     )
+
+
+# ---------------------------------------------------------------------------
+# k sweeps: a k-free run is the run at every larger k
+# ---------------------------------------------------------------------------
+
+_SWEEP = "4,8,16,128"
+
+
+def _sweep_invoke(workspace, session, k_grid, mode, systems=SYSTEM_IDS):
+    """``mdqa run`` of ``systems`` over ``k_grid`` on the oracle in ``mode``
+    (``perfect`` or ``textual``), or on the HTTP backend over a fake
+    transport (``http``)."""
+    args = _run_args(workspace, session, "--jobs", "1")
+    args[args.index("--systems") + 1] = ",".join(systems)
+    args[args.index("--k-grid") + 1] = k_grid
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "http":
+            mp.setenv("MDQA_API_KEY", "k")
+            mp.setattr(backends, "_requests_transport", _oracle_transport(workspace))
+            args += ["--backend", "http", "--endpoint", "http://localhost:9/v1", "--model", "m"]
+        else:
+            args += ["--oracle-mode", mode]
+        return CliRunner().invoke(main, args)
+
+
+def _run_lines(session: Path) -> list[bytes]:
+    return (session / "system_runs.jsonl").read_bytes().splitlines(keepends=True)
+
+
+def _sorted_key(line: bytes) -> tuple[str, int, str]:
+    record = json.loads(line)
+    return record["system_id"], record["k"], record["question_id"]
+
+
+@pytest.mark.parametrize("mode", ["perfect", "textual", "http"])
+def test_k_sweep_equals_its_single_k_sessions(workspace, tmp_path, mode):
+    """A sweep writes some runs without executing them; each must be, byte
+    for byte, the run a session at that k alone executes."""
+    single = []
+    for k in _SWEEP.split(","):
+        result = _sweep_invoke(workspace, tmp_path / f"k{k}", k, mode)
+        assert result.exit_code == 0, result.output
+        single += _run_lines(tmp_path / f"k{k}")
+    result = _sweep_invoke(workspace, tmp_path / "sweep", _SWEEP, mode)
+    assert result.exit_code == 0, result.output
+    assert len(single) == 4 * 9 * 4
+    assert _run_lines(tmp_path / "sweep") == sorted(single, key=_sorted_key)
+
+
+def _counting(monkeypatch) -> Counter:
+    """Count ``cli.run_system`` executions by (system, question)."""
+    executed: Counter = Counter()
+    run_system = cli.run_system
+
+    def counted(system_id, question_id, *args, **kwargs):
+        executed[system_id, question_id] += 1
+        return run_system(system_id, question_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_system", counted)
+    return executed
+
+
+def test_k_sweep_executes_runs_only_until_one_is_k_free(workspace, tmp_path, monkeypatch):
+    """vanilla_rag retrieves from the whole collection, so each of its runs
+    cuts; codegen_docs_pager's pools are a few pages, so its sweeps stop
+    early."""
+    executed = _counting(monkeypatch)
+    result = _sweep_invoke(workspace, tmp_path / "session", _SWEEP, "perfect")
+    assert result.exit_code == 0, result.output
+    assert "144 runs (144 new, 0 resumed)" in result.output
+    per_system: Counter = Counter()
+    for (system_id, _), n in executed.items():
+        per_system[system_id] += n
+        if system_id == "vanilla_rag":
+            assert n == 4
+    assert per_system["vanilla_rag"] == 9 * 4
+    assert per_system["codegen_docs_pager"] < 9 * 4
+    assert len(_run_lines(tmp_path / "session")) == 4 * 9 * 4
+
+
+def _scripted_run_system(pools: dict, failing: set, executed: list):
+    """A stand-in for ``run_system`` whose one top-k cut, over a pool of
+    ``pools[question_id]`` pages (2 if not given), goes through the
+    pipelines' own cut helper. The (question, k) runs in ``failing`` fail."""
+
+    def run_system(system_id, question_id, question_text, collection, index, backends_, k,
+                   dataset_year, n_queries=3):
+        executed.append((question_id, k))
+        run = SystemRun(system_id, question_id, k, None, [], 1, 0)
+        qasystems._cut(run, list(range(min(k, pools.get(question_id, 2)))))
+        if (question_id, k) in failing:
+            run.failure = "backend_error: unavailable"
+        return run
+
+    return run_system
+
+
+def test_k_sweep_executes_again_after_a_failed_or_full_cut(workspace, tmp_path, monkeypatch):
+    """A failed run may be transient, and a cut that returned exactly k pages
+    may have dropped some: either way the next k is executed."""
+    executed = []
+    monkeypatch.setattr(cli, "run_system", _scripted_run_system(
+        pools={"md1-0000": 8}, failing={("md4-0000", 4)}, executed=executed,
+    ))
+    result = _sweep_invoke(workspace, tmp_path / "session", "4,8,16,32", "perfect",
+                           systems=("vanilla_rag",))
+    assert result.exit_code == 0, result.output
+    by_question: dict[str, list[int]] = {}
+    for question_id, k in executed:
+        by_question.setdefault(question_id, []).append(k)
+    assert by_question.pop("md1-0000") == [4, 8, 16]
+    assert by_question.pop("md4-0000") == [4, 8]
+    assert set(map(tuple, by_question.values())) == {(4,)}
+    records = {(r["question_id"], r["k"]): r for r in map(json.loads, _run_lines(tmp_path / "session"))}
+    assert len(records) == 9 * 4
+    assert records["md4-0000", 4]["failure"] == "backend_error: unavailable"
+    assert [records["md4-0000", k]["failure"] for k in (8, 16, 32)] == [None] * 3
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(workspace, tmp_path_factory):
+    session = tmp_path_factory.mktemp("sweep") / "session"
+    result = _sweep_invoke(workspace, session, _SWEEP, "perfect")
+    assert result.exit_code == 0, result.output
+    return session
+
+
+def test_resume_after_a_journal_cut_mid_sweep_is_byte_identical(
+    workspace, finished_sweep, tmp_path, monkeypatch
+):
+    """Cut the journal inside a codegen_docs_pager sweep, at and inside the
+    lines of runs that were written without being executed. The resume
+    executes the sweep's remaining ks from the smallest one and ends with the
+    same bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_write_runs", _stop)
+        result = _sweep_invoke(workspace, tmp_path / "unfinished", _SWEEP, "perfect")
+    assert isinstance(result.exception, _Stopped), result.output
+    journal = (tmp_path / "unfinished" / "journal.jsonl").read_bytes()
+    lines = journal.splitlines(keepends=True)
+    keys = [(r["system_id"], r["question_id"], r["k"]) for r in map(json.loads, lines)]
+    first = keys[0][1]
+    at = dict(zip(keys, itertools.accumulate(map(len, lines), initial=0)))
+    # The cut, and the one k of the sweep the resume executes: k=8 was
+    # k-free, so the k it resumes at is k-free too.
+    cuts = {
+        "before_k16": (at["codegen_docs_pager", first, 16], 16),
+        "inside_k16": (at["codegen_docs_pager", first, 16] + 10, 16),
+        "before_k128": (at["codegen_docs_pager", first, 128], 128),
+    }
+    executed = []
+    run_system = cli.run_system
+
+    def recorded(system_id, question_id, question_text, collection, index, backends_, k,
+                 *args, **kwargs):
+        executed.append((system_id, question_id, k))
+        return run_system(system_id, question_id, question_text, collection, index,
+                          backends_, k, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_system", recorded)
+    for name, (offset, resumed_k) in cuts.items():
+        session = tmp_path / name
+        shutil.copytree(tmp_path / "unfinished", session)
+        (session / "journal.jsonl").write_bytes(journal[:offset])
+        executed.clear()
+        result = _sweep_invoke(workspace, session, _SWEEP, "perfect")
+        assert result.exit_code == 0, result.output
+        assert _run_lines(session) == _run_lines(finished_sweep), name
+        ran = [k for system_id, q, k in executed if (system_id, q) == ("codegen_docs_pager", first)]
+        assert ran == [resumed_k], name

@@ -4,9 +4,12 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdqa.corpus import (
     _CORPORATE_SUFFIXES,
+    _company_keys,
     MAX_FORMULA_DEPTH,
     CorpusError,
     Document,
@@ -207,6 +210,97 @@ def test_select_idempotent():
     first = select_documents(collection, f)
     second = select_documents(collection, f)
     assert [d.doc_id for d in first] == [d.doc_id for d in second]
+
+
+def _scan_select(collection, doc_filter):
+    """``select_documents`` as a scan of every document: the reference the
+    indexed version must agree with, errors included."""
+    wanted = [_company_keys(name) for name in doc_filter.companies or ()]
+    full_names = {full for full, _ in wanted}
+    short_names = {short for _, short in wanted}
+    symbols = tuple(s.upper() for s in (doc_filter.stock_symbols or ()))
+    out = []
+    for doc in collection.documents:
+        if wanted or symbols:
+            if doc.stock_symbol not in symbols:
+                full, short = _company_keys(doc.company_name)
+                if full not in full_names and short not in short_names:
+                    continue
+        if doc_filter.form_types and doc.form_type not in doc_filter.form_types:
+            continue
+        if doc_filter.fiscal_years and doc.fiscal_year not in doc_filter.fiscal_years:
+            continue
+        if doc_filter.period_end_start and doc.period_end_date < doc_filter.period_end_start:
+            continue
+        if doc_filter.period_end_end and doc.period_end_date > doc_filter.period_end_end:
+            continue
+        out.append(doc)
+    out.sort(key=lambda d: (d.stock_symbol, d.fiscal_year, d.form_type, d.period_end_date))
+    return out
+
+
+_SELECT_COLLECTION = DocumentCollection(
+    list(_toy_collection().documents)
+    + [
+        make_doc("acme-10k-2021", "ACME", "Acme Corp.", "10-K", 2021, date(2021, 12, 31)),
+        # A second company whose name without suffixes is the first's.
+        make_doc("acmeh-10q-2021", "ACMH", "Acme Holdings", "10-Q", 2021, date(2021, 9, 30)),
+    ]
+)
+_NAMES = sorted({d.company_name for d in _SELECT_COLLECTION.documents})
+_SYMBOLS = sorted({d.stock_symbol for d in _SELECT_COLLECTION.documents})
+_DATES = sorted({d.period_end_date for d in _SELECT_COLLECTION.documents} | {date(2021, 1, 1)})
+
+
+@st.composite
+def _company_names(draw):
+    name = draw(st.sampled_from(_NAMES))
+    words = name.split()
+    name = draw(st.sampled_from([name, words[0], " ".join(words[:-1])]))
+    if draw(st.booleans()):
+        name += " " + draw(st.sampled_from(sorted(_CORPORATE_SUFFIXES)))
+    return draw(st.sampled_from([name, name.lower(), name.upper(), name.title()]))
+
+
+_NOT_TEXT = st.one_of(st.none(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=2))
+
+
+def _entries(text):
+    return st.one_of(st.none(), st.lists(
+        st.one_of(text, st.text(max_size=8), _NOT_TEXT), max_size=3
+    ).map(tuple))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    companies=_entries(_company_names()),
+    symbols=_entries(st.sampled_from(_SYMBOLS + [s.lower() for s in _SYMBOLS])),
+    form_types=st.none() | st.lists(st.sampled_from(["10-K", "10-Q", "8-K", "S-1"]), max_size=2),
+    fiscal_years=st.none() | st.lists(st.integers(2019, 2023), max_size=3),
+    span=st.lists(st.none() | st.sampled_from(_DATES), min_size=2, max_size=2),
+)
+def test_select_agrees_with_a_scan(companies, symbols, form_types, fiscal_years, span):
+    """Random filters, non-text company and symbol entries among them: the
+    indexed selection returns the scan's list, or raises the scan's error."""
+    start, end = span
+    if start is not None and end is not None and start > end:
+        start, end = end, start
+    doc_filter = DocumentFilter(
+        companies=companies,
+        stock_symbols=symbols,
+        form_types=tuple(form_types) if form_types else None,
+        fiscal_years=tuple(fiscal_years) if fiscal_years else None,
+        period_end_start=start,
+        period_end_end=end,
+    )
+
+    def outcome(select):
+        try:
+            return [d.doc_id for d in select(_SELECT_COLLECTION, doc_filter)]
+        except Exception as exc:  # the error is part of what must agree
+            return type(exc), str(exc)
+
+    assert outcome(select_documents) == outcome(_scan_select)
 
 
 def test_filter_rejects_inverted_range():

@@ -16,6 +16,7 @@ from mdqa.planlang import (
     execute_plan,
     parse_plan,
 )
+from mdqa.planlang.interpreter import digest_value
 from mdqa.planlang.parser import BUILTIN_NAMES, MAX_NESTING
 
 
@@ -634,3 +635,96 @@ def test_execute_parsed_programs_raises_only_runtime_errors(statements):
         execute_plan(program, _stub_env())
     except PlanRuntimeError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Trace digests
+# ---------------------------------------------------------------------------
+
+
+def _ladder_digest(value, depth=0):
+    """``digest_value`` as one isinstance ladder: the reference its exact-type
+    dispatch must agree with."""
+    if isinstance(value, bool):
+        return "True" if value else "False"
+    if value is None:
+        return "None"
+    if isinstance(value, float):
+        if value != value or value in (float("inf"), float("-inf")):
+            return repr(value)
+        if float(value).is_integer() and abs(value) < 1e16:
+            return str(int(value))
+        return repr(float(value))
+    if isinstance(value, str):
+        return value if len(value) <= 60 else value[:57] + "..."
+    if isinstance(value, PageHandle):
+        return f"<page {value.doc_id}#{value.page_number}>"
+    if hasattr(value, "doc_id"):
+        return f"<doc {value.doc_id}>"
+    if isinstance(value, (list, tuple)):
+        if depth >= 2:
+            return f"<list n={len(value)}>"
+        inner = ", ".join(_ladder_digest(v, depth + 1) for v in value[:6])
+        suffix = ", ..." if len(value) > 6 else ""
+        return f"[{inner}{suffix}]"
+    if isinstance(value, dict):
+        if depth >= 2:
+            return f"<map n={len(value)}>"
+        inner = ", ".join(
+            f"{_ladder_digest(k, depth + 1)}: {_ladder_digest(v, depth + 1)}"
+            for k, v in list(value.items())[:6]
+        )
+        suffix = ", ..." if len(value) > 6 else ""
+        return f"{{{inner}{suffix}}}"
+    return f"<{type(value).__name__}>"
+
+
+class _Text(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Number(float):
+    pass
+
+
+class _DocLikeList(list):
+    doc_id = "listed-doc"
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, -1e16, 1e16 - 2, 0.5]
+_DIGEST_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(max_size=8),
+    st.text(min_size=59, max_size=62),
+    st.builds(PageHandle, st.text(max_size=5), st.integers(1, 9), st.just("t"), st.just("c")),
+    st.builds(lambda doc_id: SimpleNamespace(doc_id=doc_id), st.text(max_size=5)),
+    st.integers(),
+    st.builds(object),
+    st.builds(_Text, st.text(min_size=58, max_size=62)),
+    st.builds(_Number, st.sampled_from(_SPECIAL_FLOATS)),
+)
+_DIGEST_KEYS = st.one_of(st.text(max_size=4), st.floats(), st.booleans(), st.none())
+
+
+def _digest_values(children):
+    items = st.lists(children, max_size=8)
+    return st.one_of(
+        items,
+        items.map(tuple),
+        items.map(_Items),
+        items.map(_DocLikeList),
+        st.dictionaries(_DIGEST_KEYS, children, max_size=8),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_DIGEST_LEAVES, _digest_values, max_leaves=30), st.integers(0, 3))
+def test_digest_value_agrees_with_the_isinstance_ladder(value, depth):
+    assert digest_value(value, depth) == _ladder_digest(value, depth)

@@ -536,3 +536,55 @@ def test_system_run_round_trip(clean_world):
         backends, 4, 2023,
     )
     assert SystemRun.from_json_dict(run.to_json_dict()).to_json_dict() == run.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# k-free runs
+# ---------------------------------------------------------------------------
+
+
+class _OnePlan:
+    def __init__(self, plan):
+        self.plan = plan
+
+    def chat(self, messages, **params):
+        return self.plan
+
+
+_TEN_K_2019_PLAN = (
+    'docs = select_documents(stock_symbols=["ARGX"], fiscal_years=[2019], form_types=["10-K"])\n'
+    'pages = retrieve_relevant_pages("total revenue", docs)\n'
+    "emit(1)\n"
+)
+
+
+def test_run_is_k_free_only_when_no_cut_reached_k(clean_bundle, clean_index):
+    """A pool of exactly k pages counts as cut: only at a larger k is the
+    run known to be the run at every larger k."""
+    collection, _ = clean_bundle
+    backends = Backends(_OnePlan(_TEN_K_2019_PLAN), HashedBowEmbedder())
+    pool = sum(len(doc.pages) for doc in collection.documents
+               if doc.stock_symbol == "ARGX" and doc.fiscal_year == 2019 and doc.form_type == "10-K")
+    assert pool == 7
+    runs = {
+        k: run_system("codegen_docs_pager", "q", "q", collection, clean_index, backends, k, 2023)
+        for k in (pool - 1, pool, pool + 1, 128)
+    }
+    assert all(run.failure is None for run in runs.values())
+    assert [runs[k].k_free for k in sorted(runs)] == [False, False, True, True]
+    assert [len(runs[k].retrieved_pages) for k in sorted(runs)] == [6, 7, 7, 7]
+    # The flag is never written.
+    assert "cut" not in runs[pool].to_json_dict()
+    assert SystemRun.from_json_dict(runs[pool].to_json_dict()) == runs[pool]
+
+
+def test_failed_or_whole_collection_runs_are_not_k_free(clean_world):
+    collection, _, index, questions, backends = clean_world
+    for system_id in ("vanilla_rag", "multi_query_rag"):
+        run = run_system(system_id, "q", questions[0].text, collection, index, backends, 128, 2023)
+        assert run.failure is None and run.cut and not run.k_free
+    plan = _TEN_K_2019_PLAN.replace("emit(1)", "emit(missing)")
+    failing = Backends(_OnePlan(plan), HashedBowEmbedder())
+    run = run_system("codegen_docs_pager", "q", "q", collection, index, failing, 128, 2023)
+    assert run.failure is not None and not run.cut
+    assert not run.k_free
