@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import threading
 from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -408,55 +409,67 @@ def run_cmd(
         if runs_path.exists():
             journal.extend(runs_path)
         done = set(journal.keys())
-        # One sweep per (question, system), question-major, then system-major:
-        # the parse memo catches a sweep's repeats, the ranking memo
-        # multi_query_rag's repeat of vanilla_rag's. A sweep holds the ks it
-        # has left, in ascending order.
+        # A sweep is one (question, system) over the ks; sweeps go
+        # question-major, then system-major, so the parse memo catches a
+        # sweep's repeats and the ranking memo multi_query_rag's repeat of
+        # vanilla_rag's. Runs are taken in blocks of ``jobs`` sweeps, k by k
+        # in ascending order: one worker runs each sweep's ks in turn, and
+        # more workers share a block's smaller ks before its larger ones.
         ascending = sorted(ks)
-        sweeps = []
-        for q in questions:
-            for system_id in system_ids:
-                left = [k for k in ascending if (system_id, q.question_id, k) not in done]
-                if left:
-                    sweeps.append((system_id, q, left))
+        sweeps = [(system_id, q) for q in questions for system_id in system_ids]
+        todo = [
+            (system_id, q, k)
+            for start in range(0, len(sweeps), jobs)
+            for k in ascending
+            for system_id, q in sweeps[start : start + jobs]
+            if (system_id, q.question_id, k) not in done
+        ]
+        # Per sweep, its runs left to write and the record of its first
+        # k-free run; both are dropped with the sweep's last run.
+        left = Counter((system_id, q.question_id) for system_id, q, _ in todo)
+        k_free: dict[tuple[str, str], dict] = {}
+        lock = threading.Lock()
 
-        def execute(sweep) -> list[dict]:
-            """Run the sweep's ks until a run is k-free; each larger k gets
-            that run's record with only ``k`` changed. Each run is journalled
-            as it is produced."""
-            system_id, question, left = sweep
-            records, k_free_record = [], None
-            for k in left:
-                if k_free_record is None:
-                    run = run_system(
-                        system_id, question.question_id, question.text, collection,
-                        page_index, backends, k, dataset_year, n_queries=n_queries,
-                    )
-                    record = run.to_json_dict()
-                    if run.k_free:
-                        k_free_record = record
-                else:
-                    record = {**k_free_record, "k": k}
-                key = (system_id, question.question_id, k)
-                journal.append(jsonl_line(record).encode("utf-8"), key)
-                records.append(record)
-            return records
+        def execute(item) -> dict:
+            """Run one (system, question, k), or, once a smaller k of its
+            sweep was k-free, write that run's record with only ``k``
+            changed. A k that starts before then is executed."""
+            system_id, question, k = item
+            sweep = system_id, question.question_id
+            with lock:
+                found = k_free.get(sweep)
+            if found is not None and found["k"] < k:
+                record, is_k_free = {**found, "k": k}, False
+            else:
+                run = run_system(
+                    system_id, question.question_id, question.text, collection,
+                    page_index, backends, k, dataset_year, n_queries=n_queries,
+                )
+                record, is_k_free = run.to_json_dict(), run.k_free
+            journal.append(jsonl_line(record).encode("utf-8"), (*sweep, k))
+            with lock:
+                if is_k_free:
+                    k_free.setdefault(sweep, record)
+                left[sweep] -= 1
+                if not left[sweep]:
+                    del left[sweep]
+                    k_free.pop(sweep, None)
+            return record
 
         # Each run record comes back to this thread, which alone sums them.
         old_records = (json.loads(journal.read(key)) for key in done)
         chat_log = backends.chat.cache if backend == "http" else None
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            new_records = pool.map(execute, sweeps) if jobs > 1 else map(execute, sweeps)
+            new_records = pool.map(execute, todo) if jobs > 1 else map(execute, todo)
             ledger = _ledger(
-                itertools.chain(old_records, itertools.chain.from_iterable(new_records)),
-                page_index.texts_embedded, chat_log,
+                itertools.chain(old_records, new_records), page_index.texts_embedded, chat_log
             )
         n_runs = _write_runs(journal, runs_path)
 
     write_json(session / "ledger.json", ledger)
     click.echo(
         f"session {session}: {n_runs} runs "
-        f"({n_runs - len(done)} new, {len(done)} resumed), "
+        f"({len(todo)} new, {len(done)} resumed), "
         f"chat_calls={ledger['chat_total']}"
     )
 

@@ -108,30 +108,22 @@ class ExecEnv:
 
 
 def digest_value(value: Any, depth: int = 0) -> str:
-    """Short deterministic rendering of a runtime value for the trace.
-
-    The common values are dispatched on their exact type; any other value,
-    a subclass of one of them included, goes down the isinstance ladder.
-    """
-    kind = type(value)
-    if kind is str:
-        return value if len(value) <= 60 else value[:57] + "..."
-    if kind is float:
-        return _number_text(value)
-    if kind is list or kind is tuple:
-        return _digest_items(value, depth)
-    if kind is PageHandle:
-        return f"<page {value.doc_id}#{value.page_number}>"
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if value is None:
-        return "None"
+    """Short deterministic rendering of a runtime value for the trace."""
     if isinstance(value, float):
         return _number_text(value)
     if isinstance(value, str):
         return value if len(value) <= 60 else value[:57] + "..."
     if isinstance(value, PageHandle):
         return f"<page {value.doc_id}#{value.page_number}>"
+    # Exact lists and tuples hold no doc_id; a subclass that has one renders
+    # as the document it names.
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return _digest_items(value, depth)
+    if isinstance(value, bool):
+        return "True" if value else "False"
+    if value is None:
+        return "None"
     if hasattr(value, "doc_id"):
         return f"<doc {value.doc_id}>"
     if isinstance(value, (list, tuple)):

@@ -432,11 +432,11 @@ def answer_multiquery(
 
         def retrieve():
             rankings = [
-                _cut(run, retrieve_relevant_pages(
-                    query, collection.documents, k, index, backends.embed
-                ))
+                retrieve_relevant_pages(query, collection.documents, k, index, backends.embed)
                 for query in queries
             ]
+            # The merge is a union of distinct pages, so it holds k whenever
+            # one of the rankings does: its cut is the only one to check.
             return _cut(run, merge_multiquery(rankings, k))
 
         _answer_from_pages(

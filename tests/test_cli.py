@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -1663,6 +1664,30 @@ def test_k_sweep_executes_again_after_a_failed_or_full_cut(workspace, tmp_path, 
     assert len(records) == 9 * 4
     assert records["md4-0000", 4]["failure"] == "backend_error: unavailable"
     assert [records["md4-0000", k]["failure"] for k in (8, 16, 32)] == [None] * 3
+
+
+def test_jobs_run_the_ks_of_one_sweep_at_once(workspace, tmp_path, monkeypatch):
+    """With fewer sweeps than ``--jobs``, the ks of a sweep whose runs all
+    cut are executed at once, not one after another."""
+    first = (workspace / "questions.jsonl").read_bytes().splitlines(keepends=True)[0]
+    (tmp_path / "questions.jsonl").write_bytes(first)
+    question_id = json.loads(first)["question_id"]
+    executed = []
+    scripted = _scripted_run_system(pools={question_id: 100}, failing=set(), executed=executed)
+    together = threading.Barrier(4, timeout=10)
+
+    def run_system(*args, **kwargs):
+        together.wait()
+        return scripted(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_system", run_system)
+    args = _run_args(workspace, tmp_path / "session", "--jobs", "4")
+    args[args.index("--questions") + 1] = str(tmp_path / "questions.jsonl")
+    args[args.index("--systems") + 1] = "vanilla_rag"
+    args[args.index("--k-grid") + 1] = "4,8,16,32"
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert sorted(executed) == [(question_id, k) for k in (4, 8, 16, 32)]
 
 
 @pytest.fixture(scope="module")
