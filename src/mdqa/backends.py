@@ -63,11 +63,12 @@ def _hash_request(payload: dict) -> str:
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
-# Attempts per request, the first backoff (doubled per retry), and requests of
-# one backend in flight at once.
+# Attempts per request, the first backoff (doubled per retry), requests of
+# one backend in flight at once, and texts per embeddings request.
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5
 IN_FLIGHT_LIMIT = 8
+EMBED_BATCH = 64
 
 
 def _requests_transport(url: str, body: dict, headers: dict, timeout: float):
@@ -208,7 +209,10 @@ def _embedding_rows(payload: dict, n: int) -> np.ndarray:
 
 class HttpEmbedBackend(_HttpBackendBase):
     """Embeddings over an OpenAI-compatible endpoint, cached per text in a
-    ``VectorStore``. A response is checked whole before any of it is cached."""
+    ``VectorStore``. The texts not cached go out in order, ``EMBED_BATCH``
+    to a request, one request at a time; each response is checked whole and
+    cached before the next request, so only one batch's reply is held at once
+    and an interrupted call keeps the batches it cached."""
 
     _dim: Optional[int] = None  # of the first response
 
@@ -227,13 +231,14 @@ class HttpEmbedBackend(_HttpBackendBase):
         keys = [text_key(text) for text in texts]
         vectors = [self.cache.get(key) for key in keys]
         missing = [i for i, vec in enumerate(vectors) if vec is None]
-        if missing:
-            body = {"model": self.config.model, "input": [texts[i] for i in missing]}
-            rows = _embedding_rows(self._post("/embeddings", body), len(missing))
+        for start in range(0, len(missing), EMBED_BATCH):
+            batch = missing[start : start + EMBED_BATCH]
+            body = {"model": self.config.model, "input": [texts[i] for i in batch]}
+            rows = _embedding_rows(self._post("/embeddings", body), len(batch))
             self._dim = self._dim or rows.shape[1]
             if rows.shape[1] != self._dim:
                 raise BackendError(f"embedding dimension changed: {self._dim} -> {rows.shape[1]}")
-            for i, row in zip(missing, rows):
+            for i, row in zip(batch, rows):
                 vectors[i] = row
                 self.cache.put(keys[i], row)
         return np.stack(vectors)
@@ -284,12 +289,16 @@ class HashedBowEmbedder:
 
         if not texts:
             raise BackendError("embed requires at least one text")
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        # Each row is counted and normalized in float64, then quantized to
+        # float32, as the HTTP embedder's cache holds its vectors.
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        counts = np.empty(self.dim, dtype=np.float64)
         for row, text in enumerate(texts):
+            counts.fill(0.0)
             for token in tokenize(text):
-                out[row, self._slot(token)] += 1.0
-            norm = np.linalg.norm(out[row])
+                counts[self._slot(token)] += 1.0
+            norm = np.linalg.norm(counts)
             if norm > 0:
-                out[row] /= norm
-        # Quantize to float32, as the HTTP embedder's cache holds its vectors.
-        return out.astype(np.float32)
+                counts /= norm
+            out[row] = counts
+        return out

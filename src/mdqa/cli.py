@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -403,8 +404,13 @@ def run_cmd(
             _fail(f"the page index could not be built: {exc}")
         # The journal holds each completed run once, by key: opening it cut
         # off a torn last line (that run is redone), and the runs of a
-        # finished session that it lacks are appended to it.
-        journal = files.enter_context(AppendLog(session / "journal.jsonl", key=_run_key))
+        # finished session that it lacks are appended to it. Each line read
+        # is parsed once, and the first record of each key leaves its
+        # ``_calls`` in ``resumed``.
+        resumed: dict[tuple[str, str, int], tuple[str, str, int, int]] = {}
+        journal = files.enter_context(
+            AppendLog(session / "journal.jsonl", key=functools.partial(_run_key, resumed))
+        )
         runs_path = session / "system_runs.jsonl"
         if runs_path.exists():
             journal.extend(runs_path)
@@ -457,13 +463,11 @@ def run_cmd(
             return record
 
         # Each run record comes back to this thread, which alone sums them.
-        old_records = (json.loads(journal.read(key)) for key in done)
         chat_log = backends.chat.cache if backend == "http" else None
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             new_records = pool.map(execute, todo) if jobs > 1 else map(execute, todo)
-            ledger = _ledger(
-                itertools.chain(old_records, new_records), page_index.texts_embedded, chat_log
-            )
+            calls = itertools.chain(resumed.values(), map(_calls, new_records))
+            ledger = _ledger(calls, page_index.texts_embedded, chat_log)
         n_runs = _write_runs(journal, runs_path)
 
     write_json(session / "ledger.json", ledger)
@@ -474,18 +478,20 @@ def run_cmd(
     )
 
 
-def _ledger(records: Iterable[dict], index_texts: int, chat_log: AppendLog | None) -> dict:
+def _ledger(
+    calls: Iterable[tuple[str, str, int, int]], index_texts: int, chat_log: AppendLog | None
+) -> dict:
     """``ledger.json``, a fold of the session: chat and embed calls per
-    (system, question) summed from its run records, the ``index_texts`` its
-    index build embedded as scope ``-/-``, and the replies in its chat log
-    (each went over the network once; none without a log). Scopes are keyed
-    ``system/question`` in sorted order; scopes of 0 calls are left out."""
+    (system, question) summed from the ``_calls`` of its run records, the
+    ``index_texts`` its index build embedded as scope ``-/-``, and the
+    replies in its chat log (each went over the network once; none without a
+    log). Scopes are keyed ``system/question`` in sorted order; scopes of 0
+    calls are left out."""
     chat: Counter[tuple[str, str]] = Counter()
     embed: Counter[tuple[str, str]] = Counter({("-", "-"): index_texts})
-    for record in records:
-        scope = record["system_id"], record["question_id"]
-        chat[scope] += record["chat_calls"]
-        embed[scope] += record["embed_calls"]
+    for system_id, question_id, chat_calls, embed_calls in calls:
+        chat[system_id, question_id] += chat_calls
+        embed[system_id, question_id] += embed_calls
 
     def by_scope(counts: Counter) -> dict[str, int]:
         return {f"{s}/{q}": n for (s, q), n in sorted(counts.items()) if n}
@@ -516,10 +522,18 @@ def _check_resumable(session: Path, backend: str) -> None:
               f"it cannot be resumed with --backend {backend}")
 
 
-def _run_key(line: bytes) -> tuple[str, str, int]:
-    """(system, question, k) of a run's JSON line."""
+def _calls(record: dict) -> tuple[str, str, int, int]:
+    """(system, question, chat calls, embed calls) of a run record."""
+    return record["system_id"], record["question_id"], record["chat_calls"], record["embed_calls"]
+
+
+def _run_key(calls: dict, line: bytes) -> tuple[str, str, int]:
+    """(system, question, k) of a run's JSON line. The first line of each
+    key leaves its ``_calls`` in ``calls``."""
     record = json.loads(line)
-    return record["system_id"], record["question_id"], int(record["k"])
+    key = record["system_id"], record["question_id"], int(record["k"])
+    calls.setdefault(key, _calls(record))
+    return key
 
 
 def _write_runs(journal: AppendLog, path: Path) -> int:

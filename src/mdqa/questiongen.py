@@ -122,9 +122,18 @@ class Question:
 
     @staticmethod
     def from_json_dict(raw: dict) -> "Question":
+        """A question record. Raises ``KeyError`` naming ``bindings.<name>``
+        when the bindings lack a name its template's gold rule reads."""
         for name in ("question_id", "template_id", "text"):
             if not isinstance(raw[name], str):
                 raise TypeError(f"{name} must be a string, got {raw[name]!r}")
+        bindings = raw.get("bindings", {})
+        if not isinstance(bindings, dict):
+            raise TypeError(f"bindings must be an object, got {bindings!r}")
+        template = TEMPLATES.get(raw["template_id"])
+        for name in RULE_BINDINGS[template.gold_rule] if template else ():
+            if name not in bindings:
+                raise KeyError(f"bindings.{name}")
         return Question(
             question_id=raw["question_id"],
             template_id=raw["template_id"],
@@ -135,7 +144,7 @@ class Question:
             gold_docs=tuple(raw["gold_docs"]),
             gold_pages=tuple((d, int(p)) for d, p in raw["gold_pages"]),
             dataset_year=int(raw["dataset_year"]),
-            bindings=raw.get("bindings", {}),
+            bindings=bindings,
         )
 
 
@@ -236,6 +245,19 @@ TEMPLATES: dict[str, QuestionTemplate] = {
 # wrong-year pages).
 
 Lookup = Callable[[str, str, int], float]
+
+# The bindings each gold rule reads; ``year`` (the dataset year when absent)
+# and ``extreme`` (highest when absent) are optional.
+RULE_BINDINGS: dict[str, tuple[str, ...]] = {
+    "single_value": ("symbol", "metric"),
+    "compound_value": ("symbol", "metric"),
+    "sum_over_years": ("symbol", "metric", "num_year"),
+    "pct_difference": ("symbol1", "symbol2", "metric"),
+    "overall_growth": ("symbol", "metric", "num_year"),
+    "extreme_lookup": ("symbols", "metric1", "metric2"),
+    "yes_if_positive": ("symbol", "metric"),
+    "multi_value": ("symbol", "metric1", "metric2"),
+}
 
 
 def compound_lookup(fact_table: FactTable, leaf: Lookup) -> Lookup:

@@ -98,10 +98,11 @@ class PageIndex:
         self.refs = list(refs)
         self.texts_embedded = texts_embedded
         self.embedding_dim = int(vectors.shape[1])
-        # Normalized float64 copies; cosine becomes a dot product.
-        norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        self._unit = vectors.astype(np.float64) / safe[:, None]
+        # One float64 copy, normalized in place; cosine becomes a dot product.
+        unit = vectors.astype(np.float64)
+        norms = np.linalg.norm(unit, axis=1)
+        unit /= np.where(norms > 0, norms, 1.0)[:, None]
+        self._unit = unit
         self._row: dict[tuple[str, int], int] = {ref: i for i, ref in enumerate(refs)}
         if len(self._row) != len(self.refs):
             raise RetrievalError("index holds a page ref more than once")
@@ -296,10 +297,9 @@ def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
 
     Each distinct page text is embedded once, and the texts go to the backend
     in ``text_key`` order in one call, so a caching backend sees the same
-    requests whatever the collection's order.
+    requests whatever the collection's order. The backend's rows are freed
+    once the pages' rows are gathered from them, before the index is built.
     """
-    import numpy as np
-
     texts: list[str] = []
     refs: list[tuple[str, int]] = []
     for doc in collection.documents:
@@ -309,8 +309,10 @@ def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
     keys = [text_key(text) for text in texts]
     by_key = dict(zip(keys, texts))
     ordered = sorted(by_key)
-    vector_of = dict(zip(ordered, embed_backend.embed([by_key[key] for key in ordered])))
-    vectors = np.stack([vector_of[key] for key in keys])
+    embedded = embed_backend.embed([by_key[key] for key in ordered])
+    row_of = {key: i for i, key in enumerate(ordered)}
+    vectors = embedded[[row_of[key] for key in keys]]
+    del embedded
     return PageIndex(refs, vectors, documents=collection.documents, texts_embedded=len(ordered))
 
 

@@ -7,8 +7,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdqa import backends
 from mdqa.backends import (
+    EMBED_BATCH,
     BackendConfig,
     BackendConfigError,
     BackendError,
@@ -16,6 +20,7 @@ from mdqa.backends import (
     HttpChatBackend,
     HttpEmbedBackend,
     _requests_transport,
+    tokenize,
     token_slot,
 )
 from mdqa.files import AppendLog
@@ -53,6 +58,36 @@ def test_embed_returns_one_row_per_text():
 def test_embed_requires_input():
     with pytest.raises(BackendError):
         HashedBowEmbedder().embed([])
+
+
+def _bow_rows_in_one_matrix(texts, dim=512):
+    """``HashedBowEmbedder.embed`` as it was written before it filled a
+    float32 output row by row: one float64 matrix, then ``astype``."""
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        for token in tokenize(text):
+            out[row, token_slot(token, dim)] += 1.0
+        norm = np.linalg.norm(out[row])
+        if norm > 0:
+            out[row] /= norm
+    return out.astype(np.float32)
+
+
+_BOW_WORDS = st.sampled_from(["revenue", "2023", "acme", "dividends", "total", "10-k", "q4", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.one_of(st.text(max_size=80), st.lists(_BOW_WORDS, max_size=40).map(" ".join)),
+        min_size=1, max_size=8,
+    ),
+    dim=st.sampled_from([8, 512]),
+)
+def test_embed_rows_are_the_one_matrix_bytes(texts, dim):
+    got = HashedBowEmbedder(dim).embed(texts)
+    assert got.dtype == np.float32
+    assert got.tobytes() == _bow_rows_in_one_matrix(texts, dim).tobytes()
 
 
 def test_rank_critical_tokens_have_distinct_slots():
@@ -372,3 +407,62 @@ def test_bad_embeddings_response_raises_and_caches_nothing(tmp_path, monkeypatch
         # Nothing was cached: the same texts go out again.
         assert backend.embed(["a", "b"]).shape == (2, 2)
     assert [r[1]["input"] for r in transport.requests] == [["a", "b"], ["a", "b"]]
+
+
+def _bow_embeddings(requests: list):
+    """A ``Transport`` that embeds with ``HashedBowEmbedder`` and records the
+    texts of each request."""
+    embedder = HashedBowEmbedder()
+
+    def transport(url, body, headers, timeout):
+        requests.append(body["input"])
+        return 200, _embed_payload([v.tolist() for v in embedder.embed(body["input"])])
+
+    return transport
+
+
+def test_embed_sends_at_most_a_batch_per_request(tmp_path, monkeypatch):
+    """The texts not cached go out in order, ``EMBED_BATCH`` to a request;
+    the rows and the store equal those of one request for them all."""
+    monkeypatch.setenv("MDQA_TEST_KEY", "k")
+    texts = [f"page {i} revenue {i * 7 % 13}" for i in range(3 * EMBED_BATCH + 5)]
+    cached = texts[10:20] + texts[100:101]
+    rows, stores, sent = {}, {}, {}
+    for batch in (EMBED_BATCH, len(texts)):
+        monkeypatch.setattr(backends, "EMBED_BATCH", batch)
+        config = _http_config(tmp_path / str(batch))
+        sent[batch] = []
+        with HttpEmbedBackend(config, transport=_bow_embeddings(sent[batch])) as backend:
+            backend.embed(cached)
+            rows[batch] = backend.embed(texts)
+        stores[batch] = (config.cache_dir / "vectors.f4").read_bytes()
+    missing = [text for text in texts if text not in cached]
+    assert [len(request) for request in sent[EMBED_BATCH]] == [11, 64, 64, 58]
+    assert sent[EMBED_BATCH][1:] == [
+        missing[i : i + EMBED_BATCH] for i in range(0, len(missing), EMBED_BATCH)
+    ]
+    assert sent[len(texts)] == [cached, missing]
+    assert rows[EMBED_BATCH].tobytes() == rows[len(texts)].tobytes()
+    assert stores[EMBED_BATCH] == stores[len(texts)]
+
+
+def test_failed_batch_keeps_the_batches_before_it(tmp_path, monkeypatch):
+    """Each batch is cached once its response is checked, so a request that
+    fails leaves the batches before it cached and sends none after it."""
+    monkeypatch.setenv("MDQA_TEST_KEY", "k")
+    texts = [f"text {i}" for i in range(2 * EMBED_BATCH + 1)]
+    sent, failures = [], [400]
+    good = _bow_embeddings(sent)
+
+    def fails_second(url, body, headers, timeout):
+        if len(sent) == 1 and failures:
+            return failures.pop(), {"error": "bad request"}
+        return good(url, body, headers, timeout)
+
+    with HttpEmbedBackend(_http_config(tmp_path), transport=fails_second) as backend:
+        with pytest.raises(BackendError, match="HTTP 400"):
+            backend.embed(texts)
+        assert sent == [texts[:EMBED_BATCH]]
+        sent.clear()
+        assert backend.embed(texts).shape == (len(texts), 512)
+    assert sent == [texts[EMBED_BATCH : 2 * EMBED_BATCH], texts[-1:]]

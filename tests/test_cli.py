@@ -645,6 +645,29 @@ def test_crash_before_the_journal_is_emptied_resumes_to_the_same_bytes(
     assert (session / "journal.jsonl").read_bytes() == b""
 
 
+def test_resume_parses_each_run_line_once(
+    runner, workspace, finished_session, tmp_path, monkeypatch
+):
+    """The journal's key function keeps each resumed run's call counts, so a
+    resume parses each line it reads once and writes the same ledger."""
+    session = _copy_session(finished_session, tmp_path)
+    parsed = []
+
+    class CountingJson:
+        @staticmethod
+        def loads(line):
+            parsed.append(line)
+            return json.loads(line)
+
+    monkeypatch.setattr(cli, "json", CountingJson)
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0 and "(0 new, 36 resumed)" in result.output, result.output
+    runs = (finished_session / "system_runs.jsonl").read_bytes()
+    assert sorted(parsed) == sorted(runs.splitlines(keepends=True))
+    for name in ("system_runs.jsonl", "ledger.json"):
+        assert (session / name).read_bytes() == (finished_session / name).read_bytes()
+
+
 @pytest.mark.parametrize("jobs", ["1", "4"])
 def test_resume_with_a_wider_k_grid_equals_a_fresh_session(
     runner, workspace, finished_session, tmp_path, jobs
@@ -1094,6 +1117,30 @@ def test_non_string_question_field_exits_2(
     )
 
 
+@pytest.mark.parametrize("name", ["symbol", "metric"])
+def test_question_without_a_binding_its_rule_reads_exits_2(
+    runner, workspace, finished_session, tmp_path, name
+):
+    """A question's bindings hold each name its template's gold rule reads,
+    checked when the file is read, before any run."""
+    second = json.loads((workspace / "questions.jsonl").read_text().splitlines()[1])
+    assert second["template_id"] == "ve2"
+    bindings = {key: value for key, value in second["bindings"].items() if key != name}
+    _second_question_exits_2(
+        runner, workspace, finished_session, tmp_path, {"bindings": bindings},
+        f"missing field 'bindings.{name}'",
+    )
+
+
+def test_question_with_bindings_not_an_object_exits_2(
+    runner, workspace, finished_session, tmp_path
+):
+    _second_question_exits_2(
+        runner, workspace, finished_session, tmp_path, {"bindings": ["symbol"]},
+        "bad record: bindings must be an object",
+    )
+
+
 def _child_python(code: str, *args: str) -> subprocess.CompletedProcess:
     """``python -c code args`` in a new interpreter that imports this mdqa."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -1471,17 +1518,52 @@ def test_http_resume_counts_the_vectors_it_fetches_again(workspace, http_session
     assert fetched == before["embed_by_scope"]["-/-"] > 0
 
 
+def test_killed_index_build_keeps_the_batches_it_stored(workspace, http_session, tmp_path):
+    """A crash in the index build's 4th embeddings request leaves the 3
+    batches before it in the vector store. The resume sends only the page
+    texts not stored and ends with an uninterrupted session's files."""
+    oracle = _oracle_transport(workspace)
+    batches = []
+
+    def crashes_in_fourth_batch(url, body, headers, timeout):
+        if url.endswith("/embeddings"):
+            batches.append(body["input"])
+            if len(batches) == 4:
+                raise _Stopped
+        return oracle(url, body, headers, timeout)
+
+    session = tmp_path / "session"
+    result = _http_invoke(workspace, session, crashes_in_fourth_batch)
+    assert isinstance(result.exception, _Stopped), result.output
+    dim = json.loads((session / "index_cache/manifest.json").read_text())["dim"]
+    record = 32 + 4 * dim
+    stored = (session / "index_cache/vectors.f4").read_bytes()
+    assert len(stored) == 3 * backends.EMBED_BATCH * record
+    stored_keys = [stored[i : i + 32] for i in range(0, len(stored), record)]
+    assert stored_keys == [text_key(text) for batch in batches[:3] for text in batch]
+    pages = _page_texts(workspace / "corpus")
+    left = [text for text in pages if text_key(text) not in stored_keys]
+    assert len(left) == len(pages) - 3 * backends.EMBED_BATCH > 0
+    sent = []
+    _http_run(workspace, session, _recording(oracle, sent))
+    texts = [text for url, body in sent if url.endswith("/embeddings") for text in body["input"]]
+    assert texts[: len(left)] == left
+    assert not set(stored_keys) & set(map(text_key, texts))
+    for name in ("index_cache/vectors.f4", "system_runs.jsonl", "ledger.json"):
+        assert (session / name).read_bytes() == (http_session / name).read_bytes(), name
+
+
 # sha256 of an HTTP ``--log-wire`` session's vector cache, wire log and
 # ledger, then of the same files after a resume onto a wider k grid.
 _HTTP_SESSION_SHA256 = {
     "4,8": {
         "index_cache/vectors.f4": "9eec5519300751d9bfc4e4e6350bb54380d72c9b7b94c6e410355c853f26aa16",
-        "wire.jsonl": "f6b96c5d777c62ccda1f8bf505ab7dbf8a877e75cc0f908b8f9702f2809949ae",
+        "wire.jsonl": "151a916310089ac403ce0177b4e1f2aa004b2a2fe95b3f1f83b7c2e4a70dabd7",
         "ledger.json": "d1ca57643dad271f383c8e4a543ef5f03ea787ba6b7513424147ca760bcb330d",
     },
     "4,8,16": {
         "index_cache/vectors.f4": "9eec5519300751d9bfc4e4e6350bb54380d72c9b7b94c6e410355c853f26aa16",
-        "wire.jsonl": "7ba7b93a2a3ec482d3f9bd6db20b0fb719b21c8a49c32ff53b4d5dbb0122c3ab",
+        "wire.jsonl": "3ce35fdb4aa4f90caa9bb729071feb54a8eb67900a927eb7fc4044b56a25fac2",
         "ledger.json": "820a081f69b11a281e4010ca6c7dba40ceeed9df8666acfb9c80b3aebf5f5ebc",
     },
 }

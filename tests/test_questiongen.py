@@ -13,6 +13,7 @@ from mdqa.questiongen import (
     MissingFactError,
     Question,
     QuestionGenError,
+    RULE_BINDINGS,
     TEMPLATES,
     compound_lookup,
     compute_gold_with_provenance,
@@ -529,3 +530,25 @@ def test_question_file_round_trip(tmp_path, clean_bundle):
     path = write_questions(questions, tmp_path / "q.jsonl")
     loaded = read_questions(path)
     assert [q.to_json_dict() for q in loaded] == [q.to_json_dict() for q in questions]
+
+
+def test_rule_bindings_are_what_each_rule_reads(clean_bundle):
+    """Every template's gold comes from its rule's ``RULE_BINDINGS`` and the
+    optional ``year`` and ``extreme`` alone, and a record without any one of
+    those names is rejected when read."""
+    collection, table = clean_bundle
+    questions = generate_questions(
+        table, collection, _gen_config(template_ids=tuple(TEMPLATES), count_per_template=1)
+    )
+    assert sorted({q.template_id for q in questions}) == sorted(TEMPLATES)
+    for question in questions:
+        rule = TEMPLATES[question.template_id].gold_rule
+        names = RULE_BINDINGS[rule]
+        kept = {k: v for k, v in question.bindings.items() if k in names + ("year", "extreme")}
+        gold, _ = compute_gold_with_provenance(rule, kept, table, question.dataset_year)
+        assert gold == question.gold
+        raw = question.to_json_dict()
+        for name in names:
+            bindings = {k: v for k, v in raw["bindings"].items() if k != name}
+            with pytest.raises(KeyError, match=f"bindings.{name}"):
+                Question.from_json_dict({**raw, "bindings": bindings})

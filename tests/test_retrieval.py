@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mdqa.backends import (
     BackendConfig,
@@ -168,6 +170,56 @@ def test_cache_files_are_float32_records(tmp_path, api_key):
         key, row = data[i * record:i * record + 32], data[i * record + 32:(i + 1) * record]
         assert key == text_key(text)
         assert np.array_equal(np.frombuffer(row, dtype="<f4"), expected[i])
+
+
+@st.composite
+def _matrices(draw):
+    """Float32 matrices of finite values, some rows all zero."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    matrix = draw(arrays(np.float32, (n, dim), elements=finite))
+    matrix[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=_matrices())
+def test_unit_rows_are_the_two_copy_quotient(vectors):
+    """The index normalizes one float64 copy in place; its bytes are those
+    of the quotient of two copies that it computed before."""
+    norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+    want = vectors.astype(np.float64) / np.where(norms > 0, norms, 1.0)[:, None]
+    before = vectors.tobytes()
+    index = PageIndex([("d", i + 1) for i in range(len(vectors))], vectors)
+    assert index._unit.dtype == np.float64
+    assert index._unit.tobytes() == want.tobytes()
+    assert vectors.tobytes() == before
+
+
+@pytest.mark.parametrize("backend", ["hashed_bow", "http"])
+def test_index_build_memory_does_not_grow_with_the_collection(
+    clean_bundle, tmp_path, api_key, backend
+):
+    """On the 900-page default corpus, an index build holds at most 3 times
+    the index's own vectors at its peak: the HTTP embedder holds one batch's
+    reply at a time, and the rows are not copied more than the index needs."""
+    collection, _ = clean_bundle
+    assert collection.page_count == 900
+    build_index(_collection({"d": ["warm up"]}), HashedBowEmbedder())
+    if backend == "http":
+        config = BackendConfig(cache_dir=tmp_path, endpoint="http://localhost:9/v1", model="m")
+        embedder = HttpEmbedBackend(config, transport=_embed_transport([]))
+    else:
+        embedder = HashedBowEmbedder()
+    tracemalloc.start()
+    try:
+        index = build_index(collection, embedder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if backend == "http":
+            embedder.close()
+    assert peak < 3 * index._unit.nbytes, (peak, index._unit.nbytes)
 
 
 # ---------------------------------------------------------------------------
