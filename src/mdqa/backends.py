@@ -6,7 +6,9 @@ An HTTP backend always caches, in one append-only log under
 ``config.cache_dir`` (``chat.jsonl`` by request hash, or a ``VectorStore`` by
 text); a hit reads one record back, and each record is one reply or vector
 that went over the network. Both backends may share one wire log, a line per
-request.
+request. A ``VectorStore`` is a manifest pinning the backend fingerprint and
+dimension, and one append-only file of fixed-size records keyed by the sha256
+of the embedded text.
 
 The backends count nothing. Each run's meter counts its chat and embed calls
 into its run record, and ``mdqa run`` folds ``ledger.json`` from the records,
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .files import AppendLog, Closable, jsonl_line
-from .retrieval import VectorStore, text_key
+from .files import AppendLog, Closable, jsonl_line, read_json, write_json
 
 
 class BackendError(Exception):
@@ -39,6 +40,10 @@ class BackendError(Exception):
 
 class BackendConfigError(BackendError):
     """The backend configuration is unusable (e.g. missing auth)."""
+
+
+class CacheMismatchError(Exception):
+    """Cache manifest disagrees with the embedding backend in use."""
 
 
 @dataclass
@@ -205,6 +210,66 @@ def _embedding_rows(payload: dict, n: int) -> np.ndarray:
     if len(dims) != 1:
         raise BackendError(f"embedding dimension drift: {dims}")
     return np.stack(rows).astype(np.float32)
+
+
+def text_key(text: str) -> bytes:
+    """The key of a text's vector: the 32-byte sha256 of its UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+class VectorStore(Closable):
+    """Vectors by ``text_key`` for one embedding backend, in a directory:
+    ``manifest.json`` (backend fingerprint and dim, written before the first
+    vector) and ``vectors.f4``, an ``AppendLog`` of ``32 + 4 * dim``-byte
+    records, each the key and then the vector as little-endian float32.
+    Another backend's store, or a vector of another dim, raises
+    ``CacheMismatchError``."""
+
+    def __init__(self, root: str | Path, fingerprint: str):
+        self.root = Path(root)
+        self.fingerprint = fingerprint
+        self.dim: Optional[int] = None
+        self._log: Optional[AppendLog] = None
+        self._lock = threading.Lock()
+        self.root.mkdir(parents=True, exist_ok=True)
+        manifest = self.root / "manifest.json"
+        if manifest.exists():
+            found, dim = read_json(manifest, lambda m: (m["backend_fingerprint"], int(m["dim"])))
+            if found != fingerprint:
+                raise CacheMismatchError(
+                    f"{manifest}: cache built with {found!r}, backend is {fingerprint!r}"
+                )
+            self._open(dim)
+
+    def _open(self, dim: int) -> None:
+        self._log = AppendLog(
+            self.root / "vectors.f4", key=lambda record: record[:32], record_size=32 + 4 * dim
+        )
+        self.dim = dim
+
+    def get(self, key: bytes) -> Optional[np.ndarray]:
+        import numpy as np
+
+        record = self._log.read(key) if self._log else None
+        return None if record is None else np.frombuffer(record, dtype="<f4", offset=32)
+
+    def put(self, key: bytes, vector: np.ndarray) -> None:
+        """Append ``vector`` under ``key`` unless the key is already held."""
+        import numpy as np
+
+        row = np.asarray(vector, dtype="<f4")
+        with self._lock:
+            if self._log is None:
+                manifest = {"backend_fingerprint": self.fingerprint, "dim": row.shape[0]}
+                write_json(self.root / "manifest.json", manifest, indent=None, end="")
+                self._open(row.shape[0])
+        if row.shape != (self.dim,):
+            raise CacheMismatchError(f"backend dim {row.shape[0]} != cached dim {self.dim}")
+        self._log.append(key + row.tobytes(), key)
+
+    def close(self) -> None:
+        if self._log:
+            self._log.close()
 
 
 class HttpEmbedBackend(_HttpBackendBase):

@@ -34,6 +34,7 @@ from .backends import (
     BackendConfig,
     BackendConfigError,
     BackendError,
+    CacheMismatchError,
     HashedBowEmbedder,
     HttpChatBackend,
     HttpEmbedBackend,
@@ -54,7 +55,7 @@ from .evaluation import (
 )
 from .files import AppendLog, FileFormatError, atomic_open, jsonl_line, read_json, read_jsonl, write_json
 from .oracle import OracleChatBackend
-from .qasystems import RUN_FORMAT, SYSTEM_IDS, Backends, SystemRun, run_system
+from .qasystems import SYSTEM_IDS, Backends, run_system
 from .questiongen import (
     GenConfig,
     Question,
@@ -63,6 +64,7 @@ from .questiongen import (
     read_questions,
     write_questions,
 )
+from .records import RUN_FORMAT, SystemRun
 from .retrieval import RetrievalError, build_index
 
 try:
@@ -125,8 +127,8 @@ def _load_corpus(corpus_dir: str) -> tuple[DocumentCollection, FactTable]:
 class _Main(click.Group):
     # Errors that mean the input (corpus, questions, session, options) is bad.
     INPUT_ERRORS = (
-        BackendConfigError, CorpusError, EvaluationError, FileFormatError,
-        QuestionGenError, RetrievalError,
+        BackendConfigError, CacheMismatchError, CorpusError, EvaluationError,
+        FileFormatError, QuestionGenError, RetrievalError,
     )
 
     def invoke(self, ctx: click.Context):

@@ -12,8 +12,8 @@ from typing import Iterable, Optional, Sequence
 
 from .corpus import DocumentCollection
 from .files import atomic_open, write_json
-from .qasystems import ParsedAnswer, SystemRun
-from .questiongen import GoldAnswer, Question
+from .questiongen import Question
+from .records import Answer, SystemRun
 
 RELATIVE_TOLERANCE = 0.01  # inclusive
 GOLD_ZERO_ABSOLUTE = 1e-9
@@ -42,7 +42,7 @@ def _numbers_match(pred: float, gold: float) -> bool:
     return abs(pred - gold) / abs(gold) <= RELATIVE_TOLERANCE
 
 
-def match_answer(predicted: Optional[ParsedAnswer], gold: GoldAnswer) -> bool:
+def match_answer(predicted: Optional[Answer], gold: Answer) -> bool:
     """Inclusive 1% relative tolerance on numbers; case-insensitive Yes/No;
     multi answers need every labeled component to match. Kind mismatches are
     false, never an exception."""
@@ -61,7 +61,7 @@ def match_answer(predicted: Optional[ParsedAnswer], gold: GoldAnswer) -> bool:
     return all(_numbers_match(got[label], wanted[label]) for label in wanted)
 
 
-def multi_component_hits(predicted: Optional[ParsedAnswer], gold: GoldAnswer) -> tuple[int, int]:
+def multi_component_hits(predicted: Optional[Answer], gold: Answer) -> tuple[int, int]:
     """(matched components, total components) for a multi-output gold."""
     total = len(gold.parts)
     if predicted is None or predicted.kind != "multi":

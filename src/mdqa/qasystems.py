@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .backends import BackendError
 from .corpus import DocumentCollection, DocumentFilter, select_documents
@@ -27,6 +27,7 @@ from .planlang import (
     parse_plan,
 )
 from .prompts import PromptPack, load_pack
+from .records import Answer, SystemRun
 from .retrieval import (
     PageIndex,
     expand_queries,
@@ -45,40 +46,6 @@ class AnswerParseError(Exception):
 
 class ExtractionError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ParsedAnswer:
-    """A system's answer in comparable form. Numbers are in base units."""
-
-    kind: str  # "number" | "yesno" | "multi"
-    number: Optional[float] = None
-    label: Optional[str] = None
-    parts: tuple[tuple[str, float], ...] = ()
-    raw_text: str = ""
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "raw_text": self.raw_text}
-        if self.kind == "number":
-            out["value"] = self.number
-        elif self.kind == "yesno":
-            out["value"] = self.label
-        else:
-            out["value"] = [[label, v] for label, v in self.parts]
-        return out
-
-    @staticmethod
-    def from_json_dict(raw: dict) -> "ParsedAnswer":
-        kind = raw["kind"]
-        if kind == "number":
-            return ParsedAnswer(kind="number", number=float(raw["value"]), raw_text=raw.get("raw_text", ""))
-        if kind == "yesno":
-            return ParsedAnswer(kind="yesno", label=raw["value"], raw_text=raw.get("raw_text", ""))
-        return ParsedAnswer(
-            kind="multi",
-            parts=tuple((str(l), float(v)) for l, v in raw["value"]),
-            raw_text=raw.get("raw_text", ""),
-        )
 
 
 _MULTIPLIER_WORDS = {
@@ -120,7 +87,7 @@ def _parse_number_text(text: str) -> float:
     raise AnswerParseError(f"no number found in {text!r}")
 
 
-def parse_answer_text(text: str) -> ParsedAnswer:
+def parse_answer_text(text: str) -> Answer:
     """Parse a chat reply: Yes/No, a number with optional multiplier word or
     currency symbol or trailing %, or several "label: value" lines."""
     raw = text
@@ -128,7 +95,7 @@ def parse_answer_text(text: str) -> ParsedAnswer:
     if not text:
         raise AnswerParseError("empty reply")
     if _YESNO_RE.match(text):
-        return ParsedAnswer(
+        return Answer(
             kind="yesno",
             label="Yes" if text.lower().startswith("yes") else "No",
             raw_text=raw,
@@ -144,16 +111,16 @@ def parse_answer_text(text: str) -> ParsedAnswer:
         except AnswerParseError:
             continue
     if len(labeled) >= 2:
-        return ParsedAnswer(kind="multi", parts=tuple(labeled), raw_text=raw)
-    return ParsedAnswer(kind="number", number=_parse_number_text(text), raw_text=raw)
+        return Answer(kind="multi", parts=tuple(labeled), raw_text=raw)
+    return Answer(kind="number", number=_parse_number_text(text), raw_text=raw)
 
 
-def parse_emitted(value) -> ParsedAnswer:
-    """Turn a plan-emitted value into a ParsedAnswer."""
+def parse_emitted(value) -> Answer:
+    """Turn a plan-emitted value into an Answer."""
     if isinstance(value, bool):
         raise AnswerParseError("plan emitted a boolean; expected number, Yes/No, or map")
     if isinstance(value, float):
-        return ParsedAnswer(kind="number", number=value, raw_text=repr(value))
+        return Answer(kind="number", number=value, raw_text=repr(value))
     if isinstance(value, str):
         return parse_answer_text(value)
     if isinstance(value, dict):
@@ -165,8 +132,8 @@ def parse_emitted(value) -> ParsedAnswer:
         if not parts:
             raise AnswerParseError("emitted map is empty")
         if len(parts) == 1:
-            return ParsedAnswer(kind="number", number=parts[0][1], raw_text=repr(value))
-        return ParsedAnswer(kind="multi", parts=tuple(parts), raw_text=repr(value))
+            return Answer(kind="number", number=parts[0][1], raw_text=repr(value))
+        return Answer(kind="multi", parts=tuple(parts), raw_text=repr(value))
     raise AnswerParseError(f"plan emitted unsupported value type {type(value).__name__}")
 
 
@@ -203,14 +170,14 @@ def _ask_twice(chat_backend, messages: list[dict], parse, reprompt):
     return parse(chat_backend.chat(retry_messages))
 
 
-def _parse_extraction(reply: str) -> ParsedAnswer:
+def _parse_extraction(reply: str) -> Answer:
     if reply.strip().lower() == "not found":
         # A definitive miss, not a formatting problem; reprompting cannot help.
         raise ExtractionError("value not found in the given pages")
     return parse_answer_text(reply)
 
 
-def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_pack=None) -> ParsedAnswer:
+def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_pack=None) -> Answer:
     """One chat call (plus at most one reprompt) extracting a value from pages."""
     pack = prompt_pack or load_pack("extract")
     if not pages:
@@ -234,67 +201,6 @@ def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_
 class Backends:
     chat: object
     embed: object
-
-
-# The layout of a serialised SystemRun. Format 1 also held the document
-# signatures of its pages and, in its trace, the pages again.
-RUN_FORMAT = 2
-
-
-@dataclass
-class SystemRun:
-    system_id: str
-    question_id: str
-    k: int
-    predicted: Optional[ParsedAnswer]
-    retrieved_pages: list[tuple[str, int]]
-    chat_calls: int
-    embed_calls: int
-    failure: Optional[str] = None
-    trace: Optional[dict] = None
-    plan_source: Optional[str] = None
-    prompt_version: str = ""
-    # Set by ``_cut`` when a top-k cut returned k items and so may have
-    # dropped some. Kept in memory only: never serialised or compared.
-    cut: bool = field(default=False, compare=False, repr=False)
-
-    @property
-    def k_free(self) -> bool:
-        """No failure and no top-k cut that dropped a page. The pipeline
-        depends on k only through its cuts, so at any larger k it makes the
-        same requests and its record differs only in ``k``."""
-        return self.failure is None and not self.cut
-
-    def to_json_dict(self) -> dict:
-        return {
-            "system_id": self.system_id,
-            "question_id": self.question_id,
-            "k": self.k,
-            "predicted": self.predicted.to_json_dict() if self.predicted else None,
-            "retrieved_pages": [[d, p] for d, p in self.retrieved_pages],
-            "chat_calls": self.chat_calls,
-            "embed_calls": self.embed_calls,
-            "failure": self.failure,
-            "trace": self.trace,
-            "plan_source": self.plan_source,
-            "prompt_version": self.prompt_version,
-        }
-
-    @staticmethod
-    def from_json_dict(raw: dict) -> "SystemRun":
-        return SystemRun(
-            system_id=raw["system_id"],
-            question_id=raw["question_id"],
-            k=int(raw["k"]),
-            predicted=ParsedAnswer.from_json_dict(raw["predicted"]) if raw.get("predicted") else None,
-            retrieved_pages=[(d, int(p)) for d, p in raw["retrieved_pages"]],
-            chat_calls=int(raw["chat_calls"]),
-            embed_calls=int(raw["embed_calls"]),
-            failure=raw.get("failure"),
-            trace=raw.get("trace"),
-            plan_source=raw.get("plan_source"),
-            prompt_version=raw.get("prompt_version", ""),
-        )
 
 
 class _Meter:

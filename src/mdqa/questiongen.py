@@ -26,6 +26,7 @@ from .corpus import (
     value_findable_in_doc,
 )
 from .files import read_jsonl, write_jsonl
+from .records import Answer
 
 
 class QuestionGenError(Exception):
@@ -57,49 +58,13 @@ class QuestionTemplate:
 
 
 @dataclass(frozen=True)
-class GoldAnswer:
-    """Gold answer: a number, Yes/No, or labeled (label, value) components."""
-
-    kind: str  # "number" | "yesno" | "multi"
-    number: Optional[float] = None
-    label: Optional[str] = None
-    parts: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind == "number" and self.number is None:
-            raise QuestionGenError("number gold requires a value")
-        if self.kind == "yesno" and self.label not in ("Yes", "No"):
-            raise QuestionGenError("yesno gold must be 'Yes' or 'No'")
-        if self.kind == "multi" and len(self.parts) < 2:
-            raise QuestionGenError("multi gold requires at least 2 labeled values")
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "number":
-            return {"kind": "number", "value": self.number}
-        if self.kind == "yesno":
-            return {"kind": "yesno", "value": self.label}
-        return {"kind": "multi", "value": [[label, v] for label, v in self.parts]}
-
-    @staticmethod
-    def from_json_dict(raw: dict) -> "GoldAnswer":
-        kind = raw["kind"]
-        if kind == "number":
-            return GoldAnswer(kind="number", number=float(raw["value"]))
-        if kind == "yesno":
-            return GoldAnswer(kind="yesno", label=raw["value"])
-        return GoldAnswer(
-            kind="multi", parts=tuple((str(l), float(v)) for l, v in raw["value"])
-        )
-
-
-@dataclass(frozen=True)
 class Question:
     question_id: str
     template_id: str
     text: str
     slots: dict
     complexity_tags: frozenset[str]
-    gold: GoldAnswer
+    gold: Answer
     gold_docs: tuple[str, ...]
     gold_pages: tuple[tuple[str, int], ...]
     dataset_year: int
@@ -140,7 +105,7 @@ class Question:
             text=raw["text"],
             slots=raw["slots"],
             complexity_tags=frozenset(raw["complexity_tags"]),
-            gold=GoldAnswer.from_json_dict(raw["gold"]),
+            gold=Answer.from_json_dict(raw["gold"]),
             gold_docs=tuple(raw["gold_docs"]),
             gold_pages=tuple((d, int(p)) for d, p in raw["gold_pages"]),
             dataset_year=int(raw["dataset_year"]),
@@ -306,7 +271,7 @@ def evaluate_rule(
     lookup: Lookup,
     dataset_year: int,
     metric_display: Callable[[str], str],
-) -> GoldAnswer:
+) -> Answer:
     """Apply a gold-computation rule over values supplied by ``lookup``.
 
     ``binding`` carries resolved slot values: symbols, metric ids, years.
@@ -314,7 +279,7 @@ def evaluate_rule(
     if rule in ("single_value", "compound_value"):
         year = binding.get("year", dataset_year)
         value = lookup(binding["symbol"], binding["metric"], year)
-        return GoldAnswer(kind="number", number=value)
+        return Answer(kind="number", number=value)
 
     if rule == "sum_over_years":
         num_year = binding["num_year"]
@@ -322,7 +287,7 @@ def evaluate_rule(
         total = 0.0
         for year in years:
             total += lookup(binding["symbol"], binding["metric"], year)
-        return GoldAnswer(kind="number", number=total)
+        return Answer(kind="number", number=total)
 
     if rule == "pct_difference":
         year = binding.get("year", dataset_year)
@@ -330,7 +295,7 @@ def evaluate_rule(
         v2 = lookup(binding["symbol2"], binding["metric"], year)
         if v2 == 0:
             raise MissingFactError("pct_difference base value is zero")
-        return GoldAnswer(kind="number", number=(v1 - v2) / v2 * 100.0)
+        return Answer(kind="number", number=(v1 - v2) / v2 * 100.0)
 
     if rule == "overall_growth":
         base_year = dataset_year - binding["num_year"]
@@ -338,7 +303,7 @@ def evaluate_rule(
         v_current = lookup(binding["symbol"], binding["metric"], dataset_year)
         if v_base == 0:
             raise MissingFactError("overall_growth base value is zero")
-        return GoldAnswer(kind="number", number=(v_current - v_base) / v_base * 100.0)
+        return Answer(kind="number", number=(v_current - v_base) / v_base * 100.0)
 
     if rule == "extreme_lookup":
         year = binding.get("year", dataset_year)
@@ -353,12 +318,12 @@ def evaluate_rule(
         answer = lookup(winner, binding["metric2"], year)
         binding["winner_symbol"] = winner
         binding["tie"] = sum(1 for v in values.values() if v == best) > 1
-        return GoldAnswer(kind="number", number=answer)
+        return Answer(kind="number", number=answer)
 
     if rule == "yes_if_positive":
         year = binding.get("year", dataset_year)
         value = lookup(binding["symbol"], binding["metric"], year)
-        return GoldAnswer(kind="yesno", label="Yes" if value > 0 else "No")
+        return Answer(kind="yesno", label="Yes" if value > 0 else "No")
 
     if rule == "multi_value":
         year = binding.get("year", dataset_year)
@@ -368,14 +333,14 @@ def evaluate_rule(
             parts.append(
                 (metric_display(metric_id), lookup(binding["symbol"], metric_id, year))
             )
-        return GoldAnswer(kind="multi", parts=tuple(parts))
+        return Answer(kind="multi", parts=tuple(parts))
 
     raise QuestionGenError(f"unknown gold rule {rule!r}")
 
 
 def compute_gold_with_provenance(
     rule: str, binding: dict, fact_table: FactTable, dataset_year: int
-) -> tuple[GoldAnswer, list[FactRecord]]:
+) -> tuple[Answer, list[FactRecord]]:
     consumed: list[FactRecord] = []
     lookup = table_lookup(fact_table, record_sink=consumed)
     gold = evaluate_rule(
@@ -544,7 +509,7 @@ def _draw_binding(
 def _passes_findability(
     template: QuestionTemplate,
     binding: dict,
-    gold: GoldAnswer,
+    gold: Answer,
     consumed: list[FactRecord],
     collection: DocumentCollection,
 ) -> bool:

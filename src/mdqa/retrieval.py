@@ -2,10 +2,7 @@
 
 Scoring is an exact cosine full scan; at benchmark scale (a few thousand
 pages) approximate search buys nothing and costs determinism. The index lives
-in memory and is built by each process. The HTTP embedder, whose vectors cost
-a request, caches them in a ``VectorStore``: a manifest pinning the backend
-fingerprint and dimension, and one append-only file of fixed-size records
-keyed by the sha256 of the embedded text.
+in memory and is built by each process.
 
 In memory the index holds float64 unit vectors, and each document's pages
 are one contiguous span of rows. A pool of documents becomes runs of rows:
@@ -29,17 +26,15 @@ that only reads a session (``eval``, ``cost``, ``trace``) starts without it.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
+from .backends import text_key
 from .corpus import Document, DocumentCollection
-from .files import AppendLog, Closable, read_json, write_json
 from .planlang import PageHandle
 
 EMBED_INPUT_MAX_CHARS = 6000
@@ -55,10 +50,6 @@ class RetrievalError(Exception):
 
 class UnindexedPageError(RetrievalError):
     pass
-
-
-class CacheMismatchError(RetrievalError):
-    """Cache manifest disagrees with the embedding backend in use."""
 
 
 @dataclass(frozen=True)
@@ -230,66 +221,6 @@ class PageIndex:
         np.maximum(scores, -1.0, out=scores)
         order = np.lexsort((positions, -scores))
         return positions[order], scores[order]
-
-
-def text_key(text: str) -> bytes:
-    """The key of a text's vector: the 32-byte sha256 of its UTF-8 bytes."""
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-class VectorStore(Closable):
-    """Vectors by ``text_key`` for one embedding backend, in a directory:
-    ``manifest.json`` (backend fingerprint and dim, written before the first
-    vector) and ``vectors.f4``, an ``AppendLog`` of ``32 + 4 * dim``-byte
-    records, each the key and then the vector as little-endian float32.
-    Another backend's store, or a vector of another dim, raises
-    ``CacheMismatchError``."""
-
-    def __init__(self, root: str | Path, fingerprint: str):
-        self.root = Path(root)
-        self.fingerprint = fingerprint
-        self.dim: Optional[int] = None
-        self._log: Optional[AppendLog] = None
-        self._lock = threading.Lock()
-        self.root.mkdir(parents=True, exist_ok=True)
-        manifest = self.root / "manifest.json"
-        if manifest.exists():
-            found, dim = read_json(manifest, lambda m: (m["backend_fingerprint"], int(m["dim"])))
-            if found != fingerprint:
-                raise CacheMismatchError(
-                    f"{manifest}: cache built with {found!r}, backend is {fingerprint!r}"
-                )
-            self._open(dim)
-
-    def _open(self, dim: int) -> None:
-        self._log = AppendLog(
-            self.root / "vectors.f4", key=lambda record: record[:32], record_size=32 + 4 * dim
-        )
-        self.dim = dim
-
-    def get(self, key: bytes) -> Optional[np.ndarray]:
-        import numpy as np
-
-        record = self._log.read(key) if self._log else None
-        return None if record is None else np.frombuffer(record, dtype="<f4", offset=32)
-
-    def put(self, key: bytes, vector: np.ndarray) -> None:
-        """Append ``vector`` under ``key`` unless the key is already held."""
-        import numpy as np
-
-        row = np.asarray(vector, dtype="<f4")
-        with self._lock:
-            if self._log is None:
-                manifest = {"backend_fingerprint": self.fingerprint, "dim": row.shape[0]}
-                write_json(self.root / "manifest.json", manifest, indent=None, end="")
-                self._open(row.shape[0])
-        if row.shape != (self.dim,):
-            raise CacheMismatchError(f"backend dim {row.shape[0]} != cached dim {self.dim}")
-        self._log.append(key + row.tobytes(), key)
-
-    def close(self) -> None:
-        if self._log:
-            self._log.close()
 
 
 def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:

@@ -31,8 +31,9 @@ from mdqa.evaluation import (
 from mdqa.oracle import OracleChatBackend
 from mdqa.planlang import ExecEnv, PlanParseError, PlanRuntimeError, execute_plan, parse_plan
 from mdqa.prompts import load_pack
-from mdqa.qasystems import Backends, ParsedAnswer, SystemRun, make_exec_env, run_system
-from mdqa.questiongen import GenConfig, GoldAnswer, Question, generate_questions
+from mdqa.qasystems import Backends, make_exec_env, run_system
+from mdqa.questiongen import GenConfig, Question, generate_questions
+from mdqa.records import Answer, SystemRun
 from mdqa.retrieval import build_index, retrieve_relevant_pages
 from mdqa.synth import ORACLE_METRIC_ALIASES
 
@@ -43,12 +44,12 @@ def _report(criterion: str, detail: str) -> None:
     print(f"PASS {criterion}: {detail}")
 
 
-def _num(x) -> ParsedAnswer:
-    return ParsedAnswer(kind="number", number=float(x))
+def _num(x) -> Answer:
+    return Answer(kind="number", number=float(x))
 
 
-def _gold(x) -> GoldAnswer:
-    return GoldAnswer(kind="number", number=float(x))
+def _gold(x) -> Answer:
+    return Answer(kind="number", number=float(x))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ import pytest
 from click.testing import CliRunner
 
 from mdqa import backends, cli, qasystems
-from mdqa.backends import HashedBowEmbedder
+from mdqa.backends import HashedBowEmbedder, VectorStore, text_key
 from mdqa.cli import main
 from mdqa.corpus import load_collection
 from mdqa.files import AppendLog, jsonl_line, write_json
 from mdqa.oracle import OracleChatBackend
-from mdqa.qasystems import RUN_FORMAT, SYSTEM_IDS, SystemRun
-from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, PageIndex, VectorStore, text_key
+from mdqa.qasystems import SYSTEM_IDS
+from mdqa.records import RUN_FORMAT, SystemRun
+from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, PageIndex
 
 
 @pytest.fixture()
@@ -1156,6 +1157,24 @@ def test_cli_import_leaves_numpy_out():
     result = _child_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_readers_import_no_pipeline_code():
+    """Scoring a session loads no pipeline, and the backends load only the
+    file helpers."""
+    code = (
+        "import importlib, json, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mdqa.'))))"
+    )
+    loaded = {}
+    for module in ("mdqa.evaluation", "mdqa.backends"):
+        result = _child_python(code, module)
+        assert result.returncode == 0, result.stderr
+        loaded[module] = set(json.loads(result.stdout)) - {module}
+    pipelines = {"mdqa.qasystems", "mdqa.planlang", "mdqa.retrieval", "mdqa.backends"}
+    assert not loaded["mdqa.evaluation"] & pipelines, loaded["mdqa.evaluation"]
+    assert loaded["mdqa.backends"] == {"mdqa.files"}
 
 
 # Runs each command of argv[1] (a JSON list of argument lists) in process,

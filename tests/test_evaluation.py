@@ -21,16 +21,16 @@ from mdqa.evaluation import (
     r_squared,
     stability_report,
 )
-from mdqa.qasystems import ParsedAnswer, SystemRun
-from mdqa.questiongen import GoldAnswer, Question
+from mdqa.questiongen import Question
+from mdqa.records import Answer, SystemRun
 
 
 def _num(x):
-    return ParsedAnswer(kind="number", number=float(x))
+    return Answer(kind="number", number=float(x))
 
 
 def _gold(x):
-    return GoldAnswer(kind="number", number=float(x))
+    return Answer(kind="number", number=float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -59,25 +59,25 @@ def test_match_gold_zero_rule():
 
 
 def test_match_yesno_case_insensitive():
-    gold = GoldAnswer(kind="yesno", label="Yes")
-    assert match_answer(ParsedAnswer(kind="yesno", label="Yes"), gold) is True
-    pred = ParsedAnswer(kind="yesno", label="Yes", raw_text="yes")
+    gold = Answer(kind="yesno", label="Yes")
+    assert match_answer(Answer(kind="yesno", label="Yes"), gold) is True
+    pred = Answer(kind="yesno", label="Yes", raw_text="yes")
     assert match_answer(pred, gold) is True
-    assert match_answer(ParsedAnswer(kind="yesno", label="No"), gold) is False
+    assert match_answer(Answer(kind="yesno", label="No"), gold) is False
 
 
 def test_match_kind_mismatch_is_false_not_error():
-    assert match_answer(_num(1.0), GoldAnswer(kind="yesno", label="Yes")) is False
+    assert match_answer(_num(1.0), Answer(kind="yesno", label="Yes")) is False
     assert match_answer(None, _gold(5.0)) is False
 
 
 def test_match_multi_all_components():
-    gold = GoldAnswer(kind="multi", parts=(("Revenue", 100.0), ("Margin", 40.0)))
-    good = ParsedAnswer(kind="multi", parts=(("revenue", 100.5), ("MARGIN", 39.8)))
+    gold = Answer(kind="multi", parts=(("Revenue", 100.0), ("Margin", 40.0)))
+    good = Answer(kind="multi", parts=(("revenue", 100.5), ("MARGIN", 39.8)))
     assert match_answer(good, gold) is True
-    one_off = ParsedAnswer(kind="multi", parts=(("revenue", 100.5), ("margin", 45.0)))
+    one_off = Answer(kind="multi", parts=(("revenue", 100.5), ("margin", 45.0)))
     assert match_answer(one_off, gold) is False
-    missing_label = ParsedAnswer(kind="multi", parts=(("revenue", 100.5), ("other", 40.0)))
+    missing_label = Answer(kind="multi", parts=(("revenue", 100.5), ("other", 40.0)))
     assert match_answer(missing_label, gold) is False
     assert multi_component_hits(one_off, gold) == (1, 2)
     assert multi_component_hits(None, gold) == (0, 2)
@@ -164,7 +164,7 @@ def _mini_questions_and_runs(clean_bundle):
         text="What is X?",
         slots={},
         complexity_tags=frozenset({"atomic"}),
-        gold=GoldAnswer(kind="number", number=1.0),
+        gold=Answer(kind="number", number=1.0),
         gold_docs=(doc_a.doc_id,),
         gold_pages=((doc_a.doc_id, doc_a.pages[0].page_number),),
         dataset_year=2023,
@@ -300,7 +300,7 @@ def _affine_grid(clean_bundle, recalls, accuracy_of_recall, precisions=None):
         text="t",
         slots={},
         complexity_tags=frozenset(),
-        gold=GoldAnswer(kind="number", number=1.0),
+        gold=Answer(kind="number", number=1.0),
         gold_docs=(doc.doc_id,),
         gold_pages=tuple(gold_refs),
         dataset_year=2023,
@@ -376,7 +376,7 @@ def test_aggregate_counts_failures_as_incorrect(clean_bundle):
         text="t",
         slots={},
         complexity_tags=frozenset(),
-        gold=GoldAnswer(kind="number", number=1.0),
+        gold=Answer(kind="number", number=1.0),
         gold_docs=(doc.doc_id,),
         gold_pages=((doc.doc_id, 1),),
         dataset_year=2023,
@@ -403,7 +403,7 @@ def _variant(accuracy, n=10):
         text="t",
         slots={},
         complexity_tags=frozenset(),
-        gold=GoldAnswer(kind="number", number=1.0),
+        gold=Answer(kind="number", number=1.0),
         gold_docs=("d",),
         gold_pages=(("d", 1),),
         dataset_year=2023,
@@ -469,7 +469,7 @@ def test_build_report_best_k_and_multi_sections(clean_bundle):
         text="t",
         slots={},
         complexity_tags=frozenset(),
-        gold=GoldAnswer(kind="number", number=1.0),
+        gold=Answer(kind="number", number=1.0),
         gold_docs=(doc.doc_id,),
         gold_pages=((doc.doc_id, 1),),
         dataset_year=2023,
@@ -480,7 +480,7 @@ def test_build_report_best_k_and_multi_sections(clean_bundle):
         text="t",
         slots={},
         complexity_tags=frozenset({"multi_output"}),
-        gold=GoldAnswer(kind="multi", parts=(("A", 1.0), ("B", 2.0))),
+        gold=Answer(kind="multi", parts=(("A", 1.0), ("B", 2.0))),
         gold_docs=(doc.doc_id,),
         gold_pages=((doc.doc_id, 1),),
         dataset_year=2023,
@@ -493,7 +493,7 @@ def test_build_report_best_k_and_multi_sections(clean_bundle):
         runs.append(run)
     half_multi = _run_with_pages(
         [(doc.doc_id, 1)], system="sys_a", k=4,
-        predicted=ParsedAnswer(kind="multi", parts=(("A", 1.0), ("B", 99.0))),
+        predicted=Answer(kind="multi", parts=(("A", 1.0), ("B", 99.0))),
     )
     half_multi.question_id = "qm"
     runs.append(half_multi)

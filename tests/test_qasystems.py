@@ -9,8 +9,6 @@ from mdqa.qasystems import (
     AnswerParseError,
     Backends,
     ExtractionError,
-    ParsedAnswer,
-    SystemRun,
     answer_codegen,
     answer_multiquery,
     answer_vanilla,
@@ -20,6 +18,7 @@ from mdqa.qasystems import (
     run_system,
 )
 from mdqa.questiongen import GenConfig, generate_questions
+from mdqa.records import Answer, SystemRun
 from mdqa.retrieval import build_index
 from mdqa.synth import ORACLE_METRIC_ALIASES
 
@@ -92,11 +91,14 @@ def test_parse_emitted_values():
 
 def test_parsed_answer_round_trip():
     for answer in (
-        ParsedAnswer(kind="number", number=1.5, raw_text="1.5"),
-        ParsedAnswer(kind="yesno", label="No", raw_text="no"),
-        ParsedAnswer(kind="multi", parts=(("A", 1.0), ("B", 2.0)), raw_text="x"),
+        Answer(kind="number", number=1.5, raw_text="1.5"),
+        Answer(kind="yesno", label="No", raw_text="no"),
+        Answer(kind="multi", parts=(("A", 1.0), ("B", 2.0)), raw_text="x"),
     ):
-        assert ParsedAnswer.from_json_dict(answer.to_json_dict()) == answer
+        # Only a run record writes the reply an answer was parsed from.
+        assert "raw_text" not in answer.to_json_dict()
+        run = SystemRun("vanilla_rag", "q", 4, answer, [("d", 1)], 1, 1)
+        assert SystemRun.from_json_dict(run.to_json_dict()) == run
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from mdqa.corpus import DocumentCollection, FactRecord, FactTable, MetricDef, Page
 from mdqa.questiongen import (
     GenConfig,
-    GoldAnswer,
     InfeasibleConfigError,
     MissingFactError,
     Question,
@@ -22,6 +21,7 @@ from mdqa.questiongen import (
     read_questions,
     write_questions,
 )
+from mdqa.records import Answer
 from mdqa.synth import make_bundle
 
 from conftest import make_doc
@@ -357,26 +357,26 @@ def test_gold_scale_coherence():
 
 
 # ---------------------------------------------------------------------------
-# GoldAnswer validation
+# Gold answer validation
 # ---------------------------------------------------------------------------
 
 
 def test_gold_answer_invariants():
-    with pytest.raises(QuestionGenError):
-        GoldAnswer(kind="multi", parts=(("only one", 1.0),))
-    with pytest.raises(QuestionGenError):
-        GoldAnswer(kind="yesno", label="maybe")
-    with pytest.raises(QuestionGenError):
-        GoldAnswer(kind="number")
+    with pytest.raises(ValueError):
+        Answer(kind="multi", parts=(("only one", 1.0),))
+    with pytest.raises(ValueError):
+        Answer(kind="yesno", label="maybe")
+    with pytest.raises(ValueError):
+        Answer(kind="number")
 
 
 def test_gold_answer_round_trip():
     for gold in (
-        GoldAnswer(kind="number", number=1.5e9),
-        GoldAnswer(kind="yesno", label="No"),
-        GoldAnswer(kind="multi", parts=(("A", 1.0), ("B", 2.0))),
+        Answer(kind="number", number=1.5e9),
+        Answer(kind="yesno", label="No"),
+        Answer(kind="multi", parts=(("A", 1.0), ("B", 2.0))),
     ):
-        assert GoldAnswer.from_json_dict(gold.to_json_dict()) == gold
+        assert Answer.from_json_dict(gold.to_json_dict()) == gold
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ from hypothesis.extra.numpy import arrays
 from mdqa.backends import (
     BackendConfig,
     BackendError,
+    CacheMismatchError,
     HashedBowEmbedder,
     HttpEmbedBackend,
     tokenize,
+    text_key,
     token_slot,
 )
 from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
     EMBED_INPUT_MAX_CHARS,
     RANKING_MEMO_SIZE,
-    text_key,
-    CacheMismatchError,
     PageIndex,
     RetrievalError,
     ScoredPage,
