@@ -5,9 +5,10 @@ Sessions live under an output directory: the effective config, the question
 set, the run records, call ledger, caches, and reports. ``mdqa run`` keeps no
 run in memory: each completed run is appended to ``journal.jsonl`` (so an
 interrupted session resumes), and at the end the journal's lines are copied,
-sorted, into ``system_runs.jsonl`` and the journal is emptied. Everything a
-report needs is recorded in the session, and identical inputs with oracle
-backends reproduce identical outputs byte for byte.
+sorted, into ``system_runs.jsonl`` and the journal is emptied. One ``mdqa
+run`` at a time holds a session, by an exclusive ``flock`` on its directory.
+Everything a report needs is recorded in the session, and identical inputs
+with oracle backends reproduce identical outputs byte for byte.
 
 Exit codes: 0 success; 1 evaluation completed but found pipeline failures;
 2 usage or validation error.
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import fcntl
 import functools
 import itertools
 import json
+import os
 import sys
 import threading
 from collections import Counter
@@ -377,25 +380,25 @@ def run_cmd(
     _require_positive(jobs, "--jobs")
 
     session = Path(session_dir)
-    _check_resumable(session, backend)
     session.mkdir(parents=True, exist_ok=True)
-    write_questions(questions, session / "questions.jsonl")
-    effective = {
-        "format": RUN_FORMAT,
-        "corpus": str(corpus_dir),
-        "questions": str(questions_path),
-        "systems": list(system_ids),
-        "k_grid": list(ks),
-        "backend": backend,
-        "oracle_mode": oracle_mode,
-        "dataset_year": dataset_year,
-        "n_queries": n_queries,
-        "jobs": jobs,
-        "log_wire": log_wire,
-    }
-    write_json(session / "config.json", effective)
-
     with contextlib.ExitStack() as files:
+        files.enter_context(_session_lock(session))
+        _check_resumable(session, backend)
+        write_questions(questions, session / "questions.jsonl")
+        effective = {
+            "format": RUN_FORMAT,
+            "corpus": str(corpus_dir),
+            "questions": str(questions_path),
+            "systems": list(system_ids),
+            "k_grid": list(ks),
+            "backend": backend,
+            "oracle_mode": oracle_mode,
+            "dataset_year": dataset_year,
+            "n_queries": n_queries,
+            "jobs": jobs,
+            "log_wire": log_wire,
+        }
+        write_json(session / "config.json", effective)
         backends = _build_backends(
             backend, oracle_mode, table, questions, dataset_year,
             session, log_wire, endpoint, model, auth_env, files,
@@ -471,8 +474,8 @@ def run_cmd(
             calls = itertools.chain(resumed.values(), map(_calls, new_records))
             ledger = _ledger(calls, page_index.texts_embedded, chat_log)
         n_runs = _write_runs(journal, runs_path)
+        write_json(session / "ledger.json", ledger)
 
-    write_json(session / "ledger.json", ledger)
     click.echo(
         f"session {session}: {n_runs} runs "
         f"({len(todo)} new, {len(done)} resumed), "
@@ -505,6 +508,22 @@ def _ledger(
         "embed_by_scope": by_scope(embed),
         "network_chat_total": len(chat_log.keys()) if chat_log is not None else 0,
     }
+
+
+@contextlib.contextmanager
+def _session_lock(session: Path):
+    """Hold an exclusive ``flock`` on the session directory, or exit 2 if
+    another process holds it. The lock goes with the process, so a killed
+    run leaves none behind."""
+    fd = os.open(session, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            _fail(f"session {session} is in use by another mdqa run")
+        yield
+    finally:
+        os.close(fd)
 
 
 def _check_resumable(session: Path, backend: str) -> None:

@@ -61,6 +61,11 @@ def match_answer(predicted: Optional[Answer], gold: Answer) -> bool:
     return all(_numbers_match(got[label], wanted[label]) for label in wanted)
 
 
+def is_correct(run: SystemRun, gold: Answer) -> bool:
+    """A run is correct when it did not fail and its answer matches."""
+    return run.failure is None and match_answer(run.predicted, gold)
+
+
 def multi_component_hits(predicted: Optional[Answer], gold: Answer) -> tuple[int, int]:
     """(matched components, total components) for a multi-output gold."""
     total = len(gold.parts)
@@ -207,7 +212,7 @@ def aggregate_cells(
         cell.embed_calls += run.embed_calls
         if run.failure:
             cell.n_failures += 1
-        if run.failure is None and match_answer(run.predicted, question.gold):
+        if is_correct(run, question.gold):
             cell.n_correct += 1
         gold_pages = set(question.gold_pages)
         if not gold_pages:
@@ -224,17 +229,10 @@ def aggregate_cells(
     return sorted(cells.values(), key=lambda c: (c.system_id, c.k))
 
 
-def bottleneck_report(
-    runs: Iterable[SystemRun],
-    questions: Iterable[Question],
-    collection: DocumentCollection,
-) -> dict[str, float]:
-    """R-squared between per-cell accuracy and each mean retrieval metric."""
-    return cells_r_squared(aggregate_cells(runs, questions, collection))
-
-
 def cells_r_squared(cells: Sequence[CellStats]) -> dict[str, float]:
-    """``bottleneck_report`` of cells already aggregated."""
+    """R-squared between per-cell accuracy and each mean retrieval metric:
+    the retrieval bottleneck analysis. A metric whose regression is
+    undefined maps to None."""
     if len(cells) < 3:
         raise DegenerateDataError(
             f"bottleneck analysis needs at least 3 (system, k) cells, got {len(cells)}"
@@ -257,11 +255,7 @@ def accuracy_of(
     runs = list(runs)
     if not runs:
         raise EvaluationError("no runs to score")
-    correct = sum(
-        1
-        for run in runs
-        if run.failure is None and match_answer(run.predicted, by_id[run.question_id].gold)
-    )
+    correct = sum(is_correct(run, by_id[run.question_id].gold) for run in runs)
     return correct / len(runs)
 
 
@@ -345,7 +339,7 @@ def build_report(
         hits, total = multi_component_hits(run.predicted, gold)
         multi_hits += hits
         multi_total += total
-        if run.failure is None and match_answer(run.predicted, gold):
+        if is_correct(run, gold):
             multi_all += 1
     if multi_n:
         report["multi_output"] = {

@@ -26,7 +26,7 @@ from .corpus import (
     value_findable_in_doc,
 )
 from .files import read_jsonl, write_jsonl
-from .records import Answer
+from .records import Answer, page_refs
 
 
 class QuestionGenError(Exception):
@@ -88,7 +88,9 @@ class Question:
     @staticmethod
     def from_json_dict(raw: dict) -> "Question":
         """A question record. Raises ``KeyError`` naming ``bindings.<name>``
-        when the bindings lack a name its template's gold rule reads."""
+        when the bindings lack a name its template's gold rule reads, and
+        ``ValueError`` for a template that does not exist or a binding of
+        the wrong type."""
         for name in ("question_id", "template_id", "text"):
             if not isinstance(raw[name], str):
                 raise TypeError(f"{name} must be a string, got {raw[name]!r}")
@@ -96,9 +98,14 @@ class Question:
         if not isinstance(bindings, dict):
             raise TypeError(f"bindings must be an object, got {bindings!r}")
         template = TEMPLATES.get(raw["template_id"])
-        for name in RULE_BINDINGS[template.gold_rule] if template else ():
+        if template is None:
+            raise ValueError(f"template_id {raw['template_id']!r} names no template")
+        for name in RULE_BINDINGS[template.gold_rule]:
             if name not in bindings:
                 raise KeyError(f"bindings.{name}")
+        for name, value in bindings.items():
+            if not _binding_type_ok(name, value):
+                raise ValueError(f"bindings.{name} has the wrong type: {value!r}")
         return Question(
             question_id=raw["question_id"],
             template_id=raw["template_id"],
@@ -107,10 +114,23 @@ class Question:
             complexity_tags=frozenset(raw["complexity_tags"]),
             gold=Answer.from_json_dict(raw["gold"]),
             gold_docs=tuple(raw["gold_docs"]),
-            gold_pages=tuple((d, int(p)) for d, p in raw["gold_pages"]),
+            gold_pages=tuple(page_refs(raw["gold_pages"], "gold_pages")),
             dataset_year=int(raw["dataset_year"]),
             bindings=bindings,
         )
+
+
+def _binding_type_ok(name: str, value) -> bool:
+    """Whether a binding's value has the type its name calls for: a list of
+    strings for ``symbols``, a string for ``symbol*`` and ``metric*``, an
+    integer for ``year`` and ``num_year``. Other names hold anything."""
+    if name == "symbols":
+        return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    if name.startswith(("symbol", "metric")):
+        return isinstance(value, str)
+    if name in ("year", "num_year"):
+        return type(value) is int
+    return True
 
 
 TEMPLATES: dict[str, QuestionTemplate] = {

@@ -4,8 +4,8 @@ pipelines that write them.
 An ``Answer`` is a gold answer or a system's answer in comparable form: a
 number in base units, Yes/No, or labeled (label, number) parts. Its JSON is
 ``{"kind", "value"}``; a run record also writes the reply it was parsed
-from as ``raw_text``. The ``from_json_dict`` readers check each field's type
-and raise ``KeyError``, ``TypeError`` or ``ValueError``, which
+from as ``raw_text``. The ``from_json_dict`` readers raise ``KeyError``,
+``TypeError`` or ``ValueError`` for a record they cannot read, which
 ``files.read_jsonl`` reports as ``path:line``.
 """
 
@@ -17,6 +17,8 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class Answer:
+    """A gold or predicted answer; ``number`` and ``parts`` are in base units."""
+
     kind: str  # "number" | "yesno" | "multi"
     number: Optional[float] = None
     label: Optional[str] = None
@@ -48,7 +50,20 @@ class Answer:
         if kind == "multi":
             parts = tuple((str(label), float(v)) for label, v in value)
             return Answer(kind, parts=parts, raw_text=raw_text)
+        # "yesno", or an unknown kind, which the constructor rejects.
         return Answer(kind, label=value, raw_text=raw_text)
+
+
+def page_refs(pairs, name: str) -> list[tuple[str, int]]:
+    """``pairs`` as (doc id, page number) tuples. Raises ``ValueError``
+    naming ``name`` unless each is a (string, integer) pair."""
+    out = []
+    for pair in pairs:
+        doc_id, page = pair
+        if not isinstance(doc_id, str) or type(page) is not int:
+            raise ValueError(f"{name} entries must be [doc_id, page_number], got {pair!r}")
+        out.append((doc_id, page))
+    return out
 
 
 # The layout of a serialised SystemRun. Format 1 also held the document
@@ -99,12 +114,18 @@ class SystemRun:
 
     @staticmethod
     def from_json_dict(raw: dict) -> "SystemRun":
+        for name in ("system_id", "question_id"):
+            if not isinstance(raw[name], str):
+                raise TypeError(f"{name} must be a string, got {raw[name]!r}")
+        for name, kind in (("failure", str), ("trace", dict), ("plan_source", str)):
+            if not isinstance(raw.get(name), (kind, type(None))):
+                raise TypeError(f"{name} must be a {kind.__name__} or null, got {raw[name]!r}")
         return SystemRun(
             system_id=raw["system_id"],
             question_id=raw["question_id"],
             k=int(raw["k"]),
             predicted=Answer.from_json_dict(raw["predicted"]) if raw.get("predicted") else None,
-            retrieved_pages=[(d, int(p)) for d, p in raw["retrieved_pages"]],
+            retrieved_pages=page_refs(raw["retrieved_pages"], "retrieved_pages"),
             chat_calls=int(raw["chat_calls"]),
             embed_calls=int(raw["embed_calls"]),
             failure=raw.get("failure"),

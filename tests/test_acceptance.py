@@ -21,7 +21,8 @@ from click.testing import CliRunner
 from mdqa.backends import HashedBowEmbedder
 from mdqa.cli import main as cli_main
 from mdqa.evaluation import (
-    bottleneck_report,
+    aggregate_cells,
+    cells_r_squared,
     cost_report,
     match_answer,
     prf_at_k,
@@ -274,7 +275,7 @@ def _constructed_grid(clean_bundle):
 def test_a4_recall_accuracy_coupling(clean_bundle):
     collection, _ = clean_bundle
     runs, questions = _constructed_grid(clean_bundle)
-    report = bottleneck_report(runs, questions, collection)
+    report = cells_r_squared(aggregate_cells(runs, questions, collection))
     assert report["page_recall"] >= 0.99, report
     assert report["page_precision"] <= 0.05, report
 

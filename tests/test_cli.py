@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import gc
 import hashlib
 import itertools
@@ -919,6 +920,58 @@ def test_run_record_without_system_id_exits_2(runner, finished_session, tmp_path
     assert f"{runs}:5: missing field 'system_id'" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        ("eval", {"system_id": 7}, "system_id must be a string, got 7"),
+        ("cost", {"system_id": 7}, "system_id must be a string, got 7"),
+        ("eval", {"question_id": None}, "question_id must be a string, got None"),
+        ("eval", {"trace": [1]}, "trace must be a dict or null, got [1]"),
+        ("eval", {"plan_source": 7}, "plan_source must be a str or null, got 7"),
+        ("eval", {"retrieved_pages": [[[1], 2]]}, "retrieved_pages entries must be"),
+        ("eval", {"retrieved_pages": [["d", "2"]]}, "retrieved_pages entries must be"),
+        ("eval", {"predicted": {"kind": "yesno", "value": 5, "raw_text": "5"}},
+         "a yesno answer must be 'Yes' or 'No', got 5"),
+        ("eval", {"predicted": {"kind": "count", "value": 5, "raw_text": "5"}},
+         "unknown answer kind 'count'"),
+        ("eval", {"predicted": {"kind": "multi", "value": [["A", 1.0]], "raw_text": "A: 1"}},
+         "a multi answer requires at least 2 labeled values"),
+    ],
+    ids=["eval_system_id", "cost_system_id", "question_id", "trace", "plan_source",
+         "page_doc_id", "page_number", "yesno_label", "answer_kind", "multi_one_part"],
+)
+def test_bad_run_record_field_exits_2(
+    runner, finished_session, tmp_path, command, fields, message
+):
+    """A run record's fields are checked where ``eval`` and ``cost`` read it."""
+    session = _copy_session(finished_session, tmp_path)
+    runs = session / "system_runs.jsonl"
+    record = json.loads(runs.read_text().splitlines()[4])
+    _replace_line(runs, 5, json.dumps({**record, **fields}))
+    result = runner.invoke(main, [command, str(session)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {runs}:5: bad record: {message}" in result.output
+
+
+def test_run_on_a_session_in_use_exits_2(runner, workspace, unfinished_session, tmp_path):
+    """A session takes one ``mdqa run`` at a time. A ``flock`` lock belongs
+    to an open file description, so this process can hold the lock that a
+    second run finds taken."""
+    session = _copy_session(unfinished_session, tmp_path)
+    before = _files(session)
+    fd = os.open(session, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        result = runner.invoke(main, _run_args(workspace, session))
+    finally:
+        os.close(fd)
+    assert result.exit_code == 2, result.output
+    assert f"error: session {session} is in use by another mdqa run" in result.output
+    assert _files(session) == before
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("first, then", [("http", "oracle"), ("oracle", "http")])
 def test_resume_with_other_backend_exits_2(
     runner, workspace, http_session, finished_session, tmp_path, first, then
@@ -1130,6 +1183,40 @@ def test_question_without_a_binding_its_rule_reads_exits_2(
     _second_question_exits_2(
         runner, workspace, finished_session, tmp_path, {"bindings": bindings},
         f"missing field 'bindings.{name}'",
+    )
+
+
+@pytest.mark.parametrize(
+    "name, value", [("symbol", None), ("symbol", True), ("metric", 3), ("year", True),
+                    ("year", "2023")],
+)
+def test_question_binding_of_the_wrong_type_exits_2(
+    runner, workspace, finished_session, tmp_path, name, value
+):
+    """A binding's type follows from its name, checked when the file is
+    read, before any run."""
+    second = json.loads((workspace / "questions.jsonl").read_text().splitlines()[1])
+    _second_question_exits_2(
+        runner, workspace, finished_session, tmp_path,
+        {"bindings": {**second["bindings"], name: value}},
+        f"bad record: bindings.{name} has the wrong type: {value!r}",
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"template_id": "ve9"}, "template_id 've9' names no template"),
+        ({"gold_pages": [[["d"], 2]]},
+         "gold_pages entries must be [doc_id, page_number], got [['d'], 2]"),
+    ],
+    ids=["no_template", "gold_page_doc_id"],
+)
+def test_bad_question_field_exits_2(
+    runner, workspace, finished_session, tmp_path, fields, message
+):
+    _second_question_exits_2(
+        runner, workspace, finished_session, tmp_path, fields, f"bad record: {message}"
     )
 
 

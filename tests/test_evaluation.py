@@ -12,7 +12,7 @@ from mdqa.evaluation import (
     EmptyGoldError,
     EvaluationError,
     aggregate_cells,
-    bottleneck_report,
+    cells_r_squared,
     cost_report,
     doc_level_sets,
     match_answer,
@@ -335,13 +335,13 @@ def test_bottleneck_affine_recall(clean_bundle):
     collection, _ = clean_bundle
     recalls = [0.25, 0.5, 0.75, 1.0]
     runs, questions = _affine_grid(clean_bundle, recalls, lambda r: 0.2 + 0.6 * r)
-    report = bottleneck_report(runs, questions, collection)
+    report = cells_r_squared(aggregate_cells(runs, questions, collection))
     assert report["page_recall"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_report_scores_each_run_once(clean_bundle, monkeypatch):
     """The report's R-squared table comes from its own cells, and equals
-    ``bottleneck_report`` of the same runs."""
+    ``cells_r_squared`` of the same runs' cells."""
     from mdqa import evaluation
 
     collection, _ = clean_bundle
@@ -349,7 +349,7 @@ def test_build_report_scores_each_run_once(clean_bundle, monkeypatch):
     runs, questions = _affine_grid(
         clean_bundle, recalls, lambda r: 0.2 + 0.6 * r, precisions=[1.0, 0.5, 0.5, 0.25]
     )
-    expected = bottleneck_report(runs, questions, collection)
+    expected = cells_r_squared(aggregate_cells(runs, questions, collection))
     passes = []
     aggregate = evaluation.aggregate_cells
     monkeypatch.setattr(
@@ -364,7 +364,7 @@ def test_bottleneck_requires_three_cells(clean_bundle):
     collection, _ = clean_bundle
     runs, questions = _affine_grid(clean_bundle, [0.5, 1.0], lambda r: r)
     with pytest.raises(DegenerateDataError):
-        bottleneck_report(runs, questions, collection)
+        cells_r_squared(aggregate_cells(runs, questions, collection))
 
 
 def test_aggregate_counts_failures_as_incorrect(clean_bundle):
