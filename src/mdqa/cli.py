@@ -67,16 +67,13 @@ from .questiongen import (
     read_questions,
     write_questions,
 )
-from .records import RUN_FORMAT, SystemRun
+from .records import RUN_FORMAT, SystemRun, typed
 from .retrieval import RetrievalError, build_index
 
 try:
     import tomllib
 except ImportError:  # Python < 3.11
-    try:
-        import tomli as tomllib
-    except ImportError:  # pragma: no cover
-        tomllib = None
+    import tomli as tomllib
 
 
 def _fail(message: str) -> None:
@@ -297,8 +294,6 @@ def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | Non
     built-in default. Keys are option names with underscores (``k_grid``)."""
     if path is None:
         return None
-    if tomllib is None:
-        raise click.BadParameter("tomli is required for --config files on Python < 3.11")
     try:
         with open(path, "rb") as fh:
             data = tomllib.load(fh)
@@ -545,14 +540,15 @@ def _check_resumable(session: Path, backend: str) -> None:
 
 def _calls(record: dict) -> tuple[str, str, int, int]:
     """(system, question, chat calls, embed calls) of a run record."""
-    return record["system_id"], record["question_id"], record["chat_calls"], record["embed_calls"]
+    calls = [typed(record[name], name, int) for name in ("chat_calls", "embed_calls")]
+    return record["system_id"], record["question_id"], *calls
 
 
 def _run_key(calls: dict, line: bytes) -> tuple[str, str, int]:
     """(system, question, k) of a run's JSON line. The first line of each
     key leaves its ``_calls`` in ``calls``."""
     record = json.loads(line)
-    key = record["system_id"], record["question_id"], int(record["k"])
+    key = record["system_id"], record["question_id"], typed(record["k"], "k", int)
     calls.setdefault(key, _calls(record))
     return key
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .files import read_json, read_jsonl, write_json, write_jsonl
+from .records import typed
 
 FORM_TYPES = ("10-K", "10-Q", "8-K")
 
@@ -434,9 +435,8 @@ def _document_from_dict(raw: dict) -> Document:
     form_type = _require(raw, "form_type", ctx)
     if form_type not in FORM_TYPES:
         raise CorpusError(f"{ctx}: form_type must be one of {FORM_TYPES}, got {form_type!r}")
-    fiscal_year = _require(raw, "fiscal_year", ctx)
-    if not isinstance(fiscal_year, int):
-        raise CorpusError(f"{ctx}: fiscal_year must be an integer")
+    fiscal_year = typed(_require(raw, "fiscal_year", ctx), "fiscal_year", int)
+    company_name = typed(_require(raw, "company_name", ctx), "company_name", str)
     period_end = _parse_date(_require(raw, "period_end_date", ctx), ctx)
     pages_raw = _require(raw, "pages", ctx)
     if not pages_raw:
@@ -451,7 +451,7 @@ def _document_from_dict(raw: dict) -> Document:
         pages.append(page)
     return Document(
         doc_id=doc_id,
-        company_name=str(_require(raw, "company_name", ctx)),
+        company_name=company_name,
         stock_symbol=symbol.strip().upper(),
         form_type=form_type,
         fiscal_year=fiscal_year,
@@ -507,20 +507,19 @@ def _fact_from_dict(raw: dict, ctx: str) -> FactRecord:
     multiplier = _require(raw, "multiplier", ctx)
     if multiplier not in MULTIPLIER_SCALE:
         raise CorpusError(f"{ctx}: bad multiplier {multiplier!r}")
-    value = _require(raw, "value", ctx)
-    if not isinstance(value, (int, float)):
-        raise CorpusError(f"{ctx}: value must be a number")
+    value = typed(_require(raw, "value", ctx), "value", int, float)
     normalized = float(value) * MULTIPLIER_SCALE[multiplier]
     if normalized != normalized or normalized in (float("inf"), float("-inf")):
         raise CorpusError(f"{ctx}: normalized value is not finite")
+    pages = typed(_require(raw, "source_pages", ctx), "source_pages", list)
     return FactRecord(
         stock_symbol=symbol,
-        fiscal_year=int(_require(raw, "fiscal_year", ctx)),
+        fiscal_year=typed(_require(raw, "fiscal_year", ctx), "fiscal_year", int),
         metric_id=str(_require(raw, "metric_id", ctx)),
         value=float(value),
         multiplier=multiplier,
         source_doc_id=str(_require(raw, "source_doc_id", ctx)),
-        source_pages=tuple(int(p) for p in _require(raw, "source_pages", ctx)),
+        source_pages=tuple(typed(p, "a source page", int) for p in pages),
     )
 
 

@@ -7,7 +7,10 @@ retrieval, exactly as in the real pipeline: in ``perfect`` mode a fact is
 extractable only when one of its source pages was actually given; in
 ``textual`` mode the extractor also falls back to whatever same-metric page
 it was shown, which reproduces the classic wrong-fiscal-year retrieval
-failure.
+failure. A direct answer is the template's gold rule evaluated over the
+figures the pages show, read the same way, so in ``textual`` mode an md4
+answer may be another company's figure; it is ``0`` when a figure the rule
+needs is on no page shown.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .questiongen import (
     MissingFactError,
     Question,
     compound_lookup,
-    compute_gold_with_provenance,
     evaluate_rule,
 )
 
@@ -88,6 +90,13 @@ class OracleChatBackend:
                     self._aliases.append((metric.metric_id, tokens, len(tokens)))
         # Longer alias phrases win; ties break on metric_id for determinism.
         self._aliases.sort(key=lambda a: (-a[2], a[0]))
+        # (symbol, metric) -> {(doc, page): fact}: the pages the textual
+        # extractor falls back to, none in perfect mode. A later fact wins.
+        self._pages_showing: dict[tuple[str, str], dict] = {}
+        for r in fact_table.records if mode == "textual" else ():
+            shown = self._pages_showing.setdefault((r.stock_symbol, r.metric_id), {})
+            for p in r.source_pages:
+                shown[(r.source_doc_id, p)] = r
 
     # -- entry point --------------------------------------------------------
 
@@ -144,18 +153,16 @@ class OracleChatBackend:
     def _page_refs(text: str) -> list[tuple[str, int]]:
         return [(doc, int(num)) for doc, num in _PAGE_REF_RE.findall(text)]
 
-    def _first_shown_fact(
-        self, symbol: str, metric_id: str, refs: list[tuple[str, int]]
+    def _shown_fact(
+        self, symbol: str, metric_id: str, year: int, refs: list[tuple[str, int]]
     ) -> Optional[FactRecord]:
-        """The textual extractor's pick: the (symbol, metric) fact of any
-        fiscal year on the first of ``refs`` that shows one, since it reads
-        pages in the order the prompt presents them."""
-        shown = {
-            (r.source_doc_id, p): r
-            for r in self.fact_table.records
-            if r.stock_symbol == symbol and r.metric_id == metric_id
-            for p in r.source_pages
-        }
+        """The (symbol, metric, year) figure the pages ``refs`` show: the fact
+        if one of its source pages is shown; else, in ``textual`` mode, the
+        (symbol, metric) fact of any year on the first of ``refs`` showing one."""
+        rec = self.fact_table.get(symbol, year, metric_id)
+        if rec is not None and set(refs) & {(rec.source_doc_id, p) for p in rec.source_pages}:
+            return rec
+        shown = self._pages_showing.get((symbol, metric_id), {})
         return next((shown[ref] for ref in refs if ref in shown), None)
 
     # -- extraction ----------------------------------------------------------
@@ -163,25 +170,13 @@ class OracleChatBackend:
     def _extract_reply(self, user: str) -> str:
         m = re.search(r"Value query:\s*(.+)", user)
         query = m.group(1).strip() if m else ""
-        refs = self._page_refs(user)
         symbol = self._resolve_company(query)
         metric_id = self._resolve_metric(query)
         if symbol is None or metric_id is None:
             return "not found"
         year = self._resolve_year(query)
-        rec = self.fact_table.get(symbol, year, metric_id)
-        ref_set = set(refs)
-        if rec is not None and ref_set & {
-            (rec.source_doc_id, p) for p in rec.source_pages
-        }:
-            return _fmt_fact(rec)
-        if self.mode == "textual":
-            # The extractor grabs whatever same-metric figure the pages show,
-            # year mismatch and all.
-            shown = self._first_shown_fact(symbol, metric_id, refs)
-            if shown is not None:
-                return _fmt_fact(shown)
-        return "not found"
+        rec = self._shown_fact(symbol, metric_id, year, self._page_refs(user))
+        return _fmt_fact(rec) if rec is not None else "not found"
 
     # -- query expansion -----------------------------------------------------
 
@@ -241,41 +236,24 @@ class OracleChatBackend:
         if question is None:
             raise BackendError("oracle has no registered question matching the prompt")
         refs = self._page_refs(user)
-        ref_set = set(refs)
-        rule = TEMPLATES[question.template_id].gold_rule
-        _, needed = compute_gold_with_provenance(
-            rule, dict(question.bindings), self.fact_table, question.dataset_year
-        )
-        substitutes: dict[tuple[str, str, int], float] = {}
-        for rec in needed:
-            key = (rec.stock_symbol, rec.metric_id, rec.fiscal_year)
-            own_pages = {(rec.source_doc_id, p) for p in rec.source_pages}
-            if own_pages & ref_set:
-                substitutes[key] = rec.normalized
-                continue
-            if self.mode == "textual":
-                shown = self._first_shown_fact(rec.stock_symbol, rec.metric_id, refs)
-                if shown is not None:
-                    substitutes[key] = shown.normalized
-        if len(substitutes) < len(
-            {(r.stock_symbol, r.metric_id, r.fiscal_year) for r in needed}
-        ):
-            # Some required figure is simply not in the provided pages.
+
+        def leaf(symbol: str, metric_id: str, year: int) -> float:
+            rec = self._shown_fact(symbol, metric_id, year, refs)
+            if rec is None:
+                raise MissingFactError(f"no page shows ({symbol}, {year}, {metric_id})")
+            return rec.normalized
+
+        try:
+            answer = evaluate_rule(
+                TEMPLATES[question.template_id].gold_rule,
+                dict(question.bindings),
+                compound_lookup(self.fact_table, leaf),
+                question.dataset_year,
+                metric_display=lambda mid: self.fact_table.metric(mid).display_name,
+            )
+        except MissingFactError:
+            # A figure the rule needs is on no page shown, or is a zero divisor.
             return "0"
-
-        def substitute(symbol: str, metric_id: str, year: int) -> float:
-            key = (symbol, metric_id, year)
-            if key not in substitutes:
-                raise MissingFactError(f"no substitute for {key}")
-            return substitutes[key]
-
-        answer = evaluate_rule(
-            rule,
-            dict(question.bindings),
-            compound_lookup(self.fact_table, substitute),
-            question.dataset_year,
-            metric_display=lambda mid: self.fact_table.metric(mid).display_name,
-        )
         if answer.kind == "number":
             return _fmt_plain(answer.number)
         if answer.kind == "yesno":

@@ -26,7 +26,7 @@ from .corpus import (
     value_findable_in_doc,
 )
 from .files import read_jsonl, write_jsonl
-from .records import Answer, page_refs
+from .records import Answer, page_refs, typed
 
 
 class QuestionGenError(Exception):
@@ -106,16 +106,17 @@ class Question:
         for name, value in bindings.items():
             if not _binding_type_ok(name, value):
                 raise ValueError(f"bindings.{name} has the wrong type: {value!r}")
+        tags = typed(raw["complexity_tags"], "complexity_tags", list)
         return Question(
             question_id=raw["question_id"],
             template_id=raw["template_id"],
             text=raw["text"],
             slots=raw["slots"],
-            complexity_tags=frozenset(raw["complexity_tags"]),
+            complexity_tags=frozenset(typed(t, "a complexity tag", str) for t in tags),
             gold=Answer.from_json_dict(raw["gold"]),
             gold_docs=tuple(raw["gold_docs"]),
             gold_pages=tuple(page_refs(raw["gold_pages"], "gold_pages")),
-            dataset_year=int(raw["dataset_year"]),
+            dataset_year=typed(raw["dataset_year"], "dataset_year", int),
             bindings=bindings,
         )
 

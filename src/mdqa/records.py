@@ -46,12 +46,22 @@ class Answer:
     def from_json_dict(raw: dict) -> "Answer":
         kind, value, raw_text = raw["kind"], raw["value"], raw.get("raw_text", "")
         if kind == "number":
-            return Answer(kind, number=float(value), raw_text=raw_text)
+            return Answer(kind, number=float(typed(value, "value", int, float)), raw_text=raw_text)
         if kind == "multi":
-            parts = tuple((str(label), float(v)) for label, v in value)
+            parts = tuple((typed(label, "label", str), float(typed(v, "value", int, float)))
+                          for label, v in value)
             return Answer(kind, parts=parts, raw_text=raw_text)
         # "yesno", or an unknown kind, which the constructor rejects.
         return Answer(kind, label=value, raw_text=raw_text)
+
+
+def typed(value, name: str, *types: type):
+    """``value`` if its type is one of ``types`` itself, so that a boolean is
+    not an integer; else ``TypeError`` naming ``name``."""
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{name} must be {names}, got {value!r}")
+    return value
 
 
 def page_refs(pairs, name: str) -> list[tuple[str, int]]:
@@ -123,11 +133,11 @@ class SystemRun:
         return SystemRun(
             system_id=raw["system_id"],
             question_id=raw["question_id"],
-            k=int(raw["k"]),
+            k=typed(raw["k"], "k", int),
             predicted=Answer.from_json_dict(raw["predicted"]) if raw.get("predicted") else None,
             retrieved_pages=page_refs(raw["retrieved_pages"], "retrieved_pages"),
-            chat_calls=int(raw["chat_calls"]),
-            embed_calls=int(raw["embed_calls"]),
+            chat_calls=typed(raw["chat_calls"], "chat_calls", int),
+            embed_calls=typed(raw["embed_calls"], "embed_calls", int),
             failure=raw.get("failure"),
             trace=raw.get("trace"),
             plan_source=raw.get("plan_source"),

@@ -146,7 +146,8 @@ class PageIndex:
 
     def row_runs(self, docs: Sequence[Document]) -> tuple[tuple[int, int], ...]:
         """The pool's rows as ``(start, stop)`` runs in pool order; spans of
-        documents adjacent in both the pool and the index share one run.
+        documents adjacent in both the pool and the index share one run, and
+        a document the pool holds twice is counted once.
 
         Raises ``UnindexedPageError`` unless each pool document holds exactly
         the pages indexed under its doc_id.
@@ -154,9 +155,11 @@ class PageIndex:
         if docs is self._documents:
             return self._documents_runs
         runs: list[tuple[int, int]] = []
+        seen: set[str] = set()
         for doc in docs:
-            if not doc.pages:
+            if not doc.pages or doc.doc_id in seen:
                 continue
+            seen.add(doc.doc_id)
             span = self._spans.get(doc.doc_id)
             if doc.pages is not self._indexed_pages.get(doc.doc_id):
                 numbers = [p.page_number for p in doc.pages]

@@ -496,6 +496,41 @@ def test_trace_flags_wrong_fiscal_year(runner, tmp_path):
     assert "matched=no" in trace.output
 
 
+def test_textual_md4_lowest_session_completes(runner, tmp_path):
+    # On the default corpus the pages vanilla_rag retrieves for this question
+    # make another company than the true one show the lowest revenue; the
+    # direct answer is that company's head count, which the pages also show.
+    corpus, questions = tmp_path / "corpus", tmp_path / "questions.jsonl"
+    assert runner.invoke(main, ["synth", str(corpus)]).exit_code == 0
+    result = runner.invoke(
+        main,
+        [
+            "gen", "--corpus", str(corpus), "--out", str(questions),
+            "--templates", "md4_lowest", "--count", "20", "--dataset-year", "2023",
+            "--seed", "7",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    lines = questions.read_text().splitlines(keepends=True)
+    questions.write_text("".join(l for l in lines if '"md4_lowest-0013"' in l))
+    sessions = [tmp_path / "first", tmp_path / "second"]
+    for session in sessions:
+        result = runner.invoke(
+            main,
+            [
+                "run", "--corpus", str(corpus), "--questions", str(questions),
+                "--session", str(session), "--systems", "vanilla_rag", "--k-grid", "48",
+                "--oracle-mode", "textual",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+    (run,) = [json.loads(l) for l in (sessions[0] / "system_runs.jsonl").read_text().splitlines()]
+    assert run["failure"] is None
+    assert run["predicted"]["value"] == 194839.0  # KLVR's 2023 head count
+    for name in ("system_runs.jsonl", "ledger.json"):
+        assert (sessions[0] / name).read_bytes() == (sessions[1] / name).read_bytes()
+
+
 def test_stability_command_sigma_zero(runner, tmp_path):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["synth", str(corpus), "--kind", "clean", "--companies", "6"])
@@ -1218,6 +1253,59 @@ def test_bad_question_field_exits_2(
     _second_question_exits_2(
         runner, workspace, finished_session, tmp_path, fields, f"bad record: {message}"
     )
+
+
+_NUMBER_12 = {"kind": "number", "value": "12", "raw_text": "12"}
+
+
+@pytest.mark.parametrize(
+    "name, line, fields, command, message",
+    [
+        ("session/system_runs.jsonl", 5, {"k": "4"}, "eval", "k must be int, got '4'"),
+        ("session/system_runs.jsonl", 5, {"k": 4.7}, "eval", "k must be int, got 4.7"),
+        ("session/system_runs.jsonl", 5, {"k": "4"}, "run", "k must be int, got '4'"),
+        ("session/system_runs.jsonl", 5, {"chat_calls": "1"}, "cost",
+         "chat_calls must be int, got '1'"),
+        ("session/system_runs.jsonl", 5, {"embed_calls": True}, "eval",
+         "embed_calls must be int, got True"),
+        ("session/system_runs.jsonl", 5, {"predicted": _NUMBER_12}, "eval",
+         "value must be int or float, got '12'"),
+        ("session/system_runs.jsonl", 5, {"predicted": {**_NUMBER_12, "value": True}}, "eval",
+         "value must be int or float, got True"),
+        ("session/questions.jsonl", 2, {"dataset_year": "2023"}, "eval",
+         "dataset_year must be int, got '2023'"),
+        ("session/questions.jsonl", 2, {"complexity_tags": "x"}, "eval",
+         "complexity_tags must be list, got 'x'"),
+        ("corpus/facts.jsonl", 3, {"fiscal_year": "2019"}, "ingest",
+         "record 3: fiscal_year must be int, got '2019'"),
+        ("corpus/facts.jsonl", 3, {"source_pages": "4"}, "ingest",
+         "record 3: source_pages must be list, got '4'"),
+        ("corpus/collection.jsonl", 1, {"company_name": None}, "ingest",
+         "collection.jsonl:1: bad record: company_name must be str, got None"),
+    ],
+    ids=["k_string", "k_float", "resume_k_string", "chat_calls", "embed_calls_bool",
+         "number_string", "number_bool", "dataset_year", "complexity_tags", "fiscal_year",
+         "source_pages", "company_name"],
+)
+def test_a_value_of_the_wrong_type_exits_2(
+    runner, workspace, finished_session, tmp_path, name, line, fields, command, message
+):
+    """Numbers and strings are read by type: an integer is an ``int`` and not
+    a ``bool``, and nothing is coerced."""
+    session = _copy_session(finished_session, tmp_path)
+    shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+    path = tmp_path / name
+    record = json.loads(path.read_text().splitlines()[line - 1])
+    _replace_line(path, line, json.dumps({**record, **fields}))
+    args = {
+        "eval": ["eval", str(session)],
+        "cost": ["cost", str(session)],
+        "run": _run_args(workspace, session),
+        "ingest": ["ingest", str(tmp_path / "corpus")],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_question_with_bindings_not_an_object_exits_2(

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import ast
+import random
 
 import pytest
 
 from mdqa.backends import BackendError, HashedBowEmbedder
-from mdqa.oracle import OracleChatBackend, build_canonical_plan
+from mdqa.oracle import OracleChatBackend, _fmt_plain, build_canonical_plan
 from mdqa.planlang import parse_plan
-from mdqa.questiongen import GenConfig, generate_questions
+from mdqa.questiongen import (
+    TEMPLATES,
+    GenConfig,
+    MissingFactError,
+    compound_lookup,
+    compute_gold_with_provenance,
+    evaluate_rule,
+    generate_questions,
+)
 from mdqa.synth import ORACLE_METRIC_ALIASES
 
 
@@ -273,3 +282,134 @@ def test_oracle_rejects_unknown_prompt_shape(clean_bundle):
     oracle = _oracle(clean_bundle, [])
     with pytest.raises(BackendError):
         oracle.chat([{"role": "user", "content": "tell me a story"}])
+
+
+def _two_pass_reply(oracle, question, refs):
+    """The direct answer as it was computed before one evaluation replaced
+    it: a first pass over the true facts lists the figures the gold answer
+    reads, each is substituted by what the pages show, and the rule is
+    evaluated again over the substitutes."""
+    table = oracle.fact_table
+
+    def first_shown(symbol, metric_id):
+        shown = {
+            (r.source_doc_id, p): r
+            for r in table.records
+            if r.stock_symbol == symbol and r.metric_id == metric_id
+            for p in r.source_pages
+        }
+        return next((shown[ref] for ref in refs if ref in shown), None)
+
+    rule = TEMPLATES[question.template_id].gold_rule
+    _, needed = compute_gold_with_provenance(
+        rule, dict(question.bindings), table, question.dataset_year
+    )
+    substitutes = {}
+    for rec in needed:
+        key = (rec.stock_symbol, rec.metric_id, rec.fiscal_year)
+        if {(rec.source_doc_id, p) for p in rec.source_pages} & set(refs):
+            substitutes[key] = rec.normalized
+        elif oracle.mode == "textual":
+            shown = first_shown(rec.stock_symbol, rec.metric_id)
+            if shown is not None:
+                substitutes[key] = shown.normalized
+    if len(substitutes) < len({(r.stock_symbol, r.metric_id, r.fiscal_year) for r in needed}):
+        return "0"
+
+    def substitute(symbol, metric_id, year):
+        return substitutes[(symbol, metric_id, year)]  # KeyError: no substitute
+
+    answer = evaluate_rule(
+        rule, dict(question.bindings), compound_lookup(table, substitute),
+        question.dataset_year, metric_display=lambda mid: table.metric(mid).display_name,
+    )
+    if answer.kind == "number":
+        return _fmt_plain(answer.number)
+    if answer.kind == "yesno":
+        return answer.label
+    return "\n".join(f"{label}: {_fmt_plain(v)}" for label, v in answer.parts)
+
+
+@pytest.mark.parametrize("mode", ["perfect", "textual"])
+def test_answer_equals_the_two_pass_algorithm(adversarial_bundle, mode):
+    """Over random subsets of the pages of a question's companies, in random
+    order, one evaluation of the rule gives the two-pass reply wherever the
+    two-pass algorithm returns. The one difference is intended: when the
+    figures shown make another company win an md4 question, the two-pass
+    algorithm still required the true winner's figure and replied 0, and one
+    evaluation reads the figure of the company that won."""
+    collection, table = adversarial_bundle
+    questions = _questions(adversarial_bundle, tuple(TEMPLATES), count_per_template=3)
+    oracle = _oracle(adversarial_bundle, questions, mode=mode)
+    rng = random.Random(5)
+    compared = 0
+    for question in questions:
+        b = question.bindings
+        symbols = set(b.get("symbols", [])) | {b.get(n) for n in ("symbol", "symbol1", "symbol2")}
+        pool = list(question.gold_pages) + [
+            (doc.doc_id, page.page_number)
+            for doc in collection.documents
+            if doc.stock_symbol in symbols
+            for page in doc.pages
+        ]
+        for _ in range(25):
+            refs = rng.sample(pool, rng.randint(0, len(pool)))
+            reply = oracle.chat(_answer_prompt(question.text, refs))
+            try:
+                expected = _two_pass_reply(oracle, question, refs)
+            except (KeyError, MissingFactError):
+                continue  # the two-pass algorithm raised: no reply to compare
+            compared += 1
+            if reply == expected:
+                continue
+            assert (mode, question.template_id, expected) in (
+                ("textual", "md4", "0"), ("textual", "md4_lowest", "0"),
+            ), (question.question_id, refs, reply, expected)
+            winner = question.bindings["winner_symbol"]
+            assert oracle._shown_fact(winner, b["metric2"], question.dataset_year, refs) is None
+            shown = {
+                s: oracle._shown_fact(s, b["metric1"], question.dataset_year, refs).normalized
+                for s in b["symbols"]
+            }
+            best = (min if b.get("extreme") == "lowest" else max)(shown.values())
+            assert min(s for s in shown if shown[s] == best) != winner
+    assert compared > 0.9 * 25 * len(questions)
+
+
+def test_textual_md4_answer_reads_the_winner_the_pages_show(adversarial_bundle):
+    """When a wrong-year figure makes another company win an md4 question,
+    the direct answer is that company's figure, though no page shows the
+    true winner's; the two-pass algorithm replied 0 here."""
+    _, table = adversarial_bundle
+    questions = _questions(adversarial_bundle, ("md4", "md4_lowest"), count_per_template=4)
+    oracle = _oracle(adversarial_bundle, questions, mode="textual")
+    checked = 0
+    for question in questions:
+        b, year = question.bindings, question.dataset_year
+        winner, lowest = b["winner_symbol"], b.get("extreme") == "lowest"
+        others = {s: table.get(s, year, b["metric1"]) for s in b["symbols"] if s != winner}
+        best = (min if lowest else max)(r.normalized for r in others.values())
+        winner_metric2_pages = {
+            (r.source_doc_id, p)
+            for r in table.records
+            if r.stock_symbol == winner and r.metric_id == b["metric2"]
+            for p in r.source_pages
+        }
+        # A year of the true winner's first figure that loses to the others.
+        losing = [
+            r for r in table.records
+            if r.stock_symbol == winner and r.metric_id == b["metric1"]
+            and (r.normalized > best if lowest else r.normalized < best)
+            and not {(r.source_doc_id, p) for p in r.source_pages} & winner_metric2_pages
+        ]
+        if not losing:
+            continue
+        shown_winner = min(s for s, r in others.items() if r.normalized == best)
+        answer = table.get(shown_winner, year, b["metric2"])
+        refs = [(r.source_doc_id, r.source_pages[0]) for r in [*others.values(), losing[0], answer]]
+        assert not set(refs) & winner_metric2_pages
+        reply = oracle.chat(_answer_prompt(question.text, refs))
+        assert reply == _fmt_plain(answer.normalized)
+        assert _two_pass_reply(oracle, question, refs) == "0"
+        checked += 1
+    assert checked > 0, checked

@@ -349,6 +349,35 @@ def test_codegen_md4_costs_seven_chat_calls(clean_bundle, clean_index):
         assert run.trace["chat_calls"] == len(extracts) == 6
 
 
+def test_codegen_pool_holding_a_document_twice_returns_each_page_once(
+    clean_bundle, clean_index
+):
+    collection, _ = clean_bundle
+    plan = (
+        'documents = select_documents(stock_symbols=["ARGX"], form_types=["10-K"], '
+        "fiscal_years=[2019])\n"
+        "append(documents, documents[0])\n"
+        'pages = retrieve_relevant_pages("total revenue", documents)\n'
+        "emit(1)\n"
+    )
+
+    class Planner:
+        def chat(self, messages, **params):
+            return plan
+
+    backends = Backends(Planner(), HashedBowEmbedder())
+    run = answer_codegen(
+        "q", "irrelevant", collection, clean_index, backends, 4, 2023, with_doc_select=True
+    )
+    assert run.failure is None
+    (retrieved,) = [c[2] for c in run.trace["builtin_calls"] if c[0] == "retrieve_relevant_pages"]
+    assert retrieved == (
+        "[<page argx-10k-2019#2>, <page argx-10k-2019#3>, "
+        "<page argx-10k-2019#1>, <page argx-10k-2019#4>]"
+    )
+    assert len(run.retrieved_pages) == 4
+
+
 def test_codegen_plan_without_emit_is_no_answer(clean_bundle, clean_index):
     collection, table = clean_bundle
 
