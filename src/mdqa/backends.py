@@ -12,7 +12,10 @@ of the embedded text.
 
 The backends count nothing. Each run's meter counts its chat and embed calls
 into its run record, and ``mdqa run`` folds ``ledger.json`` from the records,
-the index build and the chat log.
+the index build and the chat log. Between the meters and either embedder,
+``mdqa run`` puts a ``retrieval.QueryMemo``: a one-text call whose text was
+embedded before is answered from the memo, so it reaches no backend, yet its
+meter still counts it.
 
 numpy is imported inside the functions that compute a vector, so a command
 that embeds nothing (``synth`` needs only ``tokenize`` and ``token_slot``)

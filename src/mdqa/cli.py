@@ -12,9 +12,23 @@ with oracle backends reproduce identical outputs byte for byte.
 
 Exit codes: 0 success; 1 evaluation completed but found pipeline failures;
 2 usage or validation error.
+
+mdqa computes nothing in threaded BLAS: retrieval scores with ``np.einsum``
+and the few vector norms are BLAS level-1 calls, which OpenBLAS runs on one
+thread at this size. So, unless one of ``BLAS_THREAD_VARIABLES`` is set, this
+module sets ``OPENBLAS_NUM_THREADS=1`` before anything imports numpy, and
+numpy starts no idle thread pool.
 """
 
 from __future__ import annotations
+
+import os
+
+# The variables by which a user picks OpenBLAS's thread count; setting any
+# of them keeps the user's choice.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import contextlib
 import dataclasses
@@ -22,7 +36,6 @@ import fcntl
 import functools
 import itertools
 import json
-import os
 import sys
 import threading
 from collections import Counter
@@ -68,7 +81,7 @@ from .questiongen import (
     write_questions,
 )
 from .records import RUN_FORMAT, SystemRun, typed
-from .retrieval import RetrievalError, build_index
+from .retrieval import QueryMemo, RetrievalError, build_index
 
 try:
     import tomllib
@@ -262,7 +275,8 @@ def _build_backends(
 ) -> Backends:
     """The session's backends; ``files`` closes their logs. ``index_cache/``
     holds the HTTP embedder's vectors. The oracle's embedder is local and
-    fast, so an oracle session stores no vectors."""
+    fast, so an oracle session stores no vectors. Either embedder sits
+    behind a ``QueryMemo``, so a repeated query text reaches it once."""
     index_cache = session_dir / "index_cache"
     if backend == "oracle":
         index_cache.mkdir(exist_ok=True)  # benchmarks/bench_session.py lists it
@@ -273,7 +287,7 @@ def _build_backends(
             mode=oracle_mode,
             metric_aliases=synth_mod.ORACLE_METRIC_ALIASES,
         )
-        return Backends(chat=chat, embed=HashedBowEmbedder())
+        return Backends(chat=chat, embed=QueryMemo(HashedBowEmbedder()))
     config = BackendConfig(
         endpoint=endpoint,
         model=model,
@@ -285,7 +299,7 @@ def _build_backends(
     embed = files.enter_context(HttpEmbedBackend(
         dataclasses.replace(config, cache_dir=index_cache), wire_log=wire
     ))
-    return Backends(chat=chat, embed=embed)
+    return Backends(chat=chat, embed=QueryMemo(embed))
 
 
 def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | None):

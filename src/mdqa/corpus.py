@@ -503,7 +503,7 @@ def save_collection(collection: DocumentCollection, path: str | Path) -> Path:
 
 
 def _fact_from_dict(raw: dict, ctx: str) -> FactRecord:
-    symbol = str(_require(raw, "stock_symbol", ctx)).strip().upper()
+    symbol = typed(_require(raw, "stock_symbol", ctx), "stock_symbol", str).strip().upper()
     multiplier = _require(raw, "multiplier", ctx)
     if multiplier not in MULTIPLIER_SCALE:
         raise CorpusError(f"{ctx}: bad multiplier {multiplier!r}")
@@ -515,10 +515,10 @@ def _fact_from_dict(raw: dict, ctx: str) -> FactRecord:
     return FactRecord(
         stock_symbol=symbol,
         fiscal_year=typed(_require(raw, "fiscal_year", ctx), "fiscal_year", int),
-        metric_id=str(_require(raw, "metric_id", ctx)),
+        metric_id=typed(_require(raw, "metric_id", ctx), "metric_id", str),
         value=float(value),
         multiplier=multiplier,
-        source_doc_id=str(_require(raw, "source_doc_id", ctx)),
+        source_doc_id=typed(_require(raw, "source_doc_id", ctx), "source_doc_id", str),
         source_pages=tuple(typed(p, "a source page", int) for p in pages),
     )
 
@@ -534,15 +534,21 @@ def load_fact_table(path: str | Path, collection: DocumentCollection) -> FactTab
         raise CorpusError(f"metrics file not found: {metrics_path}")
     metric_defs = []
     for m in read_json(metrics_path, list):
-        metric_id = str(_require(m, "metric_id", "metrics.json"))
+        try:
+            metric_id, display_name, kind = (
+                typed(_require(m, name, "metrics.json"), name, str)
+                for name in ("metric_id", "display_name", "kind")
+            )
+        except TypeError as exc:
+            raise CorpusError(f"{metrics_path}: {exc}") from None
         formula = m.get("formula")
         if formula is not None and not isinstance(formula, str):
             raise CorpusError(f"{metrics_path}: metric {metric_id!r}: formula must be a string")
         metric_defs.append(
             MetricDef(
                 metric_id=metric_id,
-                display_name=str(_require(m, "display_name", "metrics.json")),
-                kind=str(_require(m, "kind", "metrics.json")),
+                display_name=display_name,
+                kind=kind,
                 formula=formula,
                 description=m.get("description", ""),
             )

@@ -11,6 +11,11 @@ failure. A direct answer is the template's gold rule evaluated over the
 figures the pages show, read the same way, so in ``textual`` mode an md4
 answer may be another company's figure; it is ``0`` when a figure the rule
 needs is on no page shown.
+
+What a reply looks up is indexed once, when the backend is made: the metric
+aliases, longest first; every ticker in one compiled pattern; and, in
+``textual`` mode, the pages that show each (symbol, metric). A prompt's
+question is still found by a scan of the registered question texts.
 """
 
 from __future__ import annotations
@@ -90,6 +95,13 @@ class OracleChatBackend:
                     self._aliases.append((metric.metric_id, tokens, len(tokens)))
         # Longer alias phrases win; ties break on metric_id for determinism.
         self._aliases.sort(key=lambda a: (-a[2], a[0]))
+        # Every ticker as a whole word, in one pattern. At one position the
+        # alternatives are tried in sorted order, so a search finds the
+        # leftmost ticker and, of those starting there, the smallest.
+        tickers = sorted({sym for _, sym in fact_table.companies})
+        self._ticker_re = (
+            re.compile(r"\b(?:" + "|".join(map(re.escape, tickers)) + r")\b") if tickers else None
+        )
         # (symbol, metric) -> {(doc, page): fact}: the pages the textual
         # extractor falls back to, none in perfect mode. A later fact wins.
         self._pages_showing: dict[tuple[str, str], dict] = {}
@@ -122,21 +134,19 @@ class OracleChatBackend:
         return None
 
     def _resolve_company(self, query: str) -> Optional[str]:
+        """The ticker written first in ``query`` (the smallest of those
+        starting at one position); else the ticker of the company whose name
+        is written first (ties as for tickers)."""
+        m = self._ticker_re.search(query) if self._ticker_re else None
+        if m:
+            return m.group()
+        lowered = query.lower()
         hits: list[tuple[int, str]] = []
         for name, sym in self.fact_table.companies:
-            m = re.search(rf"\b{re.escape(sym)}\b", query)
-            if m:
-                hits.append((m.start(), sym))
-        if not hits:
-            lowered = query.lower()
-            for name, sym in self.fact_table.companies:
-                pos = lowered.find(name.lower())
-                if pos >= 0:
-                    hits.append((pos, sym))
-        if not hits:
-            return None
-        hits.sort()
-        return hits[0][1]
+            pos = lowered.find(name.lower())
+            if pos >= 0:
+                hits.append((pos, sym))
+        return min(hits)[1] if hits else None
 
     def _resolve_metric(self, query: str) -> Optional[str]:
         query_tokens = _stemmed(query)

@@ -9,7 +9,10 @@ floats throughout.
 Budgets: every statement and expression evaluation costs one step
 (default limit 10,000); every recorded builtin call costs one unit of the
 builtin budget (default 64). ``emit`` terminates the program and is not
-recorded as a builtin call.
+recorded as a builtin call. Every string that ``+`` or interpolation makes
+charges its length to the size budget (default 1,000,000 characters in all),
+checked before the string is made, so a plan that doubles a string in a loop
+fails instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .parser import elif_branch
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_BUILTIN_BUDGET = 64
+DEFAULT_SIZE_BUDGET = 1_000_000
 
 _INTERP_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -105,6 +109,7 @@ class ExecEnv:
     with_doc_select: bool = True
     step_budget: int = DEFAULT_STEP_BUDGET
     builtin_budget: int = DEFAULT_BUILTIN_BUDGET
+    size_budget: int = DEFAULT_SIZE_BUDGET
 
 
 def digest_value(value: Any, depth: int = 0) -> str:
@@ -194,6 +199,7 @@ class _Interpreter:
         self.env = env
         self.trace = PlanTrace()
         self.vars: dict[str, Any] = {}
+        self.chars_built = 0
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -206,6 +212,15 @@ class _Interpreter:
             raise self.fail(
                 "step_budget_exceeded",
                 f"execution exceeded {self.env.step_budget} steps",
+            )
+
+    def charge_chars(self, n: int) -> None:
+        """Charge a string of ``n`` characters before it is made."""
+        self.chars_built += n
+        if self.chars_built > self.env.size_budget:
+            raise self.fail(
+                "size_budget_exceeded",
+                f"execution built more than {self.env.size_budget} characters",
             )
 
     def record_builtin(self, name: str, args: list, result: Any) -> None:
@@ -370,6 +385,7 @@ class _Interpreter:
                         f"string interpolation references undefined name {text!r}",
                     )
                 chunks.append(self.to_text(self.vars[text]))
+        self.charge_chars(sum(map(len, chunks)))
         return "".join(chunks)
 
     def to_text(self, value) -> str:
@@ -385,6 +401,7 @@ class _Interpreter:
             if self._is_number(left) and self._is_number(right):
                 return float(left) + float(right)
             if isinstance(left, str) and isinstance(right, str):
+                self.charge_chars(len(left) + len(right))
                 return left + right
             raise self.fail(
                 "type_error",
@@ -631,6 +648,6 @@ def execute_plan(program: ast.Module, env: ExecEnv) -> PlanTrace:
     extraction failures, or completion without emit. The partial trace is
     attached to the error.
     """
-    if env.step_budget <= 0 or env.builtin_budget <= 0:
+    if env.step_budget <= 0 or env.builtin_budget <= 0 or env.size_budget <= 0:
         raise ValueError("budgets must be positive")
     return _Interpreter(program, env).run()

@@ -114,7 +114,9 @@ class Question:
             slots=raw["slots"],
             complexity_tags=frozenset(typed(t, "a complexity tag", str) for t in tags),
             gold=Answer.from_json_dict(raw["gold"]),
-            gold_docs=tuple(raw["gold_docs"]),
+            gold_docs=tuple(
+                typed(d, "a gold doc", str) for d in typed(raw["gold_docs"], "gold_docs", list)
+            ),
             gold_pages=tuple(page_refs(raw["gold_pages"], "gold_pages")),
             dataset_year=typed(raw["dataset_year"], "dataset_year", int),
             bindings=bindings,

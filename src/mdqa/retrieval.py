@@ -17,8 +17,14 @@ positions are computed once when the index is built.
 
 A ranking is a function of (query vector, runs), so the index keeps the
 whole sorted ranking of its last ``RANKING_MEMO_SIZE`` (query vector, runs)
-pairs and serves any k as a prefix of it: a question's k sweep embeds its
-query once per run but ranks it once.
+pairs and serves any k as a prefix of it: a question's k sweep ranks its
+query once. The ``ScoredPage``s of a kept ranking are built once too, as far
+as the largest k asked of it, and each call returns a slice of them.
+
+A query text is embedded once while it stays in a ``QueryMemo``: ``mdqa run``
+puts one between its embedder and every run's meter, so a run still counts
+each embed call it makes, but the question text that two systems and every
+k of a sweep retrieve with reaches the embedder once.
 
 numpy is imported inside the functions that compute on vectors, so a command
 that only reads a session (``eval``, ``cost``, ``trace``) starts without it.
@@ -42,6 +48,9 @@ EMBED_INPUT_MAX_CHARS = 6000
 # runs each question's k sweep back to back, so a ranking is reused within a
 # few calls of being computed.
 RANKING_MEMO_SIZE = 32
+# One-text embeddings a QueryMemo keeps, least recently used out first. A
+# session asks for a few hundred distinct query texts.
+QUERY_MEMO_SIZE = 2048
 
 
 class RetrievalError(Exception):
@@ -61,8 +70,9 @@ class ScoredPage:
 class PageIndex:
     """One embedding per page of a collection. The vectors are immutable
     after build and scoring only reads them; the one thing that changes is a
-    memo of the last ``RANKING_MEMO_SIZE`` whole rankings, keyed by (query
-    vector, runs) and guarded by a lock, so threads may share an index.
+    memo of the last ``RANKING_MEMO_SIZE`` whole rankings and their
+    ``ScoredPage`` prefixes, keyed by (query vector, runs) and guarded by a
+    lock, so threads may share an index.
 
     Each document's pages must be one contiguous span of rows, as
     ``build_index`` lays them out. A pool document that is one of
@@ -127,8 +137,9 @@ class PageIndex:
         self._documents = None  # no shortcut while its runs are computed
         self._documents_runs = self.row_runs(pool)
         self._documents = pool
-        # (query vector bytes, runs) -> (positions, scores), best first.
-        self._rankings: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        # (query vector bytes, runs) -> (positions, scores, ScoredPage
+        # prefix), best first.
+        self._rankings: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, list]] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -191,18 +202,26 @@ class PageIndex:
             ranked = self._rankings.get(key)
             if ranked is not None:
                 self._rankings.move_to_end(key)
-        if ranked is None:
-            ranked = self._rank_all(q, runs)
-            with self._lock:
-                self._rankings[key] = ranked
-                if len(self._rankings) > RANKING_MEMO_SIZE:
-                    self._rankings.popitem(last=False)
-        positions, scores = ranked
-        refs = self._standard_refs
-        return [
-            ScoredPage(page_ref=refs[p], score=s)
-            for p, s in zip(positions[:k].tolist(), scores[:k].tolist())
-        ]
+                return self._prefix(ranked, k)
+        positions, scores = self._rank_all(q, runs)
+        with self._lock:
+            ranked = self._rankings.setdefault(key, (positions, scores, []))
+            if len(self._rankings) > RANKING_MEMO_SIZE:
+                self._rankings.popitem(last=False)
+            return self._prefix(ranked, k)
+
+    def _prefix(self, ranked: tuple, k: int) -> list[ScoredPage]:
+        """The first k of a kept ranking, extending its ``ScoredPage``
+        prefix as far as k first. The caller holds the lock."""
+        positions, scores, prefix = ranked
+        n = len(prefix)
+        if n < k and n < len(positions):
+            refs = self._standard_refs
+            prefix += [
+                ScoredPage(page_ref=refs[p], score=s)
+                for p, s in zip(positions[n:k].tolist(), scores[n:k].tolist())
+            ]
+        return prefix[:k]
 
     def _rank_all(
         self, q: np.ndarray, runs: tuple[tuple[int, int], ...]
@@ -224,6 +243,36 @@ class PageIndex:
         np.maximum(scores, -1.0, out=scores)
         order = np.lexsort((positions, -scores))
         return positions[order], scores[order]
+
+
+class QueryMemo:
+    """An embedder that keeps the rows of its one-text calls, by text: the
+    last ``QUERY_MEMO_SIZE`` texts, least recently used out first, behind a
+    lock so threads may share it. A multi-text call (an index build) and a
+    call that raises pass through and keep nothing. A kept row is returned to
+    every caller of its text, so it is read-only."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+        self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def embed(self, texts: list[str]) -> np.ndarray:
+        if len(texts) != 1:
+            return self.backend.embed(texts)
+        text = texts[0]
+        with self._lock:
+            rows = self._rows.get(text)
+            if rows is not None:
+                self._rows.move_to_end(text)
+                return rows
+        rows = self.backend.embed(texts)
+        rows.setflags(write=False)
+        with self._lock:
+            self._rows[text] = rows
+            if len(self._rows) > QUERY_MEMO_SIZE:
+                self._rows.popitem(last=False)
+        return rows
 
 
 def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:

@@ -13,7 +13,7 @@ from mdqa.corpus import (
     MetricDef,
     Page,
 )
-from mdqa.retrieval import build_index
+from mdqa.retrieval import EMBED_INPUT_MAX_CHARS, ScoredPage, build_index
 from mdqa.synth import ORACLE_METRIC_ALIASES, make_bundle
 
 
@@ -35,6 +35,33 @@ def make_doc(
         period_end_date=period_end,
         pages=pages,
     )
+
+
+def unit_rows(pages, embed_backend):
+    """Float64 unit vectors of the embedder's rows for ``pages``, computed as
+    ``build_index`` embeds a page and ``PageIndex`` normalizes its row."""
+    import numpy as np
+
+    texts = [f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS] for page in pages]
+    rows = embed_backend.embed(texts).astype(np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def reference_retrieve(query, docs, k, embed_backend):
+    """The per-page Python loop that retrieval used before span scoring."""
+    import numpy as np
+
+    refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
+    matrix = unit_rows([page for doc in docs for page in doc.pages], embed_backend)
+    q = np.asarray(embed_backend.embed([query])[0]).astype(np.float64)
+    norm = np.linalg.norm(q)
+    if norm > 0:
+        q = q / norm
+    # Each row reduced on its own, as the index scores it.
+    scores = np.clip(np.einsum("ij,j->i", matrix, q), -1.0, 1.0)
+    order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i][0], refs[i][1]))
+    return [ScoredPage(page_ref=refs[i], score=float(scores[i])) for i in order[:k]]
 
 
 @pytest.fixture(scope="session")

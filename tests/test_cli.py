@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import reference_retrieve
 
 from mdqa import backends, cli, qasystems
 from mdqa.backends import HashedBowEmbedder, VectorStore, text_key
@@ -1276,16 +1277,25 @@ _NUMBER_12 = {"kind": "number", "value": "12", "raw_text": "12"}
          "dataset_year must be int, got '2023'"),
         ("session/questions.jsonl", 2, {"complexity_tags": "x"}, "eval",
          "complexity_tags must be list, got 'x'"),
+        ("session/questions.jsonl", 2, {"gold_docs": "abcd-10k-2023"}, "eval",
+         "questions.jsonl:2: bad record: gold_docs must be list, got 'abcd-10k-2023'"),
         ("corpus/facts.jsonl", 3, {"fiscal_year": "2019"}, "ingest",
          "record 3: fiscal_year must be int, got '2019'"),
         ("corpus/facts.jsonl", 3, {"source_pages": "4"}, "ingest",
          "record 3: source_pages must be list, got '4'"),
+        ("corpus/facts.jsonl", 3, {"stock_symbol": 5}, "ingest",
+         "record 3: stock_symbol must be str, got 5"),
+        ("corpus/facts.jsonl", 3, {"metric_id": 5}, "ingest",
+         "record 3: metric_id must be str, got 5"),
+        ("corpus/facts.jsonl", 3, {"source_doc_id": 5}, "ingest",
+         "record 3: source_doc_id must be str, got 5"),
         ("corpus/collection.jsonl", 1, {"company_name": None}, "ingest",
          "collection.jsonl:1: bad record: company_name must be str, got None"),
     ],
     ids=["k_string", "k_float", "resume_k_string", "chat_calls", "embed_calls_bool",
-         "number_string", "number_bool", "dataset_year", "complexity_tags", "fiscal_year",
-         "source_pages", "company_name"],
+         "number_string", "number_bool", "dataset_year", "complexity_tags", "gold_docs",
+         "fiscal_year", "source_pages", "fact_stock_symbol", "fact_metric_id",
+         "fact_source_doc_id", "company_name"],
 )
 def test_a_value_of_the_wrong_type_exits_2(
     runner, workspace, finished_session, tmp_path, name, line, fields, command, message
@@ -1306,6 +1316,18 @@ def test_a_value_of_the_wrong_type_exits_2(
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("field", ["metric_id", "display_name", "kind"])
+def test_a_metric_field_that_is_not_a_string_exits_2(runner, workspace, tmp_path, field):
+    shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+    path = tmp_path / "corpus" / "metrics.json"
+    metrics = json.loads(path.read_text())
+    metrics[0][field] = 5
+    path.write_text(json.dumps(metrics))
+    result = runner.invoke(main, ["ingest", str(tmp_path / "corpus")])
+    assert result.exit_code == 2, result.output
+    assert f"metrics.json: {field} must be str, got 5" in result.output
 
 
 def test_question_with_bindings_not_an_object_exits_2(
@@ -1332,6 +1354,25 @@ def test_cli_import_leaves_numpy_out():
     result = _child_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "chosen, openblas",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "4"}, "4"), ({"GOTO_NUM_THREADS": "2"}, "None"),
+     ({"OMP_NUM_THREADS": "2"}, "None")],
+    ids=["none", "openblas", "goto", "omp"],
+)
+def test_cli_import_pins_one_blas_thread_unless_one_was_chosen(monkeypatch, chosen, openblas):
+    """mdqa does no threaded BLAS work, so importing the CLI asks OpenBLAS
+    for one thread, unless one of the variables that choose its thread count
+    is set."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in chosen.items():
+        monkeypatch.setenv(name, value)
+    result = _child_python('import os, mdqa.cli; print(os.environ.get("OPENBLAS_NUM_THREADS"))')
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{openblas}\n"
 
 
 def test_readers_import_no_pipeline_code():
@@ -1870,6 +1911,53 @@ def test_k_sweep_equals_its_single_k_sessions(workspace, tmp_path, mode):
     assert result.exit_code == 0, result.output
     assert len(single) == 4 * 9 * 4
     assert _run_lines(tmp_path / "sweep") == sorted(single, key=_sorted_key)
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("clean", 1), ("clean", 2), ("clean", 3), ("adversarial", 4), ("adversarial", 5),
+     ("clean", 6)],
+)
+def test_sessions_over_many_corpora(tmp_path, kind, seed):
+    """Over the corpora of several synth seeds: a rerun writes the same
+    bytes, a k sweep equals its single-k sessions line for line, and
+    vanilla_rag's pages are the reference ranking's, ties in (doc_id,
+    page_number) order. Every run goes through the session's query and
+    ranking memos."""
+    corpus, questions = tmp_path / "corpus", tmp_path / "questions.jsonl"
+    runner = CliRunner()
+    for args in (
+        ["synth", str(corpus), "--kind", kind, "--companies", "3", "--seed", str(seed)],
+        ["gen", "--corpus", str(corpus), "--out", str(questions), "--templates", "ve1,md2,md4",
+         "--count", "2", "--dataset-year", "2023", "--seed", str(seed),
+         "--company-list-size", "3"],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+
+    def session(name: str, k_grid: str) -> Path:
+        args = ["run", "--corpus", str(corpus), "--questions", str(questions),
+                "--session", str(tmp_path / name), "--k-grid", k_grid]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return tmp_path / name
+
+    sweep, again = session("sweep", _SWEEP), session("again", _SWEEP)
+    for name in ("system_runs.jsonl", "ledger.json"):
+        assert (sweep / name).read_bytes() == (again / name).read_bytes()
+    single = [line for k in _SWEEP.split(",") for line in _run_lines(session(f"k{k}", k))]
+    assert _run_lines(sweep) == sorted(single, key=_sorted_key)
+
+    documents = load_collection(corpus).documents
+    embedder = HashedBowEmbedder()
+    texts = {q["question_id"]: q["text"] for q in map(json.loads, questions.read_text().splitlines())}
+    rankings = {qid: reference_retrieve(text, documents, 128, embedder) for qid, text in texts.items()}
+    ties = 0
+    for record in map(json.loads, _run_lines(sweep)):
+        if record["system_id"] == "vanilla_rag":
+            want = rankings[record["question_id"]][: record["k"]]
+            assert record["retrieved_pages"] == [list(scored.page_ref) for scored in want]
+            ties += sum(a.score == b.score for a, b in zip(want, want[1:]))
+    assert ties
 
 
 def _counting(monkeypatch) -> Counter:

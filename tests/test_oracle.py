@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdqa.backends import BackendError, HashedBowEmbedder
+from mdqa.corpus import FactTable
 from mdqa.oracle import OracleChatBackend, _fmt_plain, build_canonical_plan
 from mdqa.planlang import parse_plan
 from mdqa.questiongen import (
@@ -50,6 +54,43 @@ def _extract_prompt(query, refs):
         {"role": "system", "content": "extraction"},
         {"role": "user", "content": f"Value query: {query}\n\nPages:\n{pages}"},
     ]
+
+
+def _scan_company(companies, query):
+    """The company lookup as one ``re.search`` per ticker, then a name scan:
+    the reference for the oracle's single ticker pattern."""
+    hits = []
+    for _, sym in companies:
+        m = re.search(rf"\b{re.escape(sym)}\b", query)
+        if m:
+            hits.append((m.start(), sym))
+    if not hits:
+        for name, sym in companies:
+            pos = query.lower().find(name.lower())
+            if pos >= 0:
+                hits.append((pos, sym))
+    return min(hits)[1] if hits else None
+
+
+# Tickers from a few letters prefix each other; "." "+" "*" "(" and "|" are
+# regex metacharacters, and "-" and "&" are not word characters.
+_TICKERS = st.text(alphabet="AB.+*(|-&", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    companies=st.lists(st.tuples(st.sampled_from(["Ab Co", "Ba Inc", "A B"]), _TICKERS),
+                       max_size=5),
+    data=st.data(),
+)
+def test_company_lookup_equals_a_scan_per_ticker(companies, data):
+    pieces = [sym for _, sym in companies] + [name for name, _ in companies]
+    query = data.draw(st.lists(
+        st.one_of(st.sampled_from(pieces or ["A"]), st.sampled_from([" ", "x", "-", "A", "."])),
+        max_size=8,
+    ).map("".join))
+    oracle = OracleChatBackend(FactTable((), (), companies), 2023)
+    assert oracle._resolve_company(query) == _scan_company(companies, query)
 
 
 # ---------------------------------------------------------------------------

@@ -270,10 +270,39 @@ def test_builtin_budget():
     assert exc_info.value.kind == "builtin_budget_exceeded"
 
 
-def test_budgets_must_be_positive():
+@pytest.mark.parametrize("budget", ["step_budget", "builtin_budget", "size_budget"])
+def test_budgets_must_be_positive(budget):
     program = parse_plan("emit(1)")
     with pytest.raises(ValueError):
-        execute_plan(program, ExecEnv(step_budget=0))
+        execute_plan(program, ExecEnv(**{budget: 0}))
+
+
+def _doubling_plan(n: int) -> str:
+    return f's = "a"\nfor i in range({n}):\n  s = s + s\nemit(s)'
+
+
+def test_size_budget_stops_a_string_doubled_in_a_loop():
+    """26 doublings pass the step and builtin budgets and would make a 64 MB
+    string; the size budget stops the plan before the string it cannot
+    afford is made."""
+    with pytest.raises(PlanRuntimeError) as exc_info:
+        run(_doubling_plan(26))
+    assert exc_info.value.kind == "size_budget_exceeded"
+    assert exc_info.value.trace.step_count < 200
+
+
+@pytest.mark.parametrize(
+    "source, chars",
+    [
+        (_doubling_plan(3), 1 + 2 + 4 + 8),  # the literal, then three `+`
+        ('x = "ab"\nemit("{x}-{x}")', 2 + 5),
+    ],
+)
+def test_size_budget_counts_the_characters_built(source, chars):
+    assert run(source, size_budget=chars).emitted
+    with pytest.raises(PlanRuntimeError) as exc_info:
+        run(source, size_budget=chars - 1)
+    assert exc_info.value.kind == "size_budget_exceeded"
 
 
 def test_budget_monotonicity():

@@ -319,6 +319,19 @@ def test_codegen_failed_extract_call_is_counted(clean_bundle, clean_index):
     assert run.embed_calls == 1
 
 
+def test_codegen_plan_that_builds_too_much_is_a_recorded_failure(clean_bundle, clean_index):
+    collection, _ = clean_bundle
+
+    class Doubler:
+        def chat(self, messages, **params):
+            return 's = "a"\nfor i in range(26):\n  s = s + s\nemit(s)'
+
+    backends = Backends(Doubler(), HashedBowEmbedder())
+    run = run_system("codegen_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023)
+    assert run.failure.startswith("plan_runtime_error:size_budget_exceeded")
+    assert run.predicted is None
+
+
 def test_codegen_md4_costs_seven_chat_calls(clean_bundle, clean_index):
     collection, table = clean_bundle
     config = GenConfig(

@@ -26,9 +26,10 @@ from mdqa.backends import (
 )
 from mdqa.corpus import DocumentCollection, DocumentFilter, Page, select_documents
 from mdqa.retrieval import (
-    EMBED_INPUT_MAX_CHARS,
+    QUERY_MEMO_SIZE,
     RANKING_MEMO_SIZE,
     PageIndex,
+    QueryMemo,
     RetrievalError,
     ScoredPage,
     UnindexedPageError,
@@ -38,7 +39,7 @@ from mdqa.retrieval import (
     retrieve_relevant_pages,
 )
 
-from conftest import make_doc
+from conftest import make_doc, reference_retrieve, unit_rows
 
 
 def _collection(page_texts: dict[str, list[str]]):
@@ -66,29 +67,6 @@ def _brute_force_cosine(query: str, text: str, dim: int = 512) -> float:
     if nq == 0 or np_ == 0:
         return 0.0
     return dot / (nq * np_)
-
-
-def _unit_rows(pages, embed_backend):
-    """Float64 unit vectors of the embedder's rows for ``pages``, computed as
-    ``build_index`` embeds a page and ``PageIndex`` normalizes its row."""
-    texts = [f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS] for page in pages]
-    rows = embed_backend.embed(texts).astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / np.where(norms > 0, norms, 1.0)[:, None]
-
-
-def _reference_retrieve(query, docs, k, embed_backend):
-    """The per-page Python loop that retrieval used before span scoring."""
-    refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
-    matrix = _unit_rows([page for doc in docs for page in doc.pages], embed_backend)
-    q = np.asarray(embed_backend.embed([query])[0]).astype(np.float64)
-    norm = np.linalg.norm(q)
-    if norm > 0:
-        q = q / norm
-    # Each row reduced on its own, as the index scores it.
-    scores = np.clip(np.einsum("ij,j->i", matrix, q), -1.0, 1.0)
-    order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i][0], refs[i][1]))
-    return [ScoredPage(page_ref=refs[i], score=float(scores[i])) for i in order[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +324,7 @@ def test_scores_in_range_and_self_similarity():
     collection = _collection({"d1": ["alpha beta gamma delta"]})
     embedder = HashedBowEmbedder()
     index = build_index(collection, embedder)
-    (vec,) = _unit_rows(collection.documents[0].pages, embedder)
+    (vec,) = unit_rows(collection.documents[0].pages, embedder)
     assert abs(float(vec @ vec) - 1.0) < 1e-9
     result = retrieve_relevant_pages("alpha beta gamma delta", collection.documents, 1, index, embedder)
     assert -1.0 <= result[0].score <= 1.0
@@ -417,7 +395,7 @@ def test_matches_python_loop_reference(collection, query, data):
     k = data.draw(st.sampled_from([max(n - 1, 1), n, n + 3]), label="k")
 
     got = retrieve_relevant_pages(query, pool, k, index, embedder)
-    want = _reference_retrieve(query, pool, k, embedder)
+    want = reference_retrieve(query, pool, k, embedder)
     assert [(s.page_ref, s.score) for s in got] == [(s.page_ref, s.score) for s in want]
 
 
@@ -545,8 +523,122 @@ def test_memo_from_many_threads():
             ))
     finally:
         sys.setswitchinterval(switch)
-    assert got == [_reference_retrieve(*item, embedder) for item in work]
+    assert got == [reference_retrieve(*item, embedder) for item in work]
     assert len(index._rankings) <= RANKING_MEMO_SIZE
+
+
+_PREFIX_RNG = random.Random(5)
+_PREFIX_WORDS = ["alpha", "beta", "gamma", "delta"]
+# Few words over many pages, so that many pages tie on their score.
+_PREFIX_COLLECTION = _collection(
+    {f"d{i}": [" ".join(_PREFIX_RNG.choices(_PREFIX_WORDS, k=2)) for _ in range(5)]
+     for i in range(5)}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ks=st.lists(st.integers(1, 30), min_size=1, max_size=10),
+    query=st.lists(st.sampled_from(_PREFIX_WORDS), min_size=1, max_size=3).map(" ".join),
+    pool=st.sampled_from([slice(None), slice(None, None, -2), slice(1, 4)]),
+)
+def test_rank_serves_any_order_of_ks_as_a_fresh_rankings_prefix(ks, query, pool):
+    """Two threads sweep the same ks, in any order and repeated, over one
+    index: each answer is the first k of the reference ranking, and what a
+    caller does to an answer changes no later one."""
+    docs = _PREFIX_COLLECTION.documents[pool]
+    index = build_index(_PREFIX_COLLECTION, HashedBowEmbedder())
+    embedder = HashedBowEmbedder()
+    want = reference_retrieve(query, docs, 30, embedder)
+
+    def sweep():
+        got = []
+        for k in ks:
+            ranking = retrieve_relevant_pages(query, docs, k, index, embedder)
+            got.append(list(ranking))
+            ranking.insert(0, None)
+        return got
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            futures = [threads.submit(sweep) for _ in range(2)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for got in results:
+        assert got == [want[:k] for k in ks]
+
+
+# ---------------------------------------------------------------------------
+# The query memo
+# ---------------------------------------------------------------------------
+
+
+class _CountingEmbedder(HashedBowEmbedder):
+    """Logs each call's texts; raises ``BackendError`` for a text in ``down``."""
+
+    def __init__(self, down=()):
+        super().__init__()
+        self.calls: list[list[str]] = []
+        self.down = set(down)
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        if self.down & set(texts):
+            raise BackendError("embed endpoint down")
+        return super().embed(texts)
+
+
+def test_query_memo_embeds_each_text_once():
+    backend = _CountingEmbedder()
+    memo = QueryMemo(backend)
+    texts = ["alpha beta", "gamma", "alpha beta", "gamma", "delta", "alpha beta"]
+    rows = [memo.embed([text]) for text in texts]
+    assert backend.calls == [["alpha beta"], ["gamma"], ["delta"]]
+    for text, row in zip(texts, rows):
+        assert np.array_equal(row, HashedBowEmbedder().embed([text]))
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0, 0] = 1.0
+    assert rows[0] is rows[2] is rows[5]
+
+
+def test_query_memo_passes_multi_text_calls_through():
+    backend = _CountingEmbedder()
+    memo = QueryMemo(backend)
+    batch = ["alpha", "beta"]
+    for _ in range(2):
+        assert np.array_equal(memo.embed(batch), HashedBowEmbedder().embed(batch))
+    memo.embed(["alpha"])
+    assert backend.calls == [batch, batch, ["alpha"]]
+
+
+def test_query_memo_keeps_no_failed_call():
+    backend = _CountingEmbedder(down={"alpha"})
+    memo = QueryMemo(backend)
+    for _ in range(2):
+        with pytest.raises(BackendError):
+            memo.embed(["alpha"])
+    backend.down.clear()
+    memo.embed(["alpha"])
+    memo.embed(["alpha"])
+    assert backend.calls == [["alpha"]] * 3
+
+
+def test_query_memo_holds_at_most_its_bound():
+    backend = _CountingEmbedder()
+    memo = QueryMemo(backend)
+    texts = [f"text {i}" for i in range(QUERY_MEMO_SIZE + 3)]
+    for text in texts:
+        memo.embed([text])
+    assert len(memo._rows) == QUERY_MEMO_SIZE
+    memo.embed([texts[-1]])  # the newest is still held
+    assert len(backend.calls) == len(texts)
+    memo.embed([texts[0]])  # the oldest was evicted
+    assert len(backend.calls) == len(texts) + 1
+    assert len(memo._rows) == QUERY_MEMO_SIZE
 
 
 # ---------------------------------------------------------------------------
