@@ -270,11 +270,11 @@ def test_builtin_budget():
     assert exc_info.value.kind == "builtin_budget_exceeded"
 
 
-@pytest.mark.parametrize("budget", ["step_budget", "builtin_budget", "size_budget"])
-def test_budgets_must_be_positive(budget):
+def test_budgets_must_be_positive():
     program = parse_plan("emit(1)")
-    with pytest.raises(ValueError):
-        execute_plan(program, ExecEnv(**{budget: 0}))
+    for budget in ("step_budget", "builtin_budget", "size_budget"):
+        with pytest.raises(ValueError):
+            execute_plan(program, ExecEnv(**{budget: 0}))
 
 
 def _doubling_plan(n: int) -> str:
