@@ -10,9 +10,9 @@ Budgets: every statement and expression evaluation costs one step
 (default limit 10,000); every recorded builtin call costs one unit of the
 builtin budget (default 64). ``emit`` terminates the program and is not
 recorded as a builtin call. Every string that ``+`` or interpolation makes
-charges its length to the size budget (default 1,000,000 characters in all),
-checked before the string is made, so a plan that doubles a string in a loop
-fails instead of exhausting memory.
+charges its length to the size budget (``SIZE_BUDGET``, 1,000,000 characters
+in all), checked before the string is made, so a plan that doubles a string
+in a loop fails instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .parser import elif_branch
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_BUILTIN_BUDGET = 64
-DEFAULT_SIZE_BUDGET = 1_000_000
+# Characters that ``+`` and interpolation may build in one execution, in all.
+SIZE_BUDGET = 1_000_000
 
 _INTERP_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -109,7 +110,6 @@ class ExecEnv:
     with_doc_select: bool = True
     step_budget: int = DEFAULT_STEP_BUDGET
     builtin_budget: int = DEFAULT_BUILTIN_BUDGET
-    size_budget: int = DEFAULT_SIZE_BUDGET
 
 
 def digest_value(value: Any, depth: int = 0) -> str:
@@ -217,10 +217,10 @@ class _Interpreter:
     def charge_chars(self, n: int) -> None:
         """Charge a string of ``n`` characters before it is made."""
         self.chars_built += n
-        if self.chars_built > self.env.size_budget:
+        if self.chars_built > SIZE_BUDGET:
             raise self.fail(
                 "size_budget_exceeded",
-                f"execution built more than {self.env.size_budget} characters",
+                f"execution built more than {SIZE_BUDGET} characters",
             )
 
     def record_builtin(self, name: str, args: list, result: Any) -> None:
@@ -648,6 +648,6 @@ def execute_plan(program: ast.Module, env: ExecEnv) -> PlanTrace:
     extraction failures, or completion without emit. The partial trace is
     attached to the error.
     """
-    if env.step_budget <= 0 or env.builtin_budget <= 0 or env.size_budget <= 0:
+    if env.step_budget <= 0 or env.builtin_budget <= 0:
         raise ValueError("budgets must be positive")
     return _Interpreter(program, env).run()

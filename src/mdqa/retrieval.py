@@ -48,9 +48,12 @@ EMBED_INPUT_MAX_CHARS = 6000
 # runs each question's k sweep back to back, so a ranking is reused within a
 # few calls of being computed.
 RANKING_MEMO_SIZE = 32
-# One-text embeddings a QueryMemo keeps, least recently used out first. A
-# session asks for a few hundred distinct query texts.
-QUERY_MEMO_SIZE = 2048
+# One-text embeddings a QueryMemo keeps, least recently used out first. Most
+# repeats of a query text come within a few calls, but a query about one
+# (company, metric, year) comes back with a later question on the same fact:
+# at most 293 other texts apart on the ROADMAP baseline session (338 distinct
+# texts, --jobs 1 or 4), 241 on docs_pager_http and 134 on clean_sweep.
+QUERY_MEMO_SIZE = 512
 
 
 class RetrievalError(Exception):
@@ -246,30 +249,31 @@ class PageIndex:
 
 
 class QueryMemo:
-    """An embedder that keeps the rows of its one-text calls, by text: the
-    last ``QUERY_MEMO_SIZE`` texts, least recently used out first, behind a
-    lock so threads may share it. A multi-text call (an index build) and a
-    call that raises pass through and keep nothing. A kept row is returned to
-    every caller of its text, so it is read-only."""
+    """An embedder that keeps the rows of its one-text calls, by ``text_key``
+    (not the text, which a plan may make long): the last ``QUERY_MEMO_SIZE``
+    texts, least recently used out first, behind a lock so threads may share
+    it. A multi-text call (an index build) and a call that raises pass
+    through and keep nothing. A kept row is returned to every caller of its
+    text, so it is read-only."""
 
     def __init__(self, backend) -> None:
         self.backend = backend
-        self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._rows: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if len(texts) != 1:
             return self.backend.embed(texts)
-        text = texts[0]
+        key = text_key(texts[0])
         with self._lock:
-            rows = self._rows.get(text)
+            rows = self._rows.get(key)
             if rows is not None:
-                self._rows.move_to_end(text)
+                self._rows.move_to_end(key)
                 return rows
         rows = self.backend.embed(texts)
         rows.setflags(write=False)
         with self._lock:
-            self._rows[text] = rows
+            self._rows[key] = rows
             if len(self._rows) > QUERY_MEMO_SIZE:
                 self._rows.popitem(last=False)
         return rows

@@ -16,6 +16,7 @@ from mdqa.planlang import (
     execute_plan,
     parse_plan,
 )
+from mdqa.planlang import interpreter
 from mdqa.planlang.interpreter import digest_value
 from mdqa.planlang.parser import BUILTIN_NAMES, MAX_NESTING
 
@@ -272,9 +273,8 @@ def test_builtin_budget():
 
 def test_budgets_must_be_positive():
     program = parse_plan("emit(1)")
-    for budget in ("step_budget", "builtin_budget", "size_budget"):
-        with pytest.raises(ValueError):
-            execute_plan(program, ExecEnv(**{budget: 0}))
+    with pytest.raises(ValueError):
+        execute_plan(program, ExecEnv(step_budget=0))
 
 
 def _doubling_plan(n: int) -> str:
@@ -298,10 +298,12 @@ def test_size_budget_stops_a_string_doubled_in_a_loop():
         ('x = "ab"\nemit("{x}-{x}")', 2 + 5),
     ],
 )
-def test_size_budget_counts_the_characters_built(source, chars):
-    assert run(source, size_budget=chars).emitted
+def test_size_budget_counts_the_characters_built(monkeypatch, source, chars):
+    monkeypatch.setattr(interpreter, "SIZE_BUDGET", chars)
+    assert run(source).emitted
+    monkeypatch.setattr(interpreter, "SIZE_BUDGET", chars - 1)
     with pytest.raises(PlanRuntimeError) as exc_info:
-        run(source, size_budget=chars - 1)
+        run(source)
     assert exc_info.value.kind == "size_budget_exceeded"
 
 

@@ -627,6 +627,18 @@ def test_query_memo_keeps_no_failed_call():
     assert backend.calls == [["alpha"]] * 3
 
 
+def test_query_memo_keeps_a_long_text_by_its_key():
+    """A plan can build a query of up to a million characters; the memo
+    keeps its 32-byte key, not the text."""
+    backend = _CountingEmbedder()
+    memo = QueryMemo(backend)
+    text = "revenue " * 125_000
+    first = memo.embed([text])
+    assert memo.embed([text]) is first
+    assert backend.calls == [[text]]
+    assert list(memo._rows) == [text_key(text)]
+
+
 def test_query_memo_holds_at_most_its_bound():
     backend = _CountingEmbedder()
     memo = QueryMemo(backend)
