@@ -738,7 +738,8 @@ def trace(session_dir: str, question_id: str, system_id: str, k: int, corpus_dir
     )
     if run is None:
         _fail(f"no run for ({question_id}, {system_id}, k={k})")
-    click.echo(f"Question: {question.text.splitlines()[0]}")
+    first_line = question.text.partition("\n")[0]
+    click.echo(f"Question: {first_line}")
     gold_answer = question.gold.to_json_dict()
     click.echo(f"Gold: {gold_answer['value']}  docs={', '.join(question.gold_docs)}")
     predicted = run.predicted.to_json_dict()["value"] if run.predicted else None

@@ -7,12 +7,13 @@ plan's observable behaviour is exactly its trace. Numeric semantics are 64-bit
 floats throughout.
 
 Budgets: every statement and expression evaluation costs one step
-(default limit 10,000); every recorded builtin call costs one unit of the
-builtin budget (default 64). ``emit`` terminates the program and is not
+(``STEP_BUDGET``, 10,000 in all); every recorded builtin call costs one unit
+of ``BUILTIN_BUDGET`` (64). ``emit`` terminates the program and is not
 recorded as a builtin call. Every string that ``+`` or interpolation makes
 charges its length to the size budget (``SIZE_BUDGET``, 1,000,000 characters
 in all), checked before the string is made, so a plan that doubles a string
-in a loop fails instead of exhausting memory.
+in a loop fails instead of exhausting memory. Every plan runs with these
+three budgets.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Any, Callable, Optional
 
 from .parser import elif_branch
 
-DEFAULT_STEP_BUDGET = 10_000
-DEFAULT_BUILTIN_BUDGET = 64
+STEP_BUDGET = 10_000
+BUILTIN_BUDGET = 64
 # Characters that ``+`` and interpolation may build in one execution, in all.
 SIZE_BUDGET = 1_000_000
 
@@ -74,12 +75,6 @@ class PlanTrace:
     completed: bool = False
     step_count: int = 0
 
-    def record_page(self, ref: tuple[str, int]) -> None:
-        self.retrieved_pages[ref] = None
-
-    def record_doc(self, doc_id: str) -> None:
-        self.selected_docs[doc_id] = None
-
     def to_json_dict(self) -> dict:
         """The trace as a run stores it; its pages are the run's own."""
         return {
@@ -94,22 +89,27 @@ class PlanTrace:
 
 @dataclass
 class ExecEnv:
-    """Everything a plan execution may touch.
+    """A plan's three effects, the only things its execution may touch.
 
-    ``select_fn``, ``retrieve_fn`` and ``extract_fn`` are the three injected
-    helpers. ``retrieve_fn(question, documents_or_none)`` returns PageHandles;
-    ``extract_fn(question, pages)`` returns the value.
-    ``with_doc_select`` gates select_documents at runtime (the page-only
-    system variant does not expose it), and ``retrieve_fn`` closes over the
-    retrieval depth k. Every pipeline runs with the default budgets.
+    ``select_fn(**filters)`` returns documents;
+    ``retrieve_fn(question, documents_or_none)`` returns PageHandles and
+    closes over the retrieval depth k; ``extract_fn(question, pages)``
+    returns the value. A plan that calls an effect left ``None`` fails with
+    ``builtin_unavailable``: the page-only system has no ``select_fn``.
     """
 
     select_fn: Optional[Callable] = None
     retrieve_fn: Optional[Callable] = None
     extract_fn: Optional[Callable] = None
-    with_doc_select: bool = True
-    step_budget: int = DEFAULT_STEP_BUDGET
-    builtin_budget: int = DEFAULT_BUILTIN_BUDGET
+
+
+# Each effect's ExecEnv field, and what an exception it raises fails as:
+# the failure's kind and the prefix of its message.
+_EFFECTS = {
+    "select_documents": ("select_fn", "value_error", "select_documents failed: "),
+    "retrieve_relevant_pages": ("retrieve_fn", "value_error", "retrieve_relevant_pages failed: "),
+    "extract_value": ("extract_fn", "extraction_failed", ""),
+}
 
 
 def digest_value(value: Any, depth: int = 0) -> str:
@@ -208,11 +208,8 @@ class _Interpreter:
 
     def tick(self, n: int = 1) -> None:
         self.trace.step_count += n
-        if self.trace.step_count > self.env.step_budget:
-            raise self.fail(
-                "step_budget_exceeded",
-                f"execution exceeded {self.env.step_budget} steps",
-            )
+        if self.trace.step_count > STEP_BUDGET:
+            raise self.fail("step_budget_exceeded", f"execution exceeded {STEP_BUDGET} steps")
 
     def charge_chars(self, n: int) -> None:
         """Charge a string of ``n`` characters before it is made."""
@@ -227,10 +224,9 @@ class _Interpreter:
         self.trace.builtin_calls.append(
             (name, digest_value(list(args)), digest_value(result))
         )
-        if len(self.trace.builtin_calls) > self.env.builtin_budget:
+        if len(self.trace.builtin_calls) > BUILTIN_BUDGET:
             raise self.fail(
-                "builtin_budget_exceeded",
-                f"execution exceeded {self.env.builtin_budget} builtin calls",
+                "builtin_budget_exceeded", f"execution exceeded {BUILTIN_BUDGET} builtin calls"
             )
 
     # -- execution ----------------------------------------------------------
@@ -484,56 +480,43 @@ class _Interpreter:
         return result
 
     def call_builtin(self, name: str, args: list, kwargs: dict) -> Any:
+        if name not in _EFFECTS:
+            return self.pure_builtin(name, args, kwargs)
+        if getattr(self.env, _EFFECTS[name][0]) is None:
+            raise self.fail("builtin_unavailable", f"{name} is not available to this system")
+
         if name == "select_documents":
-            if not self.env.with_doc_select:
-                raise self.fail(
-                    "builtin_unavailable",
-                    "select_documents is not available to this system",
-                )
-            if self.env.select_fn is None:
-                raise self.fail("builtin_unavailable", "select_documents not injected")
-            try:
-                docs = self.env.select_fn(*args, **kwargs)
-            except PlanRuntimeError:
-                raise
-            except Exception as exc:
-                raise self.fail("value_error", f"select_documents failed: {exc}")
+            docs = self.call_effect(name, *args, **kwargs)
             for doc in docs:
-                self.trace.record_doc(doc.doc_id)
+                self.trace.selected_docs[doc.doc_id] = None
             return list(docs)
 
+        question = args[0] if args else kwargs.get("question")
         if name == "retrieve_relevant_pages":
-            if self.env.retrieve_fn is None:
-                raise self.fail("builtin_unavailable", "retrieve_relevant_pages not injected")
-            question = args[0] if args else kwargs.get("question")
             documents = args[1] if len(args) > 1 else kwargs.get("documents")
             if not isinstance(question, str):
                 raise self.fail("type_error", "retrieve_relevant_pages needs a question string")
-            try:
-                pages = self.env.retrieve_fn(question, documents)
-            except PlanRuntimeError:
-                raise
-            except Exception as exc:
-                raise self.fail("value_error", f"retrieve_relevant_pages failed: {exc}")
+            pages = self.call_effect(name, question, documents)
             for page in pages:
-                self.trace.record_page(page.ref)
+                self.trace.retrieved_pages[page.ref] = None
             return list(pages)
 
-        if name == "extract_value":
-            if self.env.extract_fn is None:
-                raise self.fail("builtin_unavailable", "extract_value not injected")
-            question = args[0] if args else kwargs.get("question")
-            pages = args[1] if len(args) > 1 else kwargs.get("pages")
-            if not isinstance(question, str) or not isinstance(pages, list):
-                raise self.fail("type_error", "extract_value needs (question, pages)")
-            try:
-                return self.env.extract_fn(question, pages)
-            except PlanRuntimeError:
-                raise
-            except Exception as exc:
-                raise self.fail("extraction_failed", str(exc))
+        pages = args[1] if len(args) > 1 else kwargs.get("pages")
+        if not isinstance(question, str) or not isinstance(pages, list):
+            raise self.fail("type_error", "extract_value needs (question, pages)")
+        return self.call_effect(name, question, pages)
 
-        return self.pure_builtin(name, args, kwargs)
+    def call_effect(self, name: str, /, *args, **kwargs) -> Any:
+        """Call an injected effect; a plan's keywords may be any name. A
+        ``PlanRuntimeError`` passes through; any other exception fails the
+        plan as the effect's kind."""
+        field_name, kind, prefix = _EFFECTS[name]
+        try:
+            return getattr(self.env, field_name)(*args, **kwargs)
+        except PlanRuntimeError:
+            raise
+        except Exception as exc:
+            raise self.fail(kind, f"{prefix}{exc}")
 
     def pure_builtin(self, name: str, args: list, kwargs: dict) -> Any:
         if kwargs:
@@ -632,7 +615,7 @@ class _Interpreter:
         if step == 0:
             raise self.fail("value_error", "range step must not be zero")
         length = max(0, (stop - start + (step - (1 if step > 0 else -1))) // step)
-        if length > self.env.step_budget:
+        if length > STEP_BUDGET:
             raise self.fail(
                 "step_budget_exceeded",
                 f"range of length {length} exceeds the step budget",
@@ -648,6 +631,4 @@ def execute_plan(program: ast.Module, env: ExecEnv) -> PlanTrace:
     extraction failures, or completion without emit. The partial trace is
     attached to the error.
     """
-    if env.step_budget <= 0 or env.builtin_budget <= 0:
-        raise ValueError("budgets must be positive")
     return _Interpreter(program, env).run()

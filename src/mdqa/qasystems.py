@@ -1,16 +1,18 @@
 """The four QA pipelines, answer parsing, and the value-extraction helper.
 
-Each pipeline takes only the question id and text (gold answers never reach a
-system) and produces a SystemRun: the parsed answer, the retrieval record,
-and call accounting. A run's chat and embed call counts come from a meter
-over its backends, read once when the pipeline finishes, so a call that
-raised is counted too. Failures are recorded on the run rather than raised,
-so a failed pipeline stage still counts against accuracy.
+``run_system`` is the one way to run a pipeline. It takes only the question
+id and text (gold answers never reach a system) and produces a SystemRun:
+the parsed answer, the retrieval record, and call accounting. A run's chat
+and embed call counts come from a meter over its backends, read once when
+the pipeline finishes, so a call that raised is counted too. Failures are
+recorded on the run rather than raised, so a failed pipeline stage still
+counts against accuracy. The two codegen systems share one pipeline; they
+differ in their prompt pack and in whether a plan may call
+``select_documents``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -34,8 +36,6 @@ from .retrieval import (
     merge_multiquery,
     retrieve_relevant_pages,
 )
-
-SYSTEM_IDS = ("vanilla_rag", "multi_query_rag", "codegen_pager", "codegen_docs_pager")
 
 PAGE_PROMPT_MAX_CHARS = 2000
 
@@ -177,9 +177,9 @@ def _parse_extraction(reply: str) -> Answer:
     return parse_answer_text(reply)
 
 
-def extract_value(query: str, pages: Sequence[PageHandle], chat_backend, prompt_pack=None) -> Answer:
+def extract_value(query: str, pages: Sequence[PageHandle], chat_backend) -> Answer:
     """One chat call (plus at most one reprompt) extracting a value from pages."""
-    pack = prompt_pack or load_pack("extract")
+    pack = load_pack("extract")
     if not pages:
         raise ExtractionError("extract_value requires at least one page")
     messages = [
@@ -220,32 +220,6 @@ class _Meter:
         return self._backend.embed(texts)
 
 
-@contextlib.contextmanager
-def _metered_run(system_id: str, question_id: str, k: int, backends: Backends):
-    """Yield a fresh SystemRun, the system's prompt pack, and metered
-    ``backends``. However the pipeline leaves the block, the run's call
-    counts are read from the meters."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pack = load_pack(system_id)
-    chat, embed = _Meter(backends.chat), _Meter(backends.embed)
-    run = SystemRun(
-        system_id=system_id,
-        question_id=question_id,
-        k=k,
-        predicted=None,
-        retrieved_pages=[],
-        chat_calls=0,
-        embed_calls=0,
-        prompt_version=pack.version,
-    )
-    try:
-        yield run, pack, Backends(chat, embed)
-    finally:
-        run.chat_calls = chat.calls
-        run.embed_calls = embed.calls
-
-
 def _cut(run: SystemRun, ranking: list) -> list:
     """Every top-k cut of a pipeline passes its result through here. One
     that returned ``run.k`` items counts as cut, even if its pool held
@@ -255,38 +229,46 @@ def _cut(run: SystemRun, ranking: list) -> list:
     return ranking
 
 
+@dataclass
+class _Task:
+    """One question put to one system: the run it fills in, the system's
+    prompt pack, and metered backends."""
+
+    run: SystemRun
+    pack: PromptPack
+    question_text: str
+    collection: DocumentCollection
+    index: PageIndex
+    backends: Backends
+    dataset_year: int
+    n_queries: int
+
+
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
 
 
-def _answer_from_pages(
-    run: SystemRun,
-    pack: PromptPack,
-    chat_backend,
-    question_text: str,
-    index: PageIndex,
-    dataset_year: int,
-    retrieve,
-) -> None:
+def _answer_from_pages(task: _Task, retrieve) -> None:
     """The RAG answer stage: retrieve, record the pages, ask once, then
     parse the answer or tag the failure."""
+    run, pack = task.run, task.pack
     try:
         scored = retrieve()
     except BackendError as exc:
         run.failure = f"retrieval_error: {exc}"
         return
     run.retrieved_pages = [s.page_ref for s in scored]
-    pages = index.page_handles(run.retrieved_pages)
+    pages = task.index.page_handles(run.retrieved_pages)
     messages = [
-        {"role": "system", "content": pack.render("system", current_year=dataset_year)},
+        {"role": "system", "content": pack.render("system", current_year=task.dataset_year)},
         {
             "role": "user",
-            "content": pack.render("user", question=question_text, pages=render_pages(pages)),
+            "content": pack.render("user", question=task.question_text, pages=render_pages(pages)),
         },
     ]
     try:
-        reply = chat_backend.chat(messages)
+        reply = task.backends.chat.chat(messages)
     except BackendError as exc:
         run.failure = f"backend_error: {exc}"
         return
@@ -296,70 +278,48 @@ def _answer_from_pages(
         run.failure = f"answer_parse_error: {exc}"
 
 
-def answer_vanilla(
-    question_id: str,
-    question_text: str,
-    collection: DocumentCollection,
-    index: PageIndex,
-    backends: Backends,
-    k: int,
-    dataset_year: int,
-) -> SystemRun:
+def _vanilla(task: _Task) -> None:
     """One retrieval over the whole collection, one answer chat call."""
-    with _metered_run("vanilla_rag", question_id, k, backends) as (run, pack, backends):
-        _answer_from_pages(
-            run, pack, backends.chat, question_text, index, dataset_year,
-            lambda: _cut(run, retrieve_relevant_pages(
-                question_text, collection.documents, k, index, backends.embed
-            )),
-        )
-    return run
+    run = task.run
+    _answer_from_pages(task, lambda: _cut(run, retrieve_relevant_pages(
+        task.question_text, task.collection.documents, run.k, task.index, task.backends.embed
+    )))
 
 
-def answer_multiquery(
-    question_id: str,
-    question_text: str,
-    collection: DocumentCollection,
-    index: PageIndex,
-    backends: Backends,
-    k: int,
-    dataset_year: int,
-    n_queries: int = 3,
-) -> SystemRun:
+def _multiquery(task: _Task) -> None:
     """Query expansion, per-query retrieval, max-merge, one answer call."""
-    with _metered_run("multi_query_rag", question_id, k, backends) as (run, pack, backends):
-        if n_queries < 1:
-            raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-        try:
-            queries = expand_queries(question_text, backends.chat, n_queries, prompt_pack=pack)
-        except BackendError as exc:
-            run.failure = f"retrieval_error: query expansion failed: {exc}"
-            return run
+    run = task.run
+    if task.n_queries < 1:
+        raise ValueError(f"n_queries must be >= 1, got {task.n_queries}")
+    try:
+        queries = expand_queries(task.question_text, task.backends.chat, task.n_queries)
+    except BackendError as exc:
+        run.failure = f"retrieval_error: query expansion failed: {exc}"
+        return
 
-        def retrieve():
-            rankings = [
-                retrieve_relevant_pages(query, collection.documents, k, index, backends.embed)
-                for query in queries
-            ]
-            # The merge is a union of distinct pages, so it holds k whenever
-            # one of the rankings does: its cut is the only one to check.
-            return _cut(run, merge_multiquery(rankings, k))
+    def retrieve():
+        rankings = [
+            retrieve_relevant_pages(
+                query, task.collection.documents, run.k, task.index, task.backends.embed
+            )
+            for query in queries
+        ]
+        # The merge is a union of distinct pages, so it holds k whenever
+        # one of the rankings does: its cut is the only one to check.
+        return _cut(run, merge_multiquery(rankings, run.k))
 
-        _answer_from_pages(
-            run, pack, backends.chat, question_text, index, dataset_year, retrieve
-        )
-    return run
+    _answer_from_pages(task, retrieve)
 
 
 def make_exec_env(
-    collection: DocumentCollection,
-    index: PageIndex,
-    backends: Backends,
-    k: int,
-    with_doc_select: bool,
+    run: SystemRun, collection: DocumentCollection, index: PageIndex, backends: Backends
 ) -> ExecEnv:
-    """Wire the plan-language builtins to the corpus, index, and backends."""
-    extract_pack = load_pack("extract")
+    """Wire the plan-language builtins to the corpus, index, and backends.
+
+    ``retrieve_relevant_pages`` ranks ``run.k`` pages and passes its cut
+    through ``_cut``; ``select_documents`` is there for codegen_docs_pager
+    only.
+    """
 
     def _coerce_year(value):
         if isinstance(value, float) and value.is_integer():
@@ -393,11 +353,11 @@ def make_exec_env(
 
     def retrieve_fn(question, documents):
         docs = collection.documents if documents is None else documents
-        scored = retrieve_relevant_pages(question, docs, k, index, backends.embed)
-        return index.page_handles(s.page_ref for s in scored)
+        scored = retrieve_relevant_pages(question, docs, run.k, index, backends.embed)
+        return _cut(run, index.page_handles(s.page_ref for s in scored))
 
     def extract_fn(question, pages):
-        answer = extract_value(question, pages, backends.chat, extract_pack)
+        answer = extract_value(question, pages, backends.chat)
         if answer.kind == "number":
             return answer.number
         if answer.kind == "yesno":
@@ -405,77 +365,68 @@ def make_exec_env(
         return {label: value for label, value in answer.parts}
 
     return ExecEnv(
-        select_fn=select_fn,
+        select_fn=select_fn if run.system_id == "codegen_docs_pager" else None,
         retrieve_fn=retrieve_fn,
         extract_fn=extract_fn,
-        with_doc_select=with_doc_select,
     )
 
 
-def answer_codegen(
-    question_id: str,
-    question_text: str,
-    collection: DocumentCollection,
-    index: PageIndex,
-    backends: Backends,
-    k: int,
-    dataset_year: int,
-    with_doc_select: bool = True,
-) -> SystemRun:
+def _codegen(task: _Task) -> None:
     """Plan generation, sandboxed execution, emitted value parsed as answer.
 
     A plan that fails to parse gets exactly one regeneration; execution
     failures keep the partial trace on the run.
     """
-    system_id = "codegen_docs_pager" if with_doc_select else "codegen_pager"
-    with _metered_run(system_id, question_id, k, backends) as (run, pack, backends):
-        user_content = (
-            pack.render("fewshots", current_year=dataset_year)
-            + "\n---\n"
-            + pack.render("user", question=question_text)
-        )
-        messages = [
-            {"role": "system", "content": pack.render("system", current_year=dataset_year)},
-            {"role": "user", "content": user_content},
-        ]
+    run, pack, chat = task.run, task.pack, task.backends.chat
+    user_content = (
+        pack.render("fewshots", current_year=task.dataset_year)
+        + "\n---\n"
+        + pack.render("user", question=task.question_text)
+    )
+    messages = [
+        {"role": "system", "content": pack.render("system", current_year=task.dataset_year)},
+        {"role": "user", "content": user_content},
+    ]
 
-        def parse(source):
-            run.plan_source = source
-            return parse_plan(source)
+    def parse(source):
+        run.plan_source = source
+        return parse_plan(source)
 
+    try:
+        program = _ask_twice(chat, messages, parse, lambda error: (
+            f"That plan failed to parse ({error}). Write a corrected plan program."
+        ))
+    except BackendError as exc:
+        run.failure = f"backend_error: {exc}"
+        return
+    except PlanParseError as exc:
+        run.failure = f"plan_parse_error: {exc}"
+        return
+    env = make_exec_env(run, task.collection, task.index, task.backends)
+    calls_before = chat.calls
+    try:
+        trace = execute_plan(program, env)
+    except PlanRuntimeError as exc:
+        trace = exc.trace
+        run.failure = f"plan_runtime_error:{exc.kind}: {exc}"
+    # The trace counts the run's chat calls made by the plan, failed ones included.
+    trace.chat_calls = chat.calls - calls_before
+    run.trace = trace.to_json_dict()
+    run.retrieved_pages = list(trace.retrieved_pages)
+    if run.failure is None:
         try:
-            program = _ask_twice(
-                backends.chat,
-                messages,
-                parse,
-                lambda error: f"That plan failed to parse ({error}). "
-                "Write a corrected plan program.",
-            )
-        except BackendError as exc:
-            run.failure = f"backend_error: {exc}"
-            return run
-        except PlanParseError as exc:
-            run.failure = f"plan_parse_error: {exc}"
-            return run
-        env = make_exec_env(collection, index, backends, k, with_doc_select)
-        retrieve = env.retrieve_fn
-        env.retrieve_fn = lambda question, documents: _cut(run, retrieve(question, documents))
-        calls_before = backends.chat.calls
-        try:
-            trace = execute_plan(program, env)
-        except PlanRuntimeError as exc:
-            trace = exc.trace
-            run.failure = f"plan_runtime_error:{exc.kind}: {exc}"
-        # The trace counts the run's chat calls made by the plan, failed ones included.
-        trace.chat_calls = backends.chat.calls - calls_before
-        run.trace = trace.to_json_dict()
-        run.retrieved_pages = list(trace.retrieved_pages)
-        if run.failure is None:
-            try:
-                run.predicted = parse_emitted(trace.emitted)
-            except AnswerParseError as exc:
-                run.failure = f"answer_parse_error: {exc}"
-    return run
+            run.predicted = parse_emitted(trace.emitted)
+        except AnswerParseError as exc:
+            run.failure = f"answer_parse_error: {exc}"
+
+
+_PIPELINES = {
+    "vanilla_rag": _vanilla,
+    "multi_query_rag": _multiquery,
+    "codegen_pager": _codegen,
+    "codegen_docs_pager": _codegen,
+}
+SYSTEM_IDS = tuple(_PIPELINES)
 
 
 def run_system(
@@ -489,31 +440,24 @@ def run_system(
     dataset_year: int,
     n_queries: int = 3,
 ) -> SystemRun:
-    """Dispatch one question to one system."""
+    """Put one question to one system and return its run.
+
+    However the pipeline ends, the run's call counts are read from meters
+    over ``backends``.
+    """
     if system_id not in SYSTEM_IDS:
         raise ValueError(f"unknown system_id {system_id!r}")
-    if system_id == "vanilla_rag":
-        return answer_vanilla(
-            question_id, question_text, collection, index, backends, k, dataset_year
-        )
-    if system_id == "multi_query_rag":
-        return answer_multiquery(
-            question_id,
-            question_text,
-            collection,
-            index,
-            backends,
-            k,
-            dataset_year,
-            n_queries=n_queries,
-        )
-    return answer_codegen(
-        question_id,
-        question_text,
-        collection,
-        index,
-        backends,
-        k,
-        dataset_year,
-        with_doc_select=(system_id == "codegen_docs_pager"),
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    pack = load_pack(system_id)
+    chat, embed = _Meter(backends.chat), _Meter(backends.embed)
+    run = SystemRun(system_id, question_id, k, None, [], 0, 0, prompt_version=pack.version)
+    task = _Task(
+        run, pack, question_text, collection, index, Backends(chat, embed), dataset_year, n_queries
     )
+    try:
+        _PIPELINES[system_id](task)
+    finally:
+        run.chat_calls = chat.calls
+        run.embed_calls = embed.calls
+    return run

@@ -130,6 +130,14 @@ class SystemRun:
         for name, kind in (("failure", str), ("trace", dict), ("plan_source", str)):
             if not isinstance(raw.get(name), (kind, type(None))):
                 raise TypeError(f"{name} must be a {kind.__name__} or null, got {raw[name]!r}")
+        calls = (raw.get("trace") or {}).get("builtin_calls", [])
+        if type(calls) is not list or not all(
+            type(call) is list and len(call) == 3 and all(type(part) is str for part in call)
+            for call in calls
+        ):
+            raise TypeError(
+                f"trace.builtin_calls must be [name, args, result] string triples, got {calls!r}"
+            )
         return SystemRun(
             system_id=raw["system_id"],
             question_id=raw["question_id"],

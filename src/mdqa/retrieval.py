@@ -325,29 +325,31 @@ def retrieve_relevant_pages(
     return index.rank(embed_backend.embed([query])[0], runs, k)
 
 
-def expand_queries(question: str, chat_backend, n: int, prompt_pack=None) -> list[str]:
+def expand_queries(question: str, chat_backend, n: int) -> list[str]:
     """Reformulate a question into up to ``n`` retrieval queries.
 
     The original question always comes first. The backend is asked once for
-    alternatives; duplicates are dropped and the list is truncated to ``n``
-    (never padded with invented queries).
+    alternatives; duplicates are dropped and the reply is read only until
+    ``n`` queries are held (never padded with invented queries).
     """
     if n < 1:
         raise RetrievalError(f"n must be >= 1, got {n}")
     from .prompts import load_pack
 
-    pack = prompt_pack or load_pack("multi_query_rag")
+    pack = load_pack("multi_query_rag")
     messages = [
         {"role": "system", "content": pack.render("expand_system")},
         {"role": "user", "content": pack.render("expand_user", question=question, n=max(n - 1, 1))},
     ]
     reply = chat_backend.chat(messages)
-    queries = [question]
+    queries = {question: None}
     for line in reply.splitlines():
+        if len(queries) >= n:
+            break
         line = line.strip().lstrip("-*0123456789. ").strip()
-        if line and line not in queries:
-            queries.append(line)
-    return queries[:n]
+        if line:
+            queries[line] = None
+    return list(queries)
 
 
 def merge_multiquery(results: list[list[ScoredPage]], k: int) -> list[ScoredPage]:

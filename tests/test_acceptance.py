@@ -82,7 +82,8 @@ def test_a1_plan_language_fidelity(demo_world):
     collection, table, index, embedder = demo_world
     chat = OracleChatBackend(table, 2023, mode="perfect", metric_aliases=DEMO_ALIASES)
     backends = Backends(chat=chat, embed=embedder)
-    env = make_exec_env(collection, index, backends, k=4, with_doc_select=True)
+    run = SystemRun("codegen_docs_pager", "appendix", 4, None, [], 0, 0)
+    env = make_exec_env(run, collection, index, backends)
 
     started = time.perf_counter()
     demos = load_pack("codegen_docs_pager").fewshot_plans(current_year=2023)

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import reference_retrieve
 
 from mdqa import backends, cli, qasystems
@@ -987,6 +989,123 @@ def test_bad_run_record_field_exits_2(
     result = runner.invoke(main, [command, str(session)])
     assert result.exit_code == 2, result.output
     assert f"error: {runs}:5: bad record: {message}" in result.output
+
+
+def _codegen_run_and_its_question(session: Path) -> tuple[int, dict, int, dict]:
+    """The 1-based line and record of the session's first codegen_docs_pager
+    run, and those of its question."""
+    runs, questions = (
+        [json.loads(line) for line in (session / name).read_text().splitlines()]
+        for name in ("system_runs.jsonl", "questions.jsonl")
+    )
+    run_line = next(i for i, r in enumerate(runs, 1) if r["system_id"] == "codegen_docs_pager")
+    run = runs[run_line - 1]
+    question_line = next(
+        i for i, q in enumerate(questions, 1) if q["question_id"] == run["question_id"]
+    )
+    return run_line, run, question_line, questions[question_line - 1]
+
+
+@pytest.mark.parametrize(
+    "file, fields, exit_code, expected",
+    [
+        ("system_runs.jsonl", {"trace": {"builtin_calls": [[1], 2]}}, 2,
+         "bad record: trace.builtin_calls must be [name, args, result] string triples, "
+         "got [[1], 2]"),
+        ("system_runs.jsonl", {"trace": {"builtin_calls": [["a", "b"]]}}, 2,
+         "bad record: trace.builtin_calls must be"),
+        ("system_runs.jsonl", {"trace": {"builtin_calls": {}}}, 2,
+         "bad record: trace.builtin_calls must be"),
+        ("questions.jsonl", {"text": ""}, 0, "Question: \nGold: "),
+    ],
+    ids=["builtin_calls_not_triples", "builtin_call_pair", "builtin_calls_map", "empty_text"],
+)
+def test_trace_of_an_odd_record(
+    runner, finished_session, tmp_path, file, fields, exit_code, expected
+):
+    """``trace`` prints a run's builtin calls and its question's first line:
+    a record it cannot print is a bad record, and an empty question prints
+    an empty line."""
+    session = _copy_session(finished_session, tmp_path)
+    run_line, run, question_line, question = _codegen_run_and_its_question(session)
+    line, record = (run_line, run) if file == "system_runs.jsonl" else (question_line, question)
+    _replace_line(session / file, line, json.dumps({**record, **fields}))
+    result = runner.invoke(
+        main, ["trace", str(session), run["question_id"], run["system_id"], str(run["k"])]
+    )
+    assert result.exit_code == exit_code, result.output
+    assert expected in result.output
+    if exit_code == 2:
+        assert f"error: {session / file}:{line}: " in result.output
+
+
+_ODD_VALUES = (None, True, 3, 2.5, "", "x", [], {}, [[1], 2], ["a"])
+
+
+def _field_paths(record: dict, prefix: tuple = ()) -> list[tuple]:
+    """The path of every field of ``record``, fields of nested objects too."""
+    paths = []
+    for name, value in record.items():
+        paths.append(prefix + (name,))
+        if isinstance(value, dict):
+            paths.extend(_field_paths(value, prefix + (name,)))
+    return paths
+
+
+def _with_field(record: dict, path: tuple, value) -> dict:
+    record = json.loads(json.dumps(record))
+    owner = record
+    for name in path[:-1]:
+        owner = owner[name]
+    owner[path[-1]] = value
+    return record
+
+
+@pytest.fixture(scope="module")
+def odd_value_cases(finished_session):
+    """Every (file, line, record, field path) that the session-mutation test
+    may change: one vanilla_rag run, one codegen_docs_pager run, and the
+    question both answer."""
+    run_line, run, question_line, question = _codegen_run_and_its_question(finished_session)
+    runs = (finished_session / "system_runs.jsonl").read_text().splitlines()
+    vanilla_line, vanilla = next(
+        (i, r) for i, r in enumerate(map(json.loads, runs), 1)
+        if r["system_id"] == "vanilla_rag" and r["question_id"] == run["question_id"]
+    )
+    return [
+        (file, line, record, path)
+        for file, line, record in (
+            ("system_runs.jsonl", run_line, run),
+            ("system_runs.jsonl", vanilla_line, vanilla),
+            ("questions.jsonl", question_line, question),
+        )
+        for path in _field_paths(record)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), value=st.sampled_from(_ODD_VALUES))
+def test_a_session_with_one_odd_field_exits_0_1_or_2(
+    finished_session, odd_value_cases, tmp_path_factory, data, value
+):
+    """Whatever one field of a run or question record holds, ``eval``,
+    ``cost`` and ``trace`` finish with an exit code, never a traceback."""
+    file, line, record, path = data.draw(st.sampled_from(odd_value_cases))
+    session = tmp_path_factory.mktemp("odd")
+    for name in ("config.json", "ledger.json", "questions.jsonl", "system_runs.jsonl"):
+        shutil.copyfile(finished_session / name, session / name)
+    _replace_line(session / file, line, json.dumps(_with_field(record, path, value)))
+    # A changed question is traced through its codegen run, the first case's record.
+    run = record if file == "system_runs.jsonl" else odd_value_cases[0][2]
+    runner = CliRunner()
+    for args in (
+        ["eval", str(session)],
+        ["cost", str(session)],
+        ["trace", str(session), run["question_id"], run["system_id"], str(run["k"])],
+    ):
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, (SystemExit, type(None))), (path, value, args)
+        assert result.exit_code in (0, 1, 2), result.output
 
 
 def test_run_on_a_session_in_use_exits_2(runner, workspace, unfinished_session, tmp_path):

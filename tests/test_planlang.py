@@ -25,6 +25,17 @@ def run(source: str, **env_kwargs):
     return execute_plan(parse_plan(source), ExecEnv(**env_kwargs))
 
 
+@pytest.fixture()
+def budgets(monkeypatch):
+    """Set the interpreter's step and builtin budgets for one test."""
+
+    def set_budgets(step=interpreter.STEP_BUDGET, builtin=interpreter.BUILTIN_BUDGET):
+        monkeypatch.setattr(interpreter, "STEP_BUDGET", step)
+        monkeypatch.setattr(interpreter, "BUILTIN_BUDGET", builtin)
+
+    return set_budgets
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -239,14 +250,15 @@ def test_step_budget_halts_runaway_loop():
         "  total = total + 1\n"
         "emit(total)"
     )
+    assert interpreter.STEP_BUDGET == 10_000
     with pytest.raises(PlanRuntimeError) as exc_info:
-        run(source, step_budget=10_000)
+        run(source)
     assert exc_info.value.kind == "step_budget_exceeded"
     assert exc_info.value.trace.step_count <= 10_001
     assert exc_info.value.trace.emitted is None  # partial trace retained
 
 
-def test_nested_loop_budget_mid_flight():
+def test_nested_loop_budget_mid_flight(budgets):
     source = (
         "total = 0\n"
         "for i in range(0, 200):\n"
@@ -254,27 +266,23 @@ def test_nested_loop_budget_mid_flight():
         "    total = total + 1\n"
         "emit(total)"
     )
+    budgets(step=5_000)
     with pytest.raises(PlanRuntimeError) as exc_info:
-        run(source, step_budget=5_000)
+        run(source)
     assert exc_info.value.kind == "step_budget_exceeded"
     assert exc_info.value.trace.step_count > 0
 
 
-def test_builtin_budget():
+def test_builtin_budget(budgets):
     source = (
         "for i in range(0, 50):\n"
         "  x = len(\"ab\")\n"
         "emit(1)"
     )
+    budgets(builtin=10)
     with pytest.raises(PlanRuntimeError) as exc_info:
-        run(source, builtin_budget=10)
+        run(source)
     assert exc_info.value.kind == "builtin_budget_exceeded"
-
-
-def test_budgets_must_be_positive():
-    program = parse_plan("emit(1)")
-    with pytest.raises(ValueError):
-        execute_plan(program, ExecEnv(step_budget=0))
 
 
 def _doubling_plan(n: int) -> str:
@@ -307,15 +315,17 @@ def test_size_budget_counts_the_characters_built(monkeypatch, source, chars):
     assert exc_info.value.kind == "size_budget_exceeded"
 
 
-def test_budget_monotonicity():
+def test_budget_monotonicity(budgets):
     source = (
         "out = []\n"
         "for x in range(0, 10):\n"
         "  append(out, x)\n"
         "emit(sum(out))"
     )
-    small = run(source, step_budget=500, builtin_budget=20)
-    large = run(source, step_budget=50_000, builtin_budget=64)
+    budgets(step=500, builtin=20)
+    small = run(source)
+    budgets(step=50_000, builtin=64)
+    large = run(source)
     assert small.emitted == large.emitted == 45.0
     assert small.builtin_calls == large.builtin_calls
 
@@ -329,10 +339,39 @@ def test_determinism():
 
 
 def test_select_documents_gated_by_variant():
+    """The page-only system leaves ``select_fn`` out."""
     program = parse_plan('docs = select_documents(stock_symbols=["KO"])\nemit(1)')
+    env = ExecEnv(retrieve_fn=lambda question, documents: [], extract_fn=lambda q, p: 1.0)
     with pytest.raises(PlanRuntimeError) as exc_info:
-        execute_plan(program, ExecEnv(with_doc_select=False))
-    assert exc_info.value.kind == "builtin_unavailable"
+        execute_plan(program, env)
+    assert str(exc_info.value) == (
+        "builtin_unavailable: select_documents is not available to this system"
+    )
+
+
+@pytest.mark.parametrize("call", ["retrieve_relevant_pages(1)", 'extract_value("q", 2)'])
+def test_an_effect_left_out_is_unavailable(call):
+    """An effect left ``None`` fails before its arguments are checked."""
+    with pytest.raises(PlanRuntimeError) as exc_info:
+        run(f"x = {call}\nemit(1)")
+    name = call.partition("(")[0]
+    assert str(exc_info.value) == (
+        f"builtin_unavailable: {name} is not available to this system"
+    )
+
+
+@pytest.mark.parametrize("keyword", ["name", "self"])
+def test_an_effects_keyword_may_be_any_name(keyword):
+    """Keywords reach the injected effect as they are, so a keyword the
+    interpreter's own helper also names is the effect's error, not Python's."""
+
+    def select_fn(stock_symbols=None):
+        return []
+
+    with pytest.raises(PlanRuntimeError) as exc_info:
+        run(f"x = select_documents({keyword}=1)\nemit(1)", select_fn=select_fn)
+    assert exc_info.value.kind == "value_error"
+    assert f"unexpected keyword argument '{keyword}'" in str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +687,6 @@ def _stub_env() -> ExecEnv:
         select_fn=lambda **kwargs: [SimpleNamespace(doc_id="d1")],
         retrieve_fn=lambda question, documents: list(_STUB_PAGES),
         extract_fn=lambda question, pages: 1.0,
-        step_budget=500,
-        builtin_budget=16,
     )
 
 
@@ -662,10 +699,14 @@ def test_execute_parsed_programs_raises_only_runtime_errors(statements):
         program = parse_plan(source)
     except PlanParseError:
         return
-    try:
-        execute_plan(program, _stub_env())
-    except PlanRuntimeError:
-        pass
+    with pytest.MonkeyPatch.context() as mp:
+        # Small budgets keep each example fast.
+        mp.setattr(interpreter, "STEP_BUDGET", 500)
+        mp.setattr(interpreter, "BUILTIN_BUDGET", 16)
+        try:
+            execute_plan(program, _stub_env())
+        except PlanRuntimeError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@ from mdqa.qasystems import (
     AnswerParseError,
     Backends,
     ExtractionError,
-    answer_codegen,
-    answer_multiquery,
-    answer_vanilla,
     extract_value,
     parse_answer_text,
     parse_emitted,
@@ -209,7 +206,9 @@ def clean_world(clean_bundle, clean_index):
 def test_vanilla_correct_when_gold_ranks_first(clean_world):
     collection, table, index, questions, backends = clean_world
     question = next(q for q in questions if q.template_id == "ve2")
-    run = answer_vanilla(question.question_id, question.text, collection, index, backends, 4, 2023)
+    run = run_system(
+        "vanilla_rag", question.question_id, question.text, collection, index, backends, 4, 2023
+    )
     assert run.failure is None
     assert run.chat_calls == 1
     assert run.predicted.kind == "number"
@@ -220,14 +219,16 @@ def test_vanilla_correct_when_gold_ranks_first(clean_world):
 def test_vanilla_rejects_k_zero(clean_world):
     collection, _, index, questions, backends = clean_world
     with pytest.raises(ValueError):
-        answer_vanilla("q", "text", collection, index, backends, 0, 2023)
+        run_system("vanilla_rag", "q", "text", collection, index, backends, 0, 2023)
 
 
 def test_retrieved_docs_is_signature_image(clean_world):
     # A run records pages only; its documents are derived through the corpus.
     collection, _, index, questions, backends = clean_world
     question = questions[0]
-    run = answer_vanilla(question.question_id, question.text, collection, index, backends, 4, 2023)
+    run = run_system(
+        "vanilla_rag", question.question_id, question.text, collection, index, backends, 4, 2023
+    )
     assert run.retrieved_pages
     assert "retrieved_docs" not in run.to_json_dict()
     for ref in run.retrieved_pages:
@@ -238,9 +239,12 @@ def test_retrieved_docs_is_signature_image(clean_world):
 def test_multiquery_n1_matches_vanilla_retrieval(clean_world):
     collection, _, index, questions, backends = clean_world
     question = questions[0]
-    vanilla = answer_vanilla(question.question_id, question.text, collection, index, backends, 4, 2023)
-    mq = answer_multiquery(
-        question.question_id, question.text, collection, index, backends, 4, 2023, n_queries=1
+    vanilla = run_system(
+        "vanilla_rag", question.question_id, question.text, collection, index, backends, 4, 2023
+    )
+    mq = run_system(
+        "multi_query_rag", question.question_id, question.text, collection, index, backends,
+        4, 2023, n_queries=1,
     )
     assert mq.retrieved_pages == vanilla.retrieved_pages
     assert mq.chat_calls == vanilla.chat_calls + 1  # the expansion call
@@ -251,9 +255,12 @@ def test_multiquery_covers_more_gold_years_on_growth(clean_world):
     collection, _, index, questions, backends = clean_world
     question = next(q for q in questions if q.template_id == "md3")
     gold_pages = set(question.gold_pages)
-    vanilla = answer_vanilla(question.question_id, question.text, collection, index, backends, 4, 2023)
-    mq = answer_multiquery(
-        question.question_id, question.text, collection, index, backends, 4, 2023, n_queries=3
+    vanilla = run_system(
+        "vanilla_rag", question.question_id, question.text, collection, index, backends, 4, 2023
+    )
+    mq = run_system(
+        "multi_query_rag", question.question_id, question.text, collection, index, backends,
+        4, 2023, n_queries=3,
     )
     vanilla_recall = len(set(vanilla.retrieved_pages) & gold_pages) / len(gold_pages)
     mq_recall = len(set(mq.retrieved_pages) & gold_pages) / len(gold_pages)
@@ -269,7 +276,7 @@ def test_multiquery_expansion_failure_recorded(clean_world):
             raise BackendError("expansion died")
 
     bad = Backends(chat=Exploding(), embed=backends.embed)
-    run = answer_multiquery("q1", "text", collection, index, bad, 4, 2023)
+    run = run_system("multi_query_rag", "q1", "text", collection, index, bad, 4, 2023)
     assert run.failure is not None
     assert run.failure.startswith("retrieval_error")
     assert run.predicted is None
@@ -349,9 +356,9 @@ def test_codegen_md4_costs_seven_chat_calls(clean_bundle, clean_index):
     )
     backends = Backends(chat, HashedBowEmbedder())
     for question in questions:
-        run = answer_codegen(
-            question.question_id, question.text, collection, clean_index, backends, 4, 2023,
-            with_doc_select=True,
+        run = run_system(
+            "codegen_docs_pager", question.question_id, question.text, collection, clean_index,
+            backends, 4, 2023,
         )
         assert run.failure is None
         # 1 plan call + 5 first-hop extractions + 1 final extraction
@@ -379,8 +386,8 @@ def test_codegen_pool_holding_a_document_twice_returns_each_page_once(
             return plan
 
     backends = Backends(Planner(), HashedBowEmbedder())
-    run = answer_codegen(
-        "q", "irrelevant", collection, clean_index, backends, 4, 2023, with_doc_select=True
+    run = run_system(
+        "codegen_docs_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023
     )
     assert run.failure is None
     (retrieved,) = [c[2] for c in run.trace["builtin_calls"] if c[0] == "retrieve_relevant_pages"]
@@ -399,7 +406,9 @@ def test_codegen_plan_without_emit_is_no_answer(clean_bundle, clean_index):
             return "x = 1\ny = x + 1"
 
     backends = Backends(PlanOnly(), HashedBowEmbedder())
-    run = answer_codegen("q", "irrelevant", collection, clean_index, backends, 4, 2023)
+    run = run_system(
+        "codegen_docs_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023
+    )
     assert run.failure is not None
     assert "no_answer" in run.failure
     assert run.predicted is None
@@ -420,7 +429,9 @@ def test_codegen_parse_failure_retries_once(clean_bundle, clean_index):
 
     planner = FlakyPlanner()
     backends = Backends(planner, HashedBowEmbedder())
-    run = answer_codegen("q", "irrelevant", collection, clean_index, backends, 4, 2023)
+    run = run_system(
+        "codegen_docs_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023
+    )
     assert planner.calls == 2
     assert run.chat_calls == 2
     assert run.failure is None
@@ -435,7 +446,9 @@ def test_codegen_double_parse_failure_recorded(clean_bundle, clean_index):
             return "(((("
 
     backends = Backends(Hopeless(), HashedBowEmbedder())
-    run = answer_codegen("q", "irrelevant", collection, clean_index, backends, 4, 2023)
+    run = run_system(
+        "codegen_docs_pager", "q", "irrelevant", collection, clean_index, backends, 4, 2023
+    )
     assert run.failure.startswith("plan_parse_error")
     assert run.chat_calls == 2
 
@@ -485,8 +498,9 @@ def test_adversarial_vanilla_doc_recall_zero(adversarial_bundle, adversarial_ind
     )
     backends = Backends(chat, HashedBowEmbedder())
     for question in questions:
-        run = answer_vanilla(
-            question.question_id, question.text, collection, adversarial_index, backends, 4, 2023
+        run = run_system(
+            "vanilla_rag", question.question_id, question.text, collection, adversarial_index,
+            backends, 4, 2023,
         )
         gold_sigs = {
             collection.get_document(d).signature() for d in question.gold_docs
@@ -632,3 +646,18 @@ def test_failed_or_whole_collection_runs_are_not_k_free(clean_world):
     run = run_system("codegen_docs_pager", "q", "q", collection, index, failing, 128, 2023)
     assert run.failure is not None and not run.cut
     assert not run.k_free
+
+
+def test_only_codegen_docs_pager_plans_select_documents(clean_bundle, clean_index):
+    collection, _ = clean_bundle
+    backends = Backends(_OnePlan(_TEN_K_2019_PLAN), HashedBowEmbedder())
+    pager, docs_pager = (
+        run_system(system_id, "q", "q", collection, clean_index, backends, 4, 2023)
+        for system_id in ("codegen_pager", "codegen_docs_pager")
+    )
+    assert pager.failure == (
+        "plan_runtime_error:builtin_unavailable: builtin_unavailable: "
+        "select_documents is not available to this system"
+    )
+    assert (pager.trace["builtin_calls"], pager.embed_calls) == ([], 0)
+    assert docs_pager.failure is None and docs_pager.trace["selected_docs"] == ["argx-10k-2019"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -685,6 +686,38 @@ def test_expand_dedupes_and_caps():
     queries = expand_queries("q", chat, 3)
     assert queries == ["q", "dup"]
     assert len(queries) <= 3
+
+
+def _list_scan_expansion(question: str, reply: str, n: int) -> list[str]:
+    """Expansion as a scan of a list, truncated at the end: the reference
+    ``expand_queries`` must agree with."""
+    queries = [question]
+    for line in reply.splitlines():
+        line = line.strip().lstrip("-*0123456789. ").strip()
+        if line and line not in queries:
+            queries.append(line)
+    return queries[:n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lines=st.lists(st.sampled_from(["q", "a", "b", "c", "1. a", "- b", "", "  ", "2) d"])),
+    n=st.integers(min_value=1, max_value=6),
+)
+def test_expand_agrees_with_a_list_scan(lines, n):
+    reply = "\n".join(lines)
+    assert expand_queries("q", _ScriptedChat(reply), n) == _list_scan_expansion("q", reply, n)
+
+
+@pytest.mark.parametrize("n", [3, 30_001])
+def test_expand_reads_a_long_reply_in_linear_time(n):
+    """A reply of 30,000 distinct lines: the first ``n`` queries, read
+    without scanning the queries held for each line."""
+    reply = "\n".join(f"{i}. query {i}" for i in range(30_000))
+    started = time.perf_counter()
+    queries = expand_queries("q", _ScriptedChat(reply), n)
+    assert time.perf_counter() - started < 1.0
+    assert queries == ["q"] + [f"query {i}" for i in range(min(n - 1, 30_000))]
 
 
 def test_expand_rejects_bad_n():
