@@ -554,16 +554,17 @@ def _check_resumable(session: Path, backend: str) -> None:
 
 def _calls(record: dict) -> tuple[str, str, int, int]:
     """(system, question, chat calls, embed calls) of a run record."""
-    calls = [typed(record[name], name, int) for name in ("chat_calls", "embed_calls")]
-    return record["system_id"], record["question_id"], *calls
+    types = {"system_id": str, "question_id": str, "chat_calls": int, "embed_calls": int}
+    return tuple(typed(record[name], name, kind) for name, kind in types.items())
 
 
 def _run_key(calls: dict, line: bytes) -> tuple[str, str, int]:
     """(system, question, k) of a run's JSON line. The first line of each
     key leaves its ``_calls`` in ``calls``."""
     record = json.loads(line)
-    key = record["system_id"], record["question_id"], typed(record["k"], "k", int)
-    calls.setdefault(key, _calls(record))
+    found = _calls(record)
+    key = *found[:2], typed(record["k"], "k", int)
+    calls.setdefault(key, found)
     return key
 
 
@@ -598,16 +599,21 @@ def _load_session(session_dir: str):
     return session, runs, questions, config
 
 
+def _session_collection(corpus_dir: str | None, config: dict) -> DocumentCollection:
+    """The collection of ``--corpus``, else of the session config's ``corpus``."""
+    corpus_dir = corpus_dir or config.get("corpus")
+    if not isinstance(corpus_dir, str) or not corpus_dir:
+        _fail("corpus path unknown; pass --corpus")
+    return _load_corpus(corpus_dir)[0]
+
+
 @main.command(name="eval")
 @click.argument("session_dir", type=click.Path(file_okay=False))
 @click.option("--corpus", "corpus_dir", default=None, type=click.Path(file_okay=False))
 def eval_cmd(session_dir: str, corpus_dir: str | None) -> None:
     """Score a session into report.json and report.csv."""
     session, runs, questions, config = _load_session(session_dir)
-    corpus_dir = corpus_dir or config.get("corpus")
-    if not corpus_dir:
-        _fail("corpus path unknown; pass --corpus")
-    collection, _ = _load_corpus(corpus_dir)
+    collection = _session_collection(corpus_dir, config)
     ledger_path = session / "ledger.json"
     ledger_snapshot = read_json(ledger_path) if ledger_path.exists() else None
     report = build_report(runs, questions, collection, ledger_snapshot=ledger_snapshot)
@@ -721,10 +727,7 @@ def trace(session_dir: str, question_id: str, system_id: str, k: int, corpus_dir
     """Dump the retrieved pages of one run with per-field match flags, plus
     the plan source and trace for codegen systems."""
     session, runs, questions, config = _load_session(session_dir)
-    corpus_dir = corpus_dir or config.get("corpus")
-    if not corpus_dir:
-        _fail("corpus path unknown; pass --corpus")
-    collection, _ = _load_corpus(corpus_dir)
+    collection = _session_collection(corpus_dir, config)
     question = next((q for q in questions if q.question_id == question_id), None)
     if question is None:
         _fail(f"unknown question_id {question_id!r}")

@@ -53,7 +53,8 @@ class UnknownDocumentError(CorpusError):
 
 
 class FormulaError(CorpusError):
-    """A compound metric formula does not parse or references unknown metrics."""
+    """A compound metric formula does not parse, references unknown metrics
+    or reaches the metric it defines."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,7 @@ class FactTable:
         self._name_by_symbol = {sym: name for name, sym in self.companies}
 
     def _validate_metric_defs(self) -> None:
+        refs: dict[str, set[str]] = {}  # compound metric -> the ids it names
         for m in self.metric_defs:
             if m.kind == "reported":
                 if m.formula:
@@ -277,7 +279,8 @@ class FactTable:
                     node = parse_formula(m.formula)
                 except FormulaError as exc:
                     raise FormulaError(f"compound metric {m.metric_id!r}: {exc}") from None
-                unknown = formula_refs(node) - set(self._metrics)
+                refs[m.metric_id] = formula_refs(node)
+                unknown = refs[m.metric_id] - set(self._metrics)
                 if unknown:
                     raise FormulaError(
                         f"compound metric {m.metric_id!r} references unknown "
@@ -285,6 +288,15 @@ class FactTable:
                     )
             else:
                 raise CorpusError(f"metric {m.metric_id!r}: bad kind {m.kind!r}")
+        for metric_id in refs:
+            reached, todo = set(), list(refs[metric_id])
+            while todo:
+                ref = todo.pop()
+                if ref == metric_id:
+                    raise FormulaError(f"compound metric {metric_id!r} is defined through itself")
+                if ref not in reached:
+                    reached.add(ref)
+                    todo += refs.get(ref, ())
 
     def get(self, stock_symbol: str, fiscal_year: int, metric_id: str) -> Optional[FactRecord]:
         return self._by_key.get((stock_symbol.upper(), fiscal_year, metric_id))

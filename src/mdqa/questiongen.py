@@ -250,20 +250,15 @@ RULE_BINDINGS: dict[str, tuple[str, ...]] = {
 
 def compound_lookup(fact_table: FactTable, leaf: Lookup) -> Lookup:
     """Lookup that expands compound metrics through their formulas and asks
-    ``leaf`` for every reported metric. A cyclic definition raises
-    QuestionGenError; a zero divisor raises MissingFactError."""
+    ``leaf`` for every reported metric. ``FactTable`` refuses a cyclic
+    definition; a zero divisor raises MissingFactError."""
 
-    def lookup(symbol: str, metric_id: str, year: int, _stack: tuple = ()) -> float:
+    def lookup(symbol: str, metric_id: str, year: int) -> float:
         metric = fact_table.metric(metric_id)
         if metric.kind != "compound":
             return leaf(symbol, metric_id, year)
-        if metric_id in _stack:
-            raise QuestionGenError(f"cyclic compound metric {metric_id!r}")
         node = parse_formula(metric.formula)
-        values = {
-            ref: lookup(symbol, ref, year, _stack + (metric_id,))
-            for ref in sorted(formula_refs(node))
-        }
+        values = {ref: lookup(symbol, ref, year) for ref in sorted(formula_refs(node))}
         try:
             return eval_formula(node, values)
         except ZeroDivisionError:

@@ -4,16 +4,18 @@ Scoring is an exact cosine full scan; at benchmark scale (a few thousand
 pages) approximate search buys nothing and costs determinism. The index lives
 in memory and is built by each process.
 
-In memory the index holds float64 unit vectors, and each document's pages
-are one contiguous span of rows. A pool of documents becomes runs of rows:
-spans of documents adjacent in both the pool and the index merge into one
-run, and the whole collection the index was built from is one run computed
-at build time. Each run is scored with ``np.einsum("ij,j->i")`` over a view
-of the matrix, which reduces every row on its own, so a page's score depends
-only on the query vector and its row: not on the pool, its order or how it
-splits into runs, and no BLAS thread is involved. One ``np.lexsort`` on
-(-score, position in (doc_id, page_number) order) then ranks the pool; the
-positions are computed once when the index is built.
+An index is built from one ``DocumentCollection`` and ranks pools of that
+collection's own documents. Its rows are the collection's pages in collection
+order, float64 unit vectors, so each document is one contiguous span of rows
+and the whole collection is the one run ``(0, len(index))``. Any other pool
+becomes runs of rows: spans of documents adjacent in both the pool and the
+collection merge into one run. Each run is scored with
+``np.einsum("ij,j->i")`` over a view of the matrix, which reduces every row
+on its own, so a page's score depends only on the query vector and its row:
+not on the pool, its order or how it splits into runs, and no BLAS thread is
+involved. One ``np.lexsort`` on (-score, position in (doc_id, page_number)
+order) then ranks the pool; the positions are computed once when the index
+is built.
 
 A ranking is a function of (query vector, runs), so the index keeps the
 whole sorted ranking of its last ``RANKING_MEMO_SIZE`` (query vector, runs)
@@ -32,7 +34,6 @@ that only reads a session (``eval``, ``cost``, ``trace``) starts without it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -71,35 +72,31 @@ class ScoredPage:
 
 
 class PageIndex:
-    """One embedding per page of a collection. The vectors are immutable
-    after build and scoring only reads them; the one thing that changes is a
-    memo of the last ``RANKING_MEMO_SIZE`` whole rankings and their
-    ``ScoredPage`` prefixes, keyed by (query vector, runs) and guarded by a
-    lock, so threads may share an index.
+    """One embedding per page of a collection, row i for its i-th page in
+    collection order. The vectors are immutable after build and scoring only
+    reads them; the one thing that changes is a memo of the last
+    ``RANKING_MEMO_SIZE`` whole rankings and their ``ScoredPage`` prefixes,
+    keyed by (query vector, runs) and guarded by a lock, so threads may share
+    an index.
 
-    Each document's pages must be one contiguous span of rows, as
-    ``build_index`` lays them out. A pool document that is one of
-    ``documents`` (the objects the index was built from) is matched to its
-    span by identity of its ``pages`` tuple; any other document by comparing
-    page numbers. A pool that is ``documents`` itself reuses its runs.
-
+    A pool ranks only documents of ``collection``, the objects themselves:
+    anything else raises ``UnindexedPageError``, an equal copy too.
     ``texts_embedded`` is how many texts the build sent to its embedder.
     """
 
-    def __init__(
-        self,
-        refs: list[tuple[str, int]],
-        vectors: np.ndarray,
-        documents: Sequence[Document] = (),
-        texts_embedded: int = 0,
-    ):
+    def __init__(self, collection: DocumentCollection, vectors: np.ndarray, texts_embedded: int):
         import numpy as np
 
+        # doc_id -> (the indexed document, first row, end row)
+        self._spans: dict[str, tuple[Document, int, int]] = {}
+        refs: list[tuple[str, int]] = []
+        for doc in collection.documents:
+            self._spans[doc.doc_id] = (doc, len(refs), len(refs) + len(doc.pages))
+            refs += [(doc.doc_id, page.page_number) for page in doc.pages]
         if len(refs) != vectors.shape[0]:
             raise RetrievalError("index arrays disagree in length")
         if not np.all(np.isfinite(vectors)):
             raise RetrievalError("index contains non-finite vectors")
-        self.refs = list(refs)
         self.texts_embedded = texts_embedded
         self.embedding_dim = int(vectors.shape[1])
         # One float64 copy, normalized in place; cosine becomes a dot product.
@@ -107,52 +104,24 @@ class PageIndex:
         norms = np.linalg.norm(unit, axis=1)
         unit /= np.where(norms > 0, norms, 1.0)[:, None]
         self._unit = unit
-        self._row: dict[tuple[str, int], int] = {ref: i for i, ref in enumerate(refs)}
-        if len(self._row) != len(self.refs):
-            raise RetrievalError("index holds a page ref more than once")
-        # doc_id -> (first row, end row, page numbers in row order)
-        self._spans: dict[str, tuple[int, int, list[int]]] = {}
-        start = 0
-        for doc_id, group in itertools.groupby(self.refs, key=lambda ref: ref[0]):
-            if doc_id in self._spans:
-                raise RetrievalError(f"pages of document {doc_id!r} are not contiguous rows")
-            numbers = [page_number for _, page_number in group]
-            self._spans[doc_id] = (start, start + len(numbers), numbers)
-            start += len(numbers)
-        self._indexed_pages: dict[str, tuple] = {}
-        for doc in documents:
-            span = self._spans.get(doc.doc_id)
-            if span is None or [p.page_number for p in doc.pages] != span[2]:
-                raise RetrievalError(f"document {doc.doc_id!r} does not match the index")
-            self._indexed_pages[doc.doc_id] = doc.pages
-        # A plan's view of each page of ``documents``, built once.
+        # A plan's view of each page, built once.
         self._handles = {
             (d.doc_id, p.page_number): PageHandle(d.doc_id, p.page_number, p.title, p.content)
-            for d in documents for p in d.pages
+            for d in collection.documents for p in d.pages
         }
         # Row -> position in (doc_id, page_number) order, the tie-break key.
-        standard = sorted(range(len(self.refs)), key=self.refs.__getitem__)
-        self._standard_refs = [self.refs[i] for i in standard]
-        self._standard_pos = np.empty(len(self.refs), dtype=np.int64)
-        self._standard_pos[standard] = np.arange(len(self.refs))
-        # The pool of all the documents the index was built from, and its runs.
-        pool = tuple(documents)
-        self._documents = None  # no shortcut while its runs are computed
-        self._documents_runs = self.row_runs(pool)
-        self._documents = pool
+        standard = sorted(range(len(refs)), key=refs.__getitem__)
+        self._standard_refs = [refs[i] for i in standard]
+        self._standard_pos = np.empty(len(refs), dtype=np.int64)
+        self._standard_pos[standard] = np.arange(len(refs))
+        self._documents = collection.documents  # the pool that is one run
         # (query vector bytes, runs) -> (positions, scores, ScoredPage
         # prefix), best first.
         self._rankings: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, list]] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self.refs)
-
-    def row(self, page_ref: tuple[str, int]) -> int:
-        try:
-            return self._row[page_ref]
-        except KeyError:
-            raise UnindexedPageError(f"page {page_ref!r} is not in the index") from None
+        return len(self._standard_refs)
 
     def page_handles(self, refs: Iterable[tuple[str, int]]) -> list[PageHandle]:
         """The handles of pages of the documents the index was built from."""
@@ -160,31 +129,25 @@ class PageIndex:
 
     def row_runs(self, docs: Sequence[Document]) -> tuple[tuple[int, int], ...]:
         """The pool's rows as ``(start, stop)`` runs in pool order; spans of
-        documents adjacent in both the pool and the index share one run, and
-        a document the pool holds twice is counted once.
+        documents adjacent in both the pool and the collection share one run,
+        and a document the pool holds twice is counted once.
 
-        Raises ``UnindexedPageError`` unless each pool document holds exactly
-        the pages indexed under its doc_id.
+        Raises ``UnindexedPageError`` unless each pool document is one of the
+        indexed collection's own documents.
         """
         if docs is self._documents:
-            return self._documents_runs
+            return ((0, len(self)),)
         runs: list[tuple[int, int]] = []
         seen: set[str] = set()
         for doc in docs:
-            if not doc.pages or doc.doc_id in seen:
+            indexed, start, stop = self._spans.get(doc.doc_id, (None, 0, 0))
+            if indexed is not doc:
+                raise UnindexedPageError(
+                    f"document {doc.doc_id!r} is not one of the indexed collection's documents"
+                )
+            if start == stop or doc.doc_id in seen:
                 continue
             seen.add(doc.doc_id)
-            span = self._spans.get(doc.doc_id)
-            if doc.pages is not self._indexed_pages.get(doc.doc_id):
-                numbers = [p.page_number for p in doc.pages]
-                if span is None or numbers != span[2]:
-                    for number in numbers:
-                        self.row((doc.doc_id, number))
-                    raise UnindexedPageError(
-                        f"document {doc.doc_id!r} has pages {numbers}, "
-                        f"the index holds {span[2]}"
-                    )
-            start, stop, _ = span
             if runs and runs[-1][1] == start:
                 runs[-1] = (runs[-1][0], stop)
             else:
@@ -235,13 +198,8 @@ class PageIndex:
         norm = math.sqrt(q.dot(q))  # np.linalg.norm(q), without its overhead
         if norm > 0:
             q = q / norm
-        if len(runs) == 1:
-            (start, stop), = runs
-            scores = np.einsum("ij,j->i", self._unit[start:stop], q)
-            positions = self._standard_pos[start:stop]
-        else:
-            scores = np.concatenate([np.einsum("ij,j->i", self._unit[a:b], q) for a, b in runs])
-            positions = np.concatenate([self._standard_pos[a:b] for a, b in runs])
+        scores = np.concatenate([np.einsum("ij,j->i", self._unit[a:b], q) for a, b in runs])
+        positions = np.concatenate([self._standard_pos[a:b] for a, b in runs])
         np.minimum(scores, 1.0, out=scores)  # clip to [-1, 1] in place
         np.maximum(scores, -1.0, out=scores)
         order = np.lexsort((positions, -scores))
@@ -287,12 +245,10 @@ def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
     requests whatever the collection's order. The backend's rows are freed
     once the pages' rows are gathered from them, before the index is built.
     """
-    texts: list[str] = []
-    refs: list[tuple[str, int]] = []
-    for doc in collection.documents:
-        for page in doc.pages:
-            refs.append((doc.doc_id, page.page_number))
-            texts.append(f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS])
+    texts = [
+        f"{page.title}\n{page.content}"[:EMBED_INPUT_MAX_CHARS]
+        for doc in collection.documents for page in doc.pages
+    ]
     keys = [text_key(text) for text in texts]
     by_key = dict(zip(keys, texts))
     ordered = sorted(by_key)
@@ -300,7 +256,7 @@ def build_index(collection: DocumentCollection, embed_backend) -> PageIndex:
     row_of = {key: i for i, key in enumerate(ordered)}
     vectors = embedded[[row_of[key] for key in keys]]
     del embedded
-    return PageIndex(refs, vectors, documents=collection.documents, texts_embedded=len(ordered))
+    return PageIndex(collection, vectors, len(ordered))
 
 
 def retrieve_relevant_pages(
@@ -314,8 +270,8 @@ def retrieve_relevant_pages(
 
     Sorted by (score desc, doc_id asc, page_number asc); returns the whole
     pool when it holds fewer than k pages. An empty docs list yields an empty
-    result. Raises ``UnindexedPageError`` when a document's pages are not
-    exactly those indexed under its doc_id.
+    result. Raises ``UnindexedPageError`` when a document is not one of the
+    indexed collection's own.
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")

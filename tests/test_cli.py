@@ -927,6 +927,22 @@ def test_bad_journal_line_exits_2(runner, workspace, unfinished_session, tmp_pat
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("field, value", [("system_id", 5), ("question_id", None)])
+@pytest.mark.parametrize("file", ["system_runs.jsonl", "journal.jsonl"])
+def test_resume_reads_a_runs_ids_by_type(
+    runner, workspace, finished_session, unfinished_session, tmp_path, file, field, value
+):
+    """A resume keys runs by (system, question, k): an id that is not a
+    string is a bad record, in a finished session and in a journal."""
+    source = finished_session if file == "system_runs.jsonl" else unfinished_session
+    session = _copy_session(source, tmp_path)
+    record = json.loads((session / file).read_text().splitlines()[1])
+    _replace_line(session / file, 2, json.dumps({**record, field: value}))
+    result = runner.invoke(main, _run_args(workspace, session))
+    assert result.exit_code == 2, result.output
+    assert f"{session / file}:2: bad record: {field} must be str" in result.output
+
+
 def test_bad_questions_line_exits_2(runner, workspace, tmp_path):
     questions = tmp_path / "questions.jsonl"
     questions.write_text((workspace / "questions.jsonl").read_text() + "{oops\n")
@@ -1039,6 +1055,27 @@ def test_trace_of_an_odd_record(
         assert f"error: {session / file}:{line}: " in result.output
 
 
+@pytest.mark.parametrize(
+    "corpus", [5, True, ["a"], "", None], ids=["int", "bool", "list", "empty", "null"]
+)
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_a_session_config_without_a_corpus_path_exits_2(
+    runner, finished_session, tmp_path, command, corpus
+):
+    """``eval`` and ``trace`` read the corpus that ``config.json`` names when
+    no ``--corpus`` is given: anything but a path there exits 2."""
+    session = _copy_session(finished_session, tmp_path)
+    config = json.loads((session / "config.json").read_text())
+    (session / "config.json").write_text(json.dumps({**config, "corpus": corpus}))
+    _, run, _, _ = _codegen_run_and_its_question(session)
+    args = [command, str(session)]
+    if command == "trace":
+        args += [run["question_id"], run["system_id"], str(run["k"])]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "corpus path unknown; pass --corpus" in result.output
+
+
 _ODD_VALUES = (None, True, 3, 2.5, "", "x", [], {}, [[1], 2], ["a"])
 
 
@@ -1064,14 +1101,16 @@ def _with_field(record: dict, path: tuple, value) -> dict:
 @pytest.fixture(scope="module")
 def odd_value_cases(finished_session):
     """Every (file, line, record, field path) that the session-mutation test
-    may change: one vanilla_rag run, one codegen_docs_pager run, and the
-    question both answer."""
+    may change: one vanilla_rag run, one codegen_docs_pager run, the
+    question both answer, and the top-level fields of ``config.json``
+    (line None: the file is one JSON object)."""
     run_line, run, question_line, question = _codegen_run_and_its_question(finished_session)
     runs = (finished_session / "system_runs.jsonl").read_text().splitlines()
     vanilla_line, vanilla = next(
         (i, r) for i, r in enumerate(map(json.loads, runs), 1)
         if r["system_id"] == "vanilla_rag" and r["question_id"] == run["question_id"]
     )
+    config = json.loads((finished_session / "config.json").read_text())
     return [
         (file, line, record, path)
         for file, line, record in (
@@ -1080,32 +1119,129 @@ def odd_value_cases(finished_session):
             ("questions.jsonl", question_line, question),
         )
         for path in _field_paths(record)
-    ]
+    ] + [("config.json", None, config, (name,)) for name in config]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), value=st.sampled_from(_ODD_VALUES))
 def test_a_session_with_one_odd_field_exits_0_1_or_2(
-    finished_session, odd_value_cases, tmp_path_factory, data, value
+    workspace, finished_session, odd_value_cases, tmp_path_factory, data, value
 ):
-    """Whatever one field of a run or question record holds, ``eval``,
-    ``cost`` and ``trace`` finish with an exit code, never a traceback."""
+    """Whatever one field of a run or question record or of the session's
+    config holds, ``eval``, ``cost``, ``trace`` and a resuming ``run``
+    finish with an exit code, never a traceback."""
     file, line, record, path = data.draw(st.sampled_from(odd_value_cases))
     session = tmp_path_factory.mktemp("odd")
     for name in ("config.json", "ledger.json", "questions.jsonl", "system_runs.jsonl"):
         shutil.copyfile(finished_session / name, session / name)
-    _replace_line(session / file, line, json.dumps(_with_field(record, path, value)))
-    # A changed question is traced through its codegen run, the first case's record.
+    changed = json.dumps(_with_field(record, path, value))
+    if line is None:
+        (session / file).write_text(changed)
+    else:
+        _replace_line(session / file, line, changed)
+    # A changed question or config is traced through the first case's codegen run.
     run = record if file == "system_runs.jsonl" else odd_value_cases[0][2]
     runner = CliRunner()
     for args in (
         ["eval", str(session)],
         ["cost", str(session)],
         ["trace", str(session), run["question_id"], run["system_id"], str(run["k"])],
+        _run_args(workspace, session),
     ):
         result = runner.invoke(main, args)
         assert isinstance(result.exception, (SystemExit, type(None))), (path, value, args)
         assert result.exit_code in (0, 1, 2), result.output
+
+
+def _read_corpus_file(path: Path) -> list[dict]:
+    text = path.read_text()
+    return json.loads(text) if path.suffix == ".json" else list(map(json.loads, text.splitlines()))
+
+
+def _write_corpus_file(path: Path, records: list[dict]) -> None:
+    if path.suffix == ".json":
+        path.write_text(json.dumps(records))
+    else:
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
+@pytest.fixture(scope="module")
+def odd_corpus_cases(tmp_path_factory):
+    """A 3-company corpus with a compound-value and a multi-document
+    question, and every (file, record, field path, value) that the
+    corpus-mutation test may set. The fields are those of the compound
+    question's gold document and its first page, of a fact its formula reads,
+    of its compound metric and of a reported metric. The first cases make a
+    compound metric's formula name the metric itself, which ``ingest`` and
+    ``run`` must refuse with exit 2."""
+    root = tmp_path_factory.mktemp("odd_corpus")
+    runner = CliRunner()
+    result = runner.invoke(main, ["synth", str(root / "corpus"), "--kind", "clean", "--companies", "3"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "gen", "--corpus", str(root / "corpus"), "--out", str(root / "questions.jsonl"),
+        "--templates", "cve1,md1", "--count", "1", "--dataset-year", "2023", "--seed", "7",
+        "--metrics", "cve1=total_debt",
+    ])
+    assert result.exit_code == 0, result.output
+    question = json.loads((root / "questions.jsonl").read_text().splitlines()[0])
+    assert question["template_id"] == "cve1"
+    corpus = {
+        name: _read_corpus_file(root / "corpus" / name)
+        for name in ("collection.jsonl", "facts.jsonl", "metrics.json")
+    }
+    doc = next(i for i, d in enumerate(corpus["collection.jsonl"]) if d["doc_id"] == question["gold_docs"][0])
+    fact = next(
+        i for i, f in enumerate(corpus["facts.jsonl"])
+        if (f["stock_symbol"], f["fiscal_year"], f["metric_id"])
+        == (question["bindings"]["symbol"], question["dataset_year"], "short_term_debt")
+    )
+    metric = {m["metric_id"]: i for i, m in enumerate(corpus["metrics.json"])}
+    fields = [
+        ("collection.jsonl", doc, path) for path in _field_paths(corpus["collection.jsonl"][doc])
+    ] + [
+        ("collection.jsonl", doc, ("pages", 0, name)) for name in corpus["collection.jsonl"][doc]["pages"][0]
+    ] + [
+        ("facts.jsonl", fact, path) for path in _field_paths(corpus["facts.jsonl"][fact])
+    ] + [
+        ("metrics.json", metric[name], path)
+        for name in ("total_debt", "short_term_debt")
+        for path in _field_paths(corpus["metrics.json"][metric[name]])
+    ]
+    cases = [
+        ("metrics.json", metric[name], ("formula",), formula, (2,))
+        for name in ("total_debt", "revenue_per_employee")
+        for formula in (f"{name} + 1", f"short_term_debt + {name}")
+    ] + [
+        (file, record, path, value, (0, 1, 2))
+        for file, record, path in fields for value in _ODD_VALUES
+    ]
+    return root, corpus, cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_corpus_with_one_odd_field_exits_0_1_or_2(odd_corpus_cases, tmp_path_factory, data):
+    """Whatever one field of a corpus document, page, fact or metric holds,
+    ``ingest`` and a ``run`` of every system over the corpus finish with an
+    exit code, never a traceback."""
+    root, corpus, cases = odd_corpus_cases
+    file, record, path, value, exit_codes = data.draw(st.sampled_from(cases))
+    work = tmp_path_factory.mktemp("odd_corpus_case")
+    for name, records in corpus.items():
+        if name == file:
+            records = list(records)
+            records[record] = _with_field(records[record], path, value)
+        _write_corpus_file(work / name, records)
+    runner = CliRunner()
+    for args in (
+        ["ingest", str(work)],
+        ["run", "--corpus", str(work), "--questions", str(root / "questions.jsonl"),
+         "--session", str(work / "session"), "--k-grid", "4"],
+    ):
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, (SystemExit, type(None))), (file, path, value, args)
+        assert result.exit_code in exit_codes, result.output
 
 
 def test_run_on_a_session_in_use_exits_2(runner, workspace, unfinished_session, tmp_path):

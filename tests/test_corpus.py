@@ -15,7 +15,9 @@ from mdqa.corpus import (
     Document,
     DocumentCollection,
     DocumentFilter,
+    FactTable,
     FormulaError,
+    MetricDef,
     Page,
     UnknownDocumentError,
     eval_formula,
@@ -582,6 +584,37 @@ def test_formula_division_by_zero():
     node = parse_formula("a / b")
     with pytest.raises(ZeroDivisionError):
         eval_formula(node, {"a": 1.0, "b": 0.0})
+
+
+@pytest.mark.parametrize(
+    "formulas, cyclic",
+    [
+        ({"a": "a + 1"}, "a"),
+        ({"a": "b + 1", "b": "a * 2"}, "a"),
+        ({"a": "b + rev", "b": "a * 2"}, "a"),
+        ({"c": "a + 1", "a": "b + rev", "b": "a * 2"}, "a"),
+    ],
+    ids=["self", "pair", "pair_over_a_leaf", "reaching_a_cycle"],
+)
+def test_cyclic_compound_definition_rejected(formulas, cyclic):
+    """A compound metric whose formula reaches itself has no value: the fact
+    table refuses it, naming a metric of the cycle."""
+    defs = [MetricDef("rev", "Revenue", "reported")] + [
+        MetricDef(metric_id, metric_id.upper(), "compound", formula=formula)
+        for metric_id, formula in formulas.items()
+    ]
+    with pytest.raises(FormulaError, match=f"compound metric {cyclic!r} is defined through itself"):
+        FactTable([], defs, [("Xx", "XX")])
+
+
+def test_compound_metric_reached_twice_is_not_a_cycle():
+    defs = [
+        MetricDef("rev", "Revenue", "reported"),
+        MetricDef("d", "D", "compound", formula="e + f"),
+        MetricDef("e", "E", "compound", formula="rev * 2"),
+        MetricDef("f", "F", "compound", formula="e + rev"),
+    ]
+    assert FactTable([], defs, [("Xx", "XX")]).compound_metric_ids() == ["d", "e", "f"]
 
 
 # ---------------------------------------------------------------------------

@@ -255,28 +255,14 @@ def test_compound_lookup_over_any_leaf():
         MetricDef("rev", "Revenue", "reported"),
         MetricDef("emp", "Employees", "reported"),
         MetricDef("rpe", "RPE", "compound", formula="rev / emp"),
-        MetricDef("a", "A", "compound", formula="b + rev"),
-        MetricDef("b", "B", "compound", formula="a * 2"),
     ]
     table = FactTable([], defs, [("Xx", "XX")])
     leaf_values = {("XX", "rev", 2023): 6.0, ("XX", "emp", 2023): 3.0}
     lookup = compound_lookup(table, lambda s, m, y: leaf_values[(s, m, y)])
     assert lookup("XX", "rpe", 2023) == 2.0
-    with pytest.raises(QuestionGenError, match="cyclic compound metric 'a'"):
-        lookup("XX", "a", 2023)
     leaf_values[("XX", "emp", 2023)] = 0.0
     with pytest.raises(MissingFactError, match="division by zero"):
         lookup("XX", "rpe", 2023)
-
-
-def test_gold_cyclic_compound_definition():
-    defs = [
-        MetricDef("a", "A", "compound", formula="b + 1"),
-        MetricDef("b", "B", "compound", formula="a * 2"),
-    ]
-    table = FactTable([], defs, [("Xx", "XX")])
-    with pytest.raises(QuestionGenError, match="cyclic"):
-        compute_gold_with_provenance("compound_value", {"symbol": "XX", "metric": "a", "year": 2023}, table, 2023)
 
 
 def test_gold_sum_over_years_brute_force():

@@ -169,7 +169,8 @@ def test_unit_rows_are_the_two_copy_quotient(vectors):
     norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
     want = vectors.astype(np.float64) / np.where(norms > 0, norms, 1.0)[:, None]
     before = vectors.tobytes()
-    index = PageIndex([("d", i + 1) for i in range(len(vectors))], vectors)
+    pages = tuple(Page(i + 1, "", "") for i in range(len(vectors)))
+    index = PageIndex(DocumentCollection([make_doc("d", pages=pages)]), vectors, len(vectors))
     assert index._unit.dtype == np.float64
     assert index._unit.tobytes() == want.tobytes()
     assert vectors.tobytes() == before
@@ -291,34 +292,16 @@ def test_indexed_doc_id_with_other_pages_rejected(page_numbers):
         retrieve_relevant_pages("alpha", [changed], 4, index, embedder)
 
 
-def test_equal_document_outside_the_index_ranks_the_same():
+def test_equal_copy_of_an_indexed_document_rejected():
+    """A pool ranks the indexed collection's own documents: an equal copy is
+    not one of them, whatever it holds."""
     collection = _collection({"d1": ["alpha", "beta"], "d2": ["alpha beta", "gamma"]})
     embedder = HashedBowEmbedder()
     index = build_index(collection, embedder)
-    copies = [replace(doc, pages=tuple(list(doc.pages))) for doc in collection.documents]
-    assert copies[0].pages is not collection.documents[0].pages
-    assert retrieve_relevant_pages("alpha", copies, 3, index, embedder) == retrieve_relevant_pages(
-        "alpha", collection.documents, 3, index, embedder
-    )
-
-
-@pytest.mark.parametrize(
-    "refs, documents, message",
-    [
-        ([("d1", 1), ("d2", 1), ("d1", 2)], (), "not contiguous"),
-        ([("d1", 1), ("d1", 1), ("d2", 1)], (), "more than once"),
-        (
-            [("d1", 1), ("d1", 2), ("d2", 1)],
-            (make_doc("d1", pages=(Page(1, "", "a"),)),),
-            "does not match",
-        ),
-    ],
-    ids=["interleaved", "duplicate", "documents-mismatch"],
-)
-def test_index_rejects_rows_it_cannot_span(refs, documents, message):
-    vectors = np.eye(3, dtype=np.float32)
-    with pytest.raises(RetrievalError, match=message):
-        PageIndex(refs, vectors, documents=documents)
+    copy = replace(collection.documents[1])
+    assert copy == collection.documents[1] and copy is not collection.documents[1]
+    with pytest.raises(UnindexedPageError, match="'d2' is not one of the indexed collection's"):
+        retrieve_relevant_pages("alpha", [collection.documents[0], copy], 3, index, embedder)
 
 
 def test_scores_in_range_and_self_similarity():
@@ -418,14 +401,13 @@ def _dense_indexes(draw):
     palette = rng.standard_normal((draw(st.integers(1, 12)), 512)).astype(np.float32)
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
     docs = [
-        make_doc(f"d{i}", pages=tuple(Page(n + 1, "", "") for n in range(size)))
+        make_doc(f"d{i}", symbol=f"S{i}", pages=tuple(Page(n + 1, "", "") for n in range(size)))
         for i, size in enumerate(sizes)
     ]
-    docs = draw(st.permutations(docs))
-    refs = [(doc.doc_id, page.page_number) for doc in docs for page in doc.pages]
-    vectors = palette[rng.integers(0, len(palette), len(refs))]
-    index = PageIndex(refs, vectors, documents=tuple(docs))
-    return index, docs, rng.standard_normal(512).astype(np.float32)
+    collection = DocumentCollection(draw(st.permutations(docs)))
+    vectors = palette[rng.integers(0, len(palette), sum(sizes))]
+    index = PageIndex(collection, vectors, len(vectors))
+    return index, collection.documents, rng.standard_normal(512).astype(np.float32)
 
 
 @settings(max_examples=200, deadline=None)
