@@ -64,6 +64,7 @@ from .corpus import (
 )
 from .evaluation import (
     EvaluationError,
+    aggregate_cells,
     build_report,
     cost_report,
     stability_report,
@@ -600,11 +601,12 @@ def _load_session(session_dir: str):
 
 
 def _session_collection(corpus_dir: str | None, config: dict) -> DocumentCollection:
-    """The collection of ``--corpus``, else of the session config's ``corpus``."""
+    """The collection of ``--corpus``, else of the session config's ``corpus``.
+    Scoring reads only its ``collection.jsonl``, not the fact table."""
     corpus_dir = corpus_dir or config.get("corpus")
     if not isinstance(corpus_dir, str) or not corpus_dir:
         _fail("corpus path unknown; pass --corpus")
-    return _load_corpus(corpus_dir)[0]
+    return load_collection(corpus_dir)
 
 
 @main.command(name="eval")
@@ -625,7 +627,7 @@ def eval_cmd(session_dir: str, corpus_dir: str | None) -> None:
             f"calls={cell['mean_chat_calls']:.2f}"
         )
     click.echo(f"wrote {json_path} and {csv_path}")
-    if any(run.failure for run in runs):
+    if any(cell["n_failures"] for cell in report["cells"]):
         sys.exit(1)
 
 
@@ -667,7 +669,7 @@ def stability(
     collection, table = _load_corpus(corpus_dir)
     session = Path(session_dir)
     session.mkdir(parents=True, exist_ok=True)
-    variant_results = {}
+    variant_cells = {}
     for year in years:
         config = GenConfig(
             template_ids=template_ids,
@@ -694,8 +696,8 @@ def stability(
             dataset_year=year,
         )
         _, runs, qs, _ = _load_session(str(variant_dir))
-        variant_results[str(year)] = (runs, qs)
-    report = stability_report(variant_results)
+        variant_cells[str(year)] = aggregate_cells(runs, qs, collection)
+    report = stability_report(variant_cells)
     write_json(session / "stability.json", report)
     for variant, accuracy in report["per_variant"].items():
         click.echo(f"variant {variant}: accuracy={accuracy:.4f}")

@@ -85,7 +85,7 @@ def multi_component_hits(predicted: Optional[Answer], gold: Answer) -> tuple[int
 # ---------------------------------------------------------------------------
 
 
-def prf_at_k(retrieved: Sequence, gold: set) -> tuple[float, float, float]:
+def prf_at_k(retrieved: Iterable, gold: set) -> tuple[float, float, float]:
     """Precision, recall, F1 of a retrieved set against a gold set.
 
     Precision divides by what was actually retrieved (an under-filled
@@ -100,15 +100,6 @@ def prf_at_k(retrieved: Sequence, gold: set) -> tuple[float, float, float]:
     recall = hit / len(gold)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def doc_level_sets(
-    run: SystemRun, question: Question, collection: DocumentCollection
-) -> tuple[set, set]:
-    """Map retrieved pages and gold docs through document signatures."""
-    retrieved = set(map(collection.page_signature, run.retrieved_pages))
-    gold = set(map(collection.signature_of, question.gold_docs))
-    return retrieved, gold
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +143,9 @@ _RETRIEVAL_METRICS = (
 
 @dataclass
 class CellStats:
-    """Aggregates for one (system, k) grid cell."""
+    """Aggregates for one (system, k) grid cell. The ``multi_`` counts cover
+    its runs of multi-output questions; they feed the report's summary, not
+    the cell's own JSON."""
 
     system_id: str
     k: int
@@ -164,6 +157,10 @@ class CellStats:
     sums: dict = field(default_factory=lambda: {m: 0.0 for m in _RETRIEVAL_METRICS})
     chat_calls: int = 0
     embed_calls: int = 0
+    multi_runs: int = 0
+    multi_correct: int = 0
+    multi_parts_right: int = 0
+    multi_parts: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -212,15 +209,24 @@ def aggregate_cells(
         cell.embed_calls += run.embed_calls
         if run.failure:
             cell.n_failures += 1
-        if is_correct(run, question.gold):
-            cell.n_correct += 1
+        correct = is_correct(run, question.gold)
+        cell.n_correct += correct
+        if question.gold.kind == "multi":
+            parts_right, parts = multi_component_hits(run.predicted, question.gold)
+            cell.multi_runs += 1
+            cell.multi_correct += correct
+            cell.multi_parts_right += parts_right
+            cell.multi_parts += parts
         gold_pages = set(question.gold_pages)
         if not gold_pages:
             cell.n_excluded_empty_gold += 1
             continue
         page_p, page_r, page_f1 = prf_at_k(run.retrieved_pages, gold_pages)
-        retrieved_docs, gold_docs = doc_level_sets(run, question, collection)
-        doc_p, doc_r, doc_f1 = prf_at_k(retrieved_docs, gold_docs)
+        # Document level: pages and gold docs mapped to document signatures.
+        doc_p, doc_r, doc_f1 = prf_at_k(
+            map(collection.page_signature, run.retrieved_pages),
+            set(map(collection.signature_of, question.gold_docs)),
+        )
         cell.n_retrieval_scored += 1
         for metric, value in zip(
             _RETRIEVAL_METRICS, (page_p, page_r, page_f1, doc_p, doc_r, doc_f1)
@@ -248,28 +254,17 @@ def cells_r_squared(cells: Sequence[CellStats]) -> dict[str, float]:
     return out
 
 
-def accuracy_of(
-    runs: Iterable[SystemRun], questions: Iterable[Question]
-) -> float:
-    by_id = {q.question_id: q for q in questions}
-    runs = list(runs)
-    if not runs:
-        raise EvaluationError("no runs to score")
-    correct = sum(is_correct(run, by_id[run.question_id].gold) for run in runs)
-    return correct / len(runs)
-
-
-def stability_report(
-    variant_runs: dict[str, tuple[list[SystemRun], list[Question]]]
-) -> dict:
-    """Accuracy per benchmark variant, with mean and population stddev."""
-    if len(variant_runs) < 2:
+def stability_report(variant_cells: dict[str, list[CellStats]]) -> dict:
+    """Accuracy per benchmark variant (its correct runs over its runs, across
+    its cells), with mean and population stddev."""
+    if len(variant_cells) < 2:
         raise EvaluationError("stability needs at least 2 variants")
     per_variant = {}
-    for variant, (runs, questions) in sorted(variant_runs.items()):
-        if not runs:
+    for variant, cells in sorted(variant_cells.items()):
+        n_runs = sum(cell.n_runs for cell in cells)
+        if not n_runs:
             raise EvaluationError(f"variant {variant!r} has no runs")
-        per_variant[variant] = accuracy_of(runs, questions)
+        per_variant[variant] = sum(cell.n_correct for cell in cells) / n_runs
     values = list(per_variant.values())
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
@@ -326,25 +321,12 @@ def build_report(
     report["best_k"] = best_k
     if len(cells) >= 3:
         report["bottleneck_r_squared"] = cells_r_squared(cells)
-    by_id = {q.question_id: q for q in questions}
-    multi_hits = 0
-    multi_total = 0
-    multi_all = 0
-    multi_n = 0
-    for run in runs:
-        gold = by_id[run.question_id].gold
-        if gold.kind != "multi":
-            continue
-        multi_n += 1
-        hits, total = multi_component_hits(run.predicted, gold)
-        multi_hits += hits
-        multi_total += total
-        if is_correct(run, gold):
-            multi_all += 1
-    if multi_n:
+    multi_runs = sum(cell.multi_runs for cell in cells)
+    if multi_runs:
         report["multi_output"] = {
-            "all_components_accuracy": multi_all / multi_n,
-            "per_component_accuracy": multi_hits / multi_total,
+            "all_components_accuracy": sum(cell.multi_correct for cell in cells) / multi_runs,
+            "per_component_accuracy": sum(cell.multi_parts_right for cell in cells)
+            / sum(cell.multi_parts for cell in cells),
         }
     if ledger_snapshot:
         report["ledger"] = ledger_snapshot

@@ -69,6 +69,8 @@ _TOO_DEEP = f"plan nests deeper than {MAX_NESTING} levels"
 # Python's parser gives up on a plan too deep or too long for its stack, such
 # as an ``elif`` chain thousands of branches long, which it nests.
 _TOO_BIG = "plan is too long or nests too deeply for Python's parser"
+# An error quotes at most this many characters of the plan's source.
+_QUOTE_CHARS = 60
 
 _NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
 # What a line holds outside strings and comments. A ``plain`` run needs no
@@ -185,7 +187,16 @@ class _Checker:
 
     def unsupported(self, node: ast.AST) -> PlanParseError:
         what = type(getattr(node, "op", node)).__name__
-        return self.error(node, f"{what} is not part of the plan language")
+        return self.error(node, f"`{self.quote(node)}` ({what}) is not part of the plan language")
+
+    def quote(self, node: ast.AST) -> str:
+        """The source of ``node`` on its first line, cut to ``_QUOTE_CHARS``."""
+        line, text = node.lineno, self.lines[node.lineno - 1]
+        end = self.col(line, node.end_col_offset) if node.end_lineno == line else len(text)
+        source = text[self.col(line, node.col_offset) : end].rstrip()
+        if node.end_lineno != line or len(source) > _QUOTE_CHARS:
+            return source[:_QUOTE_CHARS] + " ..."
+        return source
 
     def block(self, nodes: list, blocks: int) -> None:
         for node in nodes:

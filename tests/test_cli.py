@@ -1076,6 +1076,44 @@ def test_a_session_config_without_a_corpus_path_exits_2(
     assert "corpus path unknown; pass --corpus" in result.output
 
 
+def test_eval_and_trace_read_only_the_collection(runner, workspace, finished_session, tmp_path):
+    """``eval`` and ``trace`` read only the corpus's ``collection.jsonl``: a
+    corpus directory without the fact table scores the same bytes."""
+    collection_only = tmp_path / "collection-only"
+    collection_only.mkdir()
+    shutil.copy(workspace / "corpus" / "collection.jsonl", collection_only)
+    outputs = []
+    for corpus in (workspace / "corpus", collection_only):
+        session = tmp_path / corpus.name / "session"
+        shutil.copytree(finished_session, session)
+        evaluated = runner.invoke(main, ["eval", "--corpus", str(corpus), str(session)])
+        assert evaluated.exit_code == 0, evaluated.output
+        _, run, _, _ = _codegen_run_and_its_question(session)
+        traced = runner.invoke(
+            main,
+            ["trace", "--corpus", str(corpus), str(session),
+             run["question_id"], run["system_id"], str(run["k"])],
+        )
+        assert traced.exit_code == 0, traced.output
+        outputs.append(((session / "report.json").read_bytes(), traced.output))
+    assert outputs[0] == outputs[1]
+
+
+def test_eval_of_a_run_naming_a_page_not_in_the_corpus_exits_2(
+    runner, finished_session, tmp_path
+):
+    session = _copy_session(finished_session, tmp_path)
+    runs = session / "system_runs.jsonl"
+    record = json.loads(runs.read_text().splitlines()[4])
+    doc_id = record["retrieved_pages"][0][0]
+    record["retrieved_pages"][0] = [doc_id, 999]
+    _replace_line(runs, 5, json.dumps(record))
+    result = runner.invoke(main, ["eval", str(session)])
+    assert result.exit_code == 2, result.output
+    assert f"doc '{doc_id}' has no page 999" in result.output
+    assert "Traceback" not in result.output
+
+
 _ODD_VALUES = (None, True, 3, 2.5, "", "x", [], {}, [[1], 2], ["a"])
 
 

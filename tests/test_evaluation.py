@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdqa.corpus import UnknownDocumentError
 from mdqa.evaluation import (
+    CellStats,
     DegenerateDataError,
     EmptyGoldError,
     EvaluationError,
     aggregate_cells,
+    build_report,
     cells_r_squared,
     cost_report,
-    doc_level_sets,
     match_answer,
     multi_component_hits,
     prf_at_k,
@@ -185,24 +187,27 @@ def _run_with_pages(refs, system="vanilla_rag", k=4, predicted=None, chat_calls=
     )
 
 
+def _scored(run, question, collection):
+    """The one cell of ``run``, scored by the fold."""
+    (cell,) = aggregate_cells([run], [question], collection)
+    assert cell.n_retrieval_scored == 1
+    return cell
+
+
 def test_doc_level_wrong_doc_zero(clean_bundle):
     collection, doc_a, doc_b, question = _mini_questions_and_runs(clean_bundle)
     run = _run_with_pages([(doc_b.doc_id, p.page_number) for p in doc_b.pages[:4]])
-    retrieved, gold = doc_level_sets(run, question, collection)
-    p, r, f1 = prf_at_k(retrieved, gold)
-    assert (p, r) == (0.0, 0.0)
+    cell = _scored(run, question, collection)
+    assert (cell.mean("doc_precision"), cell.mean("doc_recall")) == (0.0, 0.0)
 
 
 def test_doc_level_signature_collapse(clean_bundle):
     collection, doc_a, doc_b, question = _mini_questions_and_runs(clean_bundle)
     # All pages from the gold doc, none of them the exact gold page.
     refs = [(doc_a.doc_id, p.page_number) for p in doc_a.pages[1:4]]
-    run = _run_with_pages(refs)
-    retrieved, gold = doc_level_sets(run, question, collection)
-    p, r, f1 = prf_at_k(retrieved, gold)
-    assert r == 1.0
-    page_p, page_r, _ = prf_at_k(run.retrieved_pages, set(question.gold_pages))
-    assert page_r == 0.0  # page missed, doc still hit
+    cell = _scored(_run_with_pages(refs), question, collection)
+    assert cell.mean("doc_recall") == 1.0
+    assert cell.mean("page_recall") == 0.0  # page missed, doc still hit
 
 
 def test_doc_level_half_precision(clean_bundle):
@@ -211,20 +216,50 @@ def test_doc_level_half_precision(clean_bundle):
         (doc_a.doc_id, doc_a.pages[0].page_number),
         (doc_b.doc_id, doc_b.pages[0].page_number),
     ]
-    run = _run_with_pages(refs)
-    retrieved, gold = doc_level_sets(run, question, collection)
-    p, r, _ = prf_at_k(retrieved, gold)
-    assert p == 0.5 and r == 1.0
+    cell = _scored(_run_with_pages(refs), question, collection)
+    assert cell.mean("doc_precision") == 0.5 and cell.mean("doc_recall") == 1.0
 
 
 def test_page_hit_implies_doc_hit(clean_bundle):
     collection, doc_a, doc_b, question = _mini_questions_and_runs(clean_bundle)
-    run = _run_with_pages(list(question.gold_pages))
-    page_p, page_r, _ = prf_at_k(run.retrieved_pages, set(question.gold_pages))
-    retrieved, gold = doc_level_sets(run, question, collection)
-    _, doc_r, _ = prf_at_k(retrieved, gold)
-    assert page_r > 0
-    assert doc_r > 0
+    cell = _scored(_run_with_pages(list(question.gold_pages)), question, collection)
+    assert cell.mean("page_recall") > 0
+    assert cell.mean("doc_recall") > 0
+
+
+def test_retrieved_page_missing_from_the_corpus_is_an_error(clean_bundle):
+    collection, doc_a, doc_b, question = _mini_questions_and_runs(clean_bundle)
+    run = _run_with_pages([(doc_a.doc_id, 9999)])
+    with pytest.raises(UnknownDocumentError, match=f"^doc '{doc_a.doc_id}' has no page 9999$"):
+        aggregate_cells([run], [question], collection)
+
+
+def test_multi_output_summary_sums_the_cells(clean_bundle):
+    """Each cell counts its multi-output runs; the report sums the counts
+    over cells, whether or not a run's question has gold pages."""
+    collection, doc_a, doc_b, question = _mini_questions_and_runs(clean_bundle)
+    gold = Answer(kind="multi", parts=(("a", 1.0), ("b", 2.0), ("c", 3.0)))
+    multi = Question(**{**vars(question), "question_id": "q2", "gold": gold, "gold_pages": ()})
+    one_right = Answer(kind="multi", parts=(("a", 1.0), ("b", 5.0), ("c", 5.0)))
+    runs = [
+        _run_with_pages(list(question.gold_pages), predicted=_num(1.0)),
+        _run_with_pages([], k=4, predicted=gold),
+        _run_with_pages([], k=8, predicted=one_right),
+        _run_with_pages([], k=8, predicted=None),
+    ]
+    for run in runs[1:]:
+        run.question_id = "q2"
+    cells = aggregate_cells(runs, [question, multi], collection)
+    assert [(c.k, c.multi_runs, c.multi_correct, c.multi_parts_right, c.multi_parts) for c in cells] == [
+        (4, 1, 1, 3, 3),
+        (8, 2, 0, 1, 6),
+    ]
+    report = build_report(runs, [question, multi], collection)
+    assert report["multi_output"] == {
+        "all_components_accuracy": 1 / 3,
+        "per_component_accuracy": 4 / 9,
+    }
+    assert "multi_output" not in build_report(runs[:1], [question], collection)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +432,8 @@ def test_aggregate_counts_failures_as_incorrect(clean_bundle):
 
 
 def _variant(accuracy, n=10):
-    question = Question(
-        question_id="q1",
-        template_id="ve2",
-        text="t",
-        slots={},
-        complexity_tags=frozenset(),
-        gold=Answer(kind="number", number=1.0),
-        gold_docs=("d",),
-        gold_pages=(("d", 1),),
-        dataset_year=2023,
-    )
-    runs = []
-    for i in range(n):
-        predicted = _num(1.0) if i < round(accuracy * n) else _num(2.0)
-        runs.append(_run_with_pages([("d", 1)], predicted=predicted))
-    return runs, [question]
+    """One variant's cells: ``n`` runs, ``round(accuracy * n)`` correct."""
+    return [CellStats(system_id="vanilla_rag", k=4, n_runs=n, n_correct=round(accuracy * n))]
 
 
 def test_stability_identical_accuracies():
@@ -430,10 +451,21 @@ def test_stability_two_point_population_sigma():
     assert report["stddev"] == pytest.approx(0.01)
 
 
+def test_stability_pools_a_variants_cells():
+    """A variant's accuracy is its correct runs over its runs, not the mean
+    of its cells' accuracies."""
+    pooled = [
+        CellStats(system_id="vanilla_rag", k=4, n_runs=1, n_correct=1),
+        CellStats(system_id="vanilla_rag", k=8, n_runs=3, n_correct=0),
+    ]
+    report = stability_report({"a": pooled, "b": _variant(0.25, n=4)})
+    assert report["per_variant"] == {"a": 0.25, "b": 0.25}
+
+
 def test_stability_rejects_empty_variant():
-    with pytest.raises(EvaluationError):
-        stability_report({"a": _variant(0.8), "b": ([], [])})
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match="variant 'b' has no runs"):
+        stability_report({"a": _variant(0.8), "b": []})
+    with pytest.raises(EvaluationError, match="at least 2 variants"):
         stability_report({"only": _variant(0.5)})
 
 

@@ -161,6 +161,28 @@ def test_lines_with_non_ascii_strings_keep_their_columns():
         parse_plan('x = "\u00e9" + open(x)')
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("x = 1\ny = x and 2", "line 2, col 5: `x and 2` (And) is not part of the plan language"),
+        ("f = lambda y: y", "line 1, col 5: `lambda y: y` (Lambda) is not part of the plan language"),
+        ('x = "\u00e9\u00e9" + (1 or 2)', "line 1, col 13: `1 or 2` (Or) is not part of the plan language"),
+        ("while False:\n  x = 1", "line 1, col 1: `while False: ...` (While) is not part of the plan language"),
+        (
+            f"x = [{'1, ' * 30}1] if True else 2",
+            f"line 1, col 5: `[{'1, ' * 20}...` (IfExp) is not part of the plan language",
+        ),
+    ],
+    ids=["BoolOp", "Lambda", "non-ASCII-line", "multi-line-statement", "long-expression"],
+)
+def test_unsupported_node_errors_quote_their_source(source, message):
+    """A model reads the error in its retry prompt: it names the source it
+    refuses, on one line and at most ``_QUOTE_CHARS`` characters of it."""
+    with pytest.raises(PlanParseError) as exc_info:
+        parse_plan(source)
+    assert str(exc_info.value) == message
+
+
 def test_python_parse_failures_keep_their_position():
     with pytest.raises(PlanParseError) as exc_info:
         parse_plan("x = 1\nif x:\nemit(x)")
