@@ -379,7 +379,7 @@ def run_cmd(
     collection, table = _load_corpus(corpus_dir)
     if not Path(questions_path).exists():
         _fail(f"questions file not found: {questions_path}")
-    questions = read_questions(questions_path)
+    questions = read_questions(questions_path, table)
     if not questions:
         _fail(f"questions file is empty: {questions_path}")
     if dataset_year is None:
@@ -709,7 +709,7 @@ def stability(
 def cost(session_dir: str) -> None:
     """Mean chat calls per system with ratios against vanilla."""
     session, runs, _, _ = _load_session(session_dir)
-    report = cost_report(runs)
+    report = cost_report((run.system_id, run.chat_calls, 1) for run in runs)
     write_json(session / "cost.json", report)
     for system_id, mean in report["mean_chat_calls"].items():
         line = f"{system_id}: mean_chat_calls={mean:.2f}"

@@ -304,7 +304,7 @@ class FactTable:
     def metric(self, metric_id: str) -> MetricDef:
         try:
             return self._metrics[metric_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise CorpusError(f"unknown metric_id {metric_id!r}") from None
 
     def has_metric(self, metric_id: str) -> bool:
@@ -313,7 +313,7 @@ class FactTable:
     def company_name(self, stock_symbol: str) -> str:
         try:
             return self._name_by_symbol[stock_symbol.upper()]
-        except KeyError:
+        except (AttributeError, KeyError):
             raise CorpusError(f"unknown stock symbol {stock_symbol!r}") from None
 
     def symbols(self) -> list[str]:

@@ -275,14 +275,17 @@ def stability_report(variant_cells: dict[str, list[CellStats]]) -> dict:
     }
 
 
-def cost_report(runs: Iterable[SystemRun]) -> dict:
-    """Mean chat calls per system, with ratios against vanilla."""
-    by_system: dict[str, list[int]] = {}
-    for run in runs:
-        by_system.setdefault(run.system_id, []).append(run.chat_calls)
-    if not by_system:
+def cost_report(counts: Iterable[tuple[str, int, int]]) -> dict:
+    """Mean chat calls per system, with ratios against vanilla, folded from
+    ``(system_id, chat_calls, runs)`` counts: a cell's totals, or a single
+    run's ``(system_id, chat_calls, 1)``."""
+    totals: dict[str, tuple[int, int]] = {}
+    for system_id, chat_calls, runs in counts:
+        calls, n = totals.get(system_id, (0, 0))
+        totals[system_id] = (calls + chat_calls, n + runs)
+    if not totals:
         raise EvaluationError("no runs to cost")
-    means = {sys: sum(calls) / len(calls) for sys, calls in sorted(by_system.items())}
+    means = {sys: calls / runs for sys, (calls, runs) in sorted(totals.items())}
     out = {"mean_chat_calls": means}
     baseline = means.get("vanilla_rag")
     if baseline:
@@ -306,7 +309,7 @@ def build_report(
         "cells": [c.to_json_dict() for c in cells],
         "n_runs": len(runs),
         "n_questions": len(questions),
-        "cost": cost_report(runs),
+        "cost": cost_report((c.system_id, c.chat_calls, c.n_runs) for c in cells),
     }
     # Per-system best k: the full grid stays in "cells", this is the summary.
     best_k: dict[str, dict] = {}

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 from .corpus import (
+    CorpusError,
     DocumentCollection,
     FactRecord,
     FactTable,
@@ -87,25 +88,17 @@ class Question:
 
     @staticmethod
     def from_json_dict(raw: dict) -> "Question":
-        """A question record. Raises ``KeyError`` naming ``bindings.<name>``
-        when the bindings lack a name its template's gold rule reads, and
-        ``ValueError`` for a template that does not exist or a binding of
-        the wrong type."""
+        """A question record, its fields read by type. Raises ``ValueError``
+        for a template that does not exist. Whether the record is what its
+        template and bindings make is ``realise_question``'s to say."""
         for name in ("question_id", "template_id", "text"):
             if not isinstance(raw[name], str):
                 raise TypeError(f"{name} must be a string, got {raw[name]!r}")
         bindings = raw.get("bindings", {})
         if not isinstance(bindings, dict):
             raise TypeError(f"bindings must be an object, got {bindings!r}")
-        template = TEMPLATES.get(raw["template_id"])
-        if template is None:
+        if raw["template_id"] not in TEMPLATES:
             raise ValueError(f"template_id {raw['template_id']!r} names no template")
-        for name in RULE_BINDINGS[template.gold_rule]:
-            if name not in bindings:
-                raise KeyError(f"bindings.{name}")
-        for name, value in bindings.items():
-            if not _binding_type_ok(name, value):
-                raise ValueError(f"bindings.{name} has the wrong type: {value!r}")
         tags = typed(raw["complexity_tags"], "complexity_tags", list)
         return Question(
             question_id=raw["question_id"],
@@ -121,19 +114,6 @@ class Question:
             dataset_year=typed(raw["dataset_year"], "dataset_year", int),
             bindings=bindings,
         )
-
-
-def _binding_type_ok(name: str, value) -> bool:
-    """Whether a binding's value has the type its name calls for: a list of
-    strings for ``symbols``, a string for ``symbol*`` and ``metric*``, an
-    integer for ``year`` and ``num_year``. Other names hold anything."""
-    if name == "symbols":
-        return isinstance(value, list) and all(isinstance(s, str) for s in value)
-    if name.startswith(("symbol", "metric")):
-        return isinstance(value, str)
-    if name in ("year", "num_year"):
-        return type(value) is int
-    return True
 
 
 TEMPLATES: dict[str, QuestionTemplate] = {
@@ -234,20 +214,6 @@ TEMPLATES: dict[str, QuestionTemplate] = {
 
 Lookup = Callable[[str, str, int], float]
 
-# The bindings each gold rule reads; ``year`` (the dataset year when absent)
-# and ``extreme`` (highest when absent) are optional.
-RULE_BINDINGS: dict[str, tuple[str, ...]] = {
-    "single_value": ("symbol", "metric"),
-    "compound_value": ("symbol", "metric"),
-    "sum_over_years": ("symbol", "metric", "num_year"),
-    "pct_difference": ("symbol1", "symbol2", "metric"),
-    "overall_growth": ("symbol", "metric", "num_year"),
-    "extreme_lookup": ("symbols", "metric1", "metric2"),
-    "yes_if_positive": ("symbol", "metric"),
-    "multi_value": ("symbol", "metric1", "metric2"),
-}
-
-
 def compound_lookup(fact_table: FactTable, leaf: Lookup) -> Lookup:
     """Lookup that expands compound metrics through their formulas and asks
     ``leaf`` for every reported metric. ``FactTable`` refuses a cyclic
@@ -275,7 +241,7 @@ def table_lookup(fact_table: FactTable, record_sink: Optional[list[FactRecord]] 
     def leaf(symbol: str, metric_id: str, year: int) -> float:
         rec = fact_table.get(symbol, year, metric_id)
         if rec is None:
-            raise MissingFactError(f"no fact for ({symbol}, {year}, {metric_id})")
+            raise MissingFactError(f"no fact for ({symbol}, {year!r}, {metric_id})")
         if record_sink is not None:
             record_sink.append(rec)
         return rec.normalized
@@ -461,72 +427,108 @@ def _draw_binding(
     config: GenConfig,
     fact_table: FactTable,
     rng: random.Random,
-) -> tuple[dict, dict]:
-    """Draw one candidate (binding, surface slots) pair for a template."""
+) -> dict:
+    """Draw one candidate binding for a template: a stock symbol for each
+    company slot, a metric id for each metric slot, and the years."""
     symbols = fact_table.symbols()
     if not symbols:
         raise InfeasibleConfigError("fact table has no companies")
     metrics = _metric_pool(template, config, fact_table)
-    if not metrics and any(s.startswith("metric") or s == "metric" for s in template.slot_names):
+    if not metrics and any(s.startswith("metric") for s in template.slot_names):
         raise InfeasibleConfigError(
             f"template {template.template_id!r}: empty metric pool"
         )
     year_pool = list(config.years) if config.years else fact_table.years()
     binding: dict = {}
-    slots: dict = {}
-
-    def pick_company(slot: str, exclude: Optional[str] = None) -> str:
-        choices = [s for s in symbols if s != exclude]
-        symbol = rng.choice(choices)
-        binding[f"symbol{slot[-1]}" if slot[-1].isdigit() else "symbol"] = symbol
-        slots[slot] = fact_table.company_name(symbol)
-        slots[f"{slot}_symbol"] = symbol
-        return symbol
-
-    def pick_metric(slot: str, exclude: Optional[str] = None) -> str:
-        choices = [m for m in metrics if m != exclude]
-        if not choices:
-            raise InfeasibleConfigError(
-                f"template {template.template_id!r}: metric pool too small"
-            )
-        metric_id = rng.choice(choices)
-        binding[slot if slot.startswith("metric") else "metric"] = metric_id
-        slots[slot] = fact_table.metric(metric_id).display_name
-        slots[f"{slot}_id"] = metric_id
-        return metric_id
-
     for slot in template.slot_names:
-        if slot == "company":
-            pick_company("company")
-        elif slot in ("company1", "company2"):
-            pick_company(slot, exclude=binding.get("symbol1"))
+        if slot in ("company", "company1", "company2"):
+            choices = [s for s in symbols if s != binding.get("symbol1")]
+            binding["symbol" + slot.removeprefix("company")] = rng.choice(choices)
         elif slot == "company_names":
             size = min(config.company_list_size, len(symbols))
-            chosen = rng.sample(symbols, size)
-            # JSON-native types only, so bindings survive a file round trip.
-            binding["symbols"] = list(chosen)
-            slots["company_names"] = [fact_table.company_name(s) for s in chosen]
-            slots["company_names_symbols"] = chosen
+            binding["symbols"] = rng.sample(symbols, size)
         elif slot in ("metric", "metric1", "metric2"):
-            pick_metric(slot, exclude=binding.get("metric1") if slot == "metric2" else None)
+            exclude = binding.get("metric1") if slot == "metric2" else None
+            choices = [m for m in metrics if m != exclude]
+            if not choices:
+                raise InfeasibleConfigError(
+                    f"template {template.template_id!r}: metric pool too small"
+                )
+            binding[slot] = rng.choice(choices)
         elif slot == "year":
-            year = rng.choice(sorted(year_pool))
-            binding["year"] = year
-            slots["year"] = year
+            binding["year"] = rng.choice(sorted(year_pool))
         elif slot == "num_year":
-            num_year = rng.choice(sorted(config.num_years))
-            binding["num_year"] = num_year
-            slots["num_year"] = num_year
+            binding["num_year"] = rng.choice(sorted(config.num_years))
         else:
             raise QuestionGenError(f"unknown slot {slot!r}")
     if template.extreme:
         binding["extreme"] = template.extreme
-    return binding, slots
+    return binding
+
+
+def _slots(template: QuestionTemplate, binding: dict, fact_table: FactTable) -> dict:
+    """The surface values of ``binding``'s slots: each company's name and
+    symbol, each metric's display name and id, and the years as bound."""
+    slots: dict = {}
+    for slot in template.slot_names:
+        if slot == "company_names":
+            symbols = list(binding["symbols"])
+            slots[slot] = [fact_table.company_name(s) for s in symbols]
+            slots["company_names_symbols"] = symbols
+        elif slot.startswith("company"):
+            symbol = binding["symbol" + slot.removeprefix("company")]
+            slots[slot] = fact_table.company_name(symbol)
+            slots[f"{slot}_symbol"] = symbol
+        elif slot.startswith("metric"):
+            slots[slot] = fact_table.metric(binding[slot]).display_name
+            slots[f"{slot}_id"] = binding[slot]
+        else:
+            slots[slot] = binding[slot]
+    return slots
+
+
+def realise_question(
+    question_id: str,
+    template_id: str,
+    bindings: dict,
+    dataset_year: int,
+    fact_table: FactTable,
+) -> tuple[Question, list[FactRecord]]:
+    """The question ``template_id`` makes of ``bindings`` in
+    ``dataset_year``, and the facts its gold read: the one computation of a
+    question's slots, text, tags, gold, gold docs and gold pages, for ``gen``
+    and ``run`` alike. The question holds a copy of ``bindings``, with an
+    extreme lookup's ``winner_symbol`` and ``tie``. Raises ``KeyError``
+    naming ``bindings.<name>`` for an absent binding the template reads, and
+    ``MissingFactError`` or ``CorpusError`` when the table gives no gold."""
+    template = TEMPLATES[template_id]
+    bindings = dict(bindings)
+    try:
+        slots = _slots(template, bindings, fact_table)
+        gold, consumed = compute_gold_with_provenance(
+            template.gold_rule, bindings, fact_table, dataset_year
+        )
+    except KeyError as exc:
+        raise KeyError(f"bindings.{exc.args[0]}") from None
+    question = Question(
+        question_id=question_id,
+        template_id=template_id,
+        text=fill_template(template, slots, fact_table),
+        slots=slots,
+        complexity_tags=template.complexity_tags,
+        gold=gold,
+        gold_docs=tuple(sorted({rec.source_doc_id for rec in consumed})),
+        gold_pages=tuple(
+            sorted({(rec.source_doc_id, page) for rec in consumed for page in rec.source_pages})
+        ),
+        dataset_year=dataset_year,
+        bindings=bindings,
+    )
+    return question, consumed
 
 
 def _passes_findability(
     template: QuestionTemplate,
-    binding: dict,
     gold: Answer,
     consumed: list[FactRecord],
     collection: DocumentCollection,
@@ -558,7 +560,7 @@ def generate_questions(
     """Deterministically generate questions for the configured templates.
 
     For a fixed seed the output is byte-identical across runs. Each template
-    draws slot tuples without replacement until ``count_per_template``
+    draws bindings without replacement until ``count_per_template``
     questions pass the gold and findability checks, or the attempt budget is
     exhausted. A template that yields nothing at all raises
     InfeasibleConfigError; yielding fewer than requested is acceptable (the
@@ -576,45 +578,21 @@ def generate_questions(
         attempts = 0
         while emitted < config.count_per_template and attempts < MAX_ATTEMPTS:
             attempts += 1
-            binding, slots = _draw_binding(template, config, fact_table, rng)
-            key = json.dumps(binding, sort_keys=True, default=str)
+            binding = _draw_binding(template, config, fact_table, rng)
+            key = json.dumps(binding, sort_keys=True)
             if key in seen:
                 continue
             seen.add(key)
             try:
-                gold, consumed = compute_gold_with_provenance(
-                    template.gold_rule, binding, fact_table, config.dataset_year
+                question, consumed = realise_question(
+                    f"{template_id}-{emitted:04d}", template_id, binding,
+                    config.dataset_year, fact_table,
                 )
             except MissingFactError:
                 continue
-            if not _passes_findability(template, binding, gold, consumed, collection):
-                continue
-            text = fill_template(template, slots, fact_table)
-            gold_docs = tuple(sorted({rec.source_doc_id for rec in consumed}))
-            gold_pages = tuple(
-                sorted(
-                    {
-                        (rec.source_doc_id, page)
-                        for rec in consumed
-                        for page in rec.source_pages
-                    }
-                )
-            )
-            questions.append(
-                Question(
-                    question_id=f"{template_id}-{emitted:04d}",
-                    template_id=template_id,
-                    text=text,
-                    slots=slots,
-                    complexity_tags=template.complexity_tags,
-                    gold=gold,
-                    gold_docs=gold_docs,
-                    gold_pages=gold_pages,
-                    dataset_year=config.dataset_year,
-                    bindings=binding,
-                )
-            )
-            emitted += 1
+            if _passes_findability(template, question.gold, consumed, collection):
+                questions.append(question)
+                emitted += 1
         if emitted == 0:
             raise InfeasibleConfigError(
                 f"template {template_id!r}: no slot assignment yielded a "
@@ -634,9 +612,12 @@ def write_questions(questions: list[Question], path: str | Path) -> Path:
     return write_jsonl(path, (q.to_json_dict() for q in questions))
 
 
-def read_questions(path: str | Path) -> list[Question]:
+def read_questions(path: str | Path, fact_table: Optional[FactTable] = None) -> list[Question]:
     """The questions of a JSONL file. A ``question_id`` held twice raises
-    ``FileFormatError`` naming the second one's ``path:line``."""
+    ``FileFormatError`` naming the second one's ``path:line``. With
+    ``fact_table``, so does a record that is not exactly its
+    ``realise_question``, naming the first field that differs, a missing
+    ``bindings.<name>``, or why the table gives no gold."""
     seen: set[str] = set()
 
     def parse(raw: dict) -> Question:
@@ -644,6 +625,20 @@ def read_questions(path: str | Path) -> list[Question]:
         if question.question_id in seen:
             raise ValueError(f"question_id {question.question_id!r} is held twice")
         seen.add(question.question_id)
+        if fact_table is not None:
+            try:
+                realised, _ = realise_question(
+                    question.question_id, question.template_id, question.bindings,
+                    question.dataset_year, fact_table,
+                )
+            except (CorpusError, MissingFactError) as exc:
+                raise ValueError(str(exc)) from None
+            if realised != question:
+                name = next(
+                    f.name for f in fields(Question)
+                    if getattr(realised, f.name) != getattr(question, f.name)
+                )
+                raise ValueError(f"{name} is not what its template and bindings make")
         return question
 
     return read_jsonl(path, parse)

@@ -474,7 +474,7 @@ def test_a8_cost_accounting(clean_bundle, clean_index):
     assert all(r.chat_calls == 7 for r in codegen), [r.chat_calls for r in codegen]
     # Each trace counts its plan's calls: all but the one that wrote the plan.
     assert all(r.trace["chat_calls"] == 6 for r in codegen)
-    report = cost_report(runs)
+    report = cost_report((r.system_id, r.chat_calls, 1) for r in runs)
     assert report["mean_chat_calls"]["vanilla_rag"] == 1.0
     assert report["mean_chat_calls"]["codegen_docs_pager"] == 7.0
     assert report["ratio_vs_vanilla"]["codegen_docs_pager"] == 7.0

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -1451,25 +1452,33 @@ def test_bad_numeric_option_exits_2(runner, workspace, tmp_path, make_args, opti
     assert not (tmp_path / "q.jsonl").exists() and not (tmp_path / "s").exists()
 
 
-def _second_question_exits_2(runner, workspace, finished_session, tmp_path, fields, message):
+def _second_question_exits_2(
+    runner, workspace, finished_session, tmp_path, fields, message, run_only=False
+):
     """Give the workspace's second question ``fields``: ``run``, ``eval`` and
     ``trace`` each exit 2 with ``message`` about line 2, and ``run`` writes
-    nothing."""
-    first, second = (workspace / "questions.jsonl").read_text().splitlines()[:2]
-    text = first + "\n" + json.dumps({**json.loads(second), **fields}) + "\n"
+    nothing. With ``run_only`` (an edit of the bindings), only ``run``, which
+    realises each question, exits 2: ``eval`` and ``trace`` read no bindings
+    and exit 0."""
+    lines = (workspace / "questions.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **fields})
+    text = "\n".join(lines) + "\n"
     questions = tmp_path / "questions.jsonl"
     questions.write_text(text)
     session = _copy_session(finished_session, tmp_path)
     (session / "questions.jsonl").write_text(text)
     run_args = _run_args(workspace, tmp_path / "s")
     run_args[run_args.index("--questions") + 1] = str(questions)
-    question_id = json.loads(first)["question_id"]
+    question_id = json.loads(lines[0])["question_id"]
     for args, path in (
         (run_args, questions),
         (["eval", str(session)], session / "questions.jsonl"),
         (["trace", str(session), question_id, "vanilla_rag", "4"], session / "questions.jsonl"),
     ):
         result = runner.invoke(main, args)
+        if run_only and args is not run_args:
+            assert result.exit_code == 0, result.output
+            continue
         assert result.exit_code == 2, result.output
         assert f"error: {path}:2: {message}" in result.output
     assert not (tmp_path / "s").exists()
@@ -1504,32 +1513,128 @@ def test_non_string_question_field_exits_2(
 def test_question_without_a_binding_its_rule_reads_exits_2(
     runner, workspace, finished_session, tmp_path, name
 ):
-    """A question's bindings hold each name its template's gold rule reads,
-    checked when the file is read, before any run."""
+    """``run`` refuses a question whose bindings lack a name its template
+    reads, before any run."""
     second = json.loads((workspace / "questions.jsonl").read_text().splitlines()[1])
     assert second["template_id"] == "ve2"
     bindings = {key: value for key, value in second["bindings"].items() if key != name}
     _second_question_exits_2(
         runner, workspace, finished_session, tmp_path, {"bindings": bindings},
-        f"missing field 'bindings.{name}'",
+        f"missing field 'bindings.{name}'", run_only=True,
     )
 
 
 @pytest.mark.parametrize(
-    "name, value", [("symbol", None), ("symbol", True), ("metric", 3), ("year", True),
-                    ("year", "2023")],
+    "name, value, message",
+    [
+        ("symbol", None, "unknown stock symbol None"),
+        ("symbol", True, "unknown stock symbol True"),
+        ("metric", 3, "unknown metric_id 3"),
+        ("year", True, "no fact for ({symbol}, True, {metric})"),
+        ("year", "2023", "no fact for ({symbol}, '2023', {metric})"),
+    ],
+    ids=["symbol-None", "symbol-True", "metric-3", "year-True", "year-2023"],
 )
 def test_question_binding_of_the_wrong_type_exits_2(
-    runner, workspace, finished_session, tmp_path, name, value
+    runner, workspace, finished_session, tmp_path, name, value, message
 ):
-    """A binding's type follows from its name, checked when the file is
-    read, before any run."""
+    """``run`` refuses a question with a binding of a type no fact is held
+    under, naming the value, before any run."""
     second = json.loads((workspace / "questions.jsonl").read_text().splitlines()[1])
     _second_question_exits_2(
         runner, workspace, finished_session, tmp_path,
         {"bindings": {**second["bindings"], name: value}},
-        f"bad record: bindings.{name} has the wrong type: {value!r}",
+        "bad record: " + message.format(**second["bindings"]), run_only=True,
     )
+
+
+# The fields of a question record that ``realise_question`` computes.
+_REALISED_FIELDS = ("text", "slots", "gold", "gold_docs", "gold_pages")
+_DROPPED = object()
+
+
+@pytest.fixture(scope="module")
+def question_values(workspace):
+    """The workspace's question records, and the values each realised field
+    and each binding name holds across them."""
+    records = [json.loads(line) for line in (workspace / "questions.jsonl").read_text().splitlines()]
+    values: dict = {}
+    for record in records:
+        for name in _REALISED_FIELDS:
+            values.setdefault(name, []).append(record[name])
+        for name, value in record["bindings"].items():
+            values.setdefault(name, []).append(value)
+    return records, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_question_that_is_not_its_realisation_exits_2(
+    workspace, question_values, tmp_path_factory, data
+):
+    """A question with one realised field or one binding replaced (by another
+    question's value or an odd one) or dropped is no longer what its
+    template and bindings make of the corpus: ``run`` exits 2 naming the
+    record's ``path:line`` and creates no session. ``extreme`` is left
+    alone: an md4 question without it is the same question."""
+    records, values = question_values
+    line = data.draw(st.integers(1, len(records)), label="line")
+    record = json.loads(json.dumps(records[line - 1]))
+    bindings = record["bindings"]
+    name = data.draw(
+        st.sampled_from([*_REALISED_FIELDS, *(n for n in bindings if n != "extreme")]),
+        label="field or binding",
+    )
+    owner = record if name in _REALISED_FIELDS else bindings
+    old = owner[name]
+    new = data.draw(
+        st.sampled_from([_DROPPED, *_ODD_VALUES, *values[name]]).filter(
+            lambda value: value is _DROPPED or value != old
+        ),
+        label="value",
+    )
+    if new is _DROPPED:
+        del owner[name]
+    else:
+        owner[name] = new
+    work = tmp_path_factory.mktemp("edited")
+    questions = work / "questions.jsonl"
+    lines = [json.dumps(r) for r in records]
+    lines[line - 1] = json.dumps(record)
+    questions.write_text("\n".join(lines) + "\n")
+    args = _run_args(workspace, work / "s")
+    args[args.index("--questions") + 1] = str(questions)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"error: {questions}:{line}: " in result.output
+    assert not (work / "s").exists()
+
+
+def test_a_question_over_a_million_years_exits_2_at_once(runner, workspace, tmp_path):
+    """An md1 question whose ``num_year`` is 1,000,000 reads a fact the
+    corpus does not hold: ``run`` refuses it as it reads the file, instead
+    of answering it with a reply of a million lines."""
+    lines = (workspace / "questions.jsonl").read_text().splitlines()
+    line, record = next(
+        (i, r) for i, r in enumerate(map(json.loads, lines), 1) if r["template_id"] == "md1"
+    )
+    record["bindings"]["num_year"] = 1_000_000
+    lines[line - 1] = json.dumps(record)
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text("\n".join(lines) + "\n")
+    args = _run_args(workspace, tmp_path / "s")
+    args[args.index("--questions") + 1] = str(questions)
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 2, result.output
+    bindings = record["bindings"]
+    first_year = record["dataset_year"] - 1_000_000 + 1
+    assert (
+        f"error: {questions}:{line}: bad record: no fact for "
+        f"({bindings['symbol']}, {first_year}, {bindings['metric']})"
+    ) in result.output
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize(

@@ -476,7 +476,7 @@ def test_cost_report_means_and_ratios():
         _run_with_pages([("d", 1)], system="codegen_docs_pager", chat_calls=7),
         _run_with_pages([("d", 1)], system="codegen_docs_pager", chat_calls=7),
     ]
-    report = cost_report(runs)
+    report = cost_report((r.system_id, r.chat_calls, 1) for r in runs)
     assert report["mean_chat_calls"]["vanilla_rag"] == 1.0
     assert report["mean_chat_calls"]["codegen_docs_pager"] == 7.0
     assert report["ratio_vs_vanilla"]["codegen_docs_pager"] == 7.0
@@ -486,8 +486,32 @@ def test_cost_report_mean_equals_total_over_count():
     runs = [
         _run_with_pages([("d", 1)], system="vanilla_rag", chat_calls=c) for c in (1, 2, 3)
     ]
-    report = cost_report(runs)
+    report = cost_report((r.system_id, r.chat_calls, 1) for r in runs)
     assert report["mean_chat_calls"]["vanilla_rag"] == pytest.approx(6 / 3)
+
+
+@settings(max_examples=50)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from(["vanilla_rag", "multi_query_rag", "codegen_pager"]),
+            st.sampled_from([4, 8, 16]),
+            st.integers(min_value=0, max_value=40),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_report_cost_from_cells_is_the_cost_of_its_runs(clean_bundle, runs):
+    """``build_report`` costs a session from its cells' totals; that is the
+    same report, to the bit, as costing each run on its own."""
+    collection, doc, _, question = _mini_questions_and_runs(clean_bundle)
+    session = [
+        _run_with_pages([(doc.doc_id, 1)], system=system, k=k, chat_calls=calls)
+        for system, k, calls in runs
+    ]
+    report = build_report(session, [question], collection)
+    assert report["cost"] == cost_report((r.system_id, r.chat_calls, 1) for r in session)
 
 
 def test_build_report_best_k_and_multi_sections(clean_bundle):
