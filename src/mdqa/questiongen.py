@@ -499,9 +499,14 @@ def realise_question(
     question's slots, text, tags, gold, gold docs and gold pages, for ``gen``
     and ``run`` alike. The question holds a copy of ``bindings``, with an
     extreme lookup's ``winner_symbol`` and ``tie``. Raises ``KeyError``
-    naming ``bindings.<name>`` for an absent binding the template reads, and
-    ``MissingFactError`` or ``CorpusError`` when the table gives no gold."""
+    naming ``bindings.<name>`` for an absent binding the template reads,
+    ``ValueError`` for an ``extreme`` that is not the template's own (an
+    absent one reads as highest), and ``MissingFactError`` or
+    ``CorpusError`` when the table gives no gold."""
     template = TEMPLATES[template_id]
+    if "extreme" in bindings and bindings["extreme"] != template.extreme:
+        want = repr(template.extreme) if template.extreme else "absent"
+        raise ValueError(f"bindings.extreme must be {want}, got {bindings['extreme']!r}")
     bindings = dict(bindings)
     try:
         slots = _slots(template, bindings, fact_table)
@@ -617,7 +622,8 @@ def read_questions(path: str | Path, fact_table: Optional[FactTable] = None) -> 
     ``FileFormatError`` naming the second one's ``path:line``. With
     ``fact_table``, so does a record that is not exactly its
     ``realise_question``, naming the first field that differs, a missing
-    ``bindings.<name>``, or why the table gives no gold."""
+    ``bindings.<name>``, or why the table gives no gold. Its bindings must
+    be of the realisation's own JSON types too: ``tie: 0`` is not ``false``."""
     seen: set[str] = set()
 
     def parse(raw: dict) -> Question:
@@ -633,12 +639,29 @@ def read_questions(path: str | Path, fact_table: Optional[FactTable] = None) -> 
                 )
             except (CorpusError, MissingFactError) as exc:
                 raise ValueError(str(exc)) from None
-            if realised != question:
+            if realised != question or not _same_json(realised.bindings, question.bindings):
                 name = next(
-                    f.name for f in fields(Question)
-                    if getattr(realised, f.name) != getattr(question, f.name)
+                    (f.name for f in fields(Question)
+                     if getattr(realised, f.name) != getattr(question, f.name)),
+                    "bindings",
                 )
                 raise ValueError(f"{name} is not what its template and bindings make")
         return question
 
     return read_jsonl(path, parse)
+
+
+def _same_json(a, b) -> bool:
+    """``a == b`` with each value of the same type too, into lists and
+    objects: ``0`` is not ``false``, nor ``2.0`` ``2``. A realisation's
+    bindings share all but two values with the record's, so the identity
+    test settles most at once."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(map(_same_json, a.values(), map(b.get, a)))
+    return a == b

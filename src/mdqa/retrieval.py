@@ -55,6 +55,10 @@ RANKING_MEMO_SIZE = 32
 # at most 293 other texts apart on the ROADMAP baseline session (338 distinct
 # texts, --jobs 1 or 4), 241 on docs_pager_http and 134 on clean_sweep.
 QUERY_MEMO_SIZE = 512
+# Rows a PageIndex casts and normalizes at a time while it is built: the
+# build's temporaries are one block's (256 KB at 512 dimensions), not the
+# whole matrix's.
+NORMALIZE_BLOCK_ROWS = 64
 
 
 class RetrievalError(Exception):
@@ -95,14 +99,20 @@ class PageIndex:
             refs += [(doc.doc_id, page.page_number) for page in doc.pages]
         if len(refs) != vectors.shape[0]:
             raise RetrievalError("index arrays disagree in length")
-        if not np.all(np.isfinite(vectors)):
-            raise RetrievalError("index contains non-finite vectors")
         self.texts_embedded = texts_embedded
         self.embedding_dim = int(vectors.shape[1])
-        # One float64 copy, normalized in place; cosine becomes a dot product.
-        unit = vectors.astype(np.float64)
-        norms = np.linalg.norm(unit, axis=1)
-        unit /= np.where(norms > 0, norms, 1.0)[:, None]
+        # One float64 matrix, filled from the input, checked and normalized
+        # in place a block of rows at a time, so no temporary spans the whole
+        # matrix; cosine becomes a dot product. The norm reduces each row on
+        # its own, so the bytes are those of the whole-matrix quotient.
+        unit = np.empty(vectors.shape, dtype=np.float64)
+        for start in range(0, len(unit), NORMALIZE_BLOCK_ROWS):
+            block = unit[start:start + NORMALIZE_BLOCK_ROWS]
+            block[...] = vectors[start:start + NORMALIZE_BLOCK_ROWS]
+            if not np.all(np.isfinite(block)):
+                raise RetrievalError("index contains non-finite vectors")
+            norms = np.linalg.norm(block, axis=1)
+            block /= np.where(norms > 0, norms, 1.0)[:, None]
         self._unit = unit
         # A plan's view of each page, built once.
         self._handles = {

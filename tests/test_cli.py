@@ -1575,21 +1575,18 @@ def test_a_question_that_is_not_its_realisation_exits_2(
     """A question with one realised field or one binding replaced (by another
     question's value or an odd one) or dropped is no longer what its
     template and bindings make of the corpus: ``run`` exits 2 naming the
-    record's ``path:line`` and creates no session. ``extreme`` is left
-    alone: an md4 question without it is the same question."""
+    record's ``path:line`` and creates no session. ``extreme`` is only
+    replaced, not dropped: an md4 question without it is the same question."""
     records, values = question_values
     line = data.draw(st.integers(1, len(records)), label="line")
     record = json.loads(json.dumps(records[line - 1]))
     bindings = record["bindings"]
-    name = data.draw(
-        st.sampled_from([*_REALISED_FIELDS, *(n for n in bindings if n != "extreme")]),
-        label="field or binding",
-    )
+    name = data.draw(st.sampled_from([*_REALISED_FIELDS, *bindings]), label="field or binding")
     owner = record if name in _REALISED_FIELDS else bindings
     old = owner[name]
     new = data.draw(
         st.sampled_from([_DROPPED, *_ODD_VALUES, *values[name]]).filter(
-            lambda value: value is _DROPPED or value != old
+            lambda value: value != old if value is not _DROPPED else name != "extreme"
         ),
         label="value",
     )
@@ -1635,6 +1632,47 @@ def test_a_question_over_a_million_years_exits_2_at_once(runner, workspace, tmp_
         f"({bindings['symbol']}, {first_year}, {bindings['metric']})"
     ) in result.output
     assert not (tmp_path / "s").exists()
+
+
+def _md4_question_exits_2(runner, workspace, tmp_path, name, edit, message):
+    """Replace the binding ``name`` of the workspace's first md4 question by
+    ``edit`` of its value: ``run`` exits 2 with ``message`` about its line
+    and creates no session."""
+    lines = (workspace / "questions.jsonl").read_text().splitlines()
+    line, record = next(
+        (i, r) for i, r in enumerate(map(json.loads, lines), 1) if r["template_id"] == "md4"
+    )
+    record["bindings"][name] = edit(record["bindings"][name])
+    lines[line - 1] = json.dumps(record)
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text("\n".join(lines) + "\n")
+    args = _run_args(workspace, tmp_path / "s")
+    args[args.index("--questions") + 1] = str(questions)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"error: {questions}:{line}: bad record: {message}" in result.output
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("convert", [int, float])
+def test_a_binding_equal_but_of_another_type_exits_2(runner, workspace, tmp_path, convert):
+    """A binding is compared with its realisation by JSON type too: an md4
+    ``tie`` of ``0`` is not ``false``, though Python finds them equal."""
+    _md4_question_exits_2(
+        runner, workspace, tmp_path, "tie", convert,
+        "bindings is not what its template and bindings make",
+    )
+
+
+@pytest.mark.parametrize("value", ["x", "lowest", None, True])
+def test_an_extreme_other_than_the_templates_own_exits_2(runner, workspace, tmp_path, value):
+    """md4 asks for the highest: an ``extreme`` binding that says anything
+    else is refused, though the lookup reads anything but ``"lowest"`` as
+    highest."""
+    _md4_question_exits_2(
+        runner, workspace, tmp_path, "extreme", lambda _: value,
+        f"bindings.extreme must be 'highest', got {value!r}",
+    )
 
 
 @pytest.mark.parametrize(
