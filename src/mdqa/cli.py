@@ -10,6 +10,11 @@ run`` at a time holds a session, by an exclusive ``flock`` on its directory.
 Everything a report needs is recorded in the session, and identical inputs
 with oracle backends reproduce identical outputs byte for byte.
 
+Each command imports the code it runs: the pipelines (``qasystems``,
+``planlang``, ``prompts``), the oracle and ``synth`` are imported inside the
+commands that call them, so ``ingest``, ``gen``, ``eval``, ``cost`` and
+``trace`` start without them, and ``synth`` without the first three.
+
 Exit codes: 0 success; 1 evaluation completed but found pipeline failures;
 2 usage or validation error.
 
@@ -40,12 +45,10 @@ import sys
 import threading
 from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
-from . import synth as synth_mod
 from .backends import (
     BackendConfig,
     BackendConfigError,
@@ -71,8 +74,6 @@ from .evaluation import (
     write_report,
 )
 from .files import AppendLog, FileFormatError, atomic_open, jsonl_line, read_json, read_jsonl, write_json
-from .oracle import OracleChatBackend
-from .qasystems import SYSTEM_IDS, Backends, run_system
 from .questiongen import (
     GenConfig,
     Question,
@@ -81,13 +82,8 @@ from .questiongen import (
     read_questions,
     write_questions,
 )
-from .records import RUN_FORMAT, SystemRun, typed
+from .records import RUN_FORMAT, SYSTEM_IDS, SystemRun, typed
 from .retrieval import QueryMemo, RetrievalError, build_index
-
-try:
-    import tomllib
-except ImportError:  # Python < 3.11
-    import tomli as tomllib
 
 
 def _fail(message: str) -> None:
@@ -180,6 +176,8 @@ def ingest(corpus_dir: str) -> None:
 @click.option("--seed", type=int, default=11, show_default=True)
 def synth(out_dir: str, kind: str, companies: int, years: str, seed: int) -> None:
     """Write a synthetic corpus bundle."""
+    from . import synth as synth_mod
+
     try:
         collection, table = synth_mod.write_bundle(
             out_dir, kind=kind, n_companies=companies,
@@ -278,15 +276,20 @@ def _build_backends(
     holds the HTTP embedder's vectors. The oracle's embedder is local and
     fast, so an oracle session stores no vectors. Either embedder sits
     behind a ``QueryMemo``, so a repeated query text reaches it once."""
+    from .qasystems import Backends
+
     index_cache = session_dir / "index_cache"
     if backend == "oracle":
+        from .oracle import OracleChatBackend
+        from .synth import ORACLE_METRIC_ALIASES
+
         index_cache.mkdir(exist_ok=True)  # benchmarks/bench_session.py lists it
         chat = OracleChatBackend(
             table,
             dataset_year,
             questions=questions,
             mode=oracle_mode,
-            metric_aliases=synth_mod.ORACLE_METRIC_ALIASES,
+            metric_aliases=ORACLE_METRIC_ALIASES,
         )
         return Backends(chat=chat, embed=QueryMemo(HashedBowEmbedder()))
     config = BackendConfig(
@@ -309,6 +312,10 @@ def _load_run_config(ctx: click.Context, param: click.Parameter, path: str | Non
     built-in default. Keys are option names with underscores (``k_grid``)."""
     if path is None:
         return None
+    try:
+        import tomllib
+    except ImportError:  # Python < 3.11
+        import tomli as tomllib
     try:
         with open(path, "rb") as fh:
             data = tomllib.load(fh)
@@ -374,6 +381,8 @@ def run_cmd(
     auth_env,
 ) -> None:
     """Run systems over a question set and persist a session."""
+    from concurrent.futures import ThreadPoolExecutor
+
     if not corpus_dir or not questions_path or not session_dir:
         _fail("run requires --corpus, --questions, and --session (flags or config)")
     collection, table = _load_corpus(corpus_dir)
@@ -491,6 +500,16 @@ def run_cmd(
         f"({len(todo)} new, {len(done)} resumed), "
         f"chat_calls={ledger['chat_total']}"
     )
+
+
+def run_system(*args, **kwargs):
+    """``qasystems.run_system``, imported when called, so importing ``cli``
+    loads no pipeline. ``benchmarks/tracing.py`` wraps ``cli.run_system`` and
+    tests patch it; once the tracer patches the defining modules, ``run`` can
+    import ``qasystems.run_system`` itself and this function can go."""
+    from .qasystems import run_system
+
+    return run_system(*args, **kwargs)
 
 
 def _ledger(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Optional
 
+from ..records import PageHandle
 from .parser import elif_branch
 
 STEP_BUDGET = 10_000
@@ -47,20 +48,6 @@ class PlanRuntimeError(Exception):
 
 class _EmitSignal(Exception):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class PageHandle:
-    """A retrieved page as seen from inside a plan."""
-
-    doc_id: str
-    page_number: int
-    title: str
-    content: str
-
-    @property
-    def ref(self) -> tuple[str, int]:
-        return (self.doc_id, self.page_number)
 
 
 @dataclass

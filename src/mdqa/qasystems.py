@@ -20,16 +20,9 @@ from typing import Sequence
 
 from .backends import BackendError
 from .corpus import DocumentCollection, DocumentFilter, select_documents
-from .planlang import (
-    ExecEnv,
-    PageHandle,
-    PlanParseError,
-    PlanRuntimeError,
-    execute_plan,
-    parse_plan,
-)
+from .planlang import ExecEnv, PlanParseError, PlanRuntimeError, execute_plan, parse_plan
 from .prompts import PromptPack, load_pack
-from .records import Answer, SystemRun
+from .records import SYSTEM_IDS, Answer, PageHandle, SystemRun
 from .retrieval import (
     PageIndex,
     expand_queries,
@@ -420,13 +413,7 @@ def _codegen(task: _Task) -> None:
             run.failure = f"answer_parse_error: {exc}"
 
 
-_PIPELINES = {
-    "vanilla_rag": _vanilla,
-    "multi_query_rag": _multiquery,
-    "codegen_pager": _codegen,
-    "codegen_docs_pager": _codegen,
-}
-SYSTEM_IDS = tuple(_PIPELINES)
+_PIPELINES = dict(zip(SYSTEM_IDS, (_vanilla, _multiquery, _codegen, _codegen)))
 
 
 def run_system(

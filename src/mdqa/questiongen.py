@@ -622,8 +622,9 @@ def read_questions(path: str | Path, fact_table: Optional[FactTable] = None) -> 
     ``FileFormatError`` naming the second one's ``path:line``. With
     ``fact_table``, so does a record that is not exactly its
     ``realise_question``, naming the first field that differs, a missing
-    ``bindings.<name>``, or why the table gives no gold. Its bindings must
-    be of the realisation's own JSON types too: ``tie: 0`` is not ``false``."""
+    ``bindings.<name>``, bindings of a type the template cannot read, or why
+    the table gives no gold. Its slots and bindings must be of the
+    realisation's own JSON types too: ``tie: 0`` is not ``false``."""
     seen: set[str] = set()
 
     def parse(raw: dict) -> Question:
@@ -639,11 +640,15 @@ def read_questions(path: str | Path, fact_table: Optional[FactTable] = None) -> 
                 )
             except (CorpusError, MissingFactError) as exc:
                 raise ValueError(str(exc)) from None
-            if realised != question or not _same_json(realised.bindings, question.bindings):
+            except TypeError as exc:
+                raise ValueError(f"bindings do not fit template {question.template_id}: {exc}") from None
+            if realised != question or not (
+                _same_json(realised.slots, question.slots)
+                and _same_json(realised.bindings, question.bindings)
+            ):
                 name = next(
-                    (f.name for f in fields(Question)
-                     if getattr(realised, f.name) != getattr(question, f.name)),
-                    "bindings",
+                    f.name for f in fields(Question)
+                    if not _same_json(getattr(realised, f.name), getattr(question, f.name))
                 )
                 raise ValueError(f"{name} is not what its template and bindings make")
         return question

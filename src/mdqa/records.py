@@ -1,5 +1,5 @@
-"""What a session holds: answers and run records, readable without the
-pipelines that write them.
+"""What a session holds: answers, run records, the ids of the systems and
+the pages a plan sees, readable without the pipelines that write them.
 
 An ``Answer`` is a gold answer or a system's answer in comparable form: a
 number in base units, Yes/No, or labeled (label, number) parts. Its JSON is
@@ -13,6 +13,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+# The pipelines ``qasystems.run_system`` runs, in the order ``run`` sweeps them.
+SYSTEM_IDS = ("vanilla_rag", "multi_query_rag", "codegen_pager", "codegen_docs_pager")
+
+
+@dataclass(frozen=True, slots=True)
+class PageHandle:
+    """A retrieved page as seen from inside a plan."""
+
+    doc_id: str
+    page_number: int
+    title: str
+    content: str
+
+    @property
+    def ref(self) -> tuple[str, int]:
+        return (self.doc_id, self.page_number)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 from .backends import text_key
 from .corpus import Document, DocumentCollection
-from .planlang import PageHandle
+from .records import PageHandle
 
 EMBED_INPUT_MAX_CHARS = 6000
 # Whole rankings a PageIndex keeps, least recently used out first. `mdqa run`

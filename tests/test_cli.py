@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import reference_retrieve
 
-from mdqa import backends, cli, qasystems
+from mdqa import backends, cli, oracle, qasystems
 from mdqa.backends import HashedBowEmbedder, VectorStore, text_key
 from mdqa.cli import main
 from mdqa.corpus import load_collection
@@ -888,7 +888,7 @@ def test_crash_at_run_n_leaves_n_minus_1_journal_lines(runner, workspace, tmp_pa
                 raise RuntimeError("backend crashed")
             return super().chat(messages, **params)
 
-    monkeypatch.setattr(cli, "OracleChatBackend", CrashingOracle)
+    monkeypatch.setattr(oracle, "OracleChatBackend", CrashingOracle)
     result = runner.invoke(main, _run_args(workspace, session, "--systems", "vanilla_rag"))
     assert isinstance(result.exception, RuntimeError), result.output
     journal = (session / "journal.jsonl").read_bytes()
@@ -1634,15 +1634,17 @@ def test_a_question_over_a_million_years_exits_2_at_once(runner, workspace, tmp_
     assert not (tmp_path / "s").exists()
 
 
-def _md4_question_exits_2(runner, workspace, tmp_path, name, edit, message):
-    """Replace the binding ``name`` of the workspace's first md4 question by
-    ``edit`` of its value: ``run`` exits 2 with ``message`` about its line
-    and creates no session."""
+def _edited_question_exits_2(
+    runner, workspace, tmp_path, template_id, name, edit, message, owner="bindings"
+):
+    """Replace ``owner.name`` of the workspace's first ``template_id``
+    question by ``edit`` of its value: ``run`` exits 2 with ``message`` about
+    its line and creates no session."""
     lines = (workspace / "questions.jsonl").read_text().splitlines()
     line, record = next(
-        (i, r) for i, r in enumerate(map(json.loads, lines), 1) if r["template_id"] == "md4"
+        (i, r) for i, r in enumerate(map(json.loads, lines), 1) if r["template_id"] == template_id
     )
-    record["bindings"][name] = edit(record["bindings"][name])
+    record[owner][name] = edit(record[owner][name])
     lines[line - 1] = json.dumps(record)
     questions = tmp_path / "questions.jsonl"
     questions.write_text("\n".join(lines) + "\n")
@@ -1658,9 +1660,38 @@ def _md4_question_exits_2(runner, workspace, tmp_path, name, edit, message):
 def test_a_binding_equal_but_of_another_type_exits_2(runner, workspace, tmp_path, convert):
     """A binding is compared with its realisation by JSON type too: an md4
     ``tie`` of ``0`` is not ``false``, though Python finds them equal."""
-    _md4_question_exits_2(
-        runner, workspace, tmp_path, "tie", convert,
+    _edited_question_exits_2(
+        runner, workspace, tmp_path, "md4", "tie", convert,
         "bindings is not what its template and bindings make",
+    )
+
+
+def test_a_slot_equal_but_of_another_type_exits_2(runner, workspace, tmp_path):
+    """Slots are compared with their realisation by JSON type too: a ve2
+    ``slots.year`` of ``2023.0`` is not ``2023``."""
+    _edited_question_exits_2(
+        runner, workspace, tmp_path, "ve2", "year", float,
+        "slots is not what its template and bindings make", owner="slots",
+    )
+
+
+@pytest.mark.parametrize(
+    "template_id, name, value, error",
+    [
+        ("md1", "num_year", "3", "unsupported operand type(s) for -: 'int' and 'str'"),
+        ("md4", "symbols", 5, "'int' object is not iterable"),
+        ("ve2", "year", [2023], "unhashable type: 'list'"),
+    ],
+    ids=["md1-num_year-string", "md4-symbols-int", "ve2-year-list"],
+)
+def test_a_binding_its_template_cannot_read_exits_2(
+    runner, workspace, tmp_path, template_id, name, value, error
+):
+    """A binding of a type its template cannot compute with is refused in
+    words that name the bindings and the template."""
+    _edited_question_exits_2(
+        runner, workspace, tmp_path, template_id, name, lambda _: value,
+        f"bindings do not fit template {template_id}: {error}",
     )
 
 
@@ -1669,8 +1700,8 @@ def test_an_extreme_other_than_the_templates_own_exits_2(runner, workspace, tmp_
     """md4 asks for the highest: an ``extreme`` binding that says anything
     else is refused, though the lookup reads anything but ``"lowest"`` as
     highest."""
-    _md4_question_exits_2(
-        runner, workspace, tmp_path, "extreme", lambda _: value,
+    _edited_question_exits_2(
+        runner, workspace, tmp_path, "md4", "extreme", lambda _: value,
         f"bindings.extreme must be 'highest', got {value!r}",
     )
 
@@ -1783,13 +1814,23 @@ def _child_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+# What only ``run`` and ``stability`` execute: the pipelines and the oracle.
+_RUN_ONLY_MODULES = ("mdqa.qasystems", "mdqa.planlang", "mdqa.oracle", "mdqa.prompts")
+
+
 def test_cli_import_leaves_numpy_out():
     """The session benchmark's launcher imports these two modules before
-    every command; only a command that embeds or ranks loads numpy."""
-    code = 'import sys, mdqa.backends, mdqa.cli; print("numpy" in sys.modules)'
+    every command; only a command that embeds or ranks loads numpy, only
+    ``run`` and ``stability`` load the pipelines and the oracle, and only
+    those and ``synth`` load ``mdqa.synth``."""
+    code = (
+        "import json, sys, mdqa.backends, mdqa.cli\n"
+        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('mdqa.')]))"
+    )
     result = _child_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    loaded = set(json.loads(result.stdout))
+    assert not loaded & {"numpy", "mdqa.synth", *_RUN_ONLY_MODULES}, sorted(loaded)
 
 
 @pytest.mark.parametrize(
@@ -1830,10 +1871,12 @@ def test_readers_import_no_pipeline_code():
 
 
 # Runs each command of argv[1] (a JSON list of argument lists) in process,
-# with numpy made unimportable, and exits with the first nonzero exit code.
-_WITHOUT_NUMPY = """
+# with the modules of argv[2] (a JSON list of names) made unimportable, and
+# exits with the first nonzero exit code.
+_WITHOUT_MODULES = """
 import json, sys
-sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+for name in json.loads(sys.argv[2]):
+    sys.modules[name] = None  # an import of it now raises ImportError
 from mdqa.cli import main
 for args in json.loads(sys.argv[1]):
     try:
@@ -1844,7 +1887,9 @@ for args in json.loads(sys.argv[1]):
 """
 
 
-def test_commands_that_compute_no_vector_run_without_numpy(finished_session, tmp_path):
+def _run_without(modules: tuple[str, ...], finished_session, tmp_path) -> None:
+    """Run ``synth``, ``gen``, ``ingest``, ``eval``, ``cost`` and ``trace``
+    in one child process in which ``modules`` cannot be imported."""
     session = _copy_session(finished_session, tmp_path)
     question_id = json.loads((session / "questions.jsonl").read_text().splitlines()[0])[
         "question_id"
@@ -1859,9 +1904,17 @@ def test_commands_that_compute_no_vector_run_without_numpy(finished_session, tmp
         ["cost", str(session)],
         ["trace", str(session), question_id, "vanilla_rag", "4"],
     ]
-    result = _child_python(_WITHOUT_NUMPY, json.dumps(commands))
+    result = _child_python(_WITHOUT_MODULES, json.dumps(commands), json.dumps(modules))
     assert result.returncode == 0, result.stderr[-2000:]
     assert (session / "report.json").exists() and (session / "cost.json").exists()
+
+
+def test_commands_that_compute_no_vector_run_without_numpy(finished_session, tmp_path):
+    _run_without(("numpy",), finished_session, tmp_path)
+
+
+def test_commands_that_run_no_pipeline_run_without_the_pipelines(finished_session, tmp_path):
+    _run_without(_RUN_ONLY_MODULES, finished_session, tmp_path)
 
 
 def _toml_list_run(runner, workspace, tmp_path, systems, k_grid):
